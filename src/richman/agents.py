@@ -51,12 +51,10 @@ __all__ = [
     "PlayerView",
     "SafetyRatioAgent",
     "UniformRandomBidAgent",
-    "full_knowledge_agent",
     "make_agent",
     "optimal_bid",
     "random_turn_optimal_move",
     "safety_ratio",
-    "safety_ratio_agent",
 ]
 
 ZERO = Fraction(0)
@@ -291,21 +289,6 @@ class UniformRandomBidAgent(Agent):
             raise ValueError(f"cannot bid at terminal vertex {view.position!r}")
         fraction = Fraction(rng.getrandbits(self.BITS), 2**self.BITS)
         return BidDecision(view.own_money * fraction, rng.choice(succ))
-
-
-def full_knowledge_agent(
-    graph: GameGraph,
-    costs: CostTable | Mapping[str, Fraction],
-    color: str,
-    raise_mode: str = "slack-half",
-) -> Agent:
-    return FullKnowledgeAgent(graph, costs, color, raise_mode=raise_mode)
-
-
-def safety_ratio_agent(
-    graph: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
-) -> Agent:
-    return SafetyRatioAgent(graph, costs, color)
 
 
 AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")

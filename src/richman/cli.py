@@ -6,8 +6,9 @@ Subcommands: ``solve`` (exact or bracketing-iteration cost tables),
 betting ladder).  Money is entered as exact rationals (``3/5`` or ``2``);
 decimals are rejected to keep the arithmetic exact.
 
-Exit codes: 0 ok, 2 parse, 3 validation, 4 not-converged, 5 limit-exceeded,
-6 usage.  Identical command lines produce byte-identical output.
+Exit codes: 0 ok, 1 internal solver error, 2 parse, 3 validation,
+4 not-converged, 6 usage.
+Identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
 from .solver import (
     CostTable,
-    LimitExceededError,
     NotConvergedError,
+    SolverError,
+    _cost_json,
     solve_exact,
     solve_iterative,
 )
@@ -33,10 +35,10 @@ from .solver import (
 __all__ = ["main", "run"]
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_CONVERGED = 4
-EXIT_LIMIT = 5
 EXIT_USAGE = 6
 
 
@@ -71,10 +73,6 @@ def _money(text: str) -> Fraction:
 
 def _fraction_text(q: Fraction) -> str:
     return str(q)
-
-
-def _fraction_json(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator, "float": float(q)}
 
 
 def _build_parser() -> _ArgumentParser:
@@ -156,7 +154,7 @@ def _cmd_solve(args) -> int:
                 "mode": "iterate",
                 "upper": approx.upper.to_json_dict(),
                 "lower": approx.lower.to_json_dict(),
-                "gap": _fraction_json(approx.gap),
+                "gap": _cost_json(approx.gap),
                 "iterations": approx.iterations,
             }
             print(json.dumps(payload, sort_keys=True))
@@ -234,7 +232,7 @@ def _cmd_randomturn(args) -> int:
     stats = random_turn_stats(g, costs, args.start, args.runs, master_seed=args.seed)
     exact = costs[args.start]
     if args.output == "json":
-        payload = {**stats.to_json_dict(), "exact": _fraction_json(exact)}
+        payload = {**stats.to_json_dict(), "exact": _cost_json(exact)}
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"runs {stats.runs}")
@@ -297,9 +295,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_CONVERGED
-    except LimitExceededError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_LIMIT
+    except SolverError as err:
+        print(f"internal solver error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -24,6 +24,7 @@ __all__ = [
     "GraphFormatError",
     "ValidationReport",
     "Violation",
+    "distances_to",
     "parse_game_graph",
     "serialize_game_graph",
     "validate",
@@ -118,6 +119,27 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Fewest edges from each vertex to one of ``targets``, found by a
+    breadth-first search along the reversed (from, to) edges.  Vertices that
+    reach no target are left out.
+    """
+    incoming: dict[str, list[str]] = {}
+    for a, b in edges:
+        incoming.setdefault(b, []).append(a)
+    dist = dict.fromkeys(targets, 0)
+    frontier = list(dist)
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            for x in incoming.get(u, ()):
+                if x not in dist:
+                    dist[x] = dist[u] + 1
+                    next_frontier.append(x)
+        frontier = next_frontier
+    return dist
+
+
 def validate(g: GameGraph) -> ValidationReport:
     """Check the structural rules of a playable arena.
 
@@ -141,26 +163,20 @@ def validate(g: GameGraph) -> ValidationReport:
             found.append(Violation("TERMINAL_SELF_LOOP", t, f"terminal {t!r} has a self-loop"))
 
     outgoing: dict[str, set[str]] = {v: set() for v in g.vertices}
-    incoming: dict[str, set[str]] = {v: set() for v in g.vertices}
     for a, b in g.edges:
-        if a in outgoing and b in incoming:
+        if a in outgoing and b in outgoing:
             outgoing[a].add(b)
-            incoming[b].add(a)
 
     for v in g.non_terminals:
         if not outgoing[v]:
             found.append(Violation("DEAD_END", v, f"non-terminal {v!r} has no outgoing edges"))
 
-    # Reverse search from the terminals: every vertex must reach one of them.
-    reached = {t for t in (g.blue, g.red) if t in g.vertices}
-    frontier = list(reached)
-    while frontier:
-        v = frontier.pop()
-        for p in incoming[v]:
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    for v in sorted(g.vertices - reached):
+    # Every vertex must reach one of the terminals.
+    reached = distances_to(
+        [t for t in (g.blue, g.red) if t in g.vertices],
+        ((a, b) for a, ends in outgoing.items() for b in ends),
+    )
+    for v in sorted(v for v in g.vertices if v not in reached):
         found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))
 
     found.sort(key=lambda w: (w.code, w.subject))

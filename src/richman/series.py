@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graphs import GameGraph
-from .solver import CostTable, solve_exact
+from .solver import CostTable, _frac_json, solve_exact
 
 __all__ = [
     "BankrollMismatchError",
@@ -79,10 +79,6 @@ class BetPlan:
                 state_id(i, j): _frac_json(q) for (i, j), q in sorted(self.stakes.items())
             },
         }
-
-
-def _frac_json(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
 
 
 def state_id(i: int, j: int) -> str:

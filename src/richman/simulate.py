@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .agents import Agent, BidDecision, GameState, PlayerView, random_turn_optimal_move
 from .graphs import GameGraph
-from .solver import CostTable, _require_valid
+from .solver import CostTable, _frac_json, _require_valid
 
 __all__ = [
     "BatchStats",
@@ -35,7 +35,6 @@ __all__ = [
     "default_move_cap",
     "derived_rng",
     "derived_seed",
-    "estimate_random_turn_value",
     "format_trace",
     "play_random_turn_game",
     "play_richman_game",
@@ -155,10 +154,6 @@ class BatchStats:
             "move_histogram": {str(k): v for k, v in self.histogram().items()},
             "master_seed": self.master_seed,
         }
-
-
-def _frac_json(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
 
 
 def _frac_text(q: Fraction) -> str:
@@ -465,18 +460,6 @@ def random_turn_stats(
         stderr=stderr,
         master_seed=master_seed,
     )
-
-
-def estimate_random_turn_value(
-    g: GameGraph,
-    costs: CostTable,
-    start: str,
-    n: int,
-    master_seed: int = 0,
-) -> tuple[float, float]:
-    """(red-win frequency, binomial stderr) over n seeded games."""
-    stats = random_turn_stats(g, costs, start, n, master_seed=master_seed)
-    return stats.frequency, stats.stderr
 
 
 def format_trace(record: GameRecord) -> str:

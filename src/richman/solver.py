@@ -6,50 +6,46 @@ at every other vertex the average of the cheapest and the dearest successor
 cost.  On a finite arena that averaging identity has a unique solution with
 the terminal boundary values, and it is always rational.
 
-Two routes are implemented and cross-checked by the test suite:
-
-* monotone iteration from above / below in exact rational arithmetic,
-  followed by continued-fraction reconstruction of the limit, and
-* enumeration of (min-successor, max-successor) policies, each solved as an
-  exact linear system and accepted only when the chosen successors really
-  attain the extremes.
+``solve_exact`` takes one route: float sweeps pick a (cheapest, dearest)
+successor policy, that policy's linear system is solved exactly, and the
+table is returned only once it passes the exact averaging identity, which
+by uniqueness certifies it.  ``solve_iterative`` brackets the costs with
+monotone iterations from above and below in exact arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .graphs import GameGraph, validate
+from .graphs import GameGraph, distances_to, validate
 
 __all__ = [
     "ApproxSolve",
     "CostTable",
-    "LimitExceededError",
     "NotConvergedError",
-    "Policy",
     "SolverError",
     "descent_distances",
     "extremal_successors",
     "iterate_above",
     "iterate_below",
-    "rationalize",
     "satisfies_exact_identity",
     "solve_exact",
-    "solve_exact_by_enumeration",
     "solve_iterative",
     "steepest_descent_closure",
 ]
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 100_000
-DEFAULT_MAX_DEN = 10**6
-POLICY_ENUM_LIMIT = 10
+# The float sweeps only guide the choice of policy; the exact solve and the
+# certificate decide.
+FLOAT_SWEEP_TOL = 1e-14
 
 
 class SolverError(Exception):
@@ -69,18 +65,6 @@ class NotConvergedError(SolverError):
         self.upper = upper
         self.lower = lower
         super().__init__(f"no convergence after {iterations} iterations, gap {float(gap):.3e}")
-
-
-class LimitExceededError(SolverError):
-    """Exact fallback would need policy enumeration on too large a graph."""
-
-    def __init__(self, non_terminals: int, limit: int):
-        self.non_terminals = non_terminals
-        self.limit = limit
-        super().__init__(
-            f"policy enumeration needed but graph has {non_terminals} non-terminal "
-            f"vertices (limit {limit})"
-        )
 
 
 @dataclass(frozen=True)
@@ -108,10 +92,7 @@ class CostTable:
         return f"{self.kind}({self.step})"
 
     def to_json_dict(self) -> dict:
-        table = {
-            v: {"num": c.numerator, "den": c.denominator, "float": float(c)}
-            for v, c in sorted(self.costs.items())
-        }
+        table = {v: _cost_json(c) for v, c in sorted(self.costs.items())}
         return {"kind": self.label, "costs": table}
 
 
@@ -125,12 +106,12 @@ class ApproxSolve:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class Policy:
-    """A choice, per non-terminal vertex, of a cheapest and a dearest successor."""
+def _frac_json(q: Fraction) -> dict:
+    return {"num": q.numerator, "den": q.denominator}
 
-    lo: Mapping[str, str]
-    hi: Mapping[str, str]
+
+def _cost_json(q: Fraction) -> dict:
+    return {**_frac_json(q), "float": float(q)}
 
 
 def _require_valid(g: GameGraph) -> None:
@@ -244,150 +225,160 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
     return True
 
 
-def rationalize(approx: CostTable, g: GameGraph, max_den: int = DEFAULT_MAX_DEN) -> CostTable | None:
-    """Snap each value to its best rational with denominator <= max_den.
+def _float_costs(g: GameGraph) -> dict[str, float]:
+    """Gauss-Seidel sweeps of the averaging step in floats, from above.
 
-    Uses continued-fraction best approximation per vertex, then verifies
-    the exact averaging identity; returns None when verification fails.
+    Rounding is monotone, so the iterates never rise and the loop ends.
     """
-    costs: dict[str, Fraction] = {}
-    for v in g.vertices:
-        costs[v] = Fraction(approx.costs[v]).limit_denominator(max_den)
-    costs[g.blue] = ZERO
-    costs[g.red] = ONE
-    table = CostTable(costs, "exact")
-    if satisfies_exact_identity(g, table):
-        return table
-    return None
-
-
-def _policy_hint(g: GameGraph, approx: Mapping[str, Fraction]) -> tuple[tuple[str, str], ...]:
-    hint = []
-    for v in g.non_terminals:
-        succ = sorted(g.successors(v))
-        lo = min(succ, key=lambda u: (approx[u], u))
-        hi = max(succ, key=lambda u: (approx[u], u))
-        hint.append((lo, hi))
-    return tuple(hint)
-
-
-def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fractions; None when the system is singular."""
-    n = len(rhs)
-    a = [row[:] for row in matrix]
-    b = rhs[:]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-                b[r] -= factor * b[col]
-    x = [ZERO] * n
-    for i in reversed(range(n)):
-        s = b[i]
-        for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
+    x = {v: 1.0 for v in g.vertices}
+    x[g.blue] = 0.0
+    rows = [(v, tuple(g.successors(v))) for v in g.non_terminals]
+    change = 1.0
+    while change > FLOAT_SWEEP_TOL:
+        change = 0.0
+        for v, succ in rows:
+            values = [x[u] for u in succ]
+            new = (min(values) + max(values)) / 2
+            change = max(change, x[v] - new)
+            x[v] = new
     return x
 
 
-def solve_exact_by_enumeration(
+def _pick_policy(
     g: GameGraph,
-    limit: int = POLICY_ENUM_LIMIT,
-    hint: tuple[tuple[str, str], ...] | None = None,
-) -> CostTable:
-    """Exact solve by trying (lo, hi) successor policies.
+    x: Mapping[str, float | Fraction],
+    to_blue: Mapping[str, int],
+    to_red: Mapping[str, int],
+) -> dict[str, tuple[str, str]]:
+    """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
 
-    Each policy induces the linear system 2 cost(v) = cost(lo(v)) + cost(hi(v))
-    with the terminal boundary; it is accepted only when the solution lies in
-    [0, 1] and lo/hi genuinely attain the min/max over all successors.
-    Singular policies are skipped.  The optional hint is tried first; it only
-    affects search order, never acceptance.
+    A tie goes to the successor nearest the choosing player's own terminal
+    (Blue picks the cheapest, Red the dearest), so on the true costs the
+    policy reaches a terminal from every vertex.  Values that are only
+    near the true costs can still close a cycle off from the terminals;
+    each vertex so cut off then moves the choice of the player whose
+    terminal is nearer onto the successor nearest that terminal.  Distance
+    to the nearer terminal falls along every moved choice, so every vertex
+    reaches a terminal and the policy's system is never singular.
+    """
+    far = len(g.vertices)
+    policy = {}
+    for v in g.non_terminals:
+        succ = g.successors(v)
+        floor = min(x[u] for u in succ)
+        ceiling = max(x[u] for u in succ)
+        lo = min((u for u in succ if x[u] == floor), key=lambda u: (to_blue.get(u, far), u))
+        hi = min((u for u in succ if x[u] == ceiling), key=lambda u: (to_red.get(u, far), u))
+        policy[v] = (lo, hi)
+    halting = distances_to((g.blue, g.red), ((v, u) for v, pair in policy.items() for u in pair))
+    for v in g.non_terminals:
+        if v in halting:
+            continue
+        lo, hi = policy[v]
+        succ = g.successors(v)
+        if to_blue.get(v, far) <= to_red.get(v, far):
+            lo = min(succ, key=lambda u: (to_blue.get(u, far), u))
+        else:
+            hi = min(succ, key=lambda u: (to_red.get(u, far), u))
+        policy[v] = (lo, hi)
+    return policy
+
+
+def _post_order(policy: Mapping[str, tuple[str, str]]) -> list[str]:
+    """DFS post-order of the policy graph: successors before predecessors
+    wherever the policy is acyclic."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in policy:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(policy[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for u in pending:
+                if u in policy and u not in seen:
+                    seen.add(u)
+                    stack.append((u, iter(policy[u])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    return order
+
+
+def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[str, Fraction]:
+    """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
+
+    Sparse elimination in DFS post-order: each vertex's row is reduced by
+    the expressions of the vertices eliminated before it (lowest rank
+    first, since an expression only names later vertices) and solved for
+    x(v) in terms of vertices not yet eliminated; back-substitution in
+    reverse order then gives the values.  On an acyclic policy every
+    expression is a constant.  A zero pivot means the policy has a closed
+    cycle that never reaches a terminal, which ``_pick_policy`` rules out.
+    """
+    order = _post_order(policy)
+    rank = {v: i for i, v in enumerate(order)}
+    solved: dict[str, tuple[Fraction, dict[str, Fraction]]] = {}
+    for v in order:
+        const = ZERO
+        row: dict[str, Fraction] = {}
+        for u in policy[v]:
+            if u == g.red:
+                const += HALF
+            elif u != g.blue:
+                row[u] = row.get(u, ZERO) + HALF
+        pending = [rank[u] for u in row if u in solved]
+        heapq.heapify(pending)
+        while pending:
+            u = order[heapq.heappop(pending)]
+            a = row.pop(u)
+            u_const, u_row = solved[u]
+            const += a * u_const
+            for w, b in u_row.items():
+                if w not in row:
+                    row[w] = ZERO
+                    if w in solved:
+                        heapq.heappush(pending, rank[w])
+                row[w] += a * b
+        pivot = 1 - row.pop(v, ZERO)
+        if pivot == 0:
+            raise SolverError(f"singular policy: {v!r} never reaches a terminal")
+        solved[v] = (const / pivot, {w: b / pivot for w, b in row.items() if b})
+    x = {g.blue: ZERO, g.red: ONE}
+    for v in reversed(order):
+        const, row = solved[v]
+        x[v] = const + sum((b * x[w] for w, b in row.items()), ZERO)
+    return x
+
+
+def solve_exact(g: GameGraph) -> CostTable:
+    """Exact cost table, certified by the averaging identity before return.
+
+    Float sweeps pick a (cheapest, dearest) successor policy, whose linear
+    system is solved exactly.  The cost function is the unique solution of
+    the identity, so a table that satisfies it is the answer.  When it does
+    not, the policy is re-picked from the exact values and solved again.
+    Every picked policy reaches a terminal, so its system has one solution;
+    the re-picking is not proved to end, and a policy seen before raises
+    SolverError rather than looping.
     """
     _require_valid(g)
-    interior = list(g.non_terminals)
-    if len(interior) > limit:
-        raise LimitExceededError(len(interior), limit)
-    succ = {v: sorted(g.successors(v)) for v in interior}
-    index = {v: i for i, v in enumerate(interior)}
-
-    def attempt(policy: tuple[tuple[str, str], ...]) -> CostTable | None:
-        n = len(interior)
-        a = [[ZERO] * n for _ in range(n)]
-        b = [ZERO] * n
-        for i, v in enumerate(interior):
-            a[i][i] += 2
-            for target in policy[i]:
-                if target == g.red:
-                    b[i] += 1
-                elif target != g.blue:
-                    a[i][index[target]] -= 1
-        solution = _solve_fraction_system(a, b)
-        if solution is None:
-            return None
-        costs = {g.blue: ZERO, g.red: ONE}
-        for i, v in enumerate(interior):
-            if solution[i] < ZERO or solution[i] > ONE:
-                return None
-            costs[v] = solution[i]
-        for i, v in enumerate(interior):
-            values = [costs[u] for u in succ[v]]
-            lo, hi = policy[i]
-            if costs[lo] != min(values) or costs[hi] != max(values):
-                return None
-        return CostTable(costs, "exact")
-
-    if hint is not None:
-        found = attempt(hint)
-        if found is not None:
-            return found
-
-    pair_choices = [
-        [(lo, hi) for lo in succ[v] for hi in succ[v]]
-        for v in interior
-    ]
-    for policy in itertools.product(*pair_choices):
-        if policy == hint:
-            continue
-        found = attempt(policy)
-        if found is not None:
-            return found
-    raise SolverError("no policy admitted a valid cost table")
-
-
-def solve_exact(
-    g: GameGraph,
-    *,
-    tol: float = 1e-12,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    max_den: int = DEFAULT_MAX_DEN,
-    enum_limit: int = POLICY_ENUM_LIMIT,
-) -> CostTable:
-    """Exact cost table: iterate, reconstruct rationals, verify; else enumerate.
-
-    Reconstruction is attempted at max_den and once more at twice that.
-    Policy enumeration is the fallback and is refused with
-    LimitExceededError on graphs above enum_limit non-terminals.
-    """
-    hint_costs: Mapping[str, Fraction] | None = None
-    try:
-        approx = solve_iterative(g, tol=tol, max_iters=max_iters)
-        for den in (max_den, 2 * max_den):
-            exact = rationalize(approx.upper, g, max_den=den)
-            if exact is not None:
-                return exact
-        hint_costs = approx.upper.costs
-    except NotConvergedError as err:
-        hint_costs = err.upper.costs
-    hint = _policy_hint(g, hint_costs) if hint_costs is not None else None
-    return solve_exact_by_enumeration(g, limit=enum_limit, hint=hint)
+    moves = [(x, u) for x in g.non_terminals for u in g.successors(x)]
+    to_blue = distances_to([g.blue], moves)
+    to_red = distances_to([g.red], moves)
+    policy = _pick_policy(g, _float_costs(g), to_blue, to_red)
+    tried: set[tuple[tuple[str, str], ...]] = set()
+    while True:
+        key = tuple(policy.values())
+        if key in tried:
+            raise SolverError("policy improvement revisited a policy")
+        tried.add(key)
+        table = CostTable(_solve_policy(g, policy), "exact")
+        if satisfies_exact_identity(g, table):
+            return table
+        policy = _pick_policy(g, table.costs, to_blue, to_red)
 
 
 def extremal_successors(
@@ -436,26 +427,11 @@ def descent_distances(
     None marks vertices with no descent path to blue (their cost is 1, or
     they sit in a region that only descends elsewhere).
     """
-    reverse: dict[str, list[str]] = {v: [] for v in g.vertices}
+    descent = []
     for x in g.non_terminals:
         succ = g.successors(x)
-        if not succ:
-            continue
-        floor = min(costs[u] for u in succ)
-        for u in succ:
-            if costs[u] == floor:
-                reverse[u].append(x)
-    dist: dict[str, int | None] = {v: None for v in g.vertices}
-    dist[g.blue] = 0
-    frontier = [g.blue]
-    while frontier:
-        next_frontier: list[str] = []
-        for u in frontier:
-            here = dist[u]
-            assert here is not None
-            for x in reverse[u]:
-                if dist[x] is None:
-                    dist[x] = here + 1
-                    next_frontier.append(x)
-        frontier = next_frontier
-    return dist
+        if succ:
+            floor = min(costs[u] for u in succ)
+            descent.extend((x, u) for u in succ if costs[u] == floor)
+    dist = distances_to([g.blue], descent)
+    return {v: dist.get(v) for v in g.vertices}

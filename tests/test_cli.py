@@ -111,12 +111,24 @@ def test_solve_not_converged(cli, data_dir):
     assert "no convergence after 5 iterations" in err
 
 
-def test_solve_limit_exceeded(cli, tmp_path):
+def test_solve_ring21_exact_table(cli, tmp_path):
     big = tmp_path / "ring21.rg"
     big.write_text(serialize_game_graph(corpus.ring_graph(21)))
-    code, _, err = cli("solve", str(big))
-    assert code == 5
-    assert "21" in err
+    code, out, err = cli("solve", str(big))
+    assert (code, err) == (0, "")
+    den = 2**21 - 1
+    rows = [f"v{i:02d} {2**i}/{den} {2**i / den}" for i in range(21)]
+    assert out.splitlines() == ["vertex cost float", "b 0 0.0", "r 1 1.0"] + rows
+
+
+def test_solve_internal_solver_error_exits_1(cli, data_dir, monkeypatch):
+    def fail(g):
+        raise richman.SolverError("policy improvement revisited a policy")
+
+    monkeypatch.setattr(richman.cli, "solve_exact", fail)
+    code, out, err = cli("solve", str(data_dir / "fig1.rg"))
+    assert (code, out) == (1, "")
+    assert err == "internal solver error: policy improvement revisited a policy\n"
 
 
 def test_solve_mutually_exclusive_modes(cli, data_dir):

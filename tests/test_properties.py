@@ -1,0 +1,93 @@
+"""Property tests on generated arenas: the exact solver against independent
+checks (the enumeration oracle on small arenas, the exact iteration
+bracket on larger ones), and the policy it solves reaching a terminal
+whatever values it is read from."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from richman import (
+    GameGraph,
+    extremal_successors,
+    satisfies_exact_identity,
+    solve_exact,
+    solve_iterative,
+    validate,
+)
+from richman.graphs import distances_to
+from richman.solver import _pick_policy
+
+import corpus
+
+TERMINALS = ["b", "r"]
+
+
+@st.composite
+def arenas(draw, min_size: int, max_size: int) -> GameGraph:
+    """Valid arenas with out-degree 1-3.
+
+    Each vertex's first successor is a terminal or an earlier vertex, so
+    every vertex reaches a terminal; up to two more successors are drawn
+    from all vertices, self-loops included, which makes cycles common.
+    """
+    n = draw(st.integers(min_size, max_size))
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = set()
+    for i, v in enumerate(names):
+        edges.add((v, draw(st.sampled_from(TERMINALS + names[:i]))))
+        for u in draw(st.lists(st.sampled_from(TERMINALS + names), max_size=2)):
+            edges.add((v, u))
+    g = GameGraph.from_parts(TERMINALS + names, edges, "b", "r")
+    assert validate(g).ok
+    return g
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arenas(1, 6))
+def test_solve_exact_equals_the_enumeration_oracle(g):
+    table = solve_exact(g)
+    approx = solve_iterative(g, tol=1e-12)
+    hint = tuple(extremal_successors(g, approx.upper, v) for v in g.non_terminals)
+    assert dict(table.costs) == dict(corpus.solve_exact_by_enumeration(g, hint=hint).costs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(arenas(10, 60))
+def test_solve_exact_lies_inside_the_iteration_bracket(g):
+    table = solve_exact(g)
+    assert satisfies_exact_identity(g, table)
+    approx = solve_iterative(g, tol=1e-9)
+    for v in g.vertices:
+        assert approx.lower[v] <= table[v] <= approx.upper[v]
+
+
+@st.composite
+def arenas_with_one_exit(draw, max_size: int) -> GameGraph:
+    """Valid arenas whose only terminal edges leave v00.
+
+    Every other vertex first steps to an earlier vertex and may add up to
+    two successors among all vertices, so most vertices have no terminal
+    successor of their own and values far from the costs can close a
+    cycle off from the terminals.
+    """
+    n = draw(st.integers(2, max_size))
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = {(names[0], "b"), (names[0], "r")}
+    for i, v in enumerate(names[1:], start=1):
+        edges.add((v, draw(st.sampled_from(names[:i]))))
+        for u in draw(st.lists(st.sampled_from(names), max_size=2)):
+            edges.add((v, u))
+    return GameGraph.from_parts(TERMINALS + names, edges, "b", "r")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_picked_policy_reaches_a_terminal_from_any_values(data):
+    g = data.draw(arenas_with_one_exit(12))
+    x = {v: data.draw(st.floats(0, 1)) for v in g.non_terminals}
+    x.update(b=0.0, r=1.0)
+    moves = [(v, u) for v in g.non_terminals for u in g.successors(v)]
+    policy = _pick_policy(g, x, distances_to(["b"], moves), distances_to(["r"], moves))
+    assert all({lo, hi} <= g.successors(v) for v, (lo, hi) in policy.items())
+    halting = distances_to(["b", "r"], [(v, u) for v, pair in policy.items() for u in pair])
+    assert set(g.non_terminals) <= halting.keys()

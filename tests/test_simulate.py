@@ -16,7 +16,6 @@ from richman import (
     default_move_cap,
     derived_rng,
     derived_seed,
-    estimate_random_turn_value,
     format_trace,
     make_agent,
     parse_game_graph,
@@ -276,6 +275,6 @@ def test_random_turn_stats_frozen(path_graph, path_costs):
 
 
 def test_estimate_from_a_terminal_is_exact(path_graph, path_costs):
-    frequency, stderr = estimate_random_turn_value(path_graph, path_costs, "r", 50)
-    assert frequency == 1.0
-    assert stderr == 0.0
+    stats = random_turn_stats(path_graph, path_costs, "r", 50)
+    assert stats.frequency == 1.0
+    assert stats.stderr == 0.0

@@ -11,7 +11,6 @@ import pytest
 
 from richman import (
     CostTable,
-    LimitExceededError,
     NotConvergedError,
     SolverError,
     descent_distances,
@@ -19,10 +18,8 @@ from richman import (
     iterate_above,
     iterate_below,
     parse_game_graph,
-    rationalize,
     satisfies_exact_identity,
     solve_exact,
-    solve_exact_by_enumeration,
     solve_iterative,
     steepest_descent_closure,
     validate,
@@ -152,41 +149,15 @@ def test_exact_identity_checks(star, star_costs):
     assert not satisfies_exact_identity(star, CostTable({"b": F(0), "r": F(1)}, "exact"))
 
 
-def test_rationalize_snaps_float_noise(path_graph):
-    noisy = CostTable(
-        {
-            "b": F(0),
-            "r": F(1),
-            "v1": Fraction(0.3333333333337),
-            "v2": Fraction(0.6666666666661),
-        },
-        "approx",
-    )
-    snapped = rationalize(noisy, path_graph, max_den=64)
-    assert snapped is not None
-    assert snapped["v1"] == F(1, 3)
-    assert snapped["v2"] == F(2, 3)
-    assert snapped.kind == "exact"
-
-
-def test_rationalize_refuses_non_solutions(star, path_graph):
-    wrong = CostTable({"b": F(0), "r": F(1), "v": Fraction(0.4000000001)}, "approx")
-    assert rationalize(wrong, star, max_den=1000) is None
-    # Denominator cap too small to express 1/3 exactly.
-    close = CostTable(
-        {"b": F(0), "r": F(1), "v1": F(1, 3), "v2": F(2, 3)}, "approx"
-    )
-    assert rationalize(close, path_graph, max_den=2) is None
-
-
 def test_enumeration_agrees_with_rationalized_iteration(fig1, path_graph, star):
     for g in (fig1, path_graph, star):
-        by_policy = solve_exact_by_enumeration(g)
+        by_policy = corpus.solve_exact_by_enumeration(g)
         by_iteration = solve_exact(g)
         assert dict(by_policy.costs) == dict(by_iteration.costs)
 
 
-def test_enumeration_respects_the_size_limit():
+def test_solve_exact_eleven_vertex_chain_matches_the_oracle():
+    # Eleven non-terminals in a line; out-degree 1 leaves the oracle 4 policies.
     names = [f"v{i:02d}" for i in range(11)]
     edges = [(names[i], names[i + 1]) for i in range(10)] + [
         (names[10], "b"),
@@ -196,32 +167,66 @@ def test_enumeration_respects_the_size_limit():
 
     chain = GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
     assert validate(chain).ok
-    with pytest.raises(LimitExceededError) as info:
-        solve_exact_by_enumeration(chain)
-    assert info.value.non_terminals == 11
-    assert info.value.limit == 10
-    # A raised limit lets the same graph through.
-    table = solve_exact_by_enumeration(chain, limit=11)
+    table = solve_exact(chain)
     assert satisfies_exact_identity(chain, table)
+    assert dict(table.costs) == dict(corpus.solve_exact_by_enumeration(chain).costs)
 
 
-def test_solve_exact_falls_back_and_refuses_huge_denominators():
-    # A 21-cycle whose costs all have denominator 2**21 - 1 = 2097151: too
-    # big to reconstruct from the iteration, too many vertices to enumerate.
-    ring = corpus.ring_graph(21)
-    assert validate(ring).ok
-    with pytest.raises(LimitExceededError):
-        solve_exact(ring)
-    # The small sibling solves fine and hits the predicted closed form.
-    small = corpus.ring_graph(4)
-    table = solve_exact(small)
-    assert table["v00"] == F(1, 2**4 - 1)
-    assert table["v03"] == F(2**3, 2**4 - 1)
+def test_solve_exact_ring21_matches_the_closed_form():
+    # Every cost of the 21-cycle has denominator 2**21 - 1 = 2097151.
+    for n in (4, 21):
+        ring = corpus.ring_graph(n)
+        assert validate(ring).ok
+        table = solve_exact(ring)
+        assert table.kind == "exact"
+        for i in range(n):
+            assert table[f"v{i:02d}"] == F(2**i, 2**n - 1)
+
+
+def test_solve_exact_repicks_the_policy_from_exact_values():
+    # x chooses between p (cost 1/2) and q (cost 1/2 + 1/(2^60 - 1)), whose
+    # float values count as tied.  Red's tie goes to p (as near red as q,
+    # and first by name), so the first policy is wrong; the second, read
+    # from its exact values, is certified.
+    ring = corpus.ring_graph(60)
+    from richman import GameGraph
+
+    g = GameGraph.from_parts(
+        ring.vertices | {"x", "p", "q"},
+        ring.edges | {("x", "p"), ("x", "q"), ("p", "b"), ("p", "r"), ("q", "r"), ("q", "v01")},
+        "b",
+        "r",
+    )
+    table = solve_exact(g)
+    assert table["q"] == F(1, 2) + F(1, 2**60 - 1)
+    assert table["x"] == F(1, 2) + F(1, 2 * (2**60 - 1))
+
+
+def test_solve_exact_near_tie_on_both_sides_is_not_singular():
+    # v sits 1/(16 (2^26 - 1)) below a and as far above c.  Counting such
+    # near-ties as tied would let v pick itself for both players, a policy
+    # that never reaches a terminal; exact float ties give lo = c, hi = a.
+    ring = corpus.ring_graph(26)
+    from richman import GameGraph
+
+    extra = {
+        ("v", "v"), ("v", "a"), ("v", "c"),
+        ("a", "a1"), ("a", "h"), ("a1", "b"), ("a1", "m"), ("m", "r"), ("m", "v00"),
+        ("h", "h2"), ("h2", "r"),
+        ("c", "r"), ("c", "l"), ("l", "l1"), ("l1", "l2"), ("l2", "b"), ("l2", "q"),
+        ("q", "b"), ("q", "r"),
+    }  # fmt: skip
+    g = GameGraph.from_parts(ring.vertices | {u for e in extra for u in e}, ring.edges | extra, "b", "r")
+    assert validate(g).ok
+    table = solve_exact(g)
+    delta = F(1, 16 * (2**26 - 1))
+    assert table["a"] - table["v"] == delta
+    assert table["v"] - table["c"] == delta
+    assert satisfies_exact_identity(g, table)
 
 
 def test_solver_error_is_base_class():
     assert issubclass(NotConvergedError, SolverError)
-    assert issubclass(LimitExceededError, SolverError)
 
 
 def test_extremal_successors_examples(fig1, fig1_costs, path_graph, path_costs):
