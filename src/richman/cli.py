@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .agents import AGENT_NAMES, GameState, make_agent
-from .graphs import GameGraph, GraphFormatError, parse_game_graph, validate
+from .graphs import GameGraph, GraphFormatError, parse_game_graph
 from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
 from .solver import (
@@ -130,7 +130,7 @@ def _load_graph(path: str) -> GameGraph:
         g = parse_game_graph(text)
     except GraphFormatError as err:
         raise _Failure(EXIT_PARSE, f"{path}: {err}")
-    report = validate(g)
+    report = g.validation
     if not report.ok:
         lines = [f"{path}: invalid graph"]
         lines += [f"  {v.code} {v.subject}: {v.message}" for v in report.violations]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 __all__ = [
@@ -83,6 +83,39 @@ class GameGraph:
     @cached_property
     def non_terminals(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices - {self.blue, self.red}))
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate(self)``, run once per graph: the graph is frozen."""
+        return validate(self)
+
+    @cached_property
+    def interior_has_cycle(self) -> bool:
+        """Whether the non-terminal vertices alone contain a directed cycle."""
+        WHITE, GRAY, BLACK = 0, 1, 2
+        state = {v: WHITE for v in self.non_terminals}
+        for root in self.non_terminals:
+            if state[root] != WHITE:
+                continue
+            stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(self.successors(root))))]
+            state[root] = GRAY
+            while stack:
+                v, it = stack[-1]
+                advanced = False
+                for u in it:
+                    if self.is_terminal(u):
+                        continue
+                    if state[u] == GRAY:
+                        return True
+                    if state[u] == WHITE:
+                        state[u] = GRAY
+                        stack.append((u, iter(sorted(self.successors(u)))))
+                        advanced = True
+                        break
+                if not advanced:
+                    state[v] = BLACK
+                    stack.pop()
+        return False
 
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:

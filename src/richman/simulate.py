@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .agents import Agent, BidDecision, GameState, PlayerView, random_turn_optimal_move
+from .agents import Agent, BidDecision, GameState, PlayerView
 from .graphs import GameGraph
-from .solver import CostTable, _frac_json, _require_valid
+from .solver import CostTable, _frac_json, _require_valid, extremal_successors
 
 __all__ = [
     "BatchStats",
@@ -160,36 +160,9 @@ def _frac_text(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _interior_has_cycle(g: GameGraph) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = {v: WHITE for v in g.non_terminals}
-    for root in g.non_terminals:
-        if state[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(g.successors(root))))]
-        state[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if g.is_terminal(u):
-                    continue
-                if state[u] == GRAY:
-                    return True
-                if state[u] == WHITE:
-                    state[u] = GRAY
-                    stack.append((u, iter(sorted(g.successors(u)))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = BLACK
-                stack.pop()
-    return False
-
-
 def default_move_cap(g: GameGraph) -> int:
     """10 |V| when the non-terminal part is acyclic, else 64 |V|."""
-    factor = 10 if not _interior_has_cycle(g) else 64
+    factor = 64 if g.interior_has_cycle else 10
     return factor * len(g.vertices)
 
 
@@ -367,6 +340,32 @@ def run_batch(
     )
 
 
+def _coin_moves(g: GameGraph, costs: CostTable, start: str) -> dict[str, tuple[str, str]]:
+    """Check a coin-flip game's arguments and return its move table: the
+    (Blue, Red) move of every non-terminal, the same in every game."""
+    _require_valid(g)
+    if start not in g.vertices:
+        raise ValueError(f"unknown start vertex {start!r}")
+    return {v: extremal_successors(g, costs, v) for v in g.non_terminals}
+
+
+def _coin_walk(
+    moves: dict[str, tuple[str, str]], start: str, cap: int, rng: random.Random
+) -> Iterator[tuple[str, str, str]]:
+    """(position, mover, destination) per move of one coin-flip game, to a
+    terminal (a vertex without an entry in ``moves``) or the cap; each move
+    draws one coin from ``rng``."""
+    position = start
+    for _ in range(cap):
+        if position not in moves:
+            return
+        mover = rng.choice(("blue", "red"))
+        lo, hi = moves[position]
+        destination = lo if mover == "blue" else hi
+        yield position, mover, destination
+        position = destination
+
+
 def play_random_turn_game(
     g: GameGraph,
     costs: CostTable,
@@ -381,34 +380,26 @@ def play_random_turn_game(
     the bidding Step shape with all money fields zero; ``tie`` records the
     coin (True: Blue moved).
     """
-    _require_valid(g)
-    if start not in g.vertices:
-        raise ValueError(f"unknown start vertex {start!r}")
+    moves = _coin_moves(g, costs, start)
     cap = 64 * len(g.vertices) if max_moves is None else max_moves
     rng = derived_rng(seed, "randomturn", game_index)
-
-    position = start
-    steps: list[Step] = []
-    while not g.is_terminal(position) and len(steps) < cap:
-        mover = rng.choice(("blue", "red"))
-        destination = random_turn_optimal_move(costs, g, position, mover)
-        steps.append(
-            Step(
-                index=len(steps),
-                position=position,
-                blue_bid=ZERO,
-                red_bid=ZERO,
-                tie=mover == "blue",
-                winner=mover,
-                transfer=ZERO,
-                move_to=destination,
-                blue_after=ZERO,
-                red_after=ZERO,
-            )
+    steps = tuple(
+        Step(
+            index=i,
+            position=position,
+            blue_bid=ZERO,
+            red_bid=ZERO,
+            tie=mover == "blue",
+            winner=mover,
+            transfer=ZERO,
+            move_to=destination,
+            blue_after=ZERO,
+            red_after=ZERO,
         )
-        position = destination
-
-    return GameRecord(start, tuple(steps), _outcome(g, position), cap)
+        for i, (position, mover, destination) in enumerate(_coin_walk(moves, start, cap, rng))
+    )
+    final = steps[-1].move_to if steps else start
+    return GameRecord(start, steps, _outcome(g, final), cap)
 
 
 @dataclass(frozen=True)
@@ -444,11 +435,14 @@ def random_turn_stats(
     """n seeded coin-flip games; frequency is the red-win rate."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    moves = _coin_moves(g, costs, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
     tallies = {BLUE_WINS: 0, RED_WINS: 0, UNRESOLVED: 0}
     for i in range(runs):
-        record = play_random_turn_game(g, costs, start, max_moves=cap, seed=master_seed, game_index=i)
-        tallies[record.outcome] += 1
+        final = start
+        for _, _, final in _coin_walk(moves, start, cap, derived_rng(master_seed, "randomturn", i)):
+            pass
+        tallies[_outcome(g, final)] += 1
     frequency = tallies[RED_WINS] / runs
     stderr = math.sqrt(frequency * (1 - frequency) / runs)
     return RandomTurnStats(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import GameGraph, distances_to, validate
+from .graphs import GameGraph, distances_to
 
 __all__ = [
     "ApproxSolve",
@@ -115,7 +115,7 @@ def _cost_json(q: Fraction) -> dict:
 
 
 def _require_valid(g: GameGraph) -> None:
-    report = validate(g)
+    report = g.validation
     if not report.ok:
         first = report.violations[0]
         raise ValueError(f"invalid graph: {first.code} at {first.subject!r} ({first.message})")

@@ -22,6 +22,9 @@ from richman import (
     GameRecord,
     SolverError,
     iterate_above,
+    play_random_turn_game,
+    random_turn_move_cap,
+    random_turn_stats,
     safety_ratio,
     solve_exact,
     validate,
@@ -303,3 +306,25 @@ def check_safety_ratio_monotone(record: GameRecord, costs: CostTable, color: str
             assert later is None, f"{color} ratio fell from infinite to {later}"
         elif later is not None:
             assert later >= earlier, f"{color} ratio fell: {earlier} -> {later}"
+
+
+def check_stats_match_recorded_games(
+    g: GameGraph, costs: CostTable, start: str, runs: int, seed: int
+) -> None:
+    """``random_turn_stats`` agrees game by game with the same games played
+    one by one as recorded ``play_random_turn_game`` traces: the tallies of
+    every prefix of the batch (at the batch's cap) equal the recorded
+    outcomes of that prefix."""
+    cap = random_turn_move_cap(g, runs)
+    outcomes = [
+        play_random_turn_game(g, costs, start, max_moves=cap, seed=seed, game_index=i).outcome
+        for i in range(runs)
+    ]
+    for n in range(1, runs + 1):
+        stats = random_turn_stats(g, costs, start, n, master_seed=seed, max_moves=cap)
+        assert (stats.blue_wins, stats.red_wins, stats.unresolved) == (
+            outcomes[:n].count("BlueWins"),
+            outcomes[:n].count("RedWins"),
+            outcomes[:n].count("Unresolved"),
+        )
+    assert stats == random_turn_stats(g, costs, start, runs, master_seed=seed)

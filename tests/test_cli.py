@@ -314,24 +314,30 @@ def declared_entry_point(name):
     raise LookupError(f"no [project.scripts] entry {name!r} in {PYPROJECT}")
 
 
-def test_console_script_matches_in_process(data_dir):
-    # Runs the declared entry point the way pip's console-script wrapper does, in a
-    # fresh interpreter that imports the same source tree as this test process, so
-    # the check needs no installed `richman` on PATH.
-    module, function = declared_entry_point("richman")
+def run_fresh_interpreter(*args):
+    """``sys.executable *args`` importing the same source tree as this test
+    process, so the check needs no installed ``richman``."""
     src = pathlib.Path(richman.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_script_matches_in_process(data_dir):
+    # Runs the declared entry point the way pip's console-script wrapper does.
+    module, function = declared_entry_point("richman")
     code = (
         f"import sys; from {module} import {function}; "
         f"sys.argv[0] = 'richman'; sys.exit({function}())"
     )
-    script = subprocess.run(
-        [sys.executable, "-c", code, "solve", str(data_dir / "fig1.rg")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    script = run_fresh_interpreter("-c", code, "solve", str(data_dir / "fig1.rg"))
+    assert script.returncode == 0
+    assert script.stdout == FIG1_TABLE
+    assert script.stderr == ""
+
+
+def test_python_dash_m_matches_in_process(data_dir):
+    script = run_fresh_interpreter("-m", "richman", "solve", str(data_dir / "fig1.rg"))
     assert script.returncode == 0
     assert script.stdout == FIG1_TABLE
     assert script.stderr == ""

@@ -1,7 +1,8 @@
 """Property tests on generated arenas: the exact solver against independent
 checks (the enumeration oracle on small arenas, the exact iteration
-bracket on larger ones), and the policy it solves reaching a terminal
-whatever values it is read from."""
+bracket on larger ones), the policy it solves reaching a terminal
+whatever values it is read from, the text format's round trip, monotone
+iterates, and coin-flip tallies equal to the recorded games."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from richman import (
     GameGraph,
     extremal_successors,
+    iterate_above,
+    iterate_below,
+    parse_game_graph,
     satisfies_exact_identity,
+    serialize_game_graph,
     solve_exact,
     solve_iterative,
     validate,
@@ -91,3 +96,27 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     assert all({lo, hi} <= g.successors(v) for v, (lo, hi) in policy.items())
     halting = distances_to(["b", "r"], [(v, u) for v, pair in policy.items() for u in pair])
     assert set(g.non_terminals) <= halting.keys()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arenas(1, 20))
+def test_serialization_round_trips(g):
+    assert parse_game_graph(serialize_game_graph(g)) == g
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(arenas(1, 12))
+def test_iterates_are_monotone(g):
+    above, below = iterate_above(g, 30), iterate_below(g, 30)
+    for t in range(30):
+        for v in g.vertices:
+            assert above[t + 1][v] <= above[t][v]
+            assert below[t + 1][v] >= below[t][v]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(arenas(1, 12), st.integers(0, 2**32))
+def test_random_turn_stats_match_the_recorded_games(g, seed):
+    costs = solve_exact(g)
+    for start in g.vertices:
+        corpus.check_stats_match_recorded_games(g, costs, start, 20, seed)

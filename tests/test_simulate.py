@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import richman.graphs
 from richman import (
     Agent,
     BidDecision,
+    GameGraph,
     GameState,
     ProtocolViolationError,
     batch_records,
@@ -24,6 +26,7 @@ from richman import (
     random_turn_move_cap,
     random_turn_stats,
     run_batch,
+    solve_exact,
 )
 
 import corpus
@@ -278,3 +281,43 @@ def test_estimate_from_a_terminal_is_exact(path_graph, path_costs):
     stats = random_turn_stats(path_graph, path_costs, "r", 50)
     assert stats.frequency == 1.0
     assert stats.stderr == 0.0
+
+
+def test_validate_runs_once_per_graph(data_dir, monkeypatch):
+    calls = []
+    real = richman.graphs.validate
+    monkeypatch.setattr(richman.graphs, "validate", lambda g: calls.append(g) or real(g))
+    # A graph object of its own: the session fixtures may be validated already.
+    g = parse_game_graph((data_dir / "fig1.rg").read_text())
+    costs = solve_exact(g)
+    blue = make_agent("optimal", g, costs, "blue")
+    red = make_agent("optimal", g, costs, "red")
+    stats = run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=200, master_seed=2)
+    assert stats.runs == 200
+    assert random_turn_stats(g, costs, "m", 2000, master_seed=2).runs == 2000
+    for name, cap in (("fig1", 384), ("path", 256), ("star", 30)):
+        assert default_move_cap(parse_game_graph((data_dir / f"{name}.rg").read_text())) == cap
+    assert calls == [g]
+
+
+@pytest.mark.parametrize(
+    "graph, costs, start",
+    [
+        ("fig1", "fig1_costs", "m"),
+        ("fig1", "fig1_costs", "v"),
+        ("path_graph", "path_costs", "v1"),
+        ("path_graph", "path_costs", "v2"),
+        ("star", "star_costs", "v"),
+    ],
+)
+def test_random_turn_stats_match_the_recorded_games(request, graph, costs, start):
+    g, table = request.getfixturevalue(graph), request.getfixturevalue(costs)
+    corpus.check_stats_match_recorded_games(g, table, start, 100, seed=5)
+
+
+def test_random_turn_stats_rejects_bad_arguments(fig1, fig1_costs):
+    with pytest.raises(ValueError, match="unknown start"):
+        random_turn_stats(fig1, fig1_costs, "zz", 10)
+    dead_end = GameGraph.from_parts(["b", "r", "v", "w"], [("v", "b"), ("v", "w")], "b", "r")
+    with pytest.raises(ValueError, match="invalid graph: DEAD_END"):
+        random_turn_stats(dead_end, fig1_costs, "v", 10)
