@@ -7,122 +7,13 @@ computes those costs, plays the strategies built from them, and prices
 the even-money betting ladder they induce.
 """
 
-from .agents import (
-    AGENT_NAMES,
-    Agent,
-    BidDecision,
-    FullKnowledgeAgent,
-    GameState,
-    PlayerView,
-    SafetyRatioAgent,
-    UniformRandomBidAgent,
-    make_agent,
-    optimal_bid,
-    random_turn_optimal_move,
-    safety_ratio,
-)
-from .graphs import (
-    GameGraph,
-    GraphFormatError,
-    ValidationReport,
-    Violation,
-    parse_game_graph,
-    serialize_game_graph,
-    validate,
-)
-from .series import (
-    BankrollMismatchError,
-    BetPlan,
-    SeriesSpec,
-    build_series_graph,
-    series_bet_plan,
-    state_id,
-)
-from .simulate import (
-    BatchStats,
-    GameRecord,
-    ProtocolViolationError,
-    RandomTurnStats,
-    Step,
-    batch_records,
-    default_move_cap,
-    derived_rng,
-    derived_seed,
-    format_trace,
-    play_random_turn_game,
-    play_richman_game,
-    random_turn_move_cap,
-    random_turn_stats,
-    run_batch,
-)
-from .solver import (
-    ApproxSolve,
-    CostTable,
-    NotConvergedError,
-    SolverError,
-    descent_distances,
-    extremal_successors,
-    iterate_above,
-    iterate_below,
-    satisfies_exact_identity,
-    solve_exact,
-    solve_iterative,
-    steepest_descent_closure,
-)
+from . import agents, graphs, series, simulate, solver
+from .agents import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .series import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AGENT_NAMES",
-    "Agent",
-    "ApproxSolve",
-    "BankrollMismatchError",
-    "BatchStats",
-    "BetPlan",
-    "BidDecision",
-    "CostTable",
-    "FullKnowledgeAgent",
-    "GameGraph",
-    "GameRecord",
-    "GameState",
-    "GraphFormatError",
-    "NotConvergedError",
-    "PlayerView",
-    "ProtocolViolationError",
-    "RandomTurnStats",
-    "SafetyRatioAgent",
-    "SeriesSpec",
-    "SolverError",
-    "Step",
-    "UniformRandomBidAgent",
-    "ValidationReport",
-    "Violation",
-    "batch_records",
-    "build_series_graph",
-    "default_move_cap",
-    "derived_rng",
-    "derived_seed",
-    "descent_distances",
-    "extremal_successors",
-    "format_trace",
-    "iterate_above",
-    "iterate_below",
-    "make_agent",
-    "optimal_bid",
-    "parse_game_graph",
-    "play_random_turn_game",
-    "play_richman_game",
-    "random_turn_move_cap",
-    "random_turn_optimal_move",
-    "random_turn_stats",
-    "run_batch",
-    "safety_ratio",
-    "satisfies_exact_identity",
-    "serialize_game_graph",
-    "series_bet_plan",
-    "solve_exact",
-    "solve_iterative",
-    "state_id",
-    "steepest_descent_closure",
-    "validate",
-]
+__all__ = sorted({*agents.__all__, *graphs.__all__, *series.__all__, *simulate.__all__, *solver.__all__})

@@ -13,10 +13,11 @@ Agents included:
   cost(cheapest))/2 of the total supply, capped at its bankroll, and moves
   to the cheapest successor.  In a strictly winning position it plays the
   finite-horizon ladder: find the smallest t with upper-iterate(v, t) below
-  its share, bid half the successor gap of table t-1 (plus an optional
-  raise), and move to the successor cheapest in table t-1.  That wins
-  within t moves no matter how ties are broken; bidding off the limiting
-  costs instead can wander down a cheap-but-long branch and miss the bound.
+  its share, bid half the successor gap of table t-1 plus half the slack
+  share - upper-iterate(v, t) (capped at its bankroll), and move to the
+  successor cheapest in table t-1.  That wins within t moves no matter how
+  ties are broken; bidding off the limiting costs instead can wander down
+  a cheap-but-long branch and miss the bound.
 * ``SafetyRatioAgent`` ("safety") never reads the opponent's bankroll: it
   bids own_money * (cost(v) - cheapest successor cost) / cost(v), which
   keeps own_share / cost(v) from ever decreasing.
@@ -33,14 +34,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graphs import GameGraph
-from .solver import (
-    CostTable,
-    SolverError,
-    _average_step,
-    _boundary,
-    descent_distances,
-    extremal_successors,
-)
+from .solver import CostTable, SolverError, _iterates, descent_distances, extremal_successors
 
 __all__ = [
     "AGENT_NAMES",
@@ -167,9 +161,6 @@ def _oriented(
     return swapped, CostTable(flipped, "exact")
 
 
-RAISE_MODES = ("none", "slack-half")
-
-
 class FullKnowledgeAgent(Agent):
     """Sees both bankrolls; plays the half-gap bid, or the finite-horizon
     ladder when strictly ahead (see the module docstring)."""
@@ -181,15 +172,12 @@ class FullKnowledgeAgent(Agent):
         graph: GameGraph,
         costs: CostTable | Mapping[str, Fraction],
         color: str,
-        raise_mode: str = "slack-half",
     ):
-        if raise_mode not in RAISE_MODES:
-            raise ValueError(f"raise_mode must be one of {RAISE_MODES}")
         self._graph, self._costs = _oriented(graph, costs, color)
         self._color = color
-        self._raise_mode = raise_mode
         # Upper-iterate ladder on the oriented graph, grown on demand.
-        self._ladder: list[dict[str, Fraction]] = [_boundary(self._graph, ONE)]
+        self._upper = _iterates(self._graph, ONE)
+        self._ladder: list[dict[str, Fraction]] = [next(self._upper)]
 
     def _horizon(self, v: str, share: Fraction) -> int:
         """Smallest t with upper-iterate(v, t) < share.  Exists whenever
@@ -198,7 +186,7 @@ class FullKnowledgeAgent(Agent):
         while self._ladder[t][v] >= share:
             t += 1
             if t == len(self._ladder):
-                self._ladder.append(_average_step(self._graph, self._ladder[-1]))
+                self._ladder.append(next(self._upper))
             if t > 100_000:
                 raise SolverError(f"no iterate at {v!r} ever drops below {share}")
         return t
@@ -221,9 +209,8 @@ class FullKnowledgeAgent(Agent):
             lo_val = min(prev[u] for u in succ)
             hi_val = max(prev[u] for u in succ)
             bid = (hi_val - lo_val) / 2 * total
-            if self._raise_mode == "slack-half":
-                slack = (share - self._ladder[t][v]) * total
-                bid += min(slack / 2, own - bid)
+            slack = (share - self._ladder[t][v]) * total
+            bid += min(slack / 2, own - bid)
             move = min(succ, key=lambda u: (prev[u], u))
             return BidDecision(bid, move)
 
@@ -299,11 +286,10 @@ def make_agent(
     graph: GameGraph,
     costs: CostTable | Mapping[str, Fraction],
     color: str,
-    raise_mode: str = "slack-half",
 ) -> Agent:
     """Agent registry used by the CLI; ``name`` is one of AGENT_NAMES."""
     if name == "optimal":
-        return FullKnowledgeAgent(graph, costs, color, raise_mode=raise_mode)
+        return FullKnowledgeAgent(graph, costs, color)
     if name == "safety":
         return SafetyRatioAgent(graph, costs, color)
     if name == "uniform-random-bid":

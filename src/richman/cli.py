@@ -71,10 +71,6 @@ def _money(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
-def _fraction_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="richman", description="Bidding games on directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -142,7 +138,7 @@ def _print_cost_rows(costs: CostTable) -> None:
     print("vertex cost float")
     for v in sorted(costs.costs):
         q = costs[v]
-        print(f"{v} {_fraction_text(q)} {float(q)}")
+        print(f"{v} {str(q)} {float(q)}")
 
 
 def _cmd_solve(args) -> int:
@@ -162,9 +158,9 @@ def _cmd_solve(args) -> int:
             print("vertex upper lower")
             for v in sorted(approx.upper.costs):
                 print(
-                    f"{v} {_fraction_text(approx.upper[v])} {_fraction_text(approx.lower[v])}"
+                    f"{v} {str(approx.upper[v])} {str(approx.lower[v])}"
                 )
-            print(f"gap {_fraction_text(approx.gap)} {float(approx.gap)}")
+            print(f"gap {str(approx.gap)} {float(approx.gap)}")
             print(f"iterations {approx.iterations}")
         return EXIT_OK
     table = solve_exact(g)
@@ -241,7 +237,7 @@ def _cmd_randomturn(args) -> int:
         print(f"unresolved {stats.unresolved}")
         print(f"frequency {stats.frequency}")
         print(f"stderr {stats.stderr}")
-        print(f"exact {_fraction_text(exact)} {float(exact)}")
+        print(f"exact {str(exact)} {float(exact)}")
     return EXIT_OK
 
 
@@ -259,12 +255,12 @@ def _cmd_series(args) -> int:
         print(json.dumps(plan.to_json_dict(), sort_keys=True))
     else:
         print(f"wins_needed {plan.spec.wins_needed}")
-        print(f"bankroll {_fraction_text(plan.spec.bankroll)}")
+        print(f"bankroll {str(plan.spec.bankroll)}")
         print("state holding stake")
         for (i, j) in sorted(plan.holdings):
             print(
-                f"{state_id(i, j)} {_fraction_text(plan.holdings[(i, j)])} "
-                f"{_fraction_text(plan.stakes[(i, j)])}"
+                f"{state_id(i, j)} {str(plan.holdings[(i, j)])} "
+                f"{str(plan.stakes[(i, j)])}"
             )
     return EXIT_OK
 

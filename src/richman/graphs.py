@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Mapping
 
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Violation",
     "distances_to",
     "parse_game_graph",
+    "post_order",
     "serialize_game_graph",
     "validate",
 ]
@@ -91,31 +92,11 @@ class GameGraph:
 
     @cached_property
     def interior_has_cycle(self) -> bool:
-        """Whether the non-terminal vertices alone contain a directed cycle."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        state = {v: WHITE for v in self.non_terminals}
-        for root in self.non_terminals:
-            if state[root] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(self.successors(root))))]
-            state[root] = GRAY
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for u in it:
-                    if self.is_terminal(u):
-                        continue
-                    if state[u] == GRAY:
-                        return True
-                    if state[u] == WHITE:
-                        state[u] = GRAY
-                        stack.append((u, iter(sorted(self.successors(u)))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[v] = BLACK
-                    stack.pop()
-        return False
+        """Whether the non-terminal vertices alone contain a directed cycle:
+        exactly when some interior edge does not lead down the DFS post-order."""
+        interior = {v: self.successors(v) for v in self.non_terminals}
+        rank = {v: i for i, v in enumerate(post_order(interior))}
+        return any(rank[u] >= rank[v] for v, succ in interior.items() for u in succ if u in rank)
 
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:
@@ -171,6 +152,33 @@ def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> di
                     next_frontier.append(x)
         frontier = next_frontier
     return dist
+
+
+def post_order(successors: Mapping[str, Iterable[str]]) -> list[str]:
+    """Depth-first post-order of the keys of ``successors``, roots and
+    children taken in the order given; edges to vertices that are not keys
+    are ignored.  Successors come before predecessors wherever the graph
+    is acyclic: it has a cycle exactly when some edge (v, u) between keys
+    has u no earlier than v in this order.
+    """
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in successors:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for u in pending:
+                if u in successors and u not in seen:
+                    seen.add(u)
+                    stack.append((u, iter(successors[u])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    return order
 
 
 def validate(g: GameGraph) -> ValidationReport:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
-from .graphs import GameGraph, distances_to
+from .graphs import GameGraph, distances_to, post_order
 
 __all__ = [
     "ApproxSolve",
@@ -139,16 +140,21 @@ def _average_step(g: GameGraph, costs: Mapping[str, Fraction]) -> dict[str, Frac
     return out
 
 
+def _iterates(g: GameGraph, fill: Fraction) -> Iterator[dict[str, Fraction]]:
+    """Iterate tables 0, 1, 2, ... from ``fill`` on the non-terminals, each a
+    fresh dict: the boundary table, then one averaging sweep after another."""
+    costs = _boundary(g, fill)
+    while True:
+        yield costs
+        costs = _average_step(g, costs)
+
+
 def _iterate(g: GameGraph, t_max: int, fill: Fraction, kind: str) -> list[CostTable]:
     _require_valid(g)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    costs = _boundary(g, fill)
-    tables = [CostTable(dict(costs), kind, 0)]
-    for t in range(1, t_max + 1):
-        costs = _average_step(g, costs)
-        tables.append(CostTable(dict(costs), kind, t))
-    return tables
+    iterates = islice(_iterates(g, fill), t_max + 1)
+    return [CostTable(costs, kind, t) for t, costs in enumerate(iterates)]
 
 
 def iterate_above(g: GameGraph, t_max: int) -> list[CostTable]:
@@ -185,15 +191,10 @@ def solve_iterative(
     bracket wider than tol.
     """
     _require_valid(g)
-    upper = _boundary(g, ONE)
-    lower = _boundary(g, ZERO)
-    t = 0
-    gap = _gap(g, upper, lower)
-    while gap > tol and t < max_iters:
-        upper = _average_step(g, upper)
-        lower = _average_step(g, lower)
-        t += 1
+    for t, (upper, lower) in enumerate(zip(_iterates(g, ONE), _iterates(g, ZERO))):
         gap = _gap(g, upper, lower)
+        if not gap > tol or t >= max_iters:  # not `gap <= tol`: they differ on a NaN tol
+            break
     result = ApproxSolve(
         upper=CostTable(upper, "upper-iterate", t),
         lower=CostTable(lower, "lower-iterate", t),
@@ -284,29 +285,6 @@ def _pick_policy(
     return policy
 
 
-def _post_order(policy: Mapping[str, tuple[str, str]]) -> list[str]:
-    """DFS post-order of the policy graph: successors before predecessors
-    wherever the policy is acyclic."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in policy:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(policy[root]))]
-        while stack:
-            v, pending = stack[-1]
-            for u in pending:
-                if u in policy and u not in seen:
-                    seen.add(u)
-                    stack.append((u, iter(policy[u])))
-                    break
-            else:
-                stack.pop()
-                order.append(v)
-    return order
-
-
 def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[str, Fraction]:
     """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
 
@@ -318,7 +296,7 @@ def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[s
     expression is a constant.  A zero pivot means the policy has a closed
     cycle that never reaches a terminal, which ``_pick_policy`` rules out.
     """
-    order = _post_order(policy)
+    order = post_order(policy)
     rank = {v: i for i, v in enumerate(order)}
     solved: dict[str, tuple[Fraction, dict[str, Fraction]]] = {}
     for v in order:
@@ -393,30 +371,31 @@ def extremal_successors(
     return lo, hi
 
 
+def _descent_edges(
+    g: GameGraph, costs: CostTable | Mapping[str, Fraction]
+) -> list[tuple[str, str]]:
+    """Steepest-descent edges (x, u): cost(u) is minimal over the successors
+    of x.  ``costs`` must cover every vertex."""
+    edges = []
+    for x in g.non_terminals:
+        succ = g.successors(x)
+        if succ:
+            floor = min(costs[u] for u in succ)
+            edges.extend((x, u) for u in succ if costs[u] == floor)
+    return edges
+
+
 def steepest_descent_closure(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], v: str
 ) -> frozenset[str]:
     """All vertices reachable from v along steepest-descent edges.
 
-    An edge (x, u) is steepest-descent when cost(u) is minimal over the
-    successors of x.  v itself is included.  If cost(v) < 1 the closure
-    contains the blue terminal.
+    v itself is included.  If cost(v) < 1 the closure contains the blue
+    terminal.
     """
     if v not in g.vertices:
         raise KeyError(v)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        x = frontier.pop()
-        succ = g.successors(x)
-        if not succ:
-            continue
-        floor = min(costs[u] for u in succ)
-        for u in succ:
-            if costs[u] == floor and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(seen)
+    return frozenset(distances_to([v], ((u, x) for x, u in _descent_edges(g, costs))))
 
 
 def descent_distances(
@@ -427,11 +406,5 @@ def descent_distances(
     None marks vertices with no descent path to blue (their cost is 1, or
     they sit in a region that only descends elsewhere).
     """
-    descent = []
-    for x in g.non_terminals:
-        succ = g.successors(x)
-        if succ:
-            floor = min(costs[u] for u in succ)
-            descent.extend((x, u) for u in succ if costs[u] == floor)
-    dist = distances_to([g.blue], descent)
+    dist = distances_to([g.blue], _descent_edges(g, costs))
     return {v: dist.get(v) for v in g.vertices}

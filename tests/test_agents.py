@@ -107,11 +107,9 @@ def test_full_knowledge_path_bids(path_graph, path_costs):
 
 def test_full_knowledge_winning_branch_star(star, star_costs):
     rng = random.Random(0)
-    eager = FullKnowledgeAgent(star, star_costs, "blue")
-    plain = FullKnowledgeAgent(star, star_costs, "blue", raise_mode="none")
+    agent = FullKnowledgeAgent(star, star_costs, "blue")
     # Horizon 1; gap bid 1/2, slack 2/5, so the raise adds 1/5.
-    assert eager.decide(view("blue", "v", F(9, 10), F(1, 10)), rng) == BidDecision(F(7, 10), "b")
-    assert plain.decide(view("blue", "v", F(9, 10), F(1, 10)), rng) == BidDecision(F(1, 2), "b")
+    assert agent.decide(view("blue", "v", F(9, 10), F(1, 10)), rng) == BidDecision(F(7, 10), "b")
 
 
 def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
@@ -162,11 +160,6 @@ def test_full_knowledge_rejects_terminal_positions(fig1, fig1_costs):
     agent = FullKnowledgeAgent(fig1, fig1_costs, "blue")
     with pytest.raises(ValueError, match="terminal"):
         agent.decide(view("blue", "b", F(1, 2), F(1, 2)), random.Random(0))
-
-
-def test_full_knowledge_rejects_bad_raise_mode(fig1, fig1_costs):
-    with pytest.raises(ValueError, match="raise_mode"):
-        FullKnowledgeAgent(fig1, fig1_costs, "blue", raise_mode="double")
 
 
 def test_safety_agent_bids(fig1, fig1_costs, path_graph, path_costs):

@@ -111,6 +111,13 @@ def test_solve_not_converged(cli, data_dir):
     assert "no convergence after 5 iterations" in err
 
 
+def test_solve_negative_max_iters_stops_at_once(cli, data_dir):
+    code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--max-iters", "-1")
+    assert code == 4
+    assert out == ""
+    assert "no convergence after 0 iterations" in err
+
+
 def test_solve_ring21_exact_table(cli, tmp_path):
     big = tmp_path / "ring21.rg"
     big.write_text(serialize_game_graph(corpus.ring_graph(21)))

@@ -2,13 +2,16 @@
 checks (the enumeration oracle on small arenas, the exact iteration
 bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from, the text format's round trip, monotone
-iterates, and coin-flip tallies equal to the recorded games."""
+iterates, coin-flip tallies equal to the recorded games, and the arena
+walks (interior cycle test, steepest-descent closure and distances)
+against naive searches."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richman import (
     GameGraph,
+    descent_distances,
     extremal_successors,
     iterate_above,
     iterate_below,
@@ -17,6 +20,7 @@ from richman import (
     serialize_game_graph,
     solve_exact,
     solve_iterative,
+    steepest_descent_closure,
     validate,
 )
 from richman.graphs import distances_to
@@ -28,19 +32,22 @@ TERMINALS = ["b", "r"]
 
 
 @st.composite
-def arenas(draw, min_size: int, max_size: int) -> GameGraph:
+def arenas(draw, min_size: int, max_size: int, acyclic: bool = False) -> GameGraph:
     """Valid arenas with out-degree 1-3.
 
     Each vertex's first successor is a terminal or an earlier vertex, so
     every vertex reaches a terminal; up to two more successors are drawn
     from all vertices, self-loops included, which makes cycles common.
+    With ``acyclic`` they are drawn from the terminals and the earlier
+    vertices only, so the interior has no cycle.
     """
     n = draw(st.integers(min_size, max_size))
     names = [f"v{i:02d}" for i in range(n)]
     edges = set()
     for i, v in enumerate(names):
         edges.add((v, draw(st.sampled_from(TERMINALS + names[:i]))))
-        for u in draw(st.lists(st.sampled_from(TERMINALS + names), max_size=2)):
+        extra = names[:i] if acyclic else names
+        for u in draw(st.lists(st.sampled_from(TERMINALS + extra), max_size=2)):
             edges.add((v, u))
     g = GameGraph.from_parts(TERMINALS + names, edges, "b", "r")
     assert validate(g).ok
@@ -120,3 +127,43 @@ def test_random_turn_stats_match_the_recorded_games(g, seed):
     costs = solve_exact(g)
     for start in g.vertices:
         corpus.check_stats_match_recorded_games(g, costs, start, 20, seed)
+
+
+def interior_has_cycle_by_peeling(g: GameGraph) -> bool:
+    """Remove interior vertices with no interior successor left until none
+    can go; a cycle remains exactly when some vertex does."""
+    left = set(g.non_terminals)
+    while True:
+        sinks = {v for v in left if not g.successors(v) & left}
+        if not sinks:
+            return bool(left)
+        left -= sinks
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
+def test_interior_has_cycle_matches_peeling(g):
+    assert g.interior_has_cycle == interior_has_cycle_by_peeling(g)
+
+
+def min_cost_successors(g: GameGraph, costs) -> dict[str, set[str]]:
+    return {
+        x: {u for u in g.successors(x) if costs[u] == min(costs[w] for w in g.successors(x))}
+        for x in g.non_terminals
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
+def test_descent_walks_match_naive_searches(g):
+    costs = solve_exact(g)
+    down = min_cost_successors(g, costs)
+    for v in g.vertices:
+        reached = {v}
+        while more := {u for x in reached for u in down.get(x, ())} - reached:
+            reached |= more
+        assert steepest_descent_closure(g, costs, v) == reached
+    dist = {g.blue: 0}
+    while level := {x for x, us in down.items() if x not in dist and us & dist.keys()}:
+        dist.update(dict.fromkeys(level, max(dist.values()) + 1))
+    assert descent_distances(g, costs) == {v: dist.get(v) for v in g.vertices}

@@ -115,6 +115,16 @@ def test_solve_iterative_raises_when_out_of_budget(path_graph):
     assert err.upper["v1"] - err.lower["v1"] <= err.gap
 
 
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_solve_iterative_without_budget_raises_at_once(path_graph, max_iters):
+    with pytest.raises(NotConvergedError) as info:
+        solve_iterative(path_graph, tol=1e-9, max_iters=max_iters)
+    err = info.value
+    assert err.iterations == 0
+    assert err.gap == 1
+    assert err.upper.step == err.lower.step == 0
+
+
 def test_solve_exact_fig1_is_all_halves(fig1_costs):
     assert fig1_costs.kind == "exact"
     for v in ("v", "m", "c", "a"):
