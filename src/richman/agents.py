@@ -23,6 +23,13 @@ Agents included:
   keeps own_share / cost(v) from ever decreasing.
 * ``UniformRandomBidAgent`` ("uniform-random-bid") is a seeded chaos monkey
   for tests.
+
+These strategies are functions of the vertex, so each agent plans every
+vertex once, when it is built: the optimal agent its losing play (cheapest
+successor and cost drop), the safety agent its bid rate and move, the
+random agent its sorted successors.  The optimal agent plans each ladder
+rung per vertex on first use.  ``decide`` then only looks the plan up and
+does the exact money arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .graphs import GameGraph
 from .solver import CostTable, SolverError, _iterates, descent_distances, extremal_successors
@@ -161,6 +168,21 @@ def _oriented(
     return swapped, CostTable(flipped, "exact")
 
 
+def _no_play(g: GameGraph, v: str) -> NoReturn:
+    """Raise for a position an agent has no play at: KeyError off the graph,
+    ValueError at a terminal."""
+    if v not in g.vertices:
+        raise KeyError(v)
+    raise ValueError(f"cannot bid at terminal vertex {v!r}")
+
+
+def _rung_plan(table: Mapping[str, Fraction], succ: frozenset[str]) -> tuple[Fraction, str]:
+    """Half the successor gap of ``table`` and its cheapest successor (ties
+    by name)."""
+    move = min(succ, key=lambda u: (table[u], u))
+    return (max(table[u] for u in succ) - table[move]) / 2, move
+
+
 class FullKnowledgeAgent(Agent):
     """Sees both bankrolls; plays the half-gap bid, or the finite-horizon
     ladder when strictly ahead (see the module docstring)."""
@@ -173,11 +195,20 @@ class FullKnowledgeAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        self._graph, self._costs = _oriented(graph, costs, color)
-        self._color = color
-        # Upper-iterate ladder on the oriented graph, grown on demand.
-        self._upper = _iterates(self._graph, ONE)
+        g, table = _oriented(graph, costs, color)
+        self._graph = g
+        # Losing or critical play per non-terminal: (cost, cheapest
+        # successor, cost drop to it); the bid is drop * total.
+        self._critical: dict[str, tuple[Fraction, str, Fraction]] = {}
+        for v in g.non_terminals:
+            if g.successors(v):
+                lo, _ = extremal_successors(g, table, v)
+                self._critical[v] = (table[v], lo, table[v] - table[lo])
+        # Upper-iterate ladder on the oriented graph, grown on demand; each
+        # rung's per-vertex plan (_rung_plan) is filled on first use.
+        self._upper = _iterates(g, ONE)
         self._ladder: list[dict[str, Fraction]] = [next(self._upper)]
+        self._plans: list[dict[str, tuple[Fraction, str]]] = [{}]
 
     def _horizon(self, v: str, share: Fraction) -> int:
         """Smallest t with upper-iterate(v, t) < share.  Exists whenever
@@ -187,6 +218,7 @@ class FullKnowledgeAgent(Agent):
             t += 1
             if t == len(self._ladder):
                 self._ladder.append(next(self._upper))
+                self._plans.append({})
             if t > 100_000:
                 raise SolverError(f"no iterate at {v!r} ever drops below {share}")
         return t
@@ -194,29 +226,28 @@ class FullKnowledgeAgent(Agent):
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
         if view.opponent_money is None:
             raise ValueError("full-knowledge agent requires the opponent's bankroll")
-        g, costs = self._graph, self._costs
         v = view.position
+        critical = self._critical.get(v)
+        if critical is None:
+            _no_play(self._graph, v)
+        cost, lo, drop = critical
         own = view.own_money
         total = own + view.opponent_money
-        succ = sorted(g.successors(v))
-        if not succ:
-            raise ValueError(f"cannot bid at terminal vertex {v!r}")
 
-        if total > 0 and own / total > costs[v]:
+        if total > 0 and own / total > cost:
             share = own / total
             t = self._horizon(v, share)
-            prev = self._ladder[t - 1]
-            lo_val = min(prev[u] for u in succ)
-            hi_val = max(prev[u] for u in succ)
-            bid = (hi_val - lo_val) / 2 * total
+            plans = self._plans[t - 1]
+            plan = plans.get(v)
+            if plan is None:
+                plan = plans[v] = _rung_plan(self._ladder[t - 1], self._graph.successors(v))
+            half_gap, move = plan
+            bid = half_gap * total
             slack = (share - self._ladder[t][v]) * total
             bid += min(slack / 2, own - bid)
-            move = min(succ, key=lambda u: (prev[u], u))
             return BidDecision(bid, move)
 
-        lo, _ = extremal_successors(g, costs, v)
-        bid = min((costs[v] - costs[lo]) * total, own)
-        return BidDecision(bid, lo)
+        return BidDecision(min(drop * total, own), lo)
 
 
 class SafetyRatioAgent(Agent):
@@ -235,28 +266,30 @@ class SafetyRatioAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        self._graph, self._costs = _oriented(graph, costs, color)
-        self._color = color
-        self._descent = descent_distances(self._graph, self._costs)
+        g, table = _oriented(graph, costs, color)
+        self._graph = g
+        dist = descent_distances(g, table)
+        # (rate, move) per non-terminal; the bid is own_money * rate.
+        self._plan: dict[str, tuple[Fraction, str]] = {}
+        for v in g.non_terminals:
+            succ = g.successors(v)
+            if not succ:
+                continue
+            floor = min(table[u] for u in succ)
+            cost = table[v]
+            rate = ZERO if cost == 0 else (cost - floor) / cost
+            move = min(
+                (u for u in succ if table[u] == floor),
+                key=lambda u: (dist[u] is None, dist[u] if dist[u] is not None else 0, u),
+            )
+            self._plan[v] = (rate, move)
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
-        g, costs = self._graph, self._costs
-        v = view.position
-        own = view.own_money
-        succ = sorted(g.successors(v))
-        if not succ:
-            raise ValueError(f"cannot bid at terminal vertex {v!r}")
-        floor = min(costs[u] for u in succ)
-        if costs[v] == 0:
-            bid = ZERO
-        else:
-            bid = own * (costs[v] - floor) / costs[v]
-        dist = self._descent
-        move = min(
-            (u for u in succ if costs[u] == floor),
-            key=lambda u: (dist[u] is None, dist[u] if dist[u] is not None else 0, u),
-        )
-        return BidDecision(bid, move)
+        plan = self._plan.get(view.position)
+        if plan is None:
+            _no_play(self._graph, view.position)
+        rate, move = plan
+        return BidDecision(view.own_money * rate, move)
 
 
 class UniformRandomBidAgent(Agent):
@@ -268,12 +301,14 @@ class UniformRandomBidAgent(Agent):
 
     def __init__(self, graph: GameGraph, color: str):
         self._graph = graph
-        self._color = color
+        self._succ = {
+            v: tuple(sorted(graph.successors(v))) for v in graph.non_terminals if graph.successors(v)
+        }
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
-        succ = sorted(self._graph.successors(view.position))
-        if not succ:
-            raise ValueError(f"cannot bid at terminal vertex {view.position!r}")
+        succ = self._succ.get(view.position)
+        if succ is None:
+            _no_play(self._graph, view.position)
         fraction = Fraction(rng.getrandbits(self.BITS), 2**self.BITS)
         return BidDecision(view.own_money * fraction, rng.choice(succ))
 

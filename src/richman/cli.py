@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +72,18 @@ def _money(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
+def _tolerance(text: str) -> float:
+    """A positive finite float: a NaN, infinite or non-positive gap bound
+    would stop the iteration at once or never."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="richman", description="Bidding games on directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,7 +93,7 @@ def _build_parser() -> _ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact rational costs (default)")
     mode.add_argument("--iterate", action="store_true", help="bracketing iteration instead")
-    solve.add_argument("--tol", type=float, default=1e-9, help="gap tolerance for --iterate")
+    solve.add_argument("--tol", type=_tolerance, default=1e-9, help="gap tolerance for --iterate")
     solve.add_argument("--max-iters", type=int, default=100_000)
     _add_output_flag(solve)
 

@@ -182,7 +182,7 @@ def _resolve_tie(tiebreak: str, seed: int, game_index: int, step: int) -> str:
 
 
 def _check_decision(
-    g: GameGraph,
+    succ: frozenset[str],
     color: str,
     decision: BidDecision,
     bankroll: Fraction,
@@ -195,7 +195,7 @@ def _check_decision(
         raise ProtocolViolationError(
             color, f"bid {decision.bid} exceeds bankroll {bankroll}", game_index
         )
-    if decision.move_to not in g.successors(position):
+    if decision.move_to not in succ:
         raise ProtocolViolationError(
             color, f"move to {decision.move_to!r} is not an edge out of {position!r}", game_index
         )
@@ -244,8 +244,9 @@ def play_richman_game(
         red_view = PlayerView("red", position, red_money, blue_money)
         blue_decision = blue.decide(blue_view, blue_rng)
         red_decision = red.decide(red_view, red_rng)
-        _check_decision(g, "blue", blue_decision, blue_money, position, game_index)
-        _check_decision(g, "red", red_decision, red_money, position, game_index)
+        succ = g.successors(position)
+        _check_decision(succ, "blue", blue_decision, blue_money, position, game_index)
+        _check_decision(succ, "red", red_decision, red_money, position, game_index)
 
         tie: bool | None = None
         if blue_decision.bid > red_decision.bid:

@@ -17,9 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from richman import (
+    BidDecision,
     CostTable,
     GameGraph,
     GameRecord,
+    PlayerView,
     SolverError,
     iterate_above,
     play_random_turn_game,
@@ -328,3 +330,88 @@ def check_stats_match_recorded_games(
             outcomes[:n].count("Unresolved"),
         )
     assert stats == random_turn_stats(g, costs, start, runs, master_seed=seed)
+
+
+def min_cost_successors(g: GameGraph, costs) -> dict[str, set[str]]:
+    """The successors of each non-terminal that cost the least."""
+    return {
+        x: {u for u in g.successors(x) if costs[u] == min(costs[w] for w in g.successors(x))}
+        for x in g.non_terminals
+    }
+
+
+def naive_descent_distances(g: GameGraph, costs) -> dict[str, int | None]:
+    """Steepest-descent distance to the blue terminal, one level at a time:
+    a vertex is one further than the nearest of its cheapest successors."""
+    down = min_cost_successors(g, costs)
+    dist = {g.blue: 0}
+    while level := {x for x, us in down.items() if x not in dist and us & dist.keys()}:
+        dist.update(dict.fromkeys(level, max(dist.values()) + 1))
+    return {v: dist.get(v) for v in g.vertices}
+
+
+def _upper_iterates(g: GameGraph):
+    """Blue's share needed to win within t moves, t = 0, 1, 2, ...: 1 on
+    the non-terminals, then one averaging sweep after another."""
+    table = {v: Fraction(1) for v in g.vertices}
+    table[g.blue] = Fraction(0)
+    while True:
+        yield table
+        table = {
+            v: table[v] if v in (g.blue, g.red)
+            else (min(table[u] for u in g.successors(v)) + max(table[u] for u in g.successors(v))) / 2
+            for v in g.vertices
+        }
+
+
+def reference_decision(
+    name: str, g: GameGraph, costs: CostTable, color: str, view: PlayerView, rng: random.Random
+) -> BidDecision:
+    """One agent decision worked out from scratch with the strategies'
+    formulas, nothing kept between calls: Red plays the mirrored arena
+    (terminals swapped, costs 1 - cost).
+
+    * optimal: ahead of its cost, the smallest t whose upper iterate at v is
+      below its share; bid half the successor gap of iterate t-1 plus half
+      the slack, capped at its bankroll; move to the cheapest successor in
+      iterate t-1.  Otherwise bid the cost drop to the cheapest successor
+      times the total, capped; move there.
+    * safety: bid own * (cost(v) - cheapest) / cost(v) (0 where the cost is
+      0); move to the cheapest successor nearest the goal by steepest
+      descent, then by name.
+    * uniform-random-bid: a 32-bit uniform fraction of its bankroll, then a
+      uniform choice among the sorted successors.
+    """
+    if color == "red":
+        g = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
+        cost = {v: 1 - costs[v] for v in g.vertices}
+    else:
+        cost = dict(costs.costs)
+    v, own = view.position, view.own_money
+    if name == "optimal" and view.opponent_money is None:
+        raise ValueError("full-knowledge agent requires the opponent's bankroll")
+    succ = sorted(g.successors(v))
+    if not succ:
+        raise ValueError(f"cannot bid at terminal vertex {v!r}")
+    if name == "uniform-random-bid":
+        fraction = Fraction(rng.getrandbits(32), 2**32)
+        return BidDecision(own * fraction, rng.choice(succ))
+    cheapest = min(succ, key=lambda u: (cost[u], u))
+    if name == "safety":
+        bid = Fraction(0) if cost[v] == 0 else own * (cost[v] - cost[cheapest]) / cost[v]
+        dist = naive_descent_distances(g, cost)
+        floor = [u for u in succ if cost[u] == cost[cheapest]]
+        move = min(floor, key=lambda u: (dist[u] is None, dist[u] or 0, u))
+        return BidDecision(bid, move)
+    total = own + view.opponent_money
+    if total > 0 and own / total > cost[v]:
+        share = own / total
+        prev = None
+        for table in _upper_iterates(g):
+            if table[v] < share:
+                break
+            prev = table
+        bid = (max(prev[u] for u in succ) - min(prev[u] for u in succ)) / 2 * total
+        bid += min((share - table[v]) * total / 2, own - bid)
+        return BidDecision(bid, min(succ, key=lambda u: (prev[u], u)))
+    return BidDecision(min((cost[v] - cost[cheapest]) * total, own), cheapest)

@@ -70,6 +70,14 @@ def test_solve_iterate_table(cli, data_dir):
     assert lines[-1] == "iterations 20"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_solve_iterate_rejects_a_bad_tolerance(cli, data_dir, tol):
+    code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--tol", tol)
+    assert (code, out) == (6, "")
+    assert err.startswith("usage error: ")
+    assert "--tol" in err
+
+
 def test_solve_iterate_json(cli, data_dir):
     code, out, _ = cli(
         "solve", str(data_dir / "path.rg"), "--iterate", "--tol", "1e-6", "--output", "json"

@@ -2,19 +2,26 @@
 checks (the enumeration oracle on small arenas, the exact iteration
 bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from, the text format's round trip, monotone
-iterates, coin-flip tallies equal to the recorded games, and the arena
+iterates, coin-flip tallies equal to the recorded games, the arena
 walks (interior cycle test, steepest-descent closure and distances)
-against naive searches."""
+against naive searches, and every agent's decisions against a
+from-scratch reference."""
+
+import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richman import (
+    AGENT_NAMES,
     GameGraph,
+    PlayerView,
     descent_distances,
     extremal_successors,
     iterate_above,
     iterate_below,
+    make_agent,
     parse_game_graph,
     satisfies_exact_identity,
     serialize_game_graph,
@@ -146,24 +153,45 @@ def test_interior_has_cycle_matches_peeling(g):
     assert g.interior_has_cycle == interior_has_cycle_by_peeling(g)
 
 
-def min_cost_successors(g: GameGraph, costs) -> dict[str, set[str]]:
-    return {
-        x: {u for u in g.successors(x) if costs[u] == min(costs[w] for w in g.successors(x))}
-        for x in g.non_terminals
-    }
-
-
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
 def test_descent_walks_match_naive_searches(g):
     costs = solve_exact(g)
-    down = min_cost_successors(g, costs)
+    down = corpus.min_cost_successors(g, costs)
     for v in g.vertices:
         reached = {v}
         while more := {u for x in reached for u in down.get(x, ())} - reached:
             reached |= more
         assert steepest_descent_closure(g, costs, v) == reached
-    dist = {g.blue: 0}
-    while level := {x for x, us in down.items() if x not in dist and us & dist.keys()}:
-        dist.update(dict.fromkeys(level, max(dist.values()) + 1))
-    assert descent_distances(g, costs) == {v: dist.get(v) for v in g.vertices}
+    assert descent_distances(g, costs) == corpus.naive_descent_distances(g, costs)
+
+
+def outcome(decide):
+    """The decision, or the type and text of the error raised instead."""
+    try:
+        return decide()
+    except (KeyError, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(arenas(1, 8), st.integers(0, 2**32))
+def test_agents_match_the_per_decision_reference(g, seed):
+    costs = solve_exact(g)
+    for color in ("blue", "red"):
+        for name in AGENT_NAMES:
+            agent = make_agent(name, g, costs, color)
+            cases = [(v, Fraction(1, 2), opp) for v in ("b", "r", "zz") for opp in (None, Fraction(1, 2))]
+            for v in g.non_terminals:
+                cost = costs[v] if color == "blue" else 1 - costs[v]
+                cases.append((v, Fraction(0), Fraction(0)))
+                cases.append((v, Fraction(1, 3), None))
+                for share in sorted({cost / 2, cost, (cost + 1) / 2, Fraction(1)}):
+                    cases.append((v, share * 3 / 2, (1 - share) * 3 / 2))
+            for v, own, opp in cases:
+                view = PlayerView(color, v, own, opp)
+                mine = outcome(lambda: agent.decide(view, random.Random(seed)))
+                reference = outcome(
+                    lambda: corpus.reference_decision(name, g, costs, color, view, random.Random(seed))
+                )
+                assert mine == reference, (name, color, view)

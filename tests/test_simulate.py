@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import richman.agents
 import richman.graphs
 from richman import (
     Agent,
@@ -28,6 +29,7 @@ from richman import (
     run_batch,
     solve_exact,
 )
+from richman.series import build_series_graph
 
 import corpus
 
@@ -298,6 +300,29 @@ def test_validate_runs_once_per_graph(data_dir, monkeypatch):
     for name, cap in (("fig1", 384), ("path", 256), ("star", 30)):
         assert default_move_cap(parse_game_graph((data_dir / f"{name}.rg").read_text())) == cap
     assert calls == [g]
+
+
+@pytest.mark.parametrize(
+    "g, start",
+    [(build_series_graph(12), "s0_0"), (corpus.ring_graph(12), "v00")],
+    ids=["series12", "ring12"],
+)
+def test_agents_plan_each_vertex_once(g, start, monkeypatch):
+    calls = []
+    real = richman.agents.extremal_successors
+    monkeypatch.setattr(
+        richman.agents, "extremal_successors", lambda *args: calls.append(args[2]) or real(*args)
+    )
+    costs = solve_exact(g)
+    blue = make_agent("optimal", g, costs, "blue")
+    red = make_agent("optimal", g, costs, "red")
+    planned = len(calls)
+    assert planned <= 2 * len(g.non_terminals)
+    # Blue is ahead of its cost, so both the ladder and the half-gap play run.
+    share = (costs[start] + 1) / 2
+    stats = run_batch(g, blue, red, GameState(start, share, 1 - share), runs=200, master_seed=3)
+    assert stats.runs == 200
+    assert len(calls) == planned
 
 
 @pytest.mark.parametrize(
