@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NoReturn
@@ -209,18 +210,24 @@ class FullKnowledgeAgent(Agent):
         self._upper = _iterates(g, ONE)
         self._ladder: list[dict[str, Fraction]] = [next(self._upper)]
         self._plans: list[dict[str, tuple[Fraction, str]]] = [{}]
+        # Per vertex, its rung values negated: weakly increasing in t.
+        self._columns: dict[str, list[Fraction]] = {}
 
     def _horizon(self, v: str, share: Fraction) -> int:
         """Smallest t with upper-iterate(v, t) < share.  Exists whenever
-        share exceeds the exact cost of v."""
-        t = 0
-        while self._ladder[t][v] >= share:
-            t += 1
-            if t == len(self._ladder):
-                self._ladder.append(next(self._upper))
-                self._plans.append({})
+        share exceeds the exact cost of v.  The rungs built so far are
+        bisected; the ladder grows only when all of them are >= share."""
+        column = self._columns.setdefault(v, [])
+        column.extend(-rung[v] for rung in self._ladder[len(column) :])
+        t = bisect_right(column, -share)
+        while t == len(column):
             if t > 100_000:
                 raise SolverError(f"no iterate at {v!r} ever drops below {share}")
+            self._ladder.append(next(self._upper))
+            self._plans.append({})
+            column.append(-self._ladder[t][v])
+            if column[t] <= -share:
+                t += 1
         return t
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:

@@ -14,6 +14,7 @@ Identical command lines produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,7 +85,9 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The one parser of the process: it holds no state between parses."""
     parser = _ArgumentParser(prog="richman", description="Bidding games on directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 

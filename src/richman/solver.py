@@ -6,16 +6,22 @@ at every other vertex the average of the cheapest and the dearest successor
 cost.  On a finite arena that averaging identity has a unique solution with
 the terminal boundary values, and it is always rational.
 
-``solve_exact`` takes one route: float sweeps pick a (cheapest, dearest)
-successor policy, that policy's linear system is solved exactly, and the
-table is returned only once it passes the exact averaging identity, which
-by uniqueness certifies it.  ``solve_iterative`` brackets the costs with
-monotone iterations from above and below in exact arithmetic.
+``solve_exact`` uses no floats.  When the non-terminals alone have no
+cycle it back-substitutes: each cost is (min + max) / 2 of costs already
+found.  Otherwise it runs policy rounds: a (cheapest, dearest) successor
+policy, first picked by distance to the terminals alone, has its linear
+system solved exactly, with integer rows eliminated fraction-free in
+minimum-degree order, and is re-picked from the exact values until the
+table passes the averaging identity.  Every route returns a table only
+once it passes that exact identity, which by uniqueness certifies it.
+``solve_iterative`` brackets the costs with monotone iterations from above
+and below in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -39,14 +45,10 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 100_000
-# The float sweeps only guide the choice of policy; the exact solve and the
-# certificate decide.
-FLOAT_SWEEP_TOL = 1e-14
 
 
 class SolverError(Exception):
@@ -226,25 +228,6 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
     return True
 
 
-def _float_costs(g: GameGraph) -> dict[str, float]:
-    """Gauss-Seidel sweeps of the averaging step in floats, from above.
-
-    Rounding is monotone, so the iterates never rise and the loop ends.
-    """
-    x = {v: 1.0 for v in g.vertices}
-    x[g.blue] = 0.0
-    rows = [(v, tuple(g.successors(v))) for v in g.non_terminals]
-    change = 1.0
-    while change > FLOAT_SWEEP_TOL:
-        change = 0.0
-        for v, succ in rows:
-            values = [x[u] for u in succ]
-            new = (min(values) + max(values)) / 2
-            change = max(change, x[v] - new)
-            x[v] = new
-    return x
-
-
 def _pick_policy(
     g: GameGraph,
     x: Mapping[str, float | Fraction],
@@ -254,13 +237,14 @@ def _pick_policy(
     """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
 
     A tie goes to the successor nearest the choosing player's own terminal
-    (Blue picks the cheapest, Red the dearest), so on the true costs the
-    policy reaches a terminal from every vertex.  Values that are only
-    near the true costs can still close a cycle off from the terminals;
-    each vertex so cut off then moves the choice of the player whose
-    terminal is nearer onto the successor nearest that terminal.  Distance
-    to the nearer terminal falls along every moved choice, so every vertex
-    reaches a terminal and the policy's system is never singular.
+    (Blue picks the cheapest, Red the dearest), so on the true costs, and
+    on a constant table, where distance alone chooses, the policy reaches
+    a terminal from every vertex.  Other values can still close a cycle
+    off from the terminals; each vertex so cut off then moves the choice
+    of the player whose terminal is nearer onto the successor nearest that
+    terminal.  Distance to the nearer terminal falls along every moved
+    choice, so every vertex reaches a terminal and the policy's system is
+    never singular.
     """
     far = len(g.vertices)
     policy = {}
@@ -288,65 +272,107 @@ def _pick_policy(
 def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[str, Fraction]:
     """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
 
-    Sparse elimination in DFS post-order: each vertex's row is reduced by
-    the expressions of the vertices eliminated before it (lowest rank
-    first, since an expression only names later vertices) and solved for
-    x(v) in terms of vertices not yet eliminated; back-substitution in
-    reverse order then gives the values.  On an acyclic policy every
-    expression is a constant.  A zero pivot means the policy has a closed
-    cycle that never reaches a terminal, which ``_pick_policy`` rules out.
+    Each non-terminal v has the integer row 2 x(v) - x(lo) - x(hi) =
+    [lo = red] + [hi = red], and rows stay integral under fraction-free
+    elimination (Bareiss 1968): eliminating the pivot v from a row r sets
+    r to pivot * r - r[v] * row(v), and then divides out the gcd of the
+    new row once.  The next pivot is the remaining vertex of least degree
+    (entries in its row plus rows naming it, ties by name), taken from a
+    lazy heap, which keeps fill-in low.  Back-substitution in reverse
+    elimination order gives the values as Fractions.
+
+    A policy that reaches a terminal from every vertex (``_pick_policy``
+    sees to it) has a nonsingular M-matrix, so every pivot of every
+    symmetric elimination order is positive.  A zero pivot would mean a
+    closed cycle that never reaches a terminal, and raises SolverError.
     """
-    order = post_order(policy)
-    rank = {v: i for i, v in enumerate(order)}
-    solved: dict[str, tuple[Fraction, dict[str, Fraction]]] = {}
-    for v in order:
-        const = ZERO
-        row: dict[str, Fraction] = {}
-        for u in policy[v]:
+    rows: dict[str, dict[str, int]] = {}
+    rhs: dict[str, int] = {}
+    naming: dict[str, set[str]] = {v: set() for v in policy}  # active rows naming each column
+    for v, pair in policy.items():
+        row = {v: 2}
+        rhs[v] = 0
+        for u in pair:
             if u == g.red:
-                const += HALF
+                rhs[v] += 1
             elif u != g.blue:
-                row[u] = row.get(u, ZERO) + HALF
-        pending = [rank[u] for u in row if u in solved]
-        heapq.heapify(pending)
-        while pending:
-            u = order[heapq.heappop(pending)]
-            a = row.pop(u)
-            u_const, u_row = solved[u]
-            const += a * u_const
-            for w, b in u_row.items():
-                if w not in row:
-                    row[w] = ZERO
-                    if w in solved:
-                        heapq.heappush(pending, rank[w])
-                row[w] += a * b
-        pivot = 1 - row.pop(v, ZERO)
+                row[u] = row.get(u, 0) - 1
+        rows[v] = {u: a for u, a in row.items() if a}
+        for u in rows[v]:
+            naming[u].add(v)
+    heap = [(len(row) + len(naming[v]), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    eliminated: list[tuple[str, int, int, dict[str, int]]] = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        row = rows.get(v)
+        if row is None or degree != len(row) + len(naming[v]):
+            continue  # eliminated already, or a stale degree
+        del rows[v]
+        pivot = row.pop(v, 0)
         if pivot == 0:
             raise SolverError(f"singular policy: {v!r} never reaches a terminal")
-        solved[v] = (const / pivot, {w: b / pivot for w, b in row.items() if b})
+        b = rhs.pop(v)
+        naming[v].discard(v)
+        for w in row:
+            naming[w].discard(v)
+        for r in naming.pop(v):
+            old = rows[r]
+            a = old.pop(v)
+            new = {w: pivot * c for w, c in old.items()}
+            for w, c in row.items():
+                entry = new.get(w, 0) - a * c
+                if entry:
+                    new[w] = entry
+                    naming[w].add(r)
+                else:
+                    del new[w]
+                    naming[w].discard(r)
+            new_rhs = pivot * rhs[r] - a * b
+            divisor = math.gcd(new_rhs, *new.values())
+            if divisor > 1:
+                new = {w: c // divisor for w, c in new.items()}
+                new_rhs //= divisor
+            rows[r] = new
+            rhs[r] = new_rhs
+            heapq.heappush(heap, (len(new) + len(naming[r]), r))
+        for w in row:
+            heapq.heappush(heap, (len(rows[w]) + len(naming[w]), w))
+        eliminated.append((v, pivot, b, row))
     x = {g.blue: ZERO, g.red: ONE}
-    for v in reversed(order):
-        const, row = solved[v]
-        x[v] = const + sum((b * x[w] for w, b in row.items()), ZERO)
+    for v, pivot, b, row in reversed(eliminated):
+        x[v] = Fraction(b - sum(c * x[w] for w, c in row.items()), pivot)
     return x
 
 
 def solve_exact(g: GameGraph) -> CostTable:
     """Exact cost table, certified by the averaging identity before return.
 
-    Float sweeps pick a (cheapest, dearest) successor policy, whose linear
-    system is solved exactly.  The cost function is the unique solution of
-    the identity, so a table that satisfies it is the answer.  When it does
-    not, the policy is re-picked from the exact values and solved again.
-    Every picked policy reaches a terminal, so its system has one solution;
-    the re-picking is not proved to end, and a policy seen before raises
-    SolverError rather than looping.
+    No floats are used.  With no cycle among the non-terminals, each cost is
+    (min + max) / 2 of costs already found, in DFS post-order.  Otherwise a
+    (cheapest, dearest) successor policy is picked by distance to the
+    terminals alone and its linear system is solved exactly; the table is
+    the answer once it satisfies the identity, whose solution is unique.
+    Until then the policy is re-picked from the exact values and solved
+    again.  Every picked policy reaches a terminal, so its system has one
+    solution; the re-picking is not proved to end, and a policy seen
+    before raises SolverError rather than looping.
     """
     _require_valid(g)
+    if not g.interior_has_cycle:
+        costs = {g.blue: ZERO, g.red: ONE}
+        interior = {v: g.successors(v) for v in g.non_terminals}
+        for v in post_order(interior):
+            values = [costs[u] for u in interior[v]]
+            costs[v] = (min(values) + max(values)) / 2
+        table = CostTable(costs, "exact")
+        if not satisfies_exact_identity(g, table):
+            raise SolverError("back-substitution broke the averaging identity")
+        return table
     moves = [(x, u) for x in g.non_terminals for u in g.successors(x)]
     to_blue = distances_to([g.blue], moves)
     to_red = distances_to([g.red], moves)
-    policy = _pick_policy(g, _float_costs(g), to_blue, to_red)
+    policy = _pick_policy(g, dict.fromkeys(g.vertices, ZERO), to_blue, to_red)
     tried: set[tuple[tuple[str, str], ...]] = set()
     while True:
         key = tuple(policy.values())

@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from richman import (
     BidDecision,
@@ -78,10 +79,9 @@ def pascal_red_win(i: int, j: int, k: int) -> Fraction:
         return Fraction(0)
     a = k - j
     m = k - i
-    total = Fraction(0)
-    for s in range(m):
-        total += Fraction(math.comb(a - 1 + s, s), 2 ** (a + s))
-    return total
+    # Over the common denominator 2^(a+m-1): one Fraction per call.
+    total = sum(math.comb(a - 1 + s, s) << (m - 1 - s) for s in range(m))
+    return Fraction(total, 2 ** (a + m - 1))
 
 
 def ruin_red_probability(position: int, n: int) -> Fraction:
@@ -117,6 +117,30 @@ def _solve_dense(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return x
 
 
+def solve_policy_dense(
+    g: GameGraph, policy: Mapping[str, tuple[str, str]]
+) -> dict[str, Fraction] | None:
+    """Costs under a fixed (lo, hi) successor policy: the linear system
+    2 cost(v) = cost(lo(v)) + cost(hi(v)) with the terminal boundary,
+    solved densely over Fractions; None when it is singular."""
+    interior = list(g.non_terminals)
+    index = {v: i for i, v in enumerate(interior)}
+    n = len(interior)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i, v in enumerate(interior):
+        a[i][i] += 2
+        for target in policy[v]:
+            if target == g.red:
+                b[i] += 1
+            elif target != g.blue:
+                a[i][index[target]] -= 1
+    solution = _solve_dense(a, b)
+    if solution is None:
+        return None
+    return {g.blue: Fraction(0), g.red: Fraction(1), **dict(zip(interior, solution))}
+
+
 def solve_exact_by_enumeration(
     g: GameGraph, hint: tuple[tuple[str, str], ...] | None = None
 ) -> CostTable:
@@ -132,27 +156,11 @@ def solve_exact_by_enumeration(
     assert validate(g).ok
     interior = list(g.non_terminals)
     succ = {v: sorted(g.successors(v)) for v in interior}
-    index = {v: i for i, v in enumerate(interior)}
 
     def attempt(policy: tuple[tuple[str, str], ...]) -> CostTable | None:
-        n = len(interior)
-        a = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for i, v in enumerate(interior):
-            a[i][i] += 2
-            for target in policy[i]:
-                if target == g.red:
-                    b[i] += 1
-                elif target != g.blue:
-                    a[i][index[target]] -= 1
-        solution = _solve_dense(a, b)
-        if solution is None:
+        costs = solve_policy_dense(g, dict(zip(interior, policy)))
+        if costs is None or not all(0 <= c <= 1 for c in costs.values()):
             return None
-        costs = {g.blue: Fraction(0), g.red: Fraction(1)}
-        for i, v in enumerate(interior):
-            if not 0 <= solution[i] <= 1:
-                return None
-            costs[v] = solution[i]
         for i, v in enumerate(interior):
             values = [costs[u] for u in succ[v]]
             lo, hi = policy[i]
@@ -203,6 +211,23 @@ def random_game_graph(seed: int, n_interior: int, acyclic: bool, max_out: int = 
             k = rng.randint(1, min(max_out, len(pool)))
             for u in rng.sample(pool, k):
                 edges.add((v, u))
+        g = GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
+        if validate(g).ok:
+            return g
+
+
+def uniform_draw_graph(seed: int, n_interior: int) -> GameGraph:
+    """Seeded arena whose non-terminals each draw two distinct successors
+    uniformly from all other vertices, terminals included; redrawn until
+    valid.  Few vertices see a terminal, so play mixes slowly and the
+    costs of a 400-vertex arena have denominators of about 280 bits."""
+    rng = random.Random(seed)
+    names = [f"v{i:02d}" for i in range(n_interior)]
+    while True:
+        edges = []
+        for v in names:
+            pool = [u for u in names if u != v] + ["b", "r"]
+            edges += [(v, u) for u in rng.sample(pool, 2)]
         g = GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
         if validate(g).ok:
             return g

@@ -14,6 +14,7 @@ from richman import (
     GameState,
     PlayerView,
     SafetyRatioAgent,
+    SolverError,
     UniformRandomBidAgent,
     iterate_above,
     make_agent,
@@ -110,6 +111,14 @@ def test_full_knowledge_winning_branch_star(star, star_costs):
     agent = FullKnowledgeAgent(star, star_costs, "blue")
     # Horizon 1; gap bid 1/2, slack 2/5, so the raise adds 1/5.
     assert agent.decide(view("blue", "v", F(9, 10), F(1, 10)), rng) == BidDecision(F(7, 10), "b")
+
+
+def test_full_knowledge_horizon_gives_up_after_100000_rungs(star, star_costs):
+    # Star's upper iterate at v is 1/2 from rung 1 on, never below 1/2.
+    agent = FullKnowledgeAgent(star, star_costs, "blue")
+    assert agent._horizon("v", F(1, 2) + F(1, 10**9)) == 1
+    with pytest.raises(SolverError, match="ever drops below 1/2"):
+        agent._horizon("v", F(1, 2))
 
 
 def test_full_knowledge_winning_branch_picks_short_circuit(zchain):

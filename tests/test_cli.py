@@ -12,7 +12,7 @@ import pytest
 
 import richman
 from richman import serialize_game_graph
-from richman.cli import main
+from richman.cli import _build_parser, main
 
 import corpus
 
@@ -309,6 +309,26 @@ def test_top_level_usage(cli):
     code, _, err = cli("conquer")
     assert code == 6
     assert "usage error" in err
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(cli, data_dir):
+    assert _build_parser() is _build_parser()
+    code, out, _ = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--tol", "nan")
+    assert (code, out) == (6, "")
+    assert cli("solve", str(data_dir / "fig1.rg")) == (0, FIG1_TABLE, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_matches_a_freshly_built_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parse in (main, main, _build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as stop:
+            parse(list(argv))
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: richman")
+    assert texts[0] == texts[1] == texts[2]
 
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"

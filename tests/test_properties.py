@@ -1,7 +1,8 @@
 """Property tests on generated arenas: the exact solver against independent
 checks (the enumeration oracle on small arenas, the exact iteration
 bracket on larger ones), the policy it solves reaching a terminal
-whatever values it is read from, the text format's round trip, monotone
+whatever values it is read from and its integer elimination agreeing
+with dense elimination, the text format's round trip, monotone
 iterates, coin-flip tallies equal to the recorded games, the arena
 walks (interior cycle test, steepest-descent closure and distances)
 against naive searches, and every agent's decisions against a
@@ -31,7 +32,7 @@ from richman import (
     validate,
 )
 from richman.graphs import distances_to
-from richman.solver import _pick_policy
+from richman.solver import _pick_policy, _solve_policy
 
 import corpus
 
@@ -110,6 +111,7 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     assert all({lo, hi} <= g.successors(v) for v, (lo, hi) in policy.items())
     halting = distances_to(["b", "r"], [(v, u) for v, pair in policy.items() for u in pair])
     assert set(g.non_terminals) <= halting.keys()
+    assert _solve_policy(g, policy) == corpus.solve_policy_dense(g, policy)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -59,7 +59,7 @@ def test_series_graph_shape():
         build_series_graph(0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 64])
 def test_costs_match_the_binomial_oracle(k):
     costs = solve_exact(build_series_graph(k))
     for i in range(k):

@@ -13,6 +13,7 @@ from richman import (
     CostTable,
     NotConvergedError,
     SolverError,
+    build_series_graph,
     descent_distances,
     extremal_successors,
     iterate_above,
@@ -25,6 +26,7 @@ from richman import (
     validate,
 )
 
+import richman.solver
 import corpus
 
 F = Fraction
@@ -194,10 +196,10 @@ def test_solve_exact_ring21_matches_the_closed_form():
 
 
 def test_solve_exact_repicks_the_policy_from_exact_values():
-    # x chooses between p (cost 1/2) and q (cost 1/2 + 1/(2^60 - 1)), whose
-    # float values count as tied.  Red's tie goes to p (as near red as q,
-    # and first by name), so the first policy is wrong; the second, read
-    # from its exact values, is certified.
+    # x chooses between p (cost 1/2) and q (cost 1/2 + 1/(2^60 - 1)), which
+    # the first policy, picked by distance alone, treats as tied.  Red's tie
+    # goes to p (as near red as q, and first by name), so the first policy
+    # is wrong; the second, read from its exact values, is certified.
     ring = corpus.ring_graph(60)
     from richman import GameGraph
 
@@ -215,7 +217,7 @@ def test_solve_exact_repicks_the_policy_from_exact_values():
 def test_solve_exact_near_tie_on_both_sides_is_not_singular():
     # v sits 1/(16 (2^26 - 1)) below a and as far above c.  Counting such
     # near-ties as tied would let v pick itself for both players, a policy
-    # that never reaches a terminal; exact float ties give lo = c, hi = a.
+    # that never reaches a terminal; exact ties give lo = c, hi = a.
     ring = corpus.ring_graph(26)
     from richman import GameGraph
 
@@ -284,20 +286,43 @@ def test_iterate_labels(fig1):
 
 
 def test_uniform_chain_matches_the_ruin_quotient():
-    # b - v1 - v2 - ... - v5 - r with moves both ways: the classic ruin
-    # walk, absorbed at position i with probability i/6 on the red side.
-    names = [f"v{i}" for i in range(1, 6)]
-    stops = ["b"] + names + ["r"]
-    edges = []
-    for left, right in zip(stops, stops[1:]):
-        edges.append((left, right))
-        edges.append((right, left))
+    # b - v1 - v2 - ... - vn - r with moves both ways: the classic ruin
+    # walk, absorbed at position i with probability i/(n+1) on the red
+    # side.
     from richman import GameGraph
 
-    chain = GameGraph.from_parts(stops, edges, "b", "r")
-    table = solve_exact(chain)
-    for i, v in enumerate(names, start=1):
-        assert table[v] == corpus.ruin_red_probability(i, 6)
+    for n in (5, 160):
+        names = [f"v{i}" for i in range(1, n + 1)]
+        stops = ["b"] + names + ["r"]
+        edges = []
+        for left, right in zip(stops, stops[1:]):
+            edges.append((left, right))
+            edges.append((right, left))
+        chain = GameGraph.from_parts(stops, edges, "b", "r")
+        table = solve_exact(chain)
+        for i, v in enumerate(names, start=1):
+            assert table[v] == corpus.ruin_red_probability(i, n + 1)
+
+
+def test_uniform_draw_arena_passes_the_identity():
+    # 400 vertices, slowly mixing, three policy rounds, ~280-bit denominators.
+    g = corpus.uniform_draw_graph(seed=0, n_interior=400)
+    table = solve_exact(g)
+    assert set(table.costs) == g.vertices
+    assert satisfies_exact_identity(g, table)
+
+
+def test_acyclic_arenas_are_solved_without_a_policy(monkeypatch):
+    calls = []
+    solve_policy = richman.solver._solve_policy
+    monkeypatch.setattr(
+        richman.solver, "_solve_policy", lambda g, policy: calls.append(g) or solve_policy(g, policy)
+    )
+    for g in (build_series_graph(12), *corpus.acyclic50()):
+        assert satisfies_exact_identity(g, solve_exact(g))
+    assert calls == []
+    solve_exact(corpus.ring_graph(4))
+    assert len(calls) == 1
 
 
 def test_random_corpus_properties():
