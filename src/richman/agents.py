@@ -27,16 +27,20 @@ Agents included:
 These strategies are functions of the vertex, so each agent plans every
 vertex once, when it is built: the optimal agent its losing play (cheapest
 successor and cost drop), the safety agent its bid rate and move, the
-random agent its sorted successors.  The optimal agent plans each ladder
-rung per vertex on first use.  ``decide`` then only looks the plan up and
-does the exact money arithmetic.
+random agent its sorted successors.  The optimal agent's ladder is
+integer: rung t is the upper iterate as numerators over one power of two
+(``solver._iterates``), grown on demand, and the play of each (horizon,
+vertex) is planned on first use.  ``decide`` then only looks the plan up;
+the winning test, the horizon search and the bid are integer
+cross-products of the bankrolls' numerators and denominators, and each
+bid builds one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NoReturn
@@ -177,11 +181,18 @@ def _no_play(g: GameGraph, v: str) -> NoReturn:
     raise ValueError(f"cannot bid at terminal vertex {v!r}")
 
 
-def _rung_plan(table: Mapping[str, Fraction], succ: frozenset[str]) -> tuple[Fraction, str]:
-    """Half the successor gap of ``table`` and its cheapest successor (ties
-    by name)."""
-    move = min(succ, key=lambda u: (table[u], u))
-    return (max(table[u] for u in succ) - table[move]) / 2, move
+def _rung_plan(rung: tuple[Mapping[str, int], int], succ: frozenset[str]) -> tuple[int, int, str]:
+    """Winning play at a vertex whose horizon is the rung after ``rung``,
+    the table N / 2^e: the constant kappa = half the successor gap of this
+    table minus half the next rung's value at the vertex, as K / 2^s, and
+    the cheapest successor in this table (ties by name).
+
+    With m and M the cheapest and dearest successor numerators, the next
+    rung's value is (m + M) / 2^(e+1), so kappa = (M - 3m) / 2^(e+2).
+    """
+    nums, e = rung
+    move = min(succ, key=lambda u: (nums[u], u))
+    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move
 
 
 class FullKnowledgeAgent(Agent):
@@ -198,35 +209,38 @@ class FullKnowledgeAgent(Agent):
     ):
         g, table = _oriented(graph, costs, color)
         self._graph = g
-        # Losing or critical play per non-terminal: (cost, cheapest
-        # successor, cost drop to it); the bid is drop * total.
-        self._critical: dict[str, tuple[Fraction, str, Fraction]] = {}
+        # Losing or critical play per non-terminal: its cost and the cost
+        # drop to its cheapest successor, each as (numerator, denominator),
+        # and that successor; the bid is drop * total.
+        self._critical: dict[str, tuple[int, int, int, int, str]] = {}
         for v in g.non_terminals:
             if g.successors(v):
                 lo, _ = extremal_successors(g, table, v)
-                self._critical[v] = (table[v], lo, table[v] - table[lo])
-        # Upper-iterate ladder on the oriented graph, grown on demand; each
-        # rung's per-vertex plan (_rung_plan) is filled on first use.
-        self._upper = _iterates(g, ONE)
-        self._ladder: list[dict[str, Fraction]] = [next(self._upper)]
-        self._plans: list[dict[str, tuple[Fraction, str]]] = [{}]
-        # Per vertex, its rung values negated: weakly increasing in t.
-        self._columns: dict[str, list[Fraction]] = {}
+                cost, drop = table[v], table[v] - table[lo]
+                self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
+        # Integer upper-iterate ladder on the oriented graph, grown on
+        # demand: rung t is (N, e), the table N / 2^e.  The winning play of
+        # each (horizon, vertex) (_rung_plan) is filled on first use.
+        self._upper = _iterates(g, 1)
+        self._ladder: list[tuple[dict[str, int], int]] = [next(self._upper)]
+        self._plans: dict[tuple[int, str], tuple[int, int, str]] = {}
 
-    def _horizon(self, v: str, share: Fraction) -> int:
-        """Smallest t with upper-iterate(v, t) < share.  Exists whenever
-        share exceeds the exact cost of v.  The rungs built so far are
-        bisected; the ladder grows only when all of them are >= share."""
-        column = self._columns.setdefault(v, [])
-        column.extend(-rung[v] for rung in self._ladder[len(column) :])
-        t = bisect_right(column, -share)
-        while t == len(column):
+    def _horizon(self, v: str, p: int, q: int) -> int:
+        """Smallest t with upper-iterate(v, t) < p / q, that is N_t(v) q <
+        p 2^e_t.  Exists whenever p / q exceeds the exact cost of v.  The
+        rungs built so far are bisected; the ladder grows only when all of
+        them are >= p / q."""
+
+        def below(rung: tuple[dict[str, int], int]) -> bool:
+            return rung[0][v] * q < p << rung[1]
+
+        ladder = self._ladder
+        t = bisect_left(ladder, True, key=below)
+        while t == len(ladder):
             if t > 100_000:
-                raise SolverError(f"no iterate at {v!r} ever drops below {share}")
-            self._ladder.append(next(self._upper))
-            self._plans.append({})
-            column.append(-self._ladder[t][v])
-            if column[t] <= -share:
+                raise SolverError(f"no iterate at {v!r} ever drops below {Fraction(p, q)}")
+            ladder.append(next(self._upper))
+            if not below(ladder[t]):
                 t += 1
         return t
 
@@ -237,24 +251,24 @@ class FullKnowledgeAgent(Agent):
         critical = self._critical.get(v)
         if critical is None:
             _no_play(self._graph, v)
-        cost, lo, drop = critical
-        own = view.own_money
-        total = own + view.opponent_money
+        cost_num, cost_den, drop_num, drop_den, lo = critical
+        own, opp = view.own_money, view.opponent_money
+        # With own = a/b and opp = c/d: share = p/q and total = q/bd.
+        bd = own.denominator * opp.denominator
+        p = own.numerator * opp.denominator
+        q = p + opp.numerator * own.denominator
 
-        if total > 0 and own / total > cost:
-            share = own / total
-            t = self._horizon(v, share)
-            plans = self._plans[t - 1]
-            plan = plans.get(v)
+        if q > 0 and p * cost_den > cost_num * q:
+            t = self._horizon(v, p, q)
+            plan = self._plans.get((t, v))
             if plan is None:
-                plan = plans[v] = _rung_plan(self._ladder[t - 1], self._graph.successors(v))
-            half_gap, move = plan
-            bid = half_gap * total
-            slack = (share - self._ladder[t][v]) * total
-            bid += min(slack / 2, own - bid)
-            return BidDecision(bid, move)
+                plan = self._plans[t, v] = _rung_plan(self._ladder[t - 1], self._graph.successors(v))
+            kappa, s, move = plan
+            # Half the gap of rung t-1 plus half the slack share - rung t,
+            # in total units and capped at own: min(own/2 + kappa total, own).
+            return BidDecision(Fraction(min((p << (s - 1)) + kappa * q, p << s), bd << s), move)
 
-        return BidDecision(min(drop * total, own), lo)
+        return BidDecision(Fraction(min(drop_num * q, p * drop_den), bd * drop_den), lo)
 
 
 class SafetyRatioAgent(Agent):

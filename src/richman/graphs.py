@@ -91,12 +91,22 @@ class GameGraph:
         return validate(self)
 
     @cached_property
-    def interior_has_cycle(self) -> bool:
-        """Whether the non-terminal vertices alone contain a directed cycle:
-        exactly when some interior edge does not lead down the DFS post-order."""
+    def interior_order(self) -> tuple[str, ...] | None:
+        """The non-terminals in DFS post-order, each after its non-terminal
+        successors, or None when the non-terminals alone contain a directed
+        cycle: exactly when some interior edge does not lead down that
+        order."""
         interior = {v: self.successors(v) for v in self.non_terminals}
-        rank = {v: i for i, v in enumerate(post_order(interior))}
-        return any(rank[u] >= rank[v] for v, succ in interior.items() for u in succ if u in rank)
+        order = post_order(interior)
+        rank = {v: i for i, v in enumerate(order)}
+        if any(rank[u] >= rank[v] for v, succ in interior.items() for u in succ if u in rank):
+            return None
+        return tuple(order)
+
+    @property
+    def interior_has_cycle(self) -> bool:
+        """Whether the non-terminal vertices alone contain a directed cycle."""
+        return self.interior_order is None
 
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:

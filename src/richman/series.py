@@ -122,11 +122,8 @@ def series_bet_plan(
     graph = build_series_graph(k)
     costs: CostTable = solve_exact(graph)
     spread = target_high - target_low
-
-    def holding(state: str) -> Fraction:
-        return target_low + costs[state] * spread
-
-    required = holding(state_id(0, 0))
+    holding = {v: target_low + costs[v] * spread for v in graph.vertices}
+    required = holding[state_id(0, 0)]
     if Fraction(bankroll) != required:
         raise BankrollMismatchError(Fraction(bankroll), required)
     spec = SeriesSpec(
@@ -142,9 +139,9 @@ def series_bet_plan(
         for j in range(k):
             here = state_id(i, j)
             blue_next, red_next = _successor_ids(k, i, j)
-            holdings[(i, j)] = holding(here)
-            up = holding(red_next) - holding(here)
-            down = holding(here) - holding(blue_next)
+            holdings[(i, j)] = holding[here]
+            up = holding[red_next] - holding[here]
+            down = holding[here] - holding[blue_next]
             assert up == down  # two-successor averaging identity, exact
             stakes[(i, j)] = up
     return BetPlan(spec=spec, holdings=holdings, stakes=stakes)

@@ -16,6 +16,13 @@ table passes the averaging identity.  Every route returns a table only
 once it passes that exact identity, which by uniqueness certifies it.
 ``solve_iterative`` brackets the costs with monotone iterations from above
 and below in exact arithmetic.
+
+Every iterate table is dyadic.  ``_iterates`` yields table t as (N, e):
+integer numerators N(v) over one shared 2^e, with the common power of two
+divided out, so e = 0 or some numerator is odd.  ``iterate_above``,
+``iterate_below`` and ``solve_iterative`` (whose gap is an integer
+difference over the larger 2^e) build Fractions only for the tables they
+return; the optimal agent's ladder keeps the integers.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping
 
-from .graphs import GameGraph, distances_to, post_order
+from .graphs import GameGraph, distances_to
 
 __all__ = [
     "ApproxSolve",
@@ -124,39 +131,51 @@ def _require_valid(g: GameGraph) -> None:
         raise ValueError(f"invalid graph: {first.code} at {first.subject!r} ({first.message})")
 
 
-def _boundary(g: GameGraph, fill: Fraction) -> dict[str, Fraction]:
-    costs = {v: fill for v in g.vertices}
-    costs[g.blue] = ZERO
-    costs[g.red] = ONE
-    return costs
+def _iterates(g: GameGraph, fill: int) -> Iterator[tuple[dict[str, int], int]]:
+    """Iterate tables 0, 1, 2, ... as integer numerators over a shared power
+    of two: each yielded (N, e) is the table N(v) / 2^e, in a fresh dict.
 
-
-def _average_step(g: GameGraph, costs: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """One synchronous sweep of cost(v) <- (min + max over successors) / 2."""
-    out = dict(costs)
-    for v in g.non_terminals:
-        values = [costs[u] for u in g.successors(v)]
-        out[v] = (min(values) + max(values)) / 2
-    out[g.blue] = ZERO
-    out[g.red] = ONE
-    return out
-
-
-def _iterates(g: GameGraph, fill: Fraction) -> Iterator[dict[str, Fraction]]:
-    """Iterate tables 0, 1, 2, ... from ``fill`` on the non-terminals, each a
-    fresh dict: the boundary table, then one averaging sweep after another."""
-    costs = _boundary(g, fill)
+    Table 0 is 0 at blue, 1 at red and ``fill`` (0 or 1) elsewhere, with
+    e = 0.  A sweep sets N'(v) = min + max of the successors' numerators
+    and the red terminal to 2^(e+1): over 2^(e+1) that is the averaging
+    step (min + max) / 2.  It then divides out the trailing zeros of the
+    OR of all numerators, at most e + 1 because red's numerator is
+    2^(e+1).  Without that reduction a table that stops moving would still
+    grow by one bit per sweep.
+    """
+    blue, red = g.blue, g.red
+    sweep = [(v, tuple(g.successors(v))) for v in g.non_terminals]
+    nums = dict.fromkeys(g.vertices, fill)
+    nums[blue] = 0
+    nums[red] = 1
+    e = 0
     while True:
-        yield costs
-        costs = _average_step(g, costs)
+        yield nums, e
+        e += 1
+        new = {blue: 0, red: 1 << e}
+        common = new[red]
+        for v, succ in sweep:
+            values = [nums[u] for u in succ]
+            n = new[v] = min(values) + max(values)
+            common |= n
+        shift = (common & -common).bit_length() - 1
+        if shift:
+            new = {v: n >> shift for v, n in new.items()}
+            e -= shift
+        nums = new
 
 
-def _iterate(g: GameGraph, t_max: int, fill: Fraction, kind: str) -> list[CostTable]:
+def _table(g: GameGraph, nums: Mapping[str, int], e: int, kind: str, t: int) -> CostTable:
+    den = 1 << e
+    return CostTable({v: Fraction(nums[v], den) for v in g.vertices}, kind, t)
+
+
+def _iterate(g: GameGraph, t_max: int, fill: int, kind: str) -> list[CostTable]:
     _require_valid(g)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     iterates = islice(_iterates(g, fill), t_max + 1)
-    return [CostTable(costs, kind, t) for t, costs in enumerate(iterates)]
+    return [_table(g, nums, e, kind, t) for t, (nums, e) in enumerate(iterates)]
 
 
 def iterate_above(g: GameGraph, t_max: int) -> list[CostTable]:
@@ -165,7 +184,7 @@ def iterate_above(g: GameGraph, t_max: int) -> list[CostTable]:
     Table t answers: what share does Blue need to force a win in at most t
     moves?  Index 0 is the starting table.
     """
-    return _iterate(g, t_max, ONE, "upper-iterate")
+    return _iterate(g, t_max, 1, "upper-iterate")
 
 
 def iterate_below(g: GameGraph, t_max: int) -> list[CostTable]:
@@ -174,11 +193,7 @@ def iterate_below(g: GameGraph, t_max: int) -> list[CostTable]:
     Table t answers: what share does Blue need to stop Red from forcing a
     win in at most t moves?
     """
-    return _iterate(g, t_max, ZERO, "lower-iterate")
-
-
-def _gap(g: GameGraph, upper: Mapping[str, Fraction], lower: Mapping[str, Fraction]) -> Fraction:
-    return max(upper[v] - lower[v] for v in g.vertices)
+    return _iterate(g, t_max, 0, "lower-iterate")
 
 
 def solve_iterative(
@@ -193,13 +208,15 @@ def solve_iterative(
     bracket wider than tol.
     """
     _require_valid(g)
-    for t, (upper, lower) in enumerate(zip(_iterates(g, ONE), _iterates(g, ZERO))):
-        gap = _gap(g, upper, lower)
+    for t, ((upper, e_up), (lower, e_low)) in enumerate(zip(_iterates(g, 1), _iterates(g, 0))):
+        e = max(e_up, e_low)
+        up, low = e - e_up, e - e_low
+        gap = Fraction(max((upper[v] << up) - (lower[v] << low) for v in upper), 1 << e)
         if not gap > tol or t >= max_iters:  # not `gap <= tol`: they differ on a NaN tol
             break
     result = ApproxSolve(
-        upper=CostTable(upper, "upper-iterate", t),
-        lower=CostTable(lower, "lower-iterate", t),
+        upper=_table(g, upper, e_up, "upper-iterate", t),
+        lower=_table(g, lower, e_low, "lower-iterate", t),
         iterations=t,
         gap=gap,
     )
@@ -359,11 +376,10 @@ def solve_exact(g: GameGraph) -> CostTable:
     before raises SolverError rather than looping.
     """
     _require_valid(g)
-    if not g.interior_has_cycle:
+    if g.interior_order is not None:
         costs = {g.blue: ZERO, g.red: ONE}
-        interior = {v: g.successors(v) for v in g.non_terminals}
-        for v in post_order(interior):
-            values = [costs[u] for u in interior[v]]
+        for v in g.interior_order:
+            values = [costs[u] for u in g.successors(v)]
             costs[v] = (min(values) + max(values)) / 2
         table = CostTable(costs, "exact")
         if not satisfies_exact_identity(g, table):

@@ -375,11 +375,12 @@ def naive_descent_distances(g: GameGraph, costs) -> dict[str, int | None]:
     return {v: dist.get(v) for v in g.vertices}
 
 
-def _upper_iterates(g: GameGraph):
-    """Blue's share needed to win within t moves, t = 0, 1, 2, ...: 1 on
-    the non-terminals, then one averaging sweep after another."""
-    table = {v: Fraction(1) for v in g.vertices}
+def _sweeps(g: GameGraph, fill: int):
+    """Iterate tables t = 0, 1, 2, ... in Fractions: ``fill`` on the
+    non-terminals, then one averaging sweep after another."""
+    table = {v: Fraction(fill) for v in g.vertices}
     table[g.blue] = Fraction(0)
+    table[g.red] = Fraction(1)
     while True:
         yield table
         table = {
@@ -387,6 +388,18 @@ def _upper_iterates(g: GameGraph):
             else (min(table[u] for u in g.successors(v)) + max(table[u] for u in g.successors(v))) / 2
             for v in g.vertices
         }
+
+
+def _upper_iterates(g: GameGraph):
+    """Blue's share needed to win within t moves, t = 0, 1, 2, ...: 1 on
+    the non-terminals, then one averaging sweep after another."""
+    return _sweeps(g, 1)
+
+
+def _lower_iterates(g: GameGraph):
+    """Blue's share needed to stop Red from winning within t moves: 0 on
+    the non-terminals, then one averaging sweep after another."""
+    return _sweeps(g, 0)
 
 
 def reference_decision(

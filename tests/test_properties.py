@@ -10,6 +10,7 @@ from-scratch reference."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from richman import (
     validate,
 )
 from richman.graphs import distances_to
-from richman.solver import _pick_policy, _solve_policy
+from richman.solver import _iterates, _pick_policy, _solve_policy
 
 import corpus
 
@@ -130,6 +131,15 @@ def test_iterates_are_monotone(g):
             assert below[t + 1][v] >= below[t][v]
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(arenas(1, 12))
+def test_integer_iterates_equal_the_fraction_sweeps(g):
+    for fill, sweeps in ((1, corpus._upper_iterates(g)), (0, corpus._lower_iterates(g))):
+        for (nums, e), table in islice(zip(_iterates(g, fill), sweeps), 41):
+            assert {v: Fraction(n, 2**e) for v, n in nums.items()} == table
+            assert e == 0 or any(n % 2 for n in nums.values())  # no common factor 2 left
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(arenas(1, 12), st.integers(0, 2**32))
 def test_random_turn_stats_match_the_recorded_games(g, seed):
@@ -197,3 +207,34 @@ def test_agents_match_the_per_decision_reference(g, seed):
                     lambda: corpus.reference_decision(name, g, costs, color, view, random.Random(seed))
                 )
                 assert mine == reference, (name, color, view)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(arenas(1, 6))
+def test_optimal_agent_at_and_beside_each_rung(g):
+    """Shares on an upper-iterate value and 1/2^(e+8) either side of it,
+    from a total with an odd denominator: the integer horizon and bid agree
+    with the reference, and a share equal to rung t is not below it, so
+    the horizon moves on past t."""
+    costs = solve_exact(g)
+    total = Fraction(7, 5)
+    for color in ("blue", "red"):
+        agent = make_agent("optimal", g, costs, color)
+        mirror = g if color == "blue" else GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
+        for v in g.non_terminals:
+            cost = costs[v] if color == "blue" else 1 - costs[v]
+            for t, table in enumerate(islice(corpus._upper_iterates(mirror), 8)):
+                rung = table[v]
+                step = Fraction(1, rung.denominator << 8)
+                for share in (rung - step, rung, rung + step):
+                    if not 0 <= share <= 1:
+                        continue
+                    view = PlayerView(color, v, share * total, (1 - share) * total)
+                    rng = random.Random(0)
+                    assert agent.decide(view, rng) == corpus.reference_decision(
+                        "optimal", g, costs, color, view, rng
+                    ), (color, v, t, share)
+                if rung > cost:
+                    horizon = next(u for u, later in enumerate(corpus._upper_iterates(mirror)) if later[v] < rung)
+                    assert horizon > t
+                    assert agent._horizon(v, rung.numerator, rung.denominator) == horizon

@@ -6,6 +6,7 @@ linear algebra (see corpus.PATH_EXACT).
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -26,6 +27,7 @@ from richman import (
     validate,
 )
 
+import richman.graphs
 import richman.solver
 import corpus
 
@@ -79,6 +81,15 @@ def test_star_iterates_settle_after_one_step(star):
     for t in (1, 2, 3):
         assert above[t]["v"] == F(1, 2)
         assert below[t]["v"] == F(1, 2)
+
+
+def test_star_iterates_stay_two_bits_wide_for_100000_rungs(star):
+    # Without the common power of two divided out, rung t would carry
+    # (t+1)-bit numerators and the optimal agent's 100 000-rung ladder
+    # would take over a gigabyte.
+    nums, e = next(islice(richman.solver._iterates(star, 1), 100_000, None))
+    assert nums == {"b": 0, "r": 2, "v": 1} and e == 1
+    assert max(n.bit_length() for n in nums.values()) <= 2
 
 
 def test_upper_iterate_drops_below_one_exactly_at_goal_distance(fig1):
@@ -322,6 +333,23 @@ def test_acyclic_arenas_are_solved_without_a_policy(monkeypatch):
         assert satisfies_exact_identity(g, solve_exact(g))
     assert calls == []
     solve_exact(corpus.ring_graph(4))
+    assert len(calls) == 1
+
+
+def test_an_acyclic_solve_walks_the_interior_once(monkeypatch):
+    calls = []
+    post_order = richman.graphs.post_order
+
+    def counted(successors):
+        calls.append(successors)
+        return post_order(successors)
+
+    # Patched wherever a module may have imported it.
+    monkeypatch.setattr(richman.graphs, "post_order", counted)
+    monkeypatch.setattr(richman.solver, "post_order", counted, raising=False)
+    g = build_series_graph(12)
+    assert not g.interior_has_cycle
+    assert satisfies_exact_identity(g, solve_exact(g))
     assert len(calls) == 1
 
 
