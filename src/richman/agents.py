@@ -1,10 +1,11 @@
 """Bidding strategies.
 
 Every strategy is written from the point of view of the player trying to
-reach *their* terminal, on an "oriented" copy of the arena: Blue plays the
-graph as-is; Red plays the graph with the terminals swapped and every cost
-replaced by 1 - cost.  That mirror turns steepest ascent into steepest
-descent and lets one implementation serve both colors.
+reach *their* terminal, its goal, on the arena as given: Blue's goal is the
+blue terminal and its costs are the table's; Red's goal is the red
+terminal and every cost reads 1 - cost.  Each player's cost is then 0 at
+its goal and 1 at the other terminal, which turns Red's steepest ascent
+into steepest descent and lets one implementation serve both colors.
 
 Agents included:
 
@@ -27,7 +28,7 @@ Agents included:
 These strategies are functions of the vertex, so each agent plans every
 vertex once, when it is built: the optimal agent its losing play (cheapest
 successor and cost drop), the safety agent its bid rate and move, the
-random agent its sorted successors.  The optimal agent's ladder is
+random agent reads the arena's move table.  The optimal agent's ladder is
 integer: rung t is the upper iterate as numerators over one power of two
 (``solver._iterates``), grown on demand, and the play of each (horizon,
 vertex) is planned on first use.  ``decide`` then only looks the plan up;
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NoReturn
 
-from .graphs import GameGraph
-from .solver import CostTable, SolverError, _iterates, descent_distances, extremal_successors
+from .graphs import GameGraph, distances_to
+from .solver import CostTable, SolverError, _descent_edges, _iterates, _require_valid, extremal_successors
 
 __all__ = [
     "AGENT_NAMES",
@@ -69,6 +70,14 @@ ONE = Fraction(1)
 COLORS = ("blue", "red")
 
 
+def _plays_red(color: str) -> bool:
+    """Whether ``color`` plays towards the red terminal, reading every cost
+    as 1 - cost; ValueError for a colour other than blue and red."""
+    if color not in COLORS:
+        raise ValueError(f"unknown color {color!r}")
+    return color == "red"
+
+
 @dataclass(frozen=True)
 class GameState:
     """Token position plus both bankrolls (exact rationals)."""
@@ -82,11 +91,7 @@ class GameState:
         return self.blue_money + self.red_money
 
     def money(self, color: str) -> Fraction:
-        if color == "blue":
-            return self.blue_money
-        if color == "red":
-            return self.red_money
-        raise ValueError(f"unknown color {color!r}")
+        return self.red_money if _plays_red(color) else self.blue_money
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def safety_ratio(
 
     Blue's cost is cost(v); Red's is 1 - cost(v).
     """
-    cost = costs[v] if color == "blue" else ONE - costs[v]
+    cost = ONE - costs[v] if _plays_red(color) else costs[v]
     if cost == 0:
         return None
     return own_share / cost
@@ -159,18 +164,13 @@ def random_turn_optimal_move(
 
 def _oriented(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
-) -> tuple[GameGraph, CostTable]:
-    """The arena as seen by ``color``: its goal is the blue terminal, its
-    costs run 0 at the goal to 1 at the opponent's terminal."""
-    if color == "blue":
-        if isinstance(costs, CostTable):
-            return g, costs
-        return g, CostTable(dict(costs), "exact")
-    if color != "red":
-        raise ValueError(f"unknown color {color!r}")
-    swapped = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
-    flipped = {v: ONE - costs[v] for v in g.vertices}
-    return swapped, CostTable(flipped, "exact")
+) -> tuple[str, Mapping[str, Fraction]]:
+    """``color``'s goal terminal on g and its costs, 0 at the goal and 1 at
+    the other terminal.  Checks the arena (the graph keeps the verdict)."""
+    _require_valid(g)
+    if _plays_red(color):
+        return g.red, {v: ONE - costs[v] for v in g.vertices}
+    return g.blue, costs
 
 
 def _no_play(g: GameGraph, v: str) -> NoReturn:
@@ -181,7 +181,7 @@ def _no_play(g: GameGraph, v: str) -> NoReturn:
     raise ValueError(f"cannot bid at terminal vertex {v!r}")
 
 
-def _rung_plan(rung: tuple[Mapping[str, int], int], succ: frozenset[str]) -> tuple[int, int, str]:
+def _rung_plan(rung: tuple[Mapping[str, int], int], succ: tuple[str, ...]) -> tuple[int, int, str]:
     """Winning play at a vertex whose horizon is the rung after ``rung``,
     the table N / 2^e: the constant kappa = half the successor gap of this
     table minus half the next rung's value at the vertex, as K / 2^s, and
@@ -207,21 +207,20 @@ class FullKnowledgeAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        g, table = _oriented(graph, costs, color)
-        self._graph = g
+        goal, table = _oriented(graph, costs, color)
+        self._graph = graph
         # Losing or critical play per non-terminal: its cost and the cost
         # drop to its cheapest successor, each as (numerator, denominator),
         # and that successor; the bid is drop * total.
         self._critical: dict[str, tuple[int, int, int, int, str]] = {}
-        for v in g.non_terminals:
-            if g.successors(v):
-                lo, _ = extremal_successors(g, table, v)
-                cost, drop = table[v], table[v] - table[lo]
-                self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
-        # Integer upper-iterate ladder on the oriented graph, grown on
-        # demand: rung t is (N, e), the table N / 2^e.  The winning play of
-        # each (horizon, vertex) (_rung_plan) is filled on first use.
-        self._upper = _iterates(g, 1)
+        for v in graph.moves:
+            lo, _ = extremal_successors(graph, table, v)
+            cost, drop = table[v], table[v] - table[lo]
+            self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
+        # Integer upper-iterate ladder towards the goal, grown on demand:
+        # rung t is (N, e), the table N / 2^e.  The winning play of each
+        # (horizon, vertex) (_rung_plan) is filled on first use.
+        self._upper = _iterates(graph, goal, 1)
         self._ladder: list[tuple[dict[str, int], int]] = [next(self._upper)]
         self._plans: dict[tuple[int, str], tuple[int, int, str]] = {}
 
@@ -262,7 +261,7 @@ class FullKnowledgeAgent(Agent):
             t = self._horizon(v, p, q)
             plan = self._plans.get((t, v))
             if plan is None:
-                plan = self._plans[t, v] = _rung_plan(self._ladder[t - 1], self._graph.successors(v))
+                plan = self._plans[t, v] = _rung_plan(self._ladder[t - 1], self._graph.moves[v])
             kappa, s, move = plan
             # Half the gap of rung t-1 plus half the slack share - rung t,
             # in total units and capped at own: min(own/2 + kappa total, own).
@@ -287,22 +286,18 @@ class SafetyRatioAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        g, table = _oriented(graph, costs, color)
-        self._graph = g
-        dist = descent_distances(g, table)
+        goal, table = _oriented(graph, costs, color)
+        self._graph = graph
+        # Steepest-descent distance to the goal; no vertex is |V| away.
+        dist = distances_to([goal], _descent_edges(graph, table))
+        far = len(graph.vertices)
         # (rate, move) per non-terminal; the bid is own_money * rate.
         self._plan: dict[str, tuple[Fraction, str]] = {}
-        for v in g.non_terminals:
-            succ = g.successors(v)
-            if not succ:
-                continue
+        for v, succ in graph.moves.items():
             floor = min(table[u] for u in succ)
             cost = table[v]
             rate = ZERO if cost == 0 else (cost - floor) / cost
-            move = min(
-                (u for u in succ if table[u] == floor),
-                key=lambda u: (dist[u] is None, dist[u] if dist[u] is not None else 0, u),
-            )
+            move = min((u for u in succ if table[u] == floor), key=lambda u: (dist.get(u, far), u))
             self._plan[v] = (rate, move)
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
@@ -321,13 +316,12 @@ class UniformRandomBidAgent(Agent):
     BITS = 32
 
     def __init__(self, graph: GameGraph, color: str):
+        _require_valid(graph)
+        _plays_red(color)  # rejects an unknown colour
         self._graph = graph
-        self._succ = {
-            v: tuple(sorted(graph.successors(v))) for v in graph.non_terminals if graph.successors(v)
-        }
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
-        succ = self._succ.get(view.position)
+        succ = self._graph.moves.get(view.position)
         if succ is None:
             _no_play(self._graph, view.position)
         fraction = Fraction(rng.getrandbits(self.BITS), 2**self.BITS)

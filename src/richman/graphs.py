@@ -75,15 +75,19 @@ class GameGraph:
         return cls(vertices=vs, edges=es, blue=blue, red=red)
 
     @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            out.setdefault(a, set()).add(b)
-        return {v: frozenset(ts) for v, ts in out.items()}
-
-    @cached_property
     def non_terminals(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices - {self.blue, self.red}))
+
+    @cached_property
+    def moves(self) -> dict[str, tuple[str, ...]]:
+        """The move table every walk of the arena reads: each non-terminal,
+        in name order, to its successors sorted by name.  The terminals have
+        no entry, since play stops there."""
+        out: dict[str, list[str]] = {v: [] for v in self.non_terminals}
+        for a, b in self.edges:
+            if a in out:
+                out[a].append(b)
+        return {v: tuple(sorted(ts)) for v, ts in out.items()}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -96,10 +100,9 @@ class GameGraph:
         successors, or None when the non-terminals alone contain a directed
         cycle: exactly when some interior edge does not lead down that
         order."""
-        interior = {v: self.successors(v) for v in self.non_terminals}
-        order = post_order(interior)
+        order = post_order(self.moves)
         rank = {v: i for i, v in enumerate(order)}
-        if any(rank[u] >= rank[v] for v, succ in interior.items() for u in succ if u in rank):
+        if any(rank[u] >= rank[v] for v, succ in self.moves.items() for u in succ if u in rank):
             return None
         return tuple(order)
 
@@ -114,12 +117,10 @@ class GameGraph:
         return v == self.blue or v == self.red
 
     def successors(self, v: str) -> frozenset[str]:
-        """Successor set used for play; empty exactly at the terminals."""
+        """Successor set used for play, a view of ``moves``; empty at the terminals."""
         if v not in self.vertices:
             raise KeyError(v)
-        if v == self.blue or v == self.red:
-            return frozenset()
-        return self._adjacency.get(v, frozenset())
+        return frozenset(self.moves.get(v, ()))
 
     def terminal_value(self, v: str) -> Fraction:
         """Cost of a terminal: 0 at blue, 1 at red."""

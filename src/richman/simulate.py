@@ -182,7 +182,7 @@ def _resolve_tie(tiebreak: str, seed: int, game_index: int, step: int) -> str:
 
 
 def _check_decision(
-    succ: frozenset[str],
+    succ: tuple[str, ...],
     color: str,
     decision: BidDecision,
     bankroll: Fraction,
@@ -244,7 +244,7 @@ def play_richman_game(
         red_view = PlayerView("red", position, red_money, blue_money)
         blue_decision = blue.decide(blue_view, blue_rng)
         red_decision = red.decide(red_view, red_rng)
-        succ = g.successors(position)
+        succ = g.moves[position]
         _check_decision(succ, "blue", blue_decision, blue_money, position, game_index)
         _check_decision(succ, "red", red_decision, red_money, position, game_index)
 
@@ -347,7 +347,7 @@ def _coin_moves(g: GameGraph, costs: CostTable, start: str) -> dict[str, tuple[s
     _require_valid(g)
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    return {v: extremal_successors(g, costs, v) for v in g.non_terminals}
+    return {v: extremal_successors(g, costs, v) for v in g.moves}
 
 
 def _coin_walk(

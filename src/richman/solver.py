@@ -131,30 +131,30 @@ def _require_valid(g: GameGraph) -> None:
         raise ValueError(f"invalid graph: {first.code} at {first.subject!r} ({first.message})")
 
 
-def _iterates(g: GameGraph, fill: int) -> Iterator[tuple[dict[str, int], int]]:
+def _iterates(g: GameGraph, goal: str, fill: int) -> Iterator[tuple[dict[str, int], int]]:
     """Iterate tables 0, 1, 2, ... as integer numerators over a shared power
     of two: each yielded (N, e) is the table N(v) / 2^e, in a fresh dict.
 
-    Table 0 is 0 at blue, 1 at red and ``fill`` (0 or 1) elsewhere, with
-    e = 0.  A sweep sets N'(v) = min + max of the successors' numerators
-    and the red terminal to 2^(e+1): over 2^(e+1) that is the averaging
-    step (min + max) / 2.  It then divides out the trailing zeros of the
-    OR of all numerators, at most e + 1 because red's numerator is
-    2^(e+1).  Without that reduction a table that stops moving would still
-    grow by one bit per sweep.
+    Table 0 is 0 at the ``goal`` terminal, 1 at the other terminal and
+    ``fill`` (0 or 1) elsewhere, with e = 0: Blue's iterates for the blue
+    goal, Red's for the red one.  A sweep sets N'(v) = min + max of the
+    successors' numerators and the other terminal to 2^(e+1): over 2^(e+1)
+    that is the averaging step (min + max) / 2.  It then divides out the
+    trailing zeros of the OR of all numerators, at most e + 1 because the
+    other terminal's numerator is 2^(e+1).  Without that reduction a table
+    that stops moving would still grow by one bit per sweep.
     """
-    blue, red = g.blue, g.red
-    sweep = [(v, tuple(g.successors(v))) for v in g.non_terminals]
+    other = g.red if goal == g.blue else g.blue
     nums = dict.fromkeys(g.vertices, fill)
-    nums[blue] = 0
-    nums[red] = 1
+    nums[goal] = 0
+    nums[other] = 1
     e = 0
     while True:
         yield nums, e
         e += 1
-        new = {blue: 0, red: 1 << e}
-        common = new[red]
-        for v, succ in sweep:
+        new = {goal: 0, other: 1 << e}
+        common = new[other]
+        for v, succ in g.moves.items():
             values = [nums[u] for u in succ]
             n = new[v] = min(values) + max(values)
             common |= n
@@ -174,7 +174,7 @@ def _iterate(g: GameGraph, t_max: int, fill: int, kind: str) -> list[CostTable]:
     _require_valid(g)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    iterates = islice(_iterates(g, fill), t_max + 1)
+    iterates = islice(_iterates(g, g.blue, fill), t_max + 1)
     return [_table(g, nums, e, kind, t) for t, (nums, e) in enumerate(iterates)]
 
 
@@ -208,7 +208,9 @@ def solve_iterative(
     bracket wider than tol.
     """
     _require_valid(g)
-    for t, ((upper, e_up), (lower, e_low)) in enumerate(zip(_iterates(g, 1), _iterates(g, 0))):
+    for t, ((upper, e_up), (lower, e_low)) in enumerate(
+        zip(_iterates(g, g.blue, 1), _iterates(g, g.blue, 0))
+    ):
         e = max(e_up, e_low)
         up, low = e - e_up, e - e_low
         gap = Fraction(max((upper[v] << up) - (lower[v] << low) for v in upper), 1 << e)
@@ -238,8 +240,8 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
         c = costs.get(v)
         if c is None or c < ZERO or c > ONE:
             return False
-    for v in g.non_terminals:
-        values = [costs[u] for u in g.successors(v)]
+    for v, succ in g.moves.items():
+        values = [costs[u] for u in succ]
         if 2 * costs[v] != min(values) + max(values):
             return False
     return True
@@ -265,19 +267,17 @@ def _pick_policy(
     """
     far = len(g.vertices)
     policy = {}
-    for v in g.non_terminals:
-        succ = g.successors(v)
+    for v, succ in g.moves.items():
         floor = min(x[u] for u in succ)
         ceiling = max(x[u] for u in succ)
         lo = min((u for u in succ if x[u] == floor), key=lambda u: (to_blue.get(u, far), u))
         hi = min((u for u in succ if x[u] == ceiling), key=lambda u: (to_red.get(u, far), u))
         policy[v] = (lo, hi)
     halting = distances_to((g.blue, g.red), ((v, u) for v, pair in policy.items() for u in pair))
-    for v in g.non_terminals:
+    for v, succ in g.moves.items():
         if v in halting:
             continue
         lo, hi = policy[v]
-        succ = g.successors(v)
         if to_blue.get(v, far) <= to_red.get(v, far):
             lo = min(succ, key=lambda u: (to_blue.get(u, far), u))
         else:
@@ -379,15 +379,15 @@ def solve_exact(g: GameGraph) -> CostTable:
     if g.interior_order is not None:
         costs = {g.blue: ZERO, g.red: ONE}
         for v in g.interior_order:
-            values = [costs[u] for u in g.successors(v)]
+            values = [costs[u] for u in g.moves[v]]
             costs[v] = (min(values) + max(values)) / 2
         table = CostTable(costs, "exact")
         if not satisfies_exact_identity(g, table):
             raise SolverError("back-substitution broke the averaging identity")
         return table
-    moves = [(x, u) for x in g.non_terminals for u in g.successors(x)]
-    to_blue = distances_to([g.blue], moves)
-    to_red = distances_to([g.red], moves)
+    edges = [(x, u) for x, succ in g.moves.items() for u in succ]
+    to_blue = distances_to([g.blue], edges)
+    to_red = distances_to([g.red], edges)
     policy = _pick_policy(g, dict.fromkeys(g.vertices, ZERO), to_blue, to_red)
     tried: set[tuple[tuple[str, str], ...]] = set()
     while True:
@@ -405,8 +405,10 @@ def extremal_successors(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], v: str
 ) -> tuple[str, str]:
     """(cheapest, dearest) successor of v, ties broken lexicographically."""
-    succ = sorted(g.successors(v))
+    succ = g.moves.get(v)
     if not succ:
+        if v not in g.vertices:
+            raise KeyError(v)
         raise ValueError(f"{v!r} is a terminal vertex")
     lo = min(succ, key=lambda u: (costs[u], u))
     hi = min(succ, key=lambda u: (-costs[u], u))
@@ -419,8 +421,7 @@ def _descent_edges(
     """Steepest-descent edges (x, u): cost(u) is minimal over the successors
     of x.  ``costs`` must cover every vertex."""
     edges = []
-    for x in g.non_terminals:
-        succ = g.successors(x)
+    for x, succ in g.moves.items():
         if succ:
             floor = min(costs[u] for u in succ)
             edges.extend((x, u) for u in succ if costs[u] == floor)

@@ -19,6 +19,7 @@ from richman import (
     iterate_above,
     make_agent,
     optimal_bid,
+    parse_game_graph,
     play_richman_game,
     random_turn_optimal_move,
     safety_ratio,
@@ -230,8 +231,30 @@ def test_agent_registry(fig1, fig1_costs):
 
 
 def test_oriented_mirror_rejects_unknown_color(fig1, fig1_costs):
-    with pytest.raises(ValueError):
-        FullKnowledgeAgent(fig1, fig1_costs, "green")
+    for name in AGENT_NAMES:
+        with pytest.raises(ValueError, match="unknown color 'green'"):
+            make_agent(name, fig1, fig1_costs, "green")
+    with pytest.raises(ValueError, match="unknown color 'green'"):
+        safety_ratio(fig1_costs, "v", F(1, 2), "green")
+
+
+def test_red_agents_build_no_second_arena(fig1, fig1_costs, monkeypatch):
+    built = []
+    real = GameGraph.from_parts.__func__
+    monkeypatch.setattr(
+        GameGraph, "from_parts", classmethod(lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
+    )
+    FullKnowledgeAgent(fig1, fig1_costs, "red")
+    SafetyRatioAgent(fig1, fig1_costs, "red")
+    assert built == []
+
+
+def test_agents_reject_an_invalid_arena(data_dir):
+    bad = parse_game_graph((data_dir / "bad.rg").read_text())
+    for name in AGENT_NAMES:
+        for color in ("blue", "red"):
+            with pytest.raises(ValueError, match="^invalid graph: DEAD_END at 'sink'"):
+                make_agent(name, bad, {}, color)
 
 
 def test_winning_branch_share_keeps_clearing_the_next_rung(zchain):

@@ -371,6 +371,26 @@ def test_console_script_matches_in_process(data_dir):
     assert script.stderr == ""
 
 
+def test_output_does_not_depend_on_hash_order(data_dir, monkeypatch):
+    """Sets of vertex names iterate in an order PYTHONHASHSEED changes; no
+    output may follow it."""
+    fig1 = str(data_dir / "fig1.rg")
+    money = ("--blue-money", "1/2", "--red-money", "1/2")
+    commands = (
+        ("solve", fig1),
+        ("simulate", fig1, "--start", "v", *money, "--blue", "uniform-random-bid", "--runs", "3", "--trace"),
+        ("randomturn", fig1, "--start", "m", "--runs", "50"),
+        ("series", "--wins", "6", "--bankroll", "1/2"),
+    )
+    outputs = []
+    for hash_seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        runs = [run_fresh_interpreter("-m", "richman", *argv) for argv in commands]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * len(commands)
+        outputs.append([run.stdout for run in runs])
+    assert outputs[0] == outputs[1]
+
+
 def test_python_dash_m_matches_in_process(data_dir):
     script = run_fresh_interpreter("-m", "richman", "solve", str(data_dir / "fig1.rg"))
     assert script.returncode == 0

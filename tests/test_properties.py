@@ -4,9 +4,9 @@ bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from and its integer elimination agreeing
 with dense elimination, the text format's round trip, monotone
 iterates, coin-flip tallies equal to the recorded games, the arena
-walks (interior cycle test, steepest-descent closure and distances)
-against naive searches, and every agent's decisions against a
-from-scratch reference."""
+walks (the move table, the interior cycle test and order, steepest-descent
+closure and distances) against naive searches, and every agent's
+decisions against a from-scratch reference."""
 
 import random
 from fractions import Fraction
@@ -135,7 +135,7 @@ def test_iterates_are_monotone(g):
 @given(arenas(1, 12))
 def test_integer_iterates_equal_the_fraction_sweeps(g):
     for fill, sweeps in ((1, corpus._upper_iterates(g)), (0, corpus._lower_iterates(g))):
-        for (nums, e), table in islice(zip(_iterates(g, fill), sweeps), 41):
+        for (nums, e), table in islice(zip(_iterates(g, g.blue, fill), sweeps), 41):
             assert {v: Fraction(n, 2**e) for v, n in nums.items()} == table
             assert e == 0 or any(n % 2 for n in nums.values())  # no common factor 2 left
 
@@ -159,10 +159,39 @@ def interior_has_cycle_by_peeling(g: GameGraph) -> bool:
         left -= sinks
 
 
+@st.composite
+def arenas_with_terminal_edges(draw, max_size: int, acyclic: bool = False) -> GameGraph:
+    """``arenas`` plus up to four edges out of the terminals, self-loops
+    included: edges that play never takes."""
+    g = draw(arenas(1, max_size, acyclic))
+    out = st.tuples(st.sampled_from(TERMINALS), st.sampled_from(sorted(g.vertices)))
+    return GameGraph.from_parts(g.vertices, g.edges | set(draw(st.lists(out, max_size=4))), "b", "r")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arenas_with_terminal_edges(12))
+def test_move_table_lists_the_sorted_successors_of_each_non_terminal(g):
+    assert list(g.moves) == list(g.non_terminals)
+    for v in g.non_terminals:
+        assert g.moves[v] == tuple(sorted(g.successors(v))) == tuple(sorted(b for a, b in g.edges if a == v))
+    assert g.successors(g.blue) == g.successors(g.red) == frozenset()
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
+@given(
+    st.one_of(
+        arenas(1, 12),
+        arenas(1, 12, acyclic=True),
+        arenas_with_terminal_edges(12),
+        arenas_with_terminal_edges(12, acyclic=True),
+    )
+)
 def test_interior_has_cycle_matches_peeling(g):
     assert g.interior_has_cycle == interior_has_cycle_by_peeling(g)
+    if g.interior_order is not None:
+        assert sorted(g.interior_order) == list(g.non_terminals)
+        rank = {v: i for i, v in enumerate(g.interior_order)}
+        assert all(rank[u] < rank[v] for v in g.interior_order for u in g.moves[v] if u in rank)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -87,7 +87,7 @@ def test_star_iterates_stay_two_bits_wide_for_100000_rungs(star):
     # Without the common power of two divided out, rung t would carry
     # (t+1)-bit numerators and the optimal agent's 100 000-rung ladder
     # would take over a gigabyte.
-    nums, e = next(islice(richman.solver._iterates(star, 1), 100_000, None))
+    nums, e = next(islice(richman.solver._iterates(star, star.blue, 1), 100_000, None))
     assert nums == {"b": 0, "r": 2, "v": 1} and e == 1
     assert max(n.bit_length() for n in nums.values()) <= 2
 
