@@ -117,12 +117,20 @@ class BidDecision:
 
 
 class Agent(ABC):
-    """A bidding policy: view -> BidDecision, deterministic given the rng."""
+    """A bidding policy: view -> BidDecision, deterministic given the rng.
+
+    An agent sets ``deterministic`` when its ``decide`` is a function of the
+    view alone and never reads ``rng``.  The engine then seeds no generator
+    for it (``rng`` is None), and when both agents of a batch declare it,
+    its games share every step they play from the same state, so each
+    distinct step is decided once per batch.
+    """
 
     name = "agent"
+    deterministic = False
 
     @abstractmethod
-    def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         raise NotImplementedError
 
 
@@ -200,6 +208,7 @@ class FullKnowledgeAgent(Agent):
     ladder when strictly ahead (see the module docstring)."""
 
     name = "optimal"
+    deterministic = True
 
     def __init__(
         self,
@@ -243,7 +252,7 @@ class FullKnowledgeAgent(Agent):
                 t += 1
         return t
 
-    def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         if view.opponent_money is None:
             raise ValueError("full-knowledge agent requires the opponent's bankroll")
         v = view.position
@@ -279,6 +288,7 @@ class SafetyRatioAgent(Agent):
     """
 
     name = "safety"
+    deterministic = True
 
     def __init__(
         self,
@@ -300,7 +310,7 @@ class SafetyRatioAgent(Agent):
             move = min((u for u in succ if table[u] == floor), key=lambda u: (dist.get(u, far), u))
             self._plan[v] = (rate, move)
 
-    def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         plan = self._plan.get(view.position)
         if plan is None:
             _no_play(self._graph, view.position)

@@ -9,6 +9,19 @@ Bids are sealed: both agents are queried before either bid is revealed,
 the higher bid wins, the winner pays its own bid to the loser and moves
 the token.  Exactly equal bids go to the tiebreak policy ("fair" draws a
 derived coin; "always-blue" / "always-red" are adversarial fixtures).
+Bids are checked against the bankrolls and compared as integer
+cross-products of their numerators and denominators.
+
+One engine plays every bidding game: it plays from a state until the game
+ends or a bid tie needs a coin, and keeps each such segment of steps in a
+play tree whose branches are keyed by the tie winners.  A game follows
+the tree from its root, drawing its own coin at each tie, and plays on
+only where it leaves the tree.  When both agents are ``deterministic``
+(their decisions are functions of the view alone) the games of a batch
+share one tree, so a batch of identical games plays one, and memory is
+bounded by the distinct steps the batch played: the games' records share
+the Step objects of their common prefix.  Any other pairing plays each
+game on a tree of its own, with generators seeded per game.
 """
 
 from __future__ import annotations
@@ -189,12 +202,11 @@ def _check_decision(
     position: str,
     game_index: int,
 ) -> None:
-    if decision.bid < 0:
-        raise ProtocolViolationError(color, f"negative bid {decision.bid}", game_index)
-    if decision.bid > bankroll:
-        raise ProtocolViolationError(
-            color, f"bid {decision.bid} exceeds bankroll {bankroll}", game_index
-        )
+    bid = decision.bid
+    if bid.numerator < 0:
+        raise ProtocolViolationError(color, f"negative bid {bid}", game_index)
+    if bid.numerator * bankroll.denominator > bankroll.numerator * bid.denominator:
+        raise ProtocolViolationError(color, f"bid {bid} exceeds bankroll {bankroll}", game_index)
     if decision.move_to not in succ:
         raise ProtocolViolationError(
             color, f"move to {decision.move_to!r} is not an edge out of {position!r}", game_index
@@ -209,6 +221,123 @@ def _outcome(g: GameGraph, position: str) -> str:
     return UNRESOLVED
 
 
+def _game_cap(g: GameGraph, start: GameState, tiebreak: str, max_moves: int | None) -> int:
+    """Check a bidding game's arguments and return its move cap."""
+    _require_valid(g)
+    if start.position not in g.vertices:
+        raise ValueError(f"unknown start vertex {start.position!r}")
+    if g.is_terminal(start.position):
+        raise ValueError(f"start position {start.position!r} is terminal; nothing to bid for")
+    if start.blue_money < 0 or start.red_money < 0:
+        raise ValueError("bankrolls must be nonnegative")
+    if tiebreak not in TIEBREAKS:
+        raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
+    return default_move_cap(g) if max_moves is None else max_moves
+
+
+# A bid tie waiting for its coin: step index, position, both decisions and
+# both bankrolls before the exchange.
+_Tie = tuple[int, str, BidDecision, BidDecision, Fraction, Fraction]
+
+
+def _exchange(tie: _Tie, winner: str, coin: bool | None) -> Step:
+    """The step of exchange ``tie`` won by ``winner``: it pays its bid to
+    the other player and moves.  ``coin`` is the Step's ``tie`` field."""
+    index, position, blue_decision, red_decision, blue_money, red_money = tie
+    if winner == "blue":
+        transfer, move_to = blue_decision.bid, blue_decision.move_to
+        blue_money, red_money = blue_money - transfer, red_money + transfer
+    else:
+        transfer, move_to = red_decision.bid, red_decision.move_to
+        blue_money, red_money = blue_money + transfer, red_money - transfer
+    bids = blue_decision.bid, red_decision.bid
+    return Step(index, position, *bids, coin, winner, transfer, move_to, blue_money, red_money)
+
+
+class _Segment:
+    """A node of a batch's play tree: ``steps`` run from a state until the
+    game ends (``tie`` None) or a bid tie needs a coin (``tie`` the tied
+    exchange); ``after`` maps each coin's winner to the next segment, which
+    starts with that exchange."""
+
+    __slots__ = ("steps", "tie", "after")
+
+    def __init__(self, steps: tuple[Step, ...], tie: _Tie | None):
+        self.steps = steps
+        self.tie = tie
+        self.after: dict[str, _Segment] = {}
+
+
+def _segment(
+    g: GameGraph,
+    blue: Agent,
+    red: Agent,
+    rngs: tuple[random.Random | None, random.Random | None],
+    cap: int,
+    game_index: int,
+    steps: list[Step],
+    index: int,
+    position: str,
+    blue_money: Fraction,
+    red_money: Fraction,
+) -> _Segment:
+    """Play on from step ``index`` at ``position`` to a terminal, the cap or
+    a bid tie; ``steps`` are the segment's steps so far."""
+    blue_rng, red_rng = rngs
+    moves = g.moves
+    while index < cap and (succ := moves.get(position)) is not None:
+        blue_decision = blue.decide(PlayerView("blue", position, blue_money, red_money), blue_rng)
+        red_decision = red.decide(PlayerView("red", position, red_money, blue_money), red_rng)
+        _check_decision(succ, "blue", blue_decision, blue_money, position, game_index)
+        _check_decision(succ, "red", red_decision, red_money, position, game_index)
+        b, r = blue_decision.bid, red_decision.bid
+        lead = b.numerator * r.denominator - r.numerator * b.denominator
+        tie = (index, position, blue_decision, red_decision, blue_money, red_money)
+        if lead == 0:
+            return _Segment(tuple(steps), tie)
+        step = _exchange(tie, "blue" if lead > 0 else "red", None)
+        steps.append(step)
+        index, position, blue_money, red_money = index + 1, step.move_to, step.blue_after, step.red_after
+    return _Segment(tuple(steps), None)
+
+
+def _play(
+    g: GameGraph,
+    blue: Agent,
+    red: Agent,
+    start: GameState,
+    tiebreak: str,
+    cap: int,
+    seed: int,
+    game_index: int,
+    tree: dict[str | None, _Segment],
+) -> GameRecord:
+    """Game ``game_index`` along the play tree ``tree`` (its root is the
+    entry None), growing the tree where the game leaves it."""
+    rngs = (
+        None if blue.deterministic else derived_rng(seed, "agent", game_index, "blue"),
+        None if red.deterministic else derived_rng(seed, "agent", game_index, "red"),
+    )
+    steps: list[Step] = []
+    after, winner, tie = tree, None, None
+    while True:
+        node = after.get(winner)
+        if node is None:
+            if tie is None:
+                first, state = [], (0, start.position, start.blue_money, start.red_money)
+            else:
+                step = _exchange(tie, winner, winner == "blue")
+                first, state = [step], (step.index + 1, step.move_to, step.blue_after, step.red_after)
+            node = after[winner] = _segment(g, blue, red, rngs, cap, game_index, first, *state)
+        steps += node.steps
+        tie, after = node.tie, node.after
+        if tie is None:
+            break
+        winner = _resolve_tie(tiebreak, seed, game_index, tie[0])
+    final = steps[-1].move_to if steps else start.position
+    return GameRecord(start.position, tuple(steps), _outcome(g, final), cap)
+
+
 def play_richman_game(
     g: GameGraph,
     blue: Agent,
@@ -220,71 +349,8 @@ def play_richman_game(
     game_index: int = 0,
 ) -> GameRecord:
     """Run one bidding game to a terminal or the move cap."""
-    _require_valid(g)
-    if start.position not in g.vertices:
-        raise ValueError(f"unknown start vertex {start.position!r}")
-    if g.is_terminal(start.position):
-        raise ValueError(f"start position {start.position!r} is terminal; nothing to bid for")
-    if start.blue_money < 0 or start.red_money < 0:
-        raise ValueError("bankrolls must be nonnegative")
-    if tiebreak not in TIEBREAKS:
-        raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
-    cap = default_move_cap(g) if max_moves is None else max_moves
-
-    blue_rng = derived_rng(seed, "agent", game_index, "blue")
-    red_rng = derived_rng(seed, "agent", game_index, "red")
-
-    position = start.position
-    blue_money = start.blue_money
-    red_money = start.red_money
-    steps: list[Step] = []
-
-    while not g.is_terminal(position) and len(steps) < cap:
-        blue_view = PlayerView("blue", position, blue_money, red_money)
-        red_view = PlayerView("red", position, red_money, blue_money)
-        blue_decision = blue.decide(blue_view, blue_rng)
-        red_decision = red.decide(red_view, red_rng)
-        succ = g.moves[position]
-        _check_decision(succ, "blue", blue_decision, blue_money, position, game_index)
-        _check_decision(succ, "red", red_decision, red_money, position, game_index)
-
-        tie: bool | None = None
-        if blue_decision.bid > red_decision.bid:
-            winner = "blue"
-        elif red_decision.bid > blue_decision.bid:
-            winner = "red"
-        else:
-            winner = _resolve_tie(tiebreak, seed, game_index, len(steps))
-            tie = winner == "blue"
-
-        if winner == "blue":
-            transfer = blue_decision.bid
-            blue_money -= transfer
-            red_money += transfer
-            destination = blue_decision.move_to
-        else:
-            transfer = red_decision.bid
-            red_money -= transfer
-            blue_money += transfer
-            destination = red_decision.move_to
-
-        steps.append(
-            Step(
-                index=len(steps),
-                position=position,
-                blue_bid=blue_decision.bid,
-                red_bid=red_decision.bid,
-                tie=tie,
-                winner=winner,
-                transfer=transfer,
-                move_to=destination,
-                blue_after=blue_money,
-                red_after=red_money,
-            )
-        )
-        position = destination
-
-    return GameRecord(start.position, tuple(steps), _outcome(g, position), cap)
+    cap = _game_cap(g, start, tiebreak, max_moves)
+    return _play(g, blue, red, start, tiebreak, cap, seed, game_index, {})
 
 
 def batch_records(
@@ -297,18 +363,16 @@ def batch_records(
     runs: int = 1,
     master_seed: int = 0,
 ) -> Iterator[GameRecord]:
-    """Game i of the batch depends only on (master_seed, i)."""
+    """Game i of the batch depends only on (master_seed, i).  Games of two
+    deterministic agents share one play tree; any other pair plays each
+    game on a tree of its own."""
+    if runs < 1:
+        return
+    cap = _game_cap(g, start, tiebreak, max_moves)
+    shared = blue.deterministic and red.deterministic
+    tree: dict[str | None, _Segment] = {}
     for i in range(runs):
-        yield play_richman_game(
-            g,
-            blue,
-            red,
-            start,
-            tiebreak=tiebreak,
-            max_moves=max_moves,
-            seed=master_seed,
-            game_index=i,
-        )
+        yield _play(g, blue, red, start, tiebreak, cap, master_seed, i, tree if shared else {})
 
 
 def run_batch(

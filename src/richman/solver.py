@@ -405,6 +405,7 @@ def extremal_successors(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], v: str
 ) -> tuple[str, str]:
     """(cheapest, dearest) successor of v, ties broken lexicographically."""
+    _require_valid(g)
     succ = g.moves.get(v)
     if not succ:
         if v not in g.vertices:
@@ -419,12 +420,11 @@ def _descent_edges(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction]
 ) -> list[tuple[str, str]]:
     """Steepest-descent edges (x, u): cost(u) is minimal over the successors
-    of x.  ``costs`` must cover every vertex."""
+    of x.  ``costs`` must cover every vertex; the arena must be valid."""
     edges = []
     for x, succ in g.moves.items():
-        if succ:
-            floor = min(costs[u] for u in succ)
-            edges.extend((x, u) for u in succ if costs[u] == floor)
+        floor = min(costs[u] for u in succ)
+        edges.extend((x, u) for u in succ if costs[u] == floor)
     return edges
 
 
@@ -436,6 +436,7 @@ def steepest_descent_closure(
     v itself is included.  If cost(v) < 1 the closure contains the blue
     terminal.
     """
+    _require_valid(g)
     if v not in g.vertices:
         raise KeyError(v)
     return frozenset(distances_to([v], ((u, x) for x, u in _descent_edges(g, costs))))
@@ -449,5 +450,6 @@ def descent_distances(
     None marks vertices with no descent path to blue (their cost is 1, or
     they sit in a region that only descends elsewhere).
     """
+    _require_valid(g)
     dist = distances_to([g.blue], _descent_edges(g, costs))
     return {v: dist.get(v) for v in g.vertices}

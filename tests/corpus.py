@@ -4,8 +4,9 @@ The oracles here are deliberately written against *different* math than the
 package: closed-form binomial sums for the series grid, the classic ruin
 quotient for birth-death walks, a by-hand 2x2 elimination for the
 two-vertex path, and exhaustive enumeration of successor policies with
-dense elimination for small arenas.  Tests freeze their outputs and compare the package
-against them.
+dense elimination for small arenas, and the bidding protocol played one
+game at a time from scratch.  Tests freeze their outputs and compare the
+package against them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,18 @@ from functools import lru_cache
 from typing import Mapping
 
 from richman import (
+    Agent,
     BidDecision,
     CostTable,
     GameGraph,
     GameRecord,
+    GameState,
     PlayerView,
+    ProtocolViolationError,
     SolverError,
+    Step,
+    default_move_cap,
+    derived_rng,
     iterate_above,
     play_random_turn_game,
     random_turn_move_cap,
@@ -298,6 +305,75 @@ def money_before(step) -> tuple[Fraction, Fraction]:
     if step.winner == "blue":
         return step.blue_after + step.transfer, step.red_after - step.transfer
     return step.blue_after - step.transfer, step.red_after + step.transfer
+
+
+def reference_game(
+    g: GameGraph,
+    blue: Agent,
+    red: Agent,
+    start: GameState,
+    tiebreak: str = "fair",
+    max_moves: int | None = None,
+    seed: int = 0,
+    game_index: int = 0,
+) -> GameRecord:
+    """One bidding game played alone, step by step, in ``Fraction``
+    arithmetic: both agents are asked at every step, each with its own
+    generator seeded from (seed, "agent", game_index, color); the bids are
+    checked, the higher bid wins, and an exact tie takes the tiebreak (a
+    coin seeded from (seed, "tie", game_index, step) when "fair").  Nothing
+    is shared with other games."""
+    cap = default_move_cap(g) if max_moves is None else max_moves
+    rngs = {c: derived_rng(seed, "agent", game_index, c) for c in ("blue", "red")}
+    money = {"blue": start.blue_money, "red": start.red_money}
+    position = start.position
+    steps: list[Step] = []
+    while not g.is_terminal(position) and len(steps) < cap:
+        decisions = {
+            "blue": blue.decide(PlayerView("blue", position, money["blue"], money["red"]), rngs["blue"]),
+            "red": red.decide(PlayerView("red", position, money["red"], money["blue"]), rngs["red"]),
+        }
+        for color, decision in decisions.items():
+            if decision.bid < 0:
+                raise ProtocolViolationError(color, f"negative bid {decision.bid}", game_index)
+            if decision.bid > money[color]:
+                raise ProtocolViolationError(
+                    color, f"bid {decision.bid} exceeds bankroll {money[color]}", game_index
+                )
+            if decision.move_to not in g.successors(position):
+                raise ProtocolViolationError(
+                    color, f"move to {decision.move_to!r} is not an edge out of {position!r}", game_index
+                )
+        tie = None
+        if decisions["blue"].bid != decisions["red"].bid:
+            winner = "blue" if decisions["blue"].bid > decisions["red"].bid else "red"
+        elif tiebreak == "fair":
+            winner = derived_rng(seed, "tie", game_index, len(steps)).choice(("blue", "red"))
+            tie = winner == "blue"
+        else:
+            winner = tiebreak.removeprefix("always-")
+            tie = winner == "blue"
+        loser = "red" if winner == "blue" else "blue"
+        transfer = decisions[winner].bid
+        money[winner] -= transfer
+        money[loser] += transfer
+        steps.append(
+            Step(
+                index=len(steps),
+                position=position,
+                blue_bid=decisions["blue"].bid,
+                red_bid=decisions["red"].bid,
+                tie=tie,
+                winner=winner,
+                transfer=transfer,
+                move_to=decisions[winner].move_to,
+                blue_after=money["blue"],
+                red_after=money["red"],
+            )
+        )
+        position = decisions[winner].move_to
+    outcome = {g.blue: "BlueWins", g.red: "RedWins"}.get(position, "Unresolved")
+    return GameRecord(start.position, tuple(steps), outcome, cap)
 
 
 def check_money_conservation(record: GameRecord) -> None:

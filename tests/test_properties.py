@@ -5,8 +5,9 @@ whatever values it is read from and its integer elimination agreeing
 with dense elimination, the text format's round trip, monotone
 iterates, coin-flip tallies equal to the recorded games, the arena
 walks (the move table, the interior cycle test and order, steepest-descent
-closure and distances) against naive searches, and every agent's
-decisions against a from-scratch reference."""
+closure and distances) against naive searches, every agent's decisions
+against a from-scratch reference, and seeded batches of bidding games
+against the same games played one at a time from scratch."""
 
 import random
 from fractions import Fraction
@@ -17,14 +18,18 @@ from hypothesis import strategies as st
 
 from richman import (
     AGENT_NAMES,
+    TIEBREAKS,
     GameGraph,
+    GameState,
     PlayerView,
+    batch_records,
     descent_distances,
     extremal_successors,
     iterate_above,
     iterate_below,
     make_agent,
     parse_game_graph,
+    play_richman_game,
     satisfies_exact_identity,
     serialize_game_graph,
     solve_exact,
@@ -267,3 +272,30 @@ def test_optimal_agent_at_and_beside_each_rung(g):
                     horizon = next(u for u, later in enumerate(corpus._upper_iterates(mirror)) if later[v] < rung)
                     assert horizon > t
                     assert agent._horizon(v, rung.numerator, rung.denominator) == horizon
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    arenas(1, 8),
+    st.data(),
+    st.integers(2, 8),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    st.sampled_from((None, 1, 2, 5, 12)),
+    st.integers(0, 2**32),
+)
+def test_batches_equal_the_reference_games(g, data, runs, money, max_moves, seed):
+    """Every agent pairing and tiebreak: a batch's games, shared between
+    games or not, equal the same games played alone by the reference and
+    by ``play_richman_game``.  Bankrolls in thirds tie often."""
+    costs = solve_exact(g)
+    position = data.draw(st.sampled_from(g.non_terminals))
+    start = GameState(position, Fraction(money[0], 3), Fraction(money[1], 3))
+    for blue_name in AGENT_NAMES:
+        blue = make_agent(blue_name, g, costs, "blue")
+        for red_name in AGENT_NAMES:
+            red = make_agent(red_name, g, costs, "red")
+            for tiebreak in TIEBREAKS:
+                args = (g, blue, red, start, tiebreak, max_moves)
+                batch = list(batch_records(*args, runs=runs, master_seed=seed))
+                assert batch == [corpus.reference_game(*args, seed=seed, game_index=i) for i in range(runs)]
+                assert batch == [play_richman_game(*args, seed=seed, game_index=i) for i in range(runs)]

@@ -9,9 +9,11 @@ import pytest
 
 import richman.agents
 import richman.graphs
+import richman.simulate
 from richman import (
     Agent,
     BidDecision,
+    FullKnowledgeAgent,
     GameGraph,
     GameState,
     ProtocolViolationError,
@@ -217,6 +219,90 @@ def test_empty_batch(fig1, optimal_pair):
     payload = stats.to_json_dict()
     assert payload["move_histogram"] == {}
     json.dumps(payload)
+
+
+def test_empty_batch_checks_nothing(fig1, optimal_pair):
+    blue, red = optimal_pair
+    stats = run_batch(fig1, blue, red, GameState("b", F(-1), F(1)), tiebreak="coin", runs=0)
+    assert (stats.runs, stats.move_counts) == (0, ())
+
+
+class CountingAgent(Agent):
+    """Test stub: asks an inner agent and counts the calls; it does not
+    declare ``deterministic``, so every game has its own generator."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def decide(self, view, rng):
+        assert isinstance(rng, random.Random)
+        self.calls += 1
+        return self.inner.decide(view, rng)
+
+
+def test_undeclared_agents_are_asked_every_step_of_every_game(fig1, optimal_pair):
+    blue, red = (CountingAgent(agent) for agent in optimal_pair)
+    for state, distinct in ((GameState("m", F(1), F(0)), 1), (GameState("v", F(1, 2), F(1, 2)), 20)):
+        blue.calls = red.calls = 0
+        records = list(batch_records(fig1, blue, red, state, runs=20, master_seed=4))
+        assert len(set(records)) == distinct
+        assert blue.calls == red.calls == sum(len(r.steps) for r in records)
+
+
+class CountingOptimal(FullKnowledgeAgent):
+    calls = 0
+
+    def decide(self, view, rng):
+        assert rng is None
+        self.calls += 1
+        return super().decide(view, rng)
+
+
+def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
+    g = corpus.ring_graph(12)
+    costs = solve_exact(g)
+    blue, red = CountingOptimal(g, costs, "blue"), CountingOptimal(g, costs, "red")
+    seeds = []
+    real = richman.simulate.derived_rng
+    monkeypatch.setattr(richman.simulate, "derived_rng", lambda *parts: seeds.append(parts) or real(*parts))
+    share = costs["v00"] / 2
+    records = list(batch_records(g, blue, red, GameState("v00", share, 1 - share), runs=200, master_seed=3))
+    (game,) = set(records)
+    assert len(game.steps) == 12 and game.outcome == "RedWins"
+    assert all(s.tie is None for s in game.steps)
+    assert all(r.steps[i] is game.steps[i] for r in records for i in range(12))
+    assert blue.calls == red.calls == 12
+    assert seeds == []
+
+
+class ScriptedAgent(Agent):
+    """Test stub: a fixed (bid, move) per position, declared deterministic."""
+
+    deterministic = True
+
+    def __init__(self, script):
+        self.script = script
+
+    def decide(self, view, rng):
+        assert rng is None
+        bid, move = self.script[view.position]
+        return BidDecision(F(bid), move)
+
+
+def test_a_violation_on_a_shared_branch_names_the_game_that_reached_it(fig1):
+    """Both bid 0 at v, so a fair coin splits the games: Blue's branch wins
+    at m, Red's branch overbids at c.  Game 0 takes Blue's branch, and the
+    first game whose coin falls to Red is the one reported."""
+    blue = ScriptedAgent({"v": (0, "m"), "m": (F(1, 2), "b"), "c": (0, "a")})
+    red = ScriptedAgent({"v": (0, "c"), "m": (0, "r"), "c": (2, "a")})
+    coins = [derived_rng(0, "tie", i, 0).choice(("blue", "red")) for i in range(50)]
+    k = coins.index("red")
+    assert k > 0
+    with pytest.raises(ProtocolViolationError) as info:
+        list(batch_records(fig1, blue, red, GameState("v", F(1), F(1)), runs=50, master_seed=0))
+    assert (info.value.color, info.value.game_index) == ("red", k)
+    assert str(info.value) == f"red agent violated protocol in game {k}: bid 2 exceeds bankroll 1"
 
 
 def test_game_record_json_shape(star, star_costs):

@@ -271,6 +271,23 @@ def test_steepest_descent_closure(fig1, fig1_costs):
         steepest_descent_closure(fig1, fig1_costs, "nope")
 
 
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda g, costs: extremal_successors(g, costs, "sink"),
+        lambda g, costs: extremal_successors(g, costs, "v"),
+        lambda g, costs: steepest_descent_closure(g, costs, "v"),
+        lambda g, costs: descent_distances(g, costs),
+    ],
+    ids=["extremal_successors-sink", "extremal_successors-v", "steepest_descent_closure", "descent_distances"],
+)
+def test_descent_walks_reject_an_invalid_arena(data_dir, walk):
+    bad = parse_game_graph((data_dir / "bad.rg").read_text())
+    costs = {"b": F(0), "r": F(1), "v": F(1, 2), "sink": F(1, 2)}
+    with pytest.raises(ValueError, match="invalid graph: DEAD_END at 'sink'"):
+        walk(bad, costs)
+
+
 def test_descent_distances_fig1(fig1, fig1_costs):
     assert descent_distances(fig1, fig1_costs) == {
         "b": 0,
