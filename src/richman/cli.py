@@ -7,7 +7,8 @@ betting ladder).  Money is entered as exact rationals (``3/5`` or ``2``);
 decimals are rejected to keep the arithmetic exact.
 
 Exit codes: 0 ok, 1 internal solver error, 2 parse, 3 validation,
-4 not-converged, 6 usage.
+4 not-converged, 6 usage, 141 stdout closed early (128 + SIGPIPE, as
+when ``richman ... | head`` stops reading).
 Identical command lines produce byte-identical output.
 """
 
@@ -17,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_USAGE = 6
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -85,6 +88,18 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _iteration_limit(text: str) -> int:
+    """A nonnegative integer: a negative limit would run no sweep and be
+    reported as a failure to converge."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"iteration limit must be a nonnegative integer, got {text!r}")
+    return limit
+
+
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     """The one parser of the process: it holds no state between parses."""
@@ -97,7 +112,7 @@ def _build_parser() -> _ArgumentParser:
     mode.add_argument("--exact", action="store_true", help="exact rational costs (default)")
     mode.add_argument("--iterate", action="store_true", help="bracketing iteration instead")
     solve.add_argument("--tol", type=_tolerance, default=1e-9, help="gap tolerance for --iterate")
-    solve.add_argument("--max-iters", type=int, default=100_000)
+    solve.add_argument("--max-iters", type=_iteration_limit, default=100_000)
     _add_output_flag(solve)
 
     sim = sub.add_parser("simulate", help="run seeded bidding games")
@@ -313,4 +328,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point: ``main`` on the process arguments."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that left early shows up here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; aim it at devnull so that
+        # flush cannot fail with a second traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)

@@ -22,6 +22,14 @@ share one tree, so a batch of identical games plays one, and memory is
 bounded by the distinct steps the batch played: the games' records share
 the Step objects of their common prefix.  Any other pairing plays each
 game on a tree of its own, with generators seeded per game.
+
+The coin-flip variant has no money: each move's coin is the draw of
+``Random.choice(("blue", "red"))`` on the game's own derived generator,
+that is, the top two bits of the generator's next 32-bit word, with 2
+and 3 redrawn (0: Blue moves, 1: Red moves).  The engine reads those
+draws in bulk, many words at a time, and walks an integer move table
+built once per call, so the games are the same as one ``choice`` per
+move would give.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ class ProtocolViolationError(Exception):
 
 def derived_seed(*parts: object) -> int:
     """A 64-bit seed that is a pure function of the given parts."""
-    text = ":".join(str(p) for p in parts)
+    text = ":".join(map(str, parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -414,21 +422,48 @@ def _coin_moves(g: GameGraph, costs: CostTable, start: str) -> dict[str, tuple[s
     return {v: extremal_successors(g, costs, v) for v in g.moves}
 
 
-def _coin_walk(
-    moves: dict[str, tuple[str, str]], start: str, cap: int, rng: random.Random
-) -> Iterator[tuple[str, str, str]]:
-    """(position, mover, destination) per move of one coin-flip game, to a
-    terminal (a vertex without an entry in ``moves``) or the cap; each move
-    draws one coin from ``rng``."""
-    position = start
-    for _ in range(cap):
-        if position not in moves:
-            return
-        mover = rng.choice(("blue", "red"))
-        lo, hi = moves[position]
-        destination = lo if mover == "blue" else hi
-        yield position, mover, destination
-        position = destination
+def _coin_table(g: GameGraph, costs: CostTable, start: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """``_coin_moves`` in integers: the vertex of each index (the
+    non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
+    Red's n+1) and, per non-terminal, the indices of its (Blue, Red) move."""
+    moves = _coin_moves(g, costs, start)
+    names = [*moves, g.blue, g.red]
+    index = {v: i for i, v in enumerate(names)}
+    return names, [(index[lo], index[hi]) for lo, hi in moves.values()]
+
+
+# A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),
+# 128 and above redrawn (deleted).
+_COIN = bytes(b >> 6 & 1 for b in range(256))
+_REDRAWN = bytes(range(128, 256))
+_CHUNK_WORDS = 64
+
+
+def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Random) -> tuple[int, bytes]:
+    """One coin-flip game on the integer move table ``step`` from index
+    ``pos``, to a terminal (an index of at least ``len(step)``) or ``cap``
+    moves (none when ``cap`` is 0 or less).  Returns the index where it stopped and the coins it drew, 0 for
+    Blue and 1 for Red; its moves are those coins up to the stop, and any
+    after a terminal were drawn but not played.
+
+    Each coin is what ``rng.choice(("blue", "red"))`` would draw, read in
+    bulk: ``choice`` takes the top two bits of the next 32-bit word until
+    they are 0 or 1, and a wide ``getrandbits`` fills its words least
+    significant first, so each word's top byte is at offset 3 of its four
+    little-endian bytes."""
+    n = len(step)
+    drawn = []
+    left = cap
+    while pos < n and left > 0:
+        words = rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little")
+        coins = words[3::4].translate(_COIN, _REDRAWN)[:left]
+        for coin in coins:
+            pos = step[pos][coin]
+            if pos >= n:
+                break
+        drawn.append(coins)
+        left -= len(coins)
+    return pos, b"".join(drawn)
 
 
 def play_random_turn_game(
@@ -445,26 +480,31 @@ def play_random_turn_game(
     the bidding Step shape with all money fields zero; ``tie`` records the
     coin (True: Blue moved).
     """
-    moves = _coin_moves(g, costs, start)
+    names, step = _coin_table(g, costs, start)
     cap = 64 * len(g.vertices) if max_moves is None else max_moves
-    rng = derived_rng(seed, "randomturn", game_index)
-    steps = tuple(
-        Step(
-            index=i,
-            position=position,
-            blue_bid=ZERO,
-            red_bid=ZERO,
-            tie=mover == "blue",
-            winner=mover,
-            transfer=ZERO,
-            move_to=destination,
-            blue_after=ZERO,
-            red_after=ZERO,
+    pos = names.index(start)
+    _, coins = _coin_game(step, pos, cap, derived_rng(seed, "randomturn", game_index))
+    steps = []
+    for i, coin in enumerate(coins):
+        if pos >= len(step):
+            break
+        destination = step[pos][coin]
+        steps.append(
+            Step(
+                index=i,
+                position=names[pos],
+                blue_bid=ZERO,
+                red_bid=ZERO,
+                tie=coin == 0,
+                winner=("blue", "red")[coin],
+                transfer=ZERO,
+                move_to=names[destination],
+                blue_after=ZERO,
+                red_after=ZERO,
+            )
         )
-        for i, (position, mover, destination) in enumerate(_coin_walk(moves, start, cap, rng))
-    )
-    final = steps[-1].move_to if steps else start
-    return GameRecord(start, steps, _outcome(g, final), cap)
+        pos = destination
+    return GameRecord(start, tuple(steps), _outcome(g, names[pos]), cap)
 
 
 @dataclass(frozen=True)
@@ -500,21 +540,22 @@ def random_turn_stats(
     """n seeded coin-flip games; frequency is the red-win rate."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    moves = _coin_moves(g, costs, start)
+    names, step = _coin_table(g, costs, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
-    tallies = {BLUE_WINS: 0, RED_WINS: 0, UNRESOLVED: 0}
+    first = names.index(start)
+    ends = [0] * len(names)
+    rng = random.Random()
     for i in range(runs):
-        final = start
-        for _, _, final in _coin_walk(moves, start, cap, derived_rng(master_seed, "randomturn", i)):
-            pass
-        tallies[_outcome(g, final)] += 1
-    frequency = tallies[RED_WINS] / runs
+        rng.seed(derived_seed(master_seed, "randomturn", i))
+        ends[_coin_game(step, first, cap, rng)[0]] += 1
+    blue_wins, red_wins = ends[-2:]
+    frequency = red_wins / runs
     stderr = math.sqrt(frequency * (1 - frequency) / runs)
     return RandomTurnStats(
         runs=runs,
-        blue_wins=tallies[BLUE_WINS],
-        red_wins=tallies[RED_WINS],
-        unresolved=tallies[UNRESOLVED],
+        blue_wins=blue_wins,
+        red_wins=red_wins,
+        unresolved=runs - blue_wins - red_wins,
         frequency=frequency,
         stderr=stderr,
         master_seed=master_seed,

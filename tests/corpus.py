@@ -4,9 +4,9 @@ The oracles here are deliberately written against *different* math than the
 package: closed-form binomial sums for the series grid, the classic ruin
 quotient for birth-death walks, a by-hand 2x2 elimination for the
 two-vertex path, and exhaustive enumeration of successor policies with
-dense elimination for small arenas, and the bidding protocol played one
-game at a time from scratch.  Tests freeze their outputs and compare the
-package against them.
+dense elimination for small arenas, and the bidding protocol and the
+coin-flip game played one game at a time from scratch.  Tests freeze
+their outputs and compare the package against them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from richman import (
     Step,
     default_move_cap,
     derived_rng,
+    extremal_successors,
     iterate_above,
     play_random_turn_game,
     random_turn_move_cap,
@@ -374,6 +375,57 @@ def reference_game(
         position = decisions[winner].move_to
     outcome = {g.blue: "BlueWins", g.red: "RedWins"}.get(position, "Unresolved")
     return GameRecord(start.position, tuple(steps), outcome, cap)
+
+
+def reference_coin_game(
+    g: GameGraph,
+    costs: CostTable,
+    start: str,
+    max_moves: int | None = None,
+    seed: int = 0,
+    game_index: int = 0,
+) -> GameRecord:
+    """One coin-flip game played alone, one move at a time: a generator of
+    its own seeded from (seed, "randomturn", game_index), one
+    ``choice(("blue", "red"))`` per move, and the winner of the coin moves
+    to its ``extremal_successors`` pick (Blue the cheapest, Red the
+    dearest).  At most ``max_moves`` moves (none when it is 0 or less;
+    64 |V| when None)."""
+    cap = 64 * len(g.vertices) if max_moves is None else max_moves
+    rng = derived_rng(seed, "randomturn", game_index)
+    position = start
+    steps: list[Step] = []
+    while not g.is_terminal(position) and len(steps) < cap:
+        mover = rng.choice(("blue", "red"))
+        lo, hi = extremal_successors(g, costs, position)
+        move_to = lo if mover == "blue" else hi
+        zero = Fraction(0)
+        steps.append(Step(len(steps), position, zero, zero, mover == "blue", mover, zero, move_to, zero, zero))
+        position = move_to
+    outcome = {g.blue: "BlueWins", g.red: "RedWins"}.get(position, "Unresolved")
+    return GameRecord(start, tuple(steps), outcome, cap)
+
+
+def check_coin_games_equal_the_reference(
+    g: GameGraph, costs: CostTable, start: str, runs: int, seed: int, max_moves: int | None
+) -> list[GameRecord]:
+    """Games 0..runs-1 of ``play_random_turn_game`` equal
+    ``reference_coin_game`` record by record, and the tallies of
+    ``random_turn_stats`` equal the reference outcomes at the batch's cap.
+    Returns the reference records of the batch."""
+    for i in range(runs):
+        expected = reference_coin_game(g, costs, start, max_moves, seed, i)
+        assert play_random_turn_game(g, costs, start, max_moves, seed, i) == expected
+    cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
+    records = [reference_coin_game(g, costs, start, cap, seed, i) for i in range(runs)]
+    outcomes = [r.outcome for r in records]
+    stats = random_turn_stats(g, costs, start, runs, master_seed=seed, max_moves=max_moves)
+    assert (stats.blue_wins, stats.red_wins, stats.unresolved) == (
+        outcomes.count("BlueWins"),
+        outcomes.count("RedWins"),
+        outcomes.count("Unresolved"),
+    )
+    return records
 
 
 def check_money_conservation(record: GameRecord) -> None:

@@ -78,6 +78,14 @@ def test_solve_iterate_rejects_a_bad_tolerance(cli, data_dir, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("limit", ["-1", "-3", "x"])
+def test_solve_iterate_rejects_a_bad_iteration_limit(cli, data_dir, limit):
+    code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--max-iters", limit)
+    assert (code, out) == (6, "")
+    assert err.startswith("usage error: ")
+    assert "--max-iters" in err
+
+
 def test_solve_iterate_json(cli, data_dir):
     code, out, _ = cli(
         "solve", str(data_dir / "path.rg"), "--iterate", "--tol", "1e-6", "--output", "json"
@@ -119,8 +127,8 @@ def test_solve_not_converged(cli, data_dir):
     assert "no convergence after 5 iterations" in err
 
 
-def test_solve_negative_max_iters_stops_at_once(cli, data_dir):
-    code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--max-iters", "-1")
+def test_solve_zero_max_iters_stops_at_once(cli, data_dir):
+    code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--max-iters", "0")
     assert code == 4
     assert out == ""
     assert "no convergence after 0 iterations" in err
@@ -349,13 +357,19 @@ def declared_entry_point(name):
     raise LookupError(f"no [project.scripts] entry {name!r} in {PYPROJECT}")
 
 
-def run_fresh_interpreter(*args):
-    """``sys.executable *args`` importing the same source tree as this test
-    process, so the check needs no installed ``richman``."""
+def fresh_interpreter_env() -> dict[str, str]:
+    """The environment with this test process's source tree first on
+    ``PYTHONPATH``, so a child needs no installed ``richman``."""
     src = pathlib.Path(richman.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return env
+
+
+def run_fresh_interpreter(*args):
+    """``sys.executable *args`` importing the same source tree as this test
+    process."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_interpreter_env())
 
 
 def test_console_script_matches_in_process(data_dir):
@@ -396,6 +410,28 @@ def test_python_dash_m_matches_in_process(data_dir):
     assert script.returncode == 0
     assert script.stdout == FIG1_TABLE
     assert script.stderr == ""
+
+
+def test_a_reader_that_stops_early_gets_exit_141_and_no_traceback(data_dir):
+    """About 3 MB of traces, far more than a pipe holds, so the writer is
+    still writing when the reader closes its end after the first line."""
+    argv = ("simulate", str(data_dir / "fig1.rg"), "--start", "v", "--blue-money", "7/10",
+            "--red-money", "3/10", "--runs", "20000", "--trace")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "richman", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_interpreter_env(),
+    )
+    try:
+        assert child.stdout.readline() == b"game 0 start v\n"
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
 
 
 @pytest.mark.skipif(shutil.which("richman") is None, reason="richman console script not installed")

@@ -3,7 +3,8 @@ checks (the enumeration oracle on small arenas, the exact iteration
 bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from and its integer elimination agreeing
 with dense elimination, the text format's round trip, monotone
-iterates, coin-flip tallies equal to the recorded games, the arena
+iterates, coin-flip tallies equal to the recorded games and both equal
+to the same coin games played one at a time from scratch, the arena
 walks (the move table, the interior cycle test and order, steepest-descent
 closure and distances) against naive searches, every agent's decisions
 against a from-scratch reference, and seeded batches of bidding games
@@ -151,6 +152,17 @@ def test_random_turn_stats_match_the_recorded_games(g, seed):
     costs = solve_exact(g)
     for start in g.vertices:
         corpus.check_stats_match_recorded_games(g, costs, start, 20, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(arenas(1, 12), st.integers(0, 2**32))
+def test_coin_games_equal_the_reference_games(g, seed):
+    """From every start, at caps below one (no move), small, on both sides
+    of a full coin chunk (64 coins) and the defaults."""
+    costs = solve_exact(g)
+    for start in sorted(g.vertices):
+        for cap in (-1, 0, 1, 2, 5, 63, 64, 65, None):
+            corpus.check_coin_games_equal_the_reference(g, costs, start, 3, seed, cap)
 
 
 def interior_has_cycle_by_peeling(g: GameGraph) -> bool:
