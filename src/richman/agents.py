@@ -21,9 +21,16 @@ Agents included:
   a cheap-but-long branch and miss the bound.
 * ``SafetyRatioAgent`` ("safety") never reads the opponent's bankroll: it
   bids own_money * (cost(v) - cheapest successor cost) / cost(v), which
-  keeps own_share / cost(v) from ever decreasing.
+  keeps own_share / cost(v) from ever decreasing, and moves by
+  ``_descent_moves``.
 * ``UniformRandomBidAgent`` ("uniform-random-bid") is a seeded chaos monkey
   for tests.
+
+``_descent_moves`` is the one steepest-descent move rule: a cheapest
+successor on the player's own costs, ties to the fewest steepest-descent
+steps to its goal, then to the first name.  The safety agent and both
+players of the coin-flip game (``simulate``) move by it, and with it
+every coin-flip game ends.
 
 These strategies are functions of the vertex, so each agent plans every
 vertex once, when it is built: the optimal agent its losing play (cheapest
@@ -60,7 +67,6 @@ __all__ = [
     "UniformRandomBidAgent",
     "make_agent",
     "optimal_bid",
-    "random_turn_optimal_move",
     "safety_ratio",
 ]
 
@@ -162,14 +168,6 @@ def safety_ratio(
     return own_share / cost
 
 
-def random_turn_optimal_move(
-    costs: CostTable | Mapping[str, Fraction], g: GameGraph, v: str, mover: str
-) -> str:
-    """Coin-flip-game move: Blue to the cheapest successor, Red the dearest."""
-    lo, hi = extremal_successors(g, costs, v)
-    return lo if mover == "blue" else hi
-
-
 def _oriented(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
 ) -> tuple[str, Mapping[str, Fraction]]:
@@ -179,6 +177,35 @@ def _oriented(
     if _plays_red(color):
         return g.red, {v: ONE - costs[v] for v in g.vertices}
     return g.blue, costs
+
+
+def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> dict[str, str]:
+    """A player's move at every non-terminal, for the ``goal`` and
+    ``table`` of ``_oriented``: a cheapest successor, ties to the fewest
+    steepest-descent steps to the goal, then to the first name.  The
+    safety agent and the coin-flip game both move by it.
+
+    When a fair coin picks who moves and both players move by it, every
+    game ends with probability 1.  If not, the chain has a closed class C
+    of non-terminals.  Blue's move is a cheapest successor and Red's a
+    dearest, so each cost is the average of the costs of the two moves:
+    the cost is harmonic on C, and by the maximum principle it is one
+    constant c there.  So every successor of every vertex of C costs c.
+    If c < 1, every vertex of C has a finite steepest-descent distance to
+    the blue terminal (``steepest_descent_closure``), every successor is
+    a descent step, and Blue's move goes to a vertex of C one step
+    nearer; but a vertex of C nearest the blue terminal has no such
+    move.  If c = 1, the same holds for Red on 1 - cost.  The chance that
+    Red wins is then harmonic with the terminal values 0 and 1, so it is
+    the cost: the paper's random-turn theorem.
+    """
+    dist = distances_to([goal], _descent_edges(g, table))
+    far = len(g.vertices)  # no vertex is |V| steps away
+    moves = {}
+    for v, succ in g.moves.items():
+        floor = min(table[u] for u in succ)
+        moves[v] = min((u for u in succ if table[u] == floor), key=lambda u: (dist.get(u, far), u))
+    return moves
 
 
 def _no_play(g: GameGraph, v: str) -> NoReturn:
@@ -298,17 +325,11 @@ class SafetyRatioAgent(Agent):
     ):
         goal, table = _oriented(graph, costs, color)
         self._graph = graph
-        # Steepest-descent distance to the goal; no vertex is |V| away.
-        dist = distances_to([goal], _descent_edges(graph, table))
-        far = len(graph.vertices)
         # (rate, move) per non-terminal; the bid is own_money * rate.
         self._plan: dict[str, tuple[Fraction, str]] = {}
-        for v, succ in graph.moves.items():
-            floor = min(table[u] for u in succ)
+        for v, move in _descent_moves(graph, goal, table).items():
             cost = table[v]
-            rate = ZERO if cost == 0 else (cost - floor) / cost
-            move = min((u for u in succ if table[u] == floor), key=lambda u: (dist.get(u, far), u))
-            self._plan[v] = (rate, move)
+            self._plan[v] = (ZERO if cost == 0 else (cost - table[move]) / cost, move)
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         plan = self._plan.get(view.position)

@@ -26,10 +26,14 @@ game on a tree of its own, with generators seeded per game.
 The coin-flip variant has no money: each move's coin is the draw of
 ``Random.choice(("blue", "red"))`` on the game's own derived generator,
 that is, the top two bits of the generator's next 32-bit word, with 2
-and 3 redrawn (0: Blue moves, 1: Red moves).  The engine reads those
-draws in bulk, many words at a time, and walks an integer move table
-built once per call, so the games are the same as one ``choice`` per
-move would give.
+and 3 redrawn (0: Blue moves, 1: Red moves).  The coin's winner moves by
+``agents._descent_moves``, the safety agent's move rule: a cheapest
+successor on its own costs (Red reads 1 - cost), ties to the fewest
+steepest-descent steps to its goal, then to the first name.  With that
+rule every game ends with probability 1, and Red wins with probability
+cost(start).  The engine reads the coins in bulk, many words at a time,
+and walks an integer move table built once per call, so the games are
+the same as one ``choice`` per move would give.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .agents import Agent, BidDecision, GameState, PlayerView
+from .agents import Agent, BidDecision, GameState, PlayerView, _descent_moves, _oriented
 from .graphs import GameGraph
-from .solver import CostTable, _frac_json, _require_valid, extremal_successors
+from .solver import CostTable, _frac_json, _require_valid
 
 __all__ = [
     "BatchStats",
@@ -413,23 +417,18 @@ def run_batch(
     )
 
 
-def _coin_moves(g: GameGraph, costs: CostTable, start: str) -> dict[str, tuple[str, str]]:
-    """Check a coin-flip game's arguments and return its move table: the
-    (Blue, Red) move of every non-terminal, the same in every game."""
-    _require_valid(g)
+def _coin_table(g: GameGraph, costs: CostTable, start: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Check a coin-flip game's arguments and return its move table in
+    integers, the same in every game: the vertex of each index (the
+    non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
+    Red's n+1) and, per non-terminal, the indices of its (Blue, Red) move,
+    each player's ``_descent_moves``."""
+    blue, red = (_descent_moves(g, *_oriented(g, costs, color)) for color in ("blue", "red"))
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    return {v: extremal_successors(g, costs, v) for v in g.moves}
-
-
-def _coin_table(g: GameGraph, costs: CostTable, start: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """``_coin_moves`` in integers: the vertex of each index (the
-    non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
-    Red's n+1) and, per non-terminal, the indices of its (Blue, Red) move."""
-    moves = _coin_moves(g, costs, start)
-    names = [*moves, g.blue, g.red]
+    names = [*g.moves, g.blue, g.red]
     index = {v: i for i, v in enumerate(names)}
-    return names, [(index[lo], index[hi]) for lo, hi in moves.values()]
+    return names, [(index[blue[v]], index[red[v]]) for v in g.moves]
 
 
 # A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),
@@ -442,9 +441,10 @@ _CHUNK_WORDS = 64
 def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Random) -> tuple[int, bytes]:
     """One coin-flip game on the integer move table ``step`` from index
     ``pos``, to a terminal (an index of at least ``len(step)``) or ``cap``
-    moves (none when ``cap`` is 0 or less).  Returns the index where it stopped and the coins it drew, 0 for
-    Blue and 1 for Red; its moves are those coins up to the stop, and any
-    after a terminal were drawn but not played.
+    moves (none when ``cap`` is 0 or less).  Returns the index where it
+    stopped and the coins it drew, 0 for Blue and 1 for Red; its moves are
+    those coins up to the stop, and any after a terminal were drawn but
+    not played.
 
     Each coin is what ``rng.choice(("blue", "red"))`` would draw, read in
     bulk: ``choice`` takes the top two bits of the next 32-bit word until

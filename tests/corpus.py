@@ -31,7 +31,6 @@ from richman import (
     Step,
     default_move_cap,
     derived_rng,
-    extremal_successors,
     iterate_above,
     play_random_turn_game,
     random_turn_move_cap,
@@ -388,17 +387,27 @@ def reference_coin_game(
     """One coin-flip game played alone, one move at a time: a generator of
     its own seeded from (seed, "randomturn", game_index), one
     ``choice(("blue", "red"))`` per move, and the winner of the coin moves
-    to its ``extremal_successors`` pick (Blue the cheapest, Red the
-    dearest).  At most ``max_moves`` moves (none when it is 0 or less;
-    64 |V| when None)."""
+    on its own side of the arena (Red's mirror swaps the terminals and
+    reads 1 - cost) to a cheapest successor, ties to the fewest
+    steepest-descent steps to its own terminal, by a level-by-level search
+    (``naive_descent_distances``), then to the first name.  At most
+    ``max_moves`` moves (none when it is 0 or less; 64 |V| when None)."""
     cap = 64 * len(g.vertices) if max_moves is None else max_moves
+    mirror = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
+    sides = {
+        "blue": (g, {v: costs[v] for v in g.vertices}),
+        "red": (mirror, {v: 1 - costs[v] for v in g.vertices}),
+    }
+    dist = {color: naive_descent_distances(*side) for color, side in sides.items()}
     rng = derived_rng(seed, "randomturn", game_index)
     position = start
     steps: list[Step] = []
     while not g.is_terminal(position) and len(steps) < cap:
         mover = rng.choice(("blue", "red"))
-        lo, hi = extremal_successors(g, costs, position)
-        move_to = lo if mover == "blue" else hi
+        cost, steps_to_goal = sides[mover][1], dist[mover]
+        succ = sorted(g.successors(position))
+        floor = [u for u in succ if cost[u] == min(cost[w] for w in succ)]
+        move_to = min(floor, key=lambda u: (steps_to_goal[u] is None, steps_to_goal[u] or 0, u))
         zero = Fraction(0)
         steps.append(Step(len(steps), position, zero, zero, mover == "blue", mover, zero, move_to, zero, zero))
         position = move_to

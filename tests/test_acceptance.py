@@ -148,6 +148,9 @@ def random_turn_results(fig1, path_graph, star):
         ("star", star, "v", F(1, 2), corpus.ruin_red_probability(1, 2)),
         ("path", path_graph, "v1", F(1, 3), corpus.ruin_red_probability(1, 3)),
         ("fig1", fig1, "m", F(1, 2), F(1, 2)),
+        # At v both successors cost 1/2; both players move to m, not round
+        # the cycle v -> c -> a -> v, so every game ends.
+        ("fig1", fig1, "v", F(1, 2), F(1, 2)),
         ("series", series4, "s0_0", F(1, 2), corpus.pascal_red_win(0, 0, 4)),
     ]
     results = []

@@ -21,10 +21,11 @@ from richman import (
     optimal_bid,
     parse_game_graph,
     play_richman_game,
-    random_turn_optimal_move,
     safety_ratio,
     solve_exact,
 )
+
+from richman.agents import _descent_moves, _oriented
 
 import corpus
 
@@ -73,11 +74,19 @@ def test_safety_ratio_examples(fig1_costs):
     assert safety_ratio(fig1_costs, "m", F(1, 4), color="red") == F(1, 2)
 
 
-def test_random_turn_optimal_move(fig1, fig1_costs, path_graph, path_costs):
-    assert random_turn_optimal_move(fig1_costs, fig1, "m", "blue") == "b"
-    assert random_turn_optimal_move(fig1_costs, fig1, "m", "red") == "r"
-    assert random_turn_optimal_move(path_costs, path_graph, "v2", "blue") == "v1"
-    assert random_turn_optimal_move(path_costs, path_graph, "v2", "red") == "r"
+def descent_moves(g, costs, color):
+    return _descent_moves(g, *_oriented(g, costs, color))
+
+
+def test_descent_moves_examples(fig1, fig1_costs, path_graph, path_costs):
+    assert descent_moves(fig1, fig1_costs, "blue")["m"] == "b"
+    assert descent_moves(fig1, fig1_costs, "red")["m"] == "r"
+    assert descent_moves(path_graph, path_costs, "blue")["v2"] == "v1"
+    assert descent_moves(path_graph, path_costs, "red")["v2"] == "r"
+    # At v both successors cost 1/2; m is one step from either goal, and
+    # c only leads back to v (c -> a -> v), so both players move to m.
+    assert descent_moves(fig1, fig1_costs, "blue")["v"] == "m"
+    assert descent_moves(fig1, fig1_costs, "red")["v"] == "m"
 
 
 def test_full_knowledge_critical_bids(fig1, fig1_costs):

@@ -1,6 +1,7 @@
 """The richman command-line tool: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -260,6 +261,16 @@ def test_randomturn_table_from_terminal(cli, data_dir):
         "stderr 0.0\n"
         "exact 1 1.0\n"
     )
+
+
+def test_randomturn_ends_every_game_through_a_tie(cli, data_dir):
+    """Both successors of fig1's v cost 1/2; the coin game still ends."""
+    code, out, _ = cli("randomturn", str(data_dir / "fig1.rg"), "--start", "v", "--runs", "4000")
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    assert code == 0
+    assert fields["unresolved"] == "0"
+    assert fields["exact"] == "1/2 0.5"
+    assert abs(float(fields["frequency"]) - 0.5) <= 4 * math.sqrt(0.25 / 4000)
 
 
 def test_randomturn_json(cli, data_dir):

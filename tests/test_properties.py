@@ -4,7 +4,9 @@ bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from and its integer elimination agreeing
 with dense elimination, the text format's round trip, monotone
 iterates, coin-flip tallies equal to the recorded games and both equal
-to the same coin games played one at a time from scratch, the arena
+to the same coin games played one at a time from scratch, the coin
+game's move table ending every game with Red's chance of winning equal
+to the cost table and equal to the safety agent's moves, the arena
 walks (the move table, the interior cycle test and order, steepest-descent
 closure and distances) against naive searches, every agent's decisions
 against a from-scratch reference, and seeded batches of bidding games
@@ -23,6 +25,7 @@ from richman import (
     GameGraph,
     GameState,
     PlayerView,
+    SafetyRatioAgent,
     batch_records,
     descent_distances,
     extremal_successors,
@@ -39,6 +42,7 @@ from richman import (
     validate,
 )
 from richman.graphs import distances_to
+from richman.simulate import _coin_table
 from richman.solver import _iterates, _pick_policy, _solve_policy
 
 import corpus
@@ -163,6 +167,25 @@ def test_coin_games_equal_the_reference_games(g, seed):
     for start in sorted(g.vertices):
         for cap in (-1, 0, 1, 2, 5, 63, 64, 65, None):
             corpus.check_coin_games_equal_the_reference(g, costs, start, 3, seed, cap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arenas(1, 12))
+def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
+    """The paper's random-turn theorem as an exact check: on the coin
+    game's move table every vertex reaches a terminal, so every game ends,
+    and Red's chance to win is the cost table.  Each player's coin move is
+    the safety agent's move: one move rule."""
+    costs = solve_exact(g)
+    names, step = _coin_table(g, costs, g.blue)
+    table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
+    halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
+    assert set(halting) == set(g.vertices)
+    assert _solve_policy(g, table) == dict(costs.costs)
+    for column, color in enumerate(("blue", "red")):
+        agent = SafetyRatioAgent(g, costs, color)
+        for v, pair in table.items():
+            assert agent.decide(PlayerView(color, v, Fraction(1), None), None).move_to == pair[column]
 
 
 def interior_has_cycle_by_peeling(g: GameGraph) -> bool:

@@ -355,26 +355,38 @@ def test_random_turn_moves_follow_the_coin(fig1, fig1_costs):
     assert outcomes == {"BlueWins", "RedWins"}
 
 
-def test_coins_equal_choice_across_chunk_refills(fig1, fig1_costs):
-    """The engine reads coins in chunks of at most 64.  fig1 from v never
-    ends (both players pick c at v, and c -> a -> v), so a game plays as
-    many coins as its cap: 260 (at least five chunks) or, for every 20th
-    seed, 1 000 (at least 16).  Each coin must be the draw of one
-    ``choice`` per move on the game's generator."""
+def two_way_chain(n):
+    """v00 .. v<n-1> in a row, each joined both ways to its neighbours,
+    with Blue's terminal after v00 and Red's after the last: the costs
+    rise one step at a time, so the coin game is a fair walk."""
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = list(zip(names, names[1:])) + list(zip(names[1:], names)) + [(names[0], "b"), (names[-1], "r")]
+    return GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
+
+
+def test_coins_equal_choice_across_chunk_refills():
+    """The engine reads coins in chunks of at most 64.  A fair walk from
+    the middle of a 64-vertex two-way chain lasts about 1 000 moves, so
+    most games play as many coins as their cap: 260 (at least five
+    chunks) or, for every 20th seed, 1 000 (at least 16).  Each coin must
+    be the draw of one ``choice`` per move on the game's generator."""
+    g = two_way_chain(64)
+    costs = solve_exact(g)
+    full = {260: 0, 1000: 0}
     for i in range(1000):
         cap = 1000 if i % 20 == 0 else 260
-        record = play_random_turn_game(fig1, fig1_costs, "v", max_moves=cap, seed=7, game_index=i)
+        record = play_random_turn_game(g, costs, "v32", max_moves=cap, seed=7, game_index=i)
         rng = derived_rng(7, "randomturn", i)
-        assert [s.winner for s in record.steps] == [rng.choice(("blue", "red")) for _ in range(cap)]
+        assert [s.winner for s in record.steps] == [rng.choice(("blue", "red")) for _ in record.steps]
+        full[cap] += len(record.steps) == cap
+    assert full[260] >= 800 and full[1000] >= 15
 
 
 def test_coin_games_end_mid_chunk_after_refills():
     """A fair walk on a 16-vertex two-way chain from its middle lasts 72
     moves on average, so many games end at a terminal inside a later
     chunk."""
-    names = [f"v{i:02d}" for i in range(16)]
-    edges = list(zip(names, names[1:])) + list(zip(names[1:], names)) + [("v00", "b"), ("v15", "r")]
-    g = GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
+    g = two_way_chain(16)
     records = corpus.check_coin_games_equal_the_reference(g, solve_exact(g), "v08", 200, 2, 500)
     assert sum(len(r.steps) > 128 for r in records) > 20
 
