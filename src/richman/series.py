@@ -11,12 +11,13 @@ target_high if red does) and stake the successor gap on each game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .graphs import GameGraph
-from .solver import CostTable, _frac_json, solve_exact
+from .solver import SolverError, _frac_json, _integer_table, solve_exact
 
 __all__ = [
     "BankrollMismatchError",
@@ -117,21 +118,24 @@ def series_bet_plan(
 
     Rejects any bankroll other than the required initial holding — riding
     the ladder from the wrong starting amount is impossible, and the error
-    carries the required value.
+    carries the required value.  Holdings and stakes are integers over one
+    denominator, checked against the two-successor averaging identity
+    (stake up = stake down at every state, else SolverError), and each is
+    returned as one Fraction.
     """
     graph = build_series_graph(k)
-    costs: CostTable = solve_exact(graph)
-    spread = target_high - target_low
-    holding = {v: target_low + costs[v] * spread for v in graph.vertices}
-    required = holding[state_id(0, 0)]
-    if Fraction(bankroll) != required:
-        raise BankrollMismatchError(Fraction(bankroll), required)
-    spec = SeriesSpec(
-        wins_needed=k,
-        bankroll=Fraction(bankroll),
-        target_low=Fraction(target_low),
-        target_high=Fraction(target_high),
-    )
+    nums, den = _integer_table(graph, solve_exact(graph))
+    low, high = Fraction(target_low), Fraction(target_high)
+    scale = math.lcm(low.denominator, high.denominator)
+    low_num = low.numerator * (scale // low.denominator)
+    spread_num = high.numerator * (scale // high.denominator) - low_num
+    # holding(v) = low + cost(v) (high - low) = held[v] / unit
+    held = {v: low_num * den + n * spread_num for v, n in nums.items()}
+    unit = scale * den
+    start, given = held[state_id(0, 0)], Fraction(bankroll)
+    if given.numerator * unit != start * given.denominator:
+        raise BankrollMismatchError(given, Fraction(start, unit))
+    spec = SeriesSpec(wins_needed=k, bankroll=given, target_low=low, target_high=high)
 
     holdings: dict[tuple[int, int], Fraction] = {}
     stakes: dict[tuple[int, int], Fraction] = {}
@@ -139,9 +143,9 @@ def series_bet_plan(
         for j in range(k):
             here = state_id(i, j)
             blue_next, red_next = _successor_ids(k, i, j)
-            holdings[(i, j)] = holding[here]
-            up = holding[red_next] - holding[here]
-            down = holding[here] - holding[blue_next]
-            assert up == down  # two-successor averaging identity, exact
-            stakes[(i, j)] = up
+            up = held[red_next] - held[here]
+            if up != held[here] - held[blue_next]:
+                raise SolverError(f"the ladder breaks the averaging identity at {here}")
+            holdings[(i, j)] = Fraction(held[here], unit)
+            stakes[(i, j)] = Fraction(up, unit)
     return BetPlan(spec=spec, holdings=holdings, stakes=stakes)

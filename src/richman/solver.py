@@ -6,14 +6,21 @@ at every other vertex the average of the cheapest and the dearest successor
 cost.  On a finite arena that averaging identity has a unique solution with
 the terminal boundary values, and it is always rational.
 
-``solve_exact`` uses no floats.  When the non-terminals alone have no
-cycle it back-substitutes: each cost is (min + max) / 2 of costs already
-found.  Otherwise it runs policy rounds: a (cheapest, dearest) successor
-policy, first picked by distance to the terminals alone, has its linear
-system solved exactly, with integer rows eliminated fraction-free in
-minimum-degree order, and is re-picked from the exact values until the
+``solve_exact`` uses no floats, and no Fractions until it returns.  Its
+tables are integer numerators N(v) over one shared denominator D.  When
+the non-terminals alone have no cycle it back-substitutes over D = 2^E,
+with E the most non-terminals on a path to a terminal: each N(v) is
+(min + max) / 2 of numerators already found, a halving that stays exact
+because a vertex with at most d non-terminals on any path from it (itself
+included) has a cost that is a multiple of 2^-d.  Otherwise it runs policy rounds: a (cheapest,
+dearest) successor policy, first picked by distance to the terminals
+alone, has its linear system solved exactly, with integer rows eliminated
+fraction-free in minimum-degree order and back-substituted over one
+common denominator, and is re-picked from the exact numerators until the
 table passes the averaging identity.  Every route returns a table only
-once it passes that exact identity, which by uniqueness certifies it.
+once it passes that identity, checked in integers as 2 N(v) = min + max,
+which by uniqueness certifies it; the returned Fractions are built once,
+from (N, D).
 ``solve_iterative`` brackets the costs with monotone iterations from above
 and below in exact arithmetic.
 
@@ -50,9 +57,6 @@ __all__ = [
     "solve_iterative",
     "steepest_descent_closure",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 100_000
@@ -165,8 +169,10 @@ def _iterates(g: GameGraph, goal: str, fill: int) -> Iterator[tuple[dict[str, in
         nums = new
 
 
-def _table(g: GameGraph, nums: Mapping[str, int], e: int, kind: str, t: int) -> CostTable:
-    den = 1 << e
+def _table(
+    g: GameGraph, nums: Mapping[str, int], den: int, kind: str, t: int | None = None
+) -> CostTable:
+    """The table N(v) / den, one Fraction per vertex."""
     return CostTable({v: Fraction(nums[v], den) for v in g.vertices}, kind, t)
 
 
@@ -175,7 +181,7 @@ def _iterate(g: GameGraph, t_max: int, fill: int, kind: str) -> list[CostTable]:
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     iterates = islice(_iterates(g, g.blue, fill), t_max + 1)
-    return [_table(g, nums, e, kind, t) for t, (nums, e) in enumerate(iterates)]
+    return [_table(g, nums, 1 << e, kind, t) for t, (nums, e) in enumerate(iterates)]
 
 
 def iterate_above(g: GameGraph, t_max: int) -> list[CostTable]:
@@ -217,8 +223,8 @@ def solve_iterative(
         if not gap > tol or t >= max_iters:  # not `gap <= tol`: they differ on a NaN tol
             break
     result = ApproxSolve(
-        upper=_table(g, upper, e_up, "upper-iterate", t),
-        lower=_table(g, lower, e_low, "lower-iterate", t),
+        upper=_table(g, upper, 1 << e_up, "upper-iterate", t),
+        lower=_table(g, lower, 1 << e_low, "lower-iterate", t),
         iterations=t,
         gap=gap,
     )
@@ -227,33 +233,56 @@ def solve_iterative(
     return result
 
 
-def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
-    """True when the table is a genuine cost table for g.
+def _identity_holds(g: GameGraph, nums: Mapping[str, int], den: int) -> bool:
+    """True when N(v) / den is a genuine cost table for g.
 
     Checks the terminal boundary, the [0, 1] range, and the averaging
-    identity 2 cost(v) = min + max over successors, all exactly.
+    identity 2 N(v) = min + max over successors, all in integers.  A dead
+    end has no successors to average, so it fails.
     """
-    costs = table.costs
-    if costs.get(g.blue) != ZERO or costs.get(g.red) != ONE:
+    if nums.get(g.blue) != 0 or nums.get(g.red) != den:
         return False
     for v in g.vertices:
-        c = costs.get(v)
-        if c is None or c < ZERO or c > ONE:
+        n = nums.get(v)
+        if n is None or n < 0 or n > den:
             return False
     for v, succ in g.moves.items():
-        values = [costs[u] for u in succ]
-        if 2 * costs[v] != min(values) + max(values):
+        values = [nums[u] for u in succ]
+        if not values or 2 * nums[v] != min(values) + max(values):
             return False
     return True
 
 
+def _integer_table(g: GameGraph, table: CostTable) -> tuple[dict[str, int], int]:
+    """The table as integer numerators over the lcm of its denominators.
+    Every vertex of g must have an int or Fraction cost."""
+    den = math.lcm(*(table[v].denominator for v in g.vertices))
+    return {v: table[v].numerator * (den // table[v].denominator) for v in g.vertices}, den
+
+
+def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
+    """True when the table is a genuine cost table for g.
+
+    Checks the terminal boundary, the [0, 1] range, and the averaging
+    identity 2 cost(v) = min + max over successors, all exactly.  A table
+    missing a vertex, or with a value other than an int or a Fraction,
+    fails.
+    """
+    if not all(isinstance(table.get(v), (int, Fraction)) for v in g.vertices):
+        return False
+    return _identity_holds(g, *_integer_table(g, table))
+
+
 def _pick_policy(
     g: GameGraph,
-    x: Mapping[str, float | Fraction],
+    x: Mapping[str, int | float],
     to_blue: Mapping[str, int],
     to_red: Mapping[str, int],
 ) -> dict[str, tuple[str, str]]:
     """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
+
+    ``x`` holds comparable values, such as the integer numerators of a
+    table over one denominator.
 
     A tie goes to the successor nearest the choosing player's own terminal
     (Blue picks the cheapest, Red the dearest), so on the true costs, and
@@ -286,7 +315,9 @@ def _pick_policy(
     return policy
 
 
-def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[str, Fraction]:
+def _solve_policy(
+    g: GameGraph, policy: Mapping[str, tuple[str, str]]
+) -> tuple[dict[str, int], int]:
     """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
 
     Each non-terminal v has the integer row 2 x(v) - x(lo) - x(hi) =
@@ -295,8 +326,16 @@ def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[s
     r to pivot * r - r[v] * row(v), and then divides out the gcd of the
     new row once.  The next pivot is the remaining vertex of least degree
     (entries in its row plus rows naming it, ties by name), taken from a
-    lazy heap, which keeps fill-in low.  Back-substitution in reverse
-    elimination order gives the values as Fractions.
+    lazy heap, which keeps fill-in low.
+
+    Back-substitution in reverse elimination order keeps every value as an
+    integer numerator over one common denominator ``den``, and the result
+    is (nums, den): x(v) = nums[v] / den, with nums[blue] = 0 and
+    nums[red] = den.  Row v gives x(v) = t / (pivot den), with t = b den
+    minus the row's other entries times their numerators.  When the pivot
+    divides t, nums[v] = t / pivot; otherwise den and every numerator found
+    so far are multiplied by pivot / gcd(t, pivot), and nums[v] =
+    t / gcd(t, pivot).
 
     A policy that reaches a terminal from every vertex (``_pick_policy``
     sees to it) has a nonsingular M-matrix, so every pivot of every
@@ -356,49 +395,62 @@ def _solve_policy(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> dict[s
         for w in row:
             heapq.heappush(heap, (len(rows[w]) + len(naming[w]), w))
         eliminated.append((v, pivot, b, row))
-    x = {g.blue: ZERO, g.red: ONE}
+    nums = {g.blue: 0, g.red: 1}
+    den = 1
     for v, pivot, b, row in reversed(eliminated):
-        x[v] = Fraction(b - sum(c * x[w] for w, c in row.items()), pivot)
-    return x
+        t = b * den - sum(c * nums[w] for w, c in row.items())
+        divisor = math.gcd(t, pivot)
+        if divisor < pivot:
+            scale = pivot // divisor
+            den *= scale
+            for w in nums:
+                nums[w] *= scale
+        nums[v] = t // divisor
+    return nums, den
 
 
 def solve_exact(g: GameGraph) -> CostTable:
     """Exact cost table, certified by the averaging identity before return.
 
-    No floats are used.  With no cycle among the non-terminals, each cost is
-    (min + max) / 2 of costs already found, in DFS post-order.  Otherwise a
-    (cheapest, dearest) successor policy is picked by distance to the
-    terminals alone and its linear system is solved exactly; the table is
-    the answer once it satisfies the identity, whose solution is unique.
-    Until then the policy is re-picked from the exact values and solved
-    again.  Every picked policy reaches a terminal, so its system has one
-    solution; the re-picking is not proved to end, and a policy seen
-    before raises SolverError rather than looping.
+    No floats are used, and every table is integer numerators over one
+    denominator until the certified one is returned as Fractions.  With no
+    cycle among the non-terminals, each numerator over 2^E (E the interior's
+    depth) is (min + max) / 2 of numerators already found, in DFS
+    post-order.  Otherwise a (cheapest, dearest) successor policy is picked
+    by distance to the terminals alone and its linear system is solved
+    exactly; the table is the answer once it satisfies the identity, whose
+    solution is unique.  Until then the policy is re-picked from the exact
+    numerators and solved again.  Every picked policy reaches a terminal,
+    so its system has one solution; the re-picking is not proved to end,
+    and a policy seen before raises SolverError rather than looping.
     """
     _require_valid(g)
     if g.interior_order is not None:
-        costs = {g.blue: ZERO, g.red: ONE}
+        depth = {g.blue: 0, g.red: 0}  # most non-terminals on a path to a terminal
         for v in g.interior_order:
-            values = [costs[u] for u in g.moves[v]]
-            costs[v] = (min(values) + max(values)) / 2
-        table = CostTable(costs, "exact")
-        if not satisfies_exact_identity(g, table):
+            depth[v] = 1 + max(depth[u] for u in g.moves[v])
+        den = 1 << max(depth.values())
+        nums = {g.blue: 0, g.red: den}
+        for v in g.interior_order:
+            values = [nums[u] for u in g.moves[v]]
+            nums[v] = (min(values) + max(values)) >> 1
+        if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
-        return table
+        return _table(g, nums, den, "exact")
     edges = [(x, u) for x, succ in g.moves.items() for u in succ]
     to_blue = distances_to([g.blue], edges)
     to_red = distances_to([g.red], edges)
-    policy = _pick_policy(g, dict.fromkeys(g.vertices, ZERO), to_blue, to_red)
+    policy = _pick_policy(g, dict.fromkeys(g.vertices, 0), to_blue, to_red)
     tried: set[tuple[tuple[str, str], ...]] = set()
     while True:
         key = tuple(policy.values())
         if key in tried:
             raise SolverError("policy improvement revisited a policy")
         tried.add(key)
-        table = CostTable(_solve_policy(g, policy), "exact")
-        if satisfies_exact_identity(g, table):
-            return table
-        policy = _pick_policy(g, table.costs, to_blue, to_red)
+        nums, den = _solve_policy(g, policy)
+        if _identity_holds(g, nums, den):
+            return _table(g, nums, den, "exact")
+        policy = _pick_policy(g, nums, to_blue, to_red)
 
 
 def extremal_successors(

@@ -91,6 +91,12 @@ def pascal_red_win(i: int, j: int, k: int) -> Fraction:
     return Fraction(total, 2 ** (a + m - 1))
 
 
+def series_table_off_the_ladder(g: GameGraph) -> CostTable:
+    """The first-to-2 series table with s0_1 moved from 3/4 to 5/8: s0_0
+    keeps its 1/2, but its two stakes differ (1/8 up, 1/4 down)."""
+    return CostTable({**solve_exact(g).costs, "s0_1": Fraction(5, 8)}, "exact")
+
+
 def ruin_red_probability(position: int, n: int) -> Fraction:
     """Fair birth-death walk on 0..n absorbing at both ends; chance of
     hitting n (the red end) from ``position`` is position/n."""

@@ -122,7 +122,8 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     assert all({lo, hi} <= g.successors(v) for v, (lo, hi) in policy.items())
     halting = distances_to(["b", "r"], [(v, u) for v, pair in policy.items() for u in pair])
     assert set(g.non_terminals) <= halting.keys()
-    assert _solve_policy(g, policy) == corpus.solve_policy_dense(g, policy)
+    nums, den = _solve_policy(g, policy)
+    assert {v: Fraction(n, den) for v, n in nums.items()} == corpus.solve_policy_dense(g, policy)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -181,7 +182,8 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
     halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
     assert set(halting) == set(g.vertices)
-    assert _solve_policy(g, table) == dict(costs.costs)
+    nums, den = _solve_policy(g, table)
+    assert {v: Fraction(n, den) for v, n in nums.items()} == dict(costs.costs)
     for column, color in enumerate(("blue", "red")):
         agent = SafetyRatioAgent(g, costs, color)
         for v, pair in table.items():

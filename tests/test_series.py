@@ -8,6 +8,7 @@ import pytest
 from richman import (
     BankrollMismatchError,
     SeriesSpec,
+    SolverError,
     build_series_graph,
     default_move_cap,
     series_bet_plan,
@@ -16,6 +17,7 @@ from richman import (
     validate,
 )
 
+import richman.series
 import corpus
 
 F = Fraction
@@ -59,7 +61,7 @@ def test_series_graph_shape():
         build_series_graph(0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 32, 64])
 def test_costs_match_the_binomial_oracle(k):
     costs = solve_exact(build_series_graph(k))
     for i in range(k):
@@ -96,6 +98,25 @@ def test_stake_identity_at_every_state():
         down = "b" if i + 1 == 4 else (i + 1, j)
         assert holding(up) - holding((i, j)) == stake
         assert holding((i, j)) - holding(down) == stake
+
+
+def test_bet_plan_for_a_first_to_32_series_equals_the_binomial_sums():
+    k = 32
+    plan = series_bet_plan(k, F(1, 2))
+
+    def holding(i, j):
+        return corpus.pascal_red_win(i, j, k)
+
+    for (i, j), stake in plan.stakes.items():
+        assert plan.holdings[(i, j)] == holding(i, j)
+        assert stake == holding(i, j + 1) - holding(i, j) == holding(i, j) - holding(i + 1, j)
+    assert len(plan.stakes) == k * k
+
+
+def test_a_table_off_the_ladder_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(richman.series, "solve_exact", corpus.series_table_off_the_ladder)
+    with pytest.raises(SolverError, match="s0_0"):
+        series_bet_plan(2, F(1, 2))
 
 
 def test_wrong_bankroll_reports_the_required_value():

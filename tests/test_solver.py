@@ -170,6 +170,26 @@ def test_exact_identity_checks(star, star_costs):
     )
     # Missing vertex.
     assert not satisfies_exact_identity(star, CostTable({"b": F(0), "r": F(1)}, "exact"))
+    # A value that is neither an int nor a Fraction fails, even a float that
+    # would pass the identity.
+    assert not satisfies_exact_identity(star, CostTable({"b": F(0), "r": F(1), "v": 0.5}, "exact"))
+    assert not satisfies_exact_identity(
+        star, CostTable({"b": 0.0, "r": F(1), "v": F(1, 2)}, "exact")
+    )
+    # Int-valued terminals are accepted.
+    assert satisfies_exact_identity(star, CostTable({"b": 0, "r": 1, "v": F(1, 2)}, "exact"))
+    # Out of range but averaging: a closed cycle that never reaches a
+    # terminal (an invalid arena) leaves the identity without a unique
+    # solution, so only the range check rejects 2 there.
+    loop = richman.GameGraph.from_parts(["v", "w"], [("v", "b"), ("v", "r"), ("w", "w")], "b", "r")
+    assert not satisfies_exact_identity(
+        loop, CostTable({"b": 0, "r": 1, "v": F(1, 2), "w": 2}, "exact")
+    )
+    # A dead end (another invalid arena) has nothing to average.
+    dead_end = richman.GameGraph.from_parts(["v", "sink"], [("v", "b"), ("v", "sink")], "b", "r")
+    assert not satisfies_exact_identity(
+        dead_end, CostTable({"b": 0, "r": 1, "v": 0, "sink": 0}, "exact")
+    )
 
 
 def test_enumeration_agrees_with_rationalized_iteration(fig1, path_graph, star):
@@ -204,6 +224,44 @@ def test_solve_exact_ring21_matches_the_closed_form():
         assert table.kind == "exact"
         for i in range(n):
             assert table[f"v{i:02d}"] == F(2**i, 2**n - 1)
+
+
+def test_one_way_chain_of_256_equals_its_binary_fractions():
+    # v_i moves to v_(i+1) or to the terminal of bit t_i (red on odd i), and
+    # the last vertex to either terminal, so cost(v_i) is the binary fraction
+    # 0.t_i t_(i+1) ... t_254 1: v_0 needs all 256 halvings of the acyclic
+    # back-substitution, one per non-terminal on its path.
+    n = 256
+    bits = [i % 2 for i in range(n - 1)]
+    names = [f"v{i:03d}" for i in range(n)]
+    edges = list(zip(names, names[1:])) + [(names[-1], "b"), (names[-1], "r")]
+    edges += [(v, "r" if t else "b") for v, t in zip(names, bits)]
+    g = richman.GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
+    table = solve_exact(g)
+    for i, v in enumerate(names):
+        digits = "".join(map(str, bits[i:])) + "1"
+        assert table[v] == F(int(digits, 2), 2 ** len(digits))
+
+
+def test_back_substitution_rescales_the_values_found_so_far():
+    """Found with the ``arenas`` strategy of test_properties.  In the second
+    policy round v05 (2/3) and v00 (1/3) are found over 3; then
+    v04 = (v02 + v00) / 2 needs 6, so the denominator and both values found
+    so far are doubled."""
+    edges = [
+        ("v00", "b"), ("v00", "v05"), ("v01", "v00"), ("v02", "b"), ("v03", "v00"),
+        ("v04", "v00"), ("v04", "v02"), ("v05", "r"), ("v05", "v00"),
+    ]  # fmt: skip
+    g = richman.GameGraph.from_parts(["b", "r"], edges, "b", "r")
+    thirds = {"v00": F(1, 3), "v01": F(1, 3), "v03": F(1, 3), "v05": F(2, 3)}
+    assert dict(solve_exact(g).costs) == {"b": 0, "r": 1, "v02": 0, "v04": F(1, 6), **thirds}
+    policy = {
+        "v00": ("b", "v05"), "v01": ("v00", "v00"), "v02": ("b", "b"),
+        "v03": ("v00", "v00"), "v04": ("v02", "v00"), "v05": ("v00", "r"),
+    }  # fmt: skip
+    nums, den = richman.solver._solve_policy(g, policy)
+    assert den == 6
+    assert nums == {"b": 0, "r": 6, "v00": 2, "v01": 2, "v02": 0, "v03": 2, "v04": 1, "v05": 4}
 
 
 def test_solve_exact_repicks_the_policy_from_exact_values():
