@@ -38,20 +38,29 @@ successor and cost drop), the safety agent its bid rate and move, the
 random agent reads the arena's move table.  The optimal agent's ladder is
 integer: rung t is the upper iterate as numerators over one power of two
 (``solver._iterates``), grown on demand, and the play of each (horizon,
-vertex) is planned on first use.  ``decide`` then only looks the plan up;
-the winning test, the horizon search and the bid are integer
-cross-products of the bankrolls' numerators and denominators, and each
-bid builds one ``Fraction``.
+vertex) is planned on first use.
+
+Both strategies bid a share that scales with the money, so an agent bids
+in numerators: ``Agent._bid`` takes both bankrolls as integers over one
+denominator and returns the bid as a numerator and a scale (the bid is
+num / (den * scale)) with its move.  The winning test, the horizon search
+and the bid are integer cross-products, and the built-in agents' ``_bid``
+builds no ``Fraction``.  The game engine asks ``_bid``; each built-in
+``decide`` puts the view's bankrolls over one denominator, asks ``_bid``
+and builds one ``Fraction``.  The base class's ``_bid`` asks ``decide``,
+so an agent that defines only ``decide`` plays too, and so does a
+subclass of a built-in agent that overrides ``decide``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 from .graphs import GameGraph, distances_to
 from .solver import CostTable, SolverError, _descent_edges, _iterates, _require_valid, extremal_successors
@@ -135,9 +144,41 @@ class Agent(ABC):
     name = "agent"
     deterministic = False
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A class that overrides decide and not _bid is asked through its decide.
+        if "decide" in vars(cls) and "_bid" not in vars(cls):
+            cls._bid = Agent._bid
+
     @abstractmethod
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         raise NotImplementedError
+
+    def _bid(
+        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
+    ) -> tuple[int, int, str]:
+        """The decision of ``color`` at ``position`` with the bankrolls
+        own / den and opp / den (opp None when withheld), in numerators:
+        (num, scale, move) for the bid num / (den * scale).  This one asks
+        ``decide``; the built-in agents bid in integers."""
+        view = PlayerView(color, position, Fraction(own, den), None if opp is None else Fraction(opp, den))
+        decision = self.decide(view, rng)
+        bid = decision.bid
+        return bid.numerator * den, bid.denominator, decision.move_to
+
+
+def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random | None) -> BidDecision:
+    """A built-in agent's ``decide``: both bankrolls over one denominator,
+    then its class's ``_bid``, then one ``Fraction``."""
+    own, opp = view.own_money, view.opponent_money
+    if opp is None:
+        den, opp_num = own.denominator, None
+    else:
+        den = math.lcm(own.denominator, opp.denominator)
+        opp_num = opp.numerator * (den // opp.denominator)
+    own_num = own.numerator * (den // own.denominator)
+    num, scale, move = bid(agent, view.color, view.position, own_num, opp_num, den, rng)
+    return BidDecision(Fraction(num, den * scale), move)
 
 
 def optimal_bid(
@@ -280,30 +321,31 @@ class FullKnowledgeAgent(Agent):
         return t
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
-        if view.opponent_money is None:
-            raise ValueError("full-knowledge agent requires the opponent's bankroll")
-        v = view.position
-        critical = self._critical.get(v)
-        if critical is None:
-            _no_play(self._graph, v)
-        cost_num, cost_den, drop_num, drop_den, lo = critical
-        own, opp = view.own_money, view.opponent_money
-        # With own = a/b and opp = c/d: share = p/q and total = q/bd.
-        bd = own.denominator * opp.denominator
-        p = own.numerator * opp.denominator
-        q = p + opp.numerator * own.denominator
+        return _decision(FullKnowledgeAgent._bid, self, view, rng)
 
-        if q > 0 and p * cost_den > cost_num * q:
-            t = self._horizon(v, p, q)
-            plan = self._plans.get((t, v))
+    def _bid(
+        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
+    ) -> tuple[int, int, str]:
+        if opp is None:
+            raise ValueError("full-knowledge agent requires the opponent's bankroll")
+        critical = self._critical.get(position)
+        if critical is None:
+            _no_play(self._graph, position)
+        cost_num, cost_den, drop_num, drop_den, lo = critical
+        # share = own / total, total = (own + opp) / den
+        total = own + opp
+
+        if total > 0 and own * cost_den > cost_num * total:
+            t = self._horizon(position, own, total)
+            plan = self._plans.get((t, position))
             if plan is None:
-                plan = self._plans[t, v] = _rung_plan(self._ladder[t - 1], self._graph.moves[v])
+                plan = self._plans[t, position] = _rung_plan(self._ladder[t - 1], self._graph.moves[position])
             kappa, s, move = plan
             # Half the gap of rung t-1 plus half the slack share - rung t,
             # in total units and capped at own: min(own/2 + kappa total, own).
-            return BidDecision(Fraction(min((p << (s - 1)) + kappa * q, p << s), bd << s), move)
+            return min((own << (s - 1)) + kappa * total, own << s), 1 << s, move
 
-        return BidDecision(Fraction(min(drop_num * q, p * drop_den), bd * drop_den), lo)
+        return min(drop_num * total, own * drop_den), drop_den, lo
 
 
 class SafetyRatioAgent(Agent):
@@ -325,18 +367,25 @@ class SafetyRatioAgent(Agent):
     ):
         goal, table = _oriented(graph, costs, color)
         self._graph = graph
-        # (rate, move) per non-terminal; the bid is own_money * rate.
-        self._plan: dict[str, tuple[Fraction, str]] = {}
+        # (rate numerator, rate denominator, move) per non-terminal; the
+        # bid is own_money * rate.
+        self._plan: dict[str, tuple[int, int, str]] = {}
         for v, move in _descent_moves(graph, goal, table).items():
             cost = table[v]
-            self._plan[v] = (ZERO if cost == 0 else (cost - table[move]) / cost, move)
+            rate = ZERO if cost == 0 else (cost - table[move]) / cost
+            self._plan[v] = (rate.numerator, rate.denominator, move)
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
-        plan = self._plan.get(view.position)
+        return _decision(SafetyRatioAgent._bid, self, view, rng)
+
+    def _bid(
+        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
+    ) -> tuple[int, int, str]:
+        plan = self._plan.get(position)
         if plan is None:
-            _no_play(self._graph, view.position)
-        rate, move = plan
-        return BidDecision(view.own_money * rate, move)
+            _no_play(self._graph, position)
+        rate_num, rate_den, move = plan
+        return own * rate_num, rate_den, move
 
 
 class UniformRandomBidAgent(Agent):
@@ -352,11 +401,15 @@ class UniformRandomBidAgent(Agent):
         self._graph = graph
 
     def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
-        succ = self._graph.moves.get(view.position)
+        return _decision(UniformRandomBidAgent._bid, self, view, rng)
+
+    def _bid(
+        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random
+    ) -> tuple[int, int, str]:
+        succ = self._graph.moves.get(position)
         if succ is None:
-            _no_play(self._graph, view.position)
-        fraction = Fraction(rng.getrandbits(self.BITS), 2**self.BITS)
-        return BidDecision(view.own_money * fraction, rng.choice(succ))
+            _no_play(self._graph, position)
+        return own * rng.getrandbits(self.BITS), 1 << self.BITS, rng.choice(succ)
 
 
 AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")

@@ -86,26 +86,27 @@ def state_id(i: int, j: int) -> str:
     return f"s{i}_{j}"
 
 
-def _successor_ids(k: int, i: int, j: int) -> tuple[str, str]:
-    """(blue team wins the game, red team wins the game)."""
-    blue_next = BLUE_TERMINAL if i + 1 == k else state_id(i + 1, j)
-    red_next = RED_TERMINAL if j + 1 == k else state_id(i, j + 1)
-    return blue_next, red_next
+def _series_states(k: int) -> list[tuple[tuple[int, int], str, str, str]]:
+    """Each interior state (i, j) of a first-to-k series with its id and
+    the ids of its two successors (blue team wins the game, red team wins
+    the game); every id is built once."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    # ids[i][j] for i, j <= k: a k-th win is the winner's terminal.
+    ids = [[state_id(i, j) for j in range(k)] + [RED_TERMINAL] for i in range(k)] + [[BLUE_TERMINAL] * k]
+    return [((i, j), ids[i][j], ids[i + 1][j], ids[i][j + 1]) for i in range(k) for j in range(k)]
+
+
+def _series_graph(states: list[tuple[tuple[int, int], str, str, str]]) -> GameGraph:
+    edges = [(here, after) for _, here, *successors in states for after in successors]
+    vertices = {BLUE_TERMINAL, RED_TERMINAL} | {here for _, here, _, _ in states}
+    return GameGraph.from_parts(vertices, edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
 
 
 def build_series_graph(k: int) -> GameGraph:
     """Score grid for a first-to-k series; all decided states collapse to
     the two terminals."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            blue_next, red_next = _successor_ids(k, i, j)
-            edges.append((state_id(i, j), blue_next))
-            edges.append((state_id(i, j), red_next))
-    vertices = {BLUE_TERMINAL, RED_TERMINAL} | {state_id(i, j) for i in range(k) for j in range(k)}
-    return GameGraph.from_parts(vertices, edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
+    return _series_graph(_series_states(k))
 
 
 def series_bet_plan(
@@ -123,7 +124,8 @@ def series_bet_plan(
     (stake up = stake down at every state, else SolverError), and each is
     returned as one Fraction.
     """
-    graph = build_series_graph(k)
+    states = _series_states(k)
+    graph = _series_graph(states)
     nums, den = _integer_table(graph, solve_exact(graph))
     low, high = Fraction(target_low), Fraction(target_high)
     scale = math.lcm(low.denominator, high.denominator)
@@ -132,20 +134,17 @@ def series_bet_plan(
     # holding(v) = low + cost(v) (high - low) = held[v] / unit
     held = {v: low_num * den + n * spread_num for v, n in nums.items()}
     unit = scale * den
-    start, given = held[state_id(0, 0)], Fraction(bankroll)
+    start, given = held[states[0][1]], Fraction(bankroll)
     if given.numerator * unit != start * given.denominator:
         raise BankrollMismatchError(given, Fraction(start, unit))
     spec = SeriesSpec(wins_needed=k, bankroll=given, target_low=low, target_high=high)
 
     holdings: dict[tuple[int, int], Fraction] = {}
     stakes: dict[tuple[int, int], Fraction] = {}
-    for i in range(k):
-        for j in range(k):
-            here = state_id(i, j)
-            blue_next, red_next = _successor_ids(k, i, j)
-            up = held[red_next] - held[here]
-            if up != held[here] - held[blue_next]:
-                raise SolverError(f"the ladder breaks the averaging identity at {here}")
-            holdings[(i, j)] = Fraction(held[here], unit)
-            stakes[(i, j)] = Fraction(up, unit)
+    for state, here, blue_next, red_next in states:
+        up = held[red_next] - held[here]
+        if up != held[here] - held[blue_next]:
+            raise SolverError(f"the ladder breaks the averaging identity at {here}")
+        holdings[state] = Fraction(held[here], unit)
+        stakes[state] = Fraction(up, unit)
     return BetPlan(spec=spec, holdings=holdings, stakes=stakes)

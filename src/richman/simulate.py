@@ -9,8 +9,17 @@ Bids are sealed: both agents are queried before either bid is revealed,
 the higher bid wins, the winner pays its own bid to the loser and moves
 the token.  Exactly equal bids go to the tiebreak policy ("fair" draws a
 derived coin; "always-blue" / "always-red" are adversarial fixtures).
-Bids are checked against the bankrolls and compared as integer
-cross-products of their numerators and denominators.
+
+A game keeps its money as integers: both bankrolls are numerators over
+one denominator.  The engine asks each agent's ``Agent._bid`` for its bid
+as a numerator and a scale over that denominator, checks it against the
+bankroll and compares the two bids as integer cross-products.  The winner's
+payment multiplies the denominator by its scale, and one gcd of both
+numerators and the denominator keeps long games small.  A segment of play
+keeps its exchanges as integer tuples and builds their ``Step``s, the
+``Fraction``-valued public record, once, when a record is first asked
+for: ``run_batch`` tallies outcomes and move counts without them and
+builds a ``GameRecord`` only for ``on_record``.
 
 One engine plays every bidding game: it plays from a state until the game
 ends or a bid tie needs a coin, and keeps each such segment of steps in a
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .agents import Agent, BidDecision, GameState, PlayerView, _descent_moves, _oriented
+from .agents import Agent, GameState, _descent_moves, _oriented
 from .graphs import GameGraph
 from .solver import CostTable, _frac_json, _require_valid
 
@@ -206,25 +215,6 @@ def _resolve_tie(tiebreak: str, seed: int, game_index: int, step: int) -> str:
     raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
 
 
-def _check_decision(
-    succ: tuple[str, ...],
-    color: str,
-    decision: BidDecision,
-    bankroll: Fraction,
-    position: str,
-    game_index: int,
-) -> None:
-    bid = decision.bid
-    if bid.numerator < 0:
-        raise ProtocolViolationError(color, f"negative bid {bid}", game_index)
-    if bid.numerator * bankroll.denominator > bankroll.numerator * bid.denominator:
-        raise ProtocolViolationError(color, f"bid {bid} exceeds bankroll {bankroll}", game_index)
-    if decision.move_to not in succ:
-        raise ProtocolViolationError(
-            color, f"move to {decision.move_to!r} is not an edge out of {position!r}", game_index
-        )
-
-
 def _outcome(g: GameGraph, position: str) -> str:
     if position == g.blue:
         return BLUE_WINS
@@ -247,37 +237,80 @@ def _game_cap(g: GameGraph, start: GameState, tiebreak: str, max_moves: int | No
     return default_move_cap(g) if max_moves is None else max_moves
 
 
-# A bid tie waiting for its coin: step index, position, both decisions and
-# both bankrolls before the exchange.
-_Tie = tuple[int, str, BidDecision, BidDecision, Fraction, Fraction]
+# An agent's decision in integers: the bid num / (den * scale) and its move.
+_Decision = tuple[int, int, str]
 
 
-def _exchange(tie: _Tie, winner: str, coin: bool | None) -> Step:
-    """The step of exchange ``tie`` won by ``winner``: it pays its bid to
-    the other player and moves.  ``coin`` is the Step's ``tie`` field."""
-    index, position, blue_decision, red_decision, blue_money, red_money = tie
+def _violation(
+    color: str, decision: _Decision, own: int, den: int, succ: tuple[str, ...], position: str, game_index: int
+) -> None:
+    """Raise for the first protocol rule ``color``'s decision breaks with
+    the bankroll own / den, if any."""
+    num, scale, move = decision
+    if num < 0:
+        raise ProtocolViolationError(color, f"negative bid {Fraction(num, den * scale)}", game_index)
+    if num > own * scale:
+        bid, bankroll = Fraction(num, den * scale), Fraction(own, den)
+        raise ProtocolViolationError(color, f"bid {bid} exceeds bankroll {bankroll}", game_index)
+    if move not in succ:
+        raise ProtocolViolationError(color, f"move to {move!r} is not an edge out of {position!r}", game_index)
+
+
+# A bid tie waiting for its coin: step index, position, both decisions,
+# and both bankroll numerators and their denominator before the exchange.
+_Tie = tuple[int, str, _Decision, _Decision, int, int, int]
+
+# One exchange: the tie it settled, the Step's ``tie`` field, the winner,
+# its move, and both bankroll numerators and their denominator after it.
+_Exchange = tuple[_Tie, bool | None, str, str, int, int, int]
+
+
+def _exchange(tie: _Tie, winner: str, coin: bool | None) -> _Exchange:
+    """Exchange ``tie`` won by ``winner``: it pays its bid to the other
+    player and moves.  ``coin`` is the Step's ``tie`` field."""
+    _, _, (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move), blue, red, den = tie
+    # to_blue is what Blue receives over den * scale: the winner's bid, paid
+    # by Blue (negative) or to it.
     if winner == "blue":
-        transfer, move_to = blue_decision.bid, blue_decision.move_to
-        blue_money, red_money = blue_money - transfer, red_money + transfer
+        move, scale, to_blue = blue_move, blue_scale, -blue_num
     else:
-        transfer, move_to = red_decision.bid, red_decision.move_to
-        blue_money, red_money = blue_money + transfer, red_money - transfer
-    bids = blue_decision.bid, red_decision.bid
-    return Step(index, position, *bids, coin, winner, transfer, move_to, blue_money, red_money)
+        move, scale, to_blue = red_move, red_scale, red_num
+    blue, red, den = blue * scale + to_blue, red * scale - to_blue, den * scale
+    common = math.gcd(blue, red, den)  # keeps the integers of long games small
+    return tie, coin, winner, move, blue // common, red // common, den // common
+
+
+def _step(exchange: _Exchange) -> Step:
+    tie, coin, winner, move_to, blue_after, red_after, den_after = exchange
+    index, position, (blue_num, blue_scale, _), (red_num, red_scale, _), _, _, den = tie
+    blue_bid, red_bid = Fraction(blue_num, den * blue_scale), Fraction(red_num, den * red_scale)
+    transfer = blue_bid if winner == "blue" else red_bid
+    after = Fraction(blue_after, den_after), Fraction(red_after, den_after)
+    return Step(index, position, blue_bid, red_bid, coin, winner, transfer, move_to, *after)
 
 
 class _Segment:
-    """A node of a batch's play tree: ``steps`` run from a state until the
-    game ends (``tie`` None) or a bid tie needs a coin (``tie`` the tied
-    exchange); ``after`` maps each coin's winner to the next segment, which
-    starts with that exchange."""
+    """A node of a batch's play tree: ``exchanges`` run from a state until
+    the game ends at ``end`` (``tie`` None) or a bid tie needs a coin
+    (``tie`` the tied exchange); ``after`` maps each coin's winner to the
+    next segment, which starts with that exchange.  The segment's Steps
+    are built on first request and then shared by every record that
+    passes through it."""
 
-    __slots__ = ("steps", "tie", "after")
+    __slots__ = ("exchanges", "tie", "end", "after", "_steps")
 
-    def __init__(self, steps: tuple[Step, ...], tie: _Tie | None):
-        self.steps = steps
+    def __init__(self, exchanges: list[_Exchange], tie: _Tie | None, end: str):
+        self.exchanges = exchanges
         self.tie = tie
+        self.end = end
         self.after: dict[str, _Segment] = {}
+        self._steps: tuple[Step, ...] | None = None
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        if self._steps is None:
+            self._steps = tuple(map(_step, self.exchanges))
+        return self._steps
 
 
 def _segment(
@@ -287,33 +320,39 @@ def _segment(
     rngs: tuple[random.Random | None, random.Random | None],
     cap: int,
     game_index: int,
-    steps: list[Step],
+    exchanges: list[_Exchange],
     index: int,
     position: str,
-    blue_money: Fraction,
-    red_money: Fraction,
+    blue_money: int,
+    red_money: int,
+    den: int,
 ) -> _Segment:
-    """Play on from step ``index`` at ``position`` to a terminal, the cap or
-    a bid tie; ``steps`` are the segment's steps so far."""
+    """Play on from step ``index`` at ``position``, with the bankrolls
+    blue_money / den and red_money / den, to a terminal, the cap or a bid
+    tie; ``exchanges`` are the segment's exchanges so far."""
     blue_rng, red_rng = rngs
+    blue_bid, red_bid = blue._bid, red._bid
     moves = g.moves
     while index < cap and (succ := moves.get(position)) is not None:
-        blue_decision = blue.decide(PlayerView("blue", position, blue_money, red_money), blue_rng)
-        red_decision = red.decide(PlayerView("red", position, red_money, blue_money), red_rng)
-        _check_decision(succ, "blue", blue_decision, blue_money, position, game_index)
-        _check_decision(succ, "red", red_decision, red_money, position, game_index)
-        b, r = blue_decision.bid, red_decision.bid
-        lead = b.numerator * r.denominator - r.numerator * b.denominator
-        tie = (index, position, blue_decision, red_decision, blue_money, red_money)
+        blue_decision = blue_bid("blue", position, blue_money, red_money, den, blue_rng)
+        red_decision = red_bid("red", position, red_money, blue_money, den, red_rng)
+        (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
+        if not (0 <= blue_num <= blue_money * blue_scale and blue_move in succ):
+            _violation("blue", blue_decision, blue_money, den, succ, position, game_index)
+        if not (0 <= red_num <= red_money * red_scale and red_move in succ):
+            _violation("red", red_decision, red_money, den, succ, position, game_index)
+        lead = blue_num * red_scale - red_num * blue_scale
+        tie = (index, position, blue_decision, red_decision, blue_money, red_money, den)
         if lead == 0:
-            return _Segment(tuple(steps), tie)
-        step = _exchange(tie, "blue" if lead > 0 else "red", None)
-        steps.append(step)
-        index, position, blue_money, red_money = index + 1, step.move_to, step.blue_after, step.red_after
-    return _Segment(tuple(steps), None)
+            return _Segment(exchanges, tie, position)
+        exchange = _exchange(tie, "blue" if lead > 0 else "red", None)
+        exchanges.append(exchange)
+        _, _, _, position, blue_money, red_money, den = exchange
+        index += 1
+    return _Segment(exchanges, None, position)
 
 
-def _play(
+def _path(
     g: GameGraph,
     blue: Agent,
     red: Agent,
@@ -323,31 +362,38 @@ def _play(
     seed: int,
     game_index: int,
     tree: dict[str | None, _Segment],
-) -> GameRecord:
-    """Game ``game_index`` along the play tree ``tree`` (its root is the
-    entry None), growing the tree where the game leaves it."""
+) -> list[_Segment]:
+    """The segments game ``game_index`` plays along the play tree ``tree``
+    (its root is the entry None), growing the tree where the game leaves
+    it."""
     rngs = (
         None if blue.deterministic else derived_rng(seed, "agent", game_index, "blue"),
         None if red.deterministic else derived_rng(seed, "agent", game_index, "red"),
     )
-    steps: list[Step] = []
+    b, r = start.blue_money, start.red_money
+    den = math.lcm(b.denominator, r.denominator)
+    root = (0, start.position, b.numerator * den // b.denominator, r.numerator * den // r.denominator, den)
+    path = []
     after, winner, tie = tree, None, None
     while True:
         node = after.get(winner)
         if node is None:
             if tie is None:
-                first, state = [], (0, start.position, start.blue_money, start.red_money)
+                first, state = [], root
             else:
-                step = _exchange(tie, winner, winner == "blue")
-                first, state = [step], (step.index + 1, step.move_to, step.blue_after, step.red_after)
+                exchange = _exchange(tie, winner, winner == "blue")
+                first, state = [exchange], (tie[0] + 1, *exchange[3:])
             node = after[winner] = _segment(g, blue, red, rngs, cap, game_index, first, *state)
-        steps += node.steps
+        path.append(node)
         tie, after = node.tie, node.after
         if tie is None:
-            break
+            return path
         winner = _resolve_tie(tiebreak, seed, game_index, tie[0])
-    final = steps[-1].move_to if steps else start.position
-    return GameRecord(start.position, tuple(steps), _outcome(g, final), cap)
+
+
+def _record(g: GameGraph, start: GameState, cap: int, path: list[_Segment]) -> GameRecord:
+    steps = tuple(step for node in path for step in node.steps)
+    return GameRecord(start.position, steps, _outcome(g, path[-1].end), cap)
 
 
 def play_richman_game(
@@ -362,7 +408,26 @@ def play_richman_game(
 ) -> GameRecord:
     """Run one bidding game to a terminal or the move cap."""
     cap = _game_cap(g, start, tiebreak, max_moves)
-    return _play(g, blue, red, start, tiebreak, cap, seed, game_index, {})
+    return _record(g, start, cap, _path(g, blue, red, start, tiebreak, cap, seed, game_index, {}))
+
+
+def _paths(
+    g: GameGraph,
+    blue: Agent,
+    red: Agent,
+    start: GameState,
+    tiebreak: str,
+    cap: int,
+    runs: int,
+    master_seed: int,
+) -> Iterator[list[_Segment]]:
+    """Game i's path depends only on (master_seed, i).  Games of two
+    deterministic agents share one play tree; any other pair plays each
+    game on a tree of its own."""
+    shared = blue.deterministic and red.deterministic
+    tree: dict[str | None, _Segment] = {}
+    for i in range(runs):
+        yield _path(g, blue, red, start, tiebreak, cap, master_seed, i, tree if shared else {})
 
 
 def batch_records(
@@ -375,16 +440,12 @@ def batch_records(
     runs: int = 1,
     master_seed: int = 0,
 ) -> Iterator[GameRecord]:
-    """Game i of the batch depends only on (master_seed, i).  Games of two
-    deterministic agents share one play tree; any other pair plays each
-    game on a tree of its own."""
+    """The records of ``run_batch``'s games, in order."""
     if runs < 1:
         return
     cap = _game_cap(g, start, tiebreak, max_moves)
-    shared = blue.deterministic and red.deterministic
-    tree: dict[str | None, _Segment] = {}
-    for i in range(runs):
-        yield _play(g, blue, red, start, tiebreak, cap, master_seed, i, tree if shared else {})
+    for path in _paths(g, blue, red, start, tiebreak, cap, runs, master_seed):
+        yield _record(g, start, cap, path)
 
 
 def run_batch(
@@ -398,15 +459,17 @@ def run_batch(
     master_seed: int = 0,
     on_record: Callable[[GameRecord], None] | None = None,
 ) -> BatchStats:
+    """Tallies of ``runs`` seeded games; a game's record is built only
+    for ``on_record``."""
     tallies = {BLUE_WINS: 0, RED_WINS: 0, UNRESOLVED: 0}
     move_counts: list[int] = []
-    for record in batch_records(
-        g, blue, red, start, tiebreak=tiebreak, max_moves=max_moves, runs=runs, master_seed=master_seed
-    ):
-        tallies[record.outcome] += 1
-        move_counts.append(len(record.steps))
-        if on_record is not None:
-            on_record(record)
+    if runs >= 1:
+        cap = _game_cap(g, start, tiebreak, max_moves)
+        for path in _paths(g, blue, red, start, tiebreak, cap, runs, master_seed):
+            tallies[_outcome(g, path[-1].end)] += 1
+            move_counts.append(sum(len(node.exchanges) for node in path))
+            if on_record is not None:
+                on_record(_record(g, start, cap, path))
     return BatchStats(
         runs=runs,
         blue_wins=tallies[BLUE_WINS],

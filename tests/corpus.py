@@ -210,6 +210,15 @@ def ring_graph(n: int) -> GameGraph:
     return GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
 
 
+def two_way_chain(n):
+    """v00 .. v<n-1> in a row, each joined both ways to its neighbours,
+    with Blue's terminal after v00 and Red's after the last: the costs
+    rise one step at a time, so the coin game is a fair walk."""
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = list(zip(names, names[1:])) + list(zip(names[1:], names)) + [(names[0], "b"), (names[-1], "r")]
+    return GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
+
+
 def random_game_graph(seed: int, n_interior: int, acyclic: bool, max_out: int = 3) -> GameGraph:
     """Seeded random validated arena with exactly n_interior non-terminals."""
     rng = random.Random(seed)
@@ -441,6 +450,38 @@ def check_coin_games_equal_the_reference(
         outcomes.count("Unresolved"),
     )
     return records
+
+
+class SeventhsAgent(Agent):
+    """A third-party agent: it defines only ``decide``, so the engine asks
+    it through the base class.  It bids k/7 of its money, k uniform in
+    0..7, and moves to a uniform successor, drawing from ``rng``."""
+
+    name = "sevenths"
+
+    def __init__(self, graph: GameGraph):
+        self.graph = graph
+
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
+        if self.deterministic:
+            rng = random.Random(repr(view))
+        succ = sorted(self.graph.successors(view.position))
+        return BidDecision(view.own_money * rng.randint(0, 7) / 7, rng.choice(succ))
+
+
+class DeterministicSeventhsAgent(SeventhsAgent):
+    """``SeventhsAgent`` with its draws seeded by the view alone, so it may
+    declare ``deterministic`` and share play between the games of a batch."""
+
+    deterministic = True
+
+
+def tallies(records) -> tuple[int, int, int, tuple[int, ...]]:
+    """Blue wins, Red wins, unresolved games and move counts of a list of
+    game records, in ``BatchStats`` terms."""
+    outcomes = [r.outcome for r in records]
+    counts = tuple(len(r.steps) for r in records)
+    return outcomes.count("BlueWins"), outcomes.count("RedWins"), outcomes.count("Unresolved"), counts
 
 
 def check_money_conservation(record: GameRecord) -> None:

@@ -10,12 +10,15 @@ to the cost table and equal to the safety agent's moves, the arena
 walks (the move table, the interior cycle test and order, steepest-descent
 closure and distances) against naive searches, every agent's decisions
 against a from-scratch reference, and seeded batches of bidding games
-against the same games played one at a time from scratch."""
+(their records and their tallies, built-in agents and an agent that
+defines only ``decide``) against the same games played one at a time
+from scratch."""
 
 import random
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,7 @@ from richman import (
     make_agent,
     parse_game_graph,
     play_richman_game,
+    run_batch,
     satisfies_exact_identity,
     serialize_game_graph,
     solve_exact,
@@ -332,7 +336,61 @@ def test_batches_equal_the_reference_games(g, data, runs, money, max_moves, seed
         for red_name in AGENT_NAMES:
             red = make_agent(red_name, g, costs, "red")
             for tiebreak in TIEBREAKS:
-                args = (g, blue, red, start, tiebreak, max_moves)
-                batch = list(batch_records(*args, runs=runs, master_seed=seed))
-                assert batch == [corpus.reference_game(*args, seed=seed, game_index=i) for i in range(runs)]
-                assert batch == [play_richman_game(*args, seed=seed, game_index=i) for i in range(runs)]
+                check_batch_equals_the_reference((g, blue, red, start, tiebreak, max_moves), runs, seed)
+
+
+def check_batch_equals_the_reference(args: tuple, runs: int, seed: int) -> list:
+    """A batch's records equal the same games played alone by the
+    reference and by ``play_richman_game``; ``run_batch`` without
+    ``on_record`` gives the reference games' tallies and move counts, and
+    with it passes the batch's records.  Returns the records."""
+    reference = [corpus.reference_game(*args, seed=seed, game_index=i) for i in range(runs)]
+    batch = list(batch_records(*args, runs=runs, master_seed=seed))
+    assert batch == reference
+    assert batch == [play_richman_game(*args, seed=seed, game_index=i) for i in range(runs)]
+    stats = run_batch(*args, runs=runs, master_seed=seed)
+    assert (stats.blue_wins, stats.red_wins, stats.unresolved, stats.move_counts) == corpus.tallies(reference)
+    kept = []
+    assert run_batch(*args, runs=runs, master_seed=seed, on_record=kept.append) == stats
+    assert kept == batch
+    return batch
+
+
+@pytest.mark.parametrize("tiebreak", TIEBREAKS)
+def test_long_random_bid_games_equal_the_reference_games(tiebreak):
+    """Random bids on both sides of a 16-vertex two-way chain at the
+    default cap: games of up to ~100 moves, each exchange growing the
+    money's denominator by up to 2^32, equal the reference games."""
+    g = corpus.two_way_chain(16)
+    costs = solve_exact(g)
+    blue, red = (make_agent("uniform-random-bid", g, costs, color) for color in ("blue", "red"))
+    start = GameState("v08", Fraction(1, 3), Fraction(2, 3))
+    batch = check_batch_equals_the_reference((g, blue, red, start, tiebreak, None), 12, 1)
+    assert max(len(r.steps) for r in batch) > 60
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    arenas(1, 8),
+    st.data(),
+    st.integers(2, 5),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    st.sampled_from((None, 2, 12)),
+    st.integers(0, 2**32),
+)
+def test_third_party_agents_equal_the_reference_games(g, data, runs, money, max_moves, seed):
+    """An agent that defines only ``decide`` and bids sevenths of its
+    money, declared deterministic or not, against every built-in agent on
+    either side and under every tiebreak: the engine asks it through the
+    base class, and its games equal the reference games."""
+    costs = solve_exact(g)
+    position = data.draw(st.sampled_from(g.non_terminals))
+    start = GameState(position, Fraction(money[0], 3), Fraction(money[1], 3))
+    for third_party in (corpus.SeventhsAgent(g), corpus.DeterministicSeventhsAgent(g)):
+        for name in AGENT_NAMES:
+            for blue, red in (
+                (third_party, make_agent(name, g, costs, "red")),
+                (make_agent(name, g, costs, "blue"), third_party),
+            ):
+                for tiebreak in TIEBREAKS:
+                    check_batch_equals_the_reference((g, blue, red, start, tiebreak, max_moves), runs, seed)

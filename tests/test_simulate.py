@@ -16,7 +16,9 @@ from richman import (
     FullKnowledgeAgent,
     GameGraph,
     GameState,
+    PlayerView,
     ProtocolViolationError,
+    Step,
     batch_records,
     default_move_cap,
     derived_rng,
@@ -250,6 +252,36 @@ def test_undeclared_agents_are_asked_every_step_of_every_game(fig1, optimal_pair
         assert blue.calls == red.calls == sum(len(r.steps) for r in records)
 
 
+def test_a_batch_builds_steps_only_for_the_records_it_passes_on(monkeypatch):
+    """Random bids against the optimal agent share no play: an untraced
+    batch builds no Step and no PlayerView, and a traced one builds one
+    Step per move and still no PlayerView."""
+    g = build_series_graph(12)
+    costs = solve_exact(g)
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls)
+            init(self, *args, **kwargs)
+
+        return __init__
+
+    for cls in (Step, PlayerView):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    blue = make_agent("uniform-random-bid", g, costs, "blue")
+    red = make_agent("optimal", g, costs, "red")
+    args = (g, blue, red, GameState("s0_0", F(2, 5), F(3, 5)))
+    stats = run_batch(*args, runs=200, master_seed=6)
+    assert built == []
+    kept = []
+    assert run_batch(*args, runs=200, master_seed=6, on_record=kept.append) == stats
+    assert len(kept) == 200
+    assert built == [Step] * sum(stats.move_counts) and sum(stats.move_counts) > 200
+
+
 class CountingOptimal(FullKnowledgeAgent):
     calls = 0
 
@@ -355,22 +387,13 @@ def test_random_turn_moves_follow_the_coin(fig1, fig1_costs):
     assert outcomes == {"BlueWins", "RedWins"}
 
 
-def two_way_chain(n):
-    """v00 .. v<n-1> in a row, each joined both ways to its neighbours,
-    with Blue's terminal after v00 and Red's after the last: the costs
-    rise one step at a time, so the coin game is a fair walk."""
-    names = [f"v{i:02d}" for i in range(n)]
-    edges = list(zip(names, names[1:])) + list(zip(names[1:], names)) + [(names[0], "b"), (names[-1], "r")]
-    return GameGraph.from_parts(["b", "r"] + names, edges, "b", "r")
-
-
 def test_coins_equal_choice_across_chunk_refills():
     """The engine reads coins in chunks of at most 64.  A fair walk from
     the middle of a 64-vertex two-way chain lasts about 1 000 moves, so
     most games play as many coins as their cap: 260 (at least five
     chunks) or, for every 20th seed, 1 000 (at least 16).  Each coin must
     be the draw of one ``choice`` per move on the game's generator."""
-    g = two_way_chain(64)
+    g = corpus.two_way_chain(64)
     costs = solve_exact(g)
     full = {260: 0, 1000: 0}
     for i in range(1000):
@@ -386,7 +409,7 @@ def test_coin_games_end_mid_chunk_after_refills():
     """A fair walk on a 16-vertex two-way chain from its middle lasts 72
     moves on average, so many games end at a terminal inside a later
     chunk."""
-    g = two_way_chain(16)
+    g = corpus.two_way_chain(16)
     records = corpus.check_coin_games_equal_the_reference(g, solve_exact(g), "v08", 200, 2, 500)
     assert sum(len(r.steps) > 128 for r in records) > 20
 
