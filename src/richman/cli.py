@@ -151,7 +151,7 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
 def _load_graph(path: str) -> GameGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {err}")
     try:
         g = parse_game_graph(text)

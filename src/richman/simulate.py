@@ -3,7 +3,8 @@
 All randomness is derived, never ambient: every random draw comes from a
 ``random.Random`` seeded by a SHA-256 hash of (master seed, purpose, game
 index, ...), so a game is a pure function of its arguments and batches can
-run in any order without changing results.
+run in any order without changing results.  A batch builds its generators
+once and reseeds them for each game and each tie.
 
 Bids are sealed: both agents are queried before either bid is revealed,
 the higher bid wins, the winner pays its own bid to the loser and moves
@@ -21,16 +22,19 @@ keeps its exchanges as integer tuples and builds their ``Step``s, the
 for: ``run_batch`` tallies outcomes and move counts without them and
 builds a ``GameRecord`` only for ``on_record``.
 
-One engine plays every bidding game: it plays from a state until the game
-ends or a bid tie needs a coin, and keeps each such segment of steps in a
-play tree whose branches are keyed by the tie winners.  A game follows
-the tree from its root, drawing its own coin at each tie, and plays on
-only where it leaves the tree.  When both agents are ``deterministic``
-(their decisions are functions of the view alone) the games of a batch
-share one tree, so a batch of identical games plays one, and memory is
-bounded by the distinct steps the batch played: the games' records share
-the Step objects of their common prefix.  Any other pairing plays each
-game on a tree of its own, with generators seeded per game.
+One engine plays every bidding game, and a batch sets it up once: the
+checked arguments and move cap, the start bankrolls in integers, the
+generators and the play tree (``play_richman_game`` is a batch of the one
+game it plays).  The engine plays from a state until the game ends or a
+bid tie needs a coin, and keeps each such segment of steps in the play
+tree, whose branches are keyed by the tie winners.  A game follows the
+tree from its root, drawing its own coin at each tie, and plays on only
+where it leaves the tree.  When both agents are ``deterministic`` (their
+decisions are functions of the view alone) the games of a batch share one
+tree, so a batch of identical games plays one, and memory is bounded by
+the distinct steps the batch played: the games' records share the Step
+objects of their common prefix.  Any other pairing plays each game on a
+tree of its own, with the agents' generators reseeded per game.
 
 The coin-flip variant has no money: each move's coin is the draw of
 ``Random.choice(("blue", "red"))`` on the game's own derived generator,
@@ -50,9 +54,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .agents import Agent, GameState, _descent_moves, _oriented
 from .graphs import GameGraph
@@ -65,7 +69,6 @@ __all__ = [
     "RandomTurnStats",
     "Step",
     "TIEBREAKS",
-    "batch_records",
     "default_move_cap",
     "derived_rng",
     "derived_seed",
@@ -180,14 +183,10 @@ class BatchStats:
         return dict(sorted(out.items()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "blue_wins": self.blue_wins,
-            "red_wins": self.red_wins,
-            "unresolved": self.unresolved,
-            "move_histogram": {str(k): v for k, v in self.histogram().items()},
-            "master_seed": self.master_seed,
-        }
+        payload = asdict(self)
+        del payload["move_counts"]
+        payload["move_histogram"] = {str(k): v for k, v in self.histogram().items()}
+        return payload
 
 
 def _frac_text(q: Fraction) -> str:
@@ -205,36 +204,12 @@ def random_turn_move_cap(g: GameGraph, runs: int) -> int:
     return 10 * len(g.vertices) * max(1, math.ceil(math.log2(max(2, runs))))
 
 
-def _resolve_tie(tiebreak: str, seed: int, game_index: int, step: int) -> str:
-    if tiebreak == "always-blue":
-        return "blue"
-    if tiebreak == "always-red":
-        return "red"
-    if tiebreak == "fair":
-        return derived_rng(seed, "tie", game_index, step).choice(("blue", "red"))
-    raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
-
-
 def _outcome(g: GameGraph, position: str) -> str:
     if position == g.blue:
         return BLUE_WINS
     if position == g.red:
         return RED_WINS
     return UNRESOLVED
-
-
-def _game_cap(g: GameGraph, start: GameState, tiebreak: str, max_moves: int | None) -> int:
-    """Check a bidding game's arguments and return its move cap."""
-    _require_valid(g)
-    if start.position not in g.vertices:
-        raise ValueError(f"unknown start vertex {start.position!r}")
-    if g.is_terminal(start.position):
-        raise ValueError(f"start position {start.position!r} is terminal; nothing to bid for")
-    if start.blue_money < 0 or start.red_money < 0:
-        raise ValueError("bankrolls must be nonnegative")
-    if tiebreak not in TIEBREAKS:
-        raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
-    return default_move_cap(g) if max_moves is None else max_moves
 
 
 # An agent's decision in integers: the bid num / (den * scale) and its move.
@@ -313,87 +288,105 @@ class _Segment:
         return self._steps
 
 
-def _segment(
-    g: GameGraph,
-    blue: Agent,
-    red: Agent,
-    rngs: tuple[random.Random | None, random.Random | None],
-    cap: int,
-    game_index: int,
-    exchanges: list[_Exchange],
-    index: int,
-    position: str,
-    blue_money: int,
-    red_money: int,
-    den: int,
-) -> _Segment:
-    """Play on from step ``index`` at ``position``, with the bankrolls
-    blue_money / den and red_money / den, to a terminal, the cap or a bid
-    tie; ``exchanges`` are the segment's exchanges so far."""
-    blue_rng, red_rng = rngs
-    blue_bid, red_bid = blue._bid, red._bid
-    moves = g.moves
-    while index < cap and (succ := moves.get(position)) is not None:
-        blue_decision = blue_bid("blue", position, blue_money, red_money, den, blue_rng)
-        red_decision = red_bid("red", position, red_money, blue_money, den, red_rng)
-        (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
-        if not (0 <= blue_num <= blue_money * blue_scale and blue_move in succ):
-            _violation("blue", blue_decision, blue_money, den, succ, position, game_index)
-        if not (0 <= red_num <= red_money * red_scale and red_move in succ):
-            _violation("red", red_decision, red_money, den, succ, position, game_index)
-        lead = blue_num * red_scale - red_num * blue_scale
-        tie = (index, position, blue_decision, red_decision, blue_money, red_money, den)
-        if lead == 0:
-            return _Segment(exchanges, tie, position)
-        exchange = _exchange(tie, "blue" if lead > 0 else "red", None)
-        exchanges.append(exchange)
-        _, _, _, position, blue_money, red_money, den = exchange
-        index += 1
-    return _Segment(exchanges, None, position)
+class _Batch:
+    """A bidding batch's set-up, done once: the checked arguments and move
+    cap, the start bankrolls as integers over one denominator, one
+    generator per random role (each agent's, None for a ``deterministic``
+    agent, and the tie coin's), reseeded for each game and each tie, and
+    the play tree, its root the entry None.  Games of two deterministic
+    agents share the tree; any other pair plays each game on a tree of
+    its own."""
 
+    def __init__(
+        self, g: GameGraph, blue: Agent, red: Agent, start: GameState, tiebreak: str, max_moves: int | None, seed: int
+    ):
+        _require_valid(g)
+        if start.position not in g.vertices:
+            raise ValueError(f"unknown start vertex {start.position!r}")
+        if g.is_terminal(start.position):
+            raise ValueError(f"start position {start.position!r} is terminal; nothing to bid for")
+        b, r = start.blue_money, start.red_money
+        if not (isinstance(b, (int, Fraction)) and isinstance(r, (int, Fraction))):
+            raise ValueError(f"bankrolls must be ints or Fractions, got {b!r} and {r!r}")
+        if b < 0 or r < 0:
+            raise ValueError("bankrolls must be nonnegative")
+        if tiebreak not in TIEBREAKS:
+            raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
+        self.g, self.blue, self.red, self.start, self.seed = g, blue, red, start, seed
+        self.cap = default_move_cap(g) if max_moves is None else max_moves
+        den = math.lcm(b.denominator, r.denominator)
+        self.root = (0, start.position, b.numerator * den // b.denominator, r.numerator * den // r.denominator, den)
+        self.rngs = tuple(None if agent.deterministic else random.Random() for agent in (blue, red))
+        # The tie winner, or None when a fair coin decides.
+        self.tie_winner = {"always-blue": "blue", "always-red": "red"}.get(tiebreak)
+        self.coin = random.Random()
+        self.tree: dict[str | None, _Segment] | None = {} if blue.deterministic and red.deterministic else None
 
-def _path(
-    g: GameGraph,
-    blue: Agent,
-    red: Agent,
-    start: GameState,
-    tiebreak: str,
-    cap: int,
-    seed: int,
-    game_index: int,
-    tree: dict[str | None, _Segment],
-) -> list[_Segment]:
-    """The segments game ``game_index`` plays along the play tree ``tree``
-    (its root is the entry None), growing the tree where the game leaves
-    it."""
-    rngs = (
-        None if blue.deterministic else derived_rng(seed, "agent", game_index, "blue"),
-        None if red.deterministic else derived_rng(seed, "agent", game_index, "red"),
-    )
-    b, r = start.blue_money, start.red_money
-    den = math.lcm(b.denominator, r.denominator)
-    root = (0, start.position, b.numerator * den // b.denominator, r.numerator * den // r.denominator, den)
-    path = []
-    after, winner, tie = tree, None, None
-    while True:
-        node = after.get(winner)
-        if node is None:
+    def segment(
+        self,
+        game_index: int,
+        exchanges: list[_Exchange],
+        index: int,
+        position: str,
+        blue_money: int,
+        red_money: int,
+        den: int,
+    ) -> _Segment:
+        """Play game ``game_index`` on from step ``index`` at ``position``,
+        with the bankrolls blue_money / den and red_money / den, to a
+        terminal, the cap or a bid tie; ``exchanges`` are the segment's
+        exchanges so far."""
+        blue_rng, red_rng = self.rngs
+        blue_bid, red_bid = self.blue._bid, self.red._bid
+        moves, cap = self.g.moves, self.cap
+        while index < cap and (succ := moves.get(position)) is not None:
+            blue_decision = blue_bid("blue", position, blue_money, red_money, den, blue_rng)
+            red_decision = red_bid("red", position, red_money, blue_money, den, red_rng)
+            (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
+            if not (0 <= blue_num <= blue_money * blue_scale and blue_move in succ):
+                _violation("blue", blue_decision, blue_money, den, succ, position, game_index)
+            if not (0 <= red_num <= red_money * red_scale and red_move in succ):
+                _violation("red", red_decision, red_money, den, succ, position, game_index)
+            lead = blue_num * red_scale - red_num * blue_scale
+            tie = (index, position, blue_decision, red_decision, blue_money, red_money, den)
+            if lead == 0:
+                return _Segment(exchanges, tie, position)
+            exchange = _exchange(tie, "blue" if lead > 0 else "red", None)
+            exchanges.append(exchange)
+            _, _, _, position, blue_money, red_money, den = exchange
+            index += 1
+        return _Segment(exchanges, None, position)
+
+    def path(self, game_index: int) -> list[_Segment]:
+        """The segments game ``game_index`` plays along the play tree,
+        growing the tree where the game leaves it.  Its draws depend only
+        on (seed, game_index)."""
+        for rng, color in zip(self.rngs, ("blue", "red")):
+            if rng is not None:
+                rng.seed(derived_seed(self.seed, "agent", game_index, color))
+        path = []
+        after, winner, tie = {} if self.tree is None else self.tree, None, None
+        while True:
+            node = after.get(winner)
+            if node is None:
+                if tie is None:
+                    first, state = [], self.root
+                else:
+                    exchange = _exchange(tie, winner, winner == "blue")
+                    first, state = [exchange], (tie[0] + 1, *exchange[3:])
+                node = after[winner] = self.segment(game_index, first, *state)
+            path.append(node)
+            tie, after = node.tie, node.after
             if tie is None:
-                first, state = [], root
-            else:
-                exchange = _exchange(tie, winner, winner == "blue")
-                first, state = [exchange], (tie[0] + 1, *exchange[3:])
-            node = after[winner] = _segment(g, blue, red, rngs, cap, game_index, first, *state)
-        path.append(node)
-        tie, after = node.tie, node.after
-        if tie is None:
-            return path
-        winner = _resolve_tie(tiebreak, seed, game_index, tie[0])
+                return path
+            winner = self.tie_winner
+            if winner is None:
+                self.coin.seed(derived_seed(self.seed, "tie", game_index, tie[0]))
+                winner = self.coin.choice(("blue", "red"))
 
-
-def _record(g: GameGraph, start: GameState, cap: int, path: list[_Segment]) -> GameRecord:
-    steps = tuple(step for node in path for step in node.steps)
-    return GameRecord(start.position, steps, _outcome(g, path[-1].end), cap)
+    def record(self, path: list[_Segment]) -> GameRecord:
+        steps = tuple(step for node in path for step in node.steps)
+        return GameRecord(self.start.position, steps, _outcome(self.g, path[-1].end), self.cap)
 
 
 def play_richman_game(
@@ -407,45 +400,8 @@ def play_richman_game(
     game_index: int = 0,
 ) -> GameRecord:
     """Run one bidding game to a terminal or the move cap."""
-    cap = _game_cap(g, start, tiebreak, max_moves)
-    return _record(g, start, cap, _path(g, blue, red, start, tiebreak, cap, seed, game_index, {}))
-
-
-def _paths(
-    g: GameGraph,
-    blue: Agent,
-    red: Agent,
-    start: GameState,
-    tiebreak: str,
-    cap: int,
-    runs: int,
-    master_seed: int,
-) -> Iterator[list[_Segment]]:
-    """Game i's path depends only on (master_seed, i).  Games of two
-    deterministic agents share one play tree; any other pair plays each
-    game on a tree of its own."""
-    shared = blue.deterministic and red.deterministic
-    tree: dict[str | None, _Segment] = {}
-    for i in range(runs):
-        yield _path(g, blue, red, start, tiebreak, cap, master_seed, i, tree if shared else {})
-
-
-def batch_records(
-    g: GameGraph,
-    blue: Agent,
-    red: Agent,
-    start: GameState,
-    tiebreak: str = "fair",
-    max_moves: int | None = None,
-    runs: int = 1,
-    master_seed: int = 0,
-) -> Iterator[GameRecord]:
-    """The records of ``run_batch``'s games, in order."""
-    if runs < 1:
-        return
-    cap = _game_cap(g, start, tiebreak, max_moves)
-    for path in _paths(g, blue, red, start, tiebreak, cap, runs, master_seed):
-        yield _record(g, start, cap, path)
+    batch = _Batch(g, blue, red, start, tiebreak, max_moves, seed)
+    return batch.record(batch.path(game_index))
 
 
 def run_batch(
@@ -459,17 +415,18 @@ def run_batch(
     master_seed: int = 0,
     on_record: Callable[[GameRecord], None] | None = None,
 ) -> BatchStats:
-    """Tallies of ``runs`` seeded games; a game's record is built only
-    for ``on_record``."""
+    """Tallies of ``runs`` seeded games, game i a pure function of
+    (master_seed, i); a game's record is built only for ``on_record``."""
     tallies = {BLUE_WINS: 0, RED_WINS: 0, UNRESOLVED: 0}
     move_counts: list[int] = []
     if runs >= 1:
-        cap = _game_cap(g, start, tiebreak, max_moves)
-        for path in _paths(g, blue, red, start, tiebreak, cap, runs, master_seed):
+        batch = _Batch(g, blue, red, start, tiebreak, max_moves, master_seed)
+        for i in range(runs):
+            path = batch.path(i)
             tallies[_outcome(g, path[-1].end)] += 1
             move_counts.append(sum(len(node.exchanges) for node in path))
             if on_record is not None:
-                on_record(_record(g, start, cap, path))
+                on_record(batch.record(path))
     return BatchStats(
         runs=runs,
         blue_wins=tallies[BLUE_WINS],
@@ -581,15 +538,7 @@ class RandomTurnStats:
     master_seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "blue_wins": self.blue_wins,
-            "red_wins": self.red_wins,
-            "unresolved": self.unresolved,
-            "frequency": self.frequency,
-            "stderr": self.stderr,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 def random_turn_stats(

@@ -35,6 +35,7 @@ from richman import (
     play_random_turn_game,
     random_turn_move_cap,
     random_turn_stats,
+    run_batch,
     safety_ratio,
     solve_exact,
     validate,
@@ -474,6 +475,14 @@ class DeterministicSeventhsAgent(SeventhsAgent):
     declare ``deterministic`` and share play between the games of a batch."""
 
     deterministic = True
+
+
+def kept_records(*args, **kwargs) -> list[GameRecord]:
+    """The records ``run_batch(*args, **kwargs)`` passes to ``on_record``,
+    in order."""
+    kept: list[GameRecord] = []
+    run_batch(*args, **kwargs, on_record=kept.append)
+    return kept
 
 
 def tallies(records) -> tuple[int, int, int, tuple[int, ...]]:

@@ -105,6 +105,15 @@ def test_solve_missing_file(cli, tmp_path):
     assert "cannot read" in err
 
 
+def test_solve_file_that_is_not_utf8(cli, data_dir, tmp_path):
+    latin1 = tmp_path / "g.rg"
+    latin1.write_bytes("# café\n".encode("latin-1") + (data_dir / "fig1.rg").read_bytes())
+    code, out, err = cli("solve", str(latin1))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {latin1}: ")
+    assert "utf-8" in err
+
+
 def test_solve_unparsable_file(cli, tmp_path):
     bogus = tmp_path / "g.rg"
     bogus.write_text("blue b\nred r\nwormhole v b\n")

@@ -19,7 +19,6 @@ from richman import (
     PlayerView,
     ProtocolViolationError,
     Step,
-    batch_records,
     default_move_cap,
     derived_rng,
     derived_seed,
@@ -117,6 +116,17 @@ def test_start_validation(fig1, fig1_costs, data_dir):
         play_richman_game(bad, blue, red, GameState("v", F(1), F(1)))
 
 
+def test_a_bankroll_that_is_neither_int_nor_fraction_is_rejected_up_front(fig1, optimal_pair):
+    blue, red = optimal_pair
+    for start in (GameState("v", 0.5, 0.5), GameState("v", F(1, 2), 0.5), GameState("v", 1.0, F(0))):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            play_richman_game(fig1, blue, red, start)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            run_batch(fig1, blue, red, start, runs=3)
+        assert run_batch(fig1, blue, red, start, runs=0).runs == 0
+    assert play_richman_game(fig1, blue, red, GameState("v", 1, F(1, 3))).outcome == "BlueWins"
+
+
 def test_protocol_violations_are_attributed(fig1, fig1_costs):
     honest = make_agent("optimal", fig1, fig1_costs, "blue")
     state = GameState("v", F(1, 2), F(1, 2))
@@ -207,9 +217,6 @@ def test_batch_is_reproducible_and_additive(fig1, fig1_costs):
     # Game i is a pure function of (master_seed, i): replay one alone.
     solo = play_richman_game(fig1, blue, red, state, seed=6, game_index=10)
     assert solo == first[10]
-    # Records generate lazily in order.
-    lazy = list(batch_records(fig1, blue, red, state, runs=3, master_seed=6))
-    assert lazy == first[:3]
 
 
 def test_empty_batch(fig1, optimal_pair):
@@ -247,7 +254,7 @@ def test_undeclared_agents_are_asked_every_step_of_every_game(fig1, optimal_pair
     blue, red = (CountingAgent(agent) for agent in optimal_pair)
     for state, distinct in ((GameState("m", F(1), F(0)), 1), (GameState("v", F(1, 2), F(1, 2)), 20)):
         blue.calls = red.calls = 0
-        records = list(batch_records(fig1, blue, red, state, runs=20, master_seed=4))
+        records = corpus.kept_records(fig1, blue, red, state, runs=20, master_seed=4)
         assert len(set(records)) == distinct
         assert blue.calls == red.calls == sum(len(r.steps) for r in records)
 
@@ -296,16 +303,16 @@ def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
     costs = solve_exact(g)
     blue, red = CountingOptimal(g, costs, "blue"), CountingOptimal(g, costs, "red")
     seeds = []
-    real = richman.simulate.derived_rng
-    monkeypatch.setattr(richman.simulate, "derived_rng", lambda *parts: seeds.append(parts) or real(*parts))
+    real = richman.simulate.derived_seed
+    monkeypatch.setattr(richman.simulate, "derived_seed", lambda *parts: seeds.append(parts) or real(*parts))
     share = costs["v00"] / 2
-    records = list(batch_records(g, blue, red, GameState("v00", share, 1 - share), runs=200, master_seed=3))
+    records = corpus.kept_records(g, blue, red, GameState("v00", share, 1 - share), runs=200, master_seed=3)
     (game,) = set(records)
     assert len(game.steps) == 12 and game.outcome == "RedWins"
     assert all(s.tie is None for s in game.steps)
     assert all(r.steps[i] is game.steps[i] for r in records for i in range(12))
     assert blue.calls == red.calls == 12
-    assert seeds == []
+    assert seeds == []  # no "agent" seed, and no tie to draw a coin for
 
 
 class ScriptedAgent(Agent):
@@ -332,7 +339,7 @@ def test_a_violation_on_a_shared_branch_names_the_game_that_reached_it(fig1):
     k = coins.index("red")
     assert k > 0
     with pytest.raises(ProtocolViolationError) as info:
-        list(batch_records(fig1, blue, red, GameState("v", F(1), F(1)), runs=50, master_seed=0))
+        corpus.kept_records(fig1, blue, red, GameState("v", F(1), F(1)), runs=50, master_seed=0)
     assert (info.value.color, info.value.game_index) == ("red", k)
     assert str(info.value) == f"red agent violated protocol in game {k}: bid 2 exceeds bankroll 1"
 
