@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NoReturn
 
 from .graphs import GameGraph, distances_to
-from .solver import CostTable, SolverError, _descent_edges, _iterates, _require_valid, extremal_successors
+from .solver import CostTable, SolverError, _iterates, _require_valid
 
 __all__ = [
     "AGENT_NAMES",
@@ -75,8 +75,6 @@ __all__ = [
     "SafetyRatioAgent",
     "UniformRandomBidAgent",
     "make_agent",
-    "optimal_bid",
-    "safety_ratio",
 ]
 
 ZERO = Fraction(0)
@@ -181,34 +179,6 @@ def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random 
     return BidDecision(Fraction(num, den * scale), move)
 
 
-def optimal_bid(
-    costs: CostTable | Mapping[str, Fraction], g: GameGraph, v: str, total: Fraction
-) -> Fraction:
-    """The indifference bid at v: half the successor cost gap, times total.
-
-    For an exact table this equals both (cost(v) - cheapest) * total and
-    (dearest - cost(v)) * total, so it is the same bid for either player.
-    """
-    lo, hi = extremal_successors(g, costs, v)
-    return (costs[hi] - costs[lo]) / 2 * total
-
-
-def safety_ratio(
-    costs: CostTable | Mapping[str, Fraction],
-    v: str,
-    own_share: Fraction,
-    color: str = "blue",
-) -> Fraction | None:
-    """own_share divided by the player's cost of v; None where that cost is 0.
-
-    Blue's cost is cost(v); Red's is 1 - cost(v).
-    """
-    cost = ONE - costs[v] if _plays_red(color) else costs[v]
-    if cost == 0:
-        return None
-    return own_share / cost
-
-
 def _oriented(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
 ) -> tuple[str, Mapping[str, Fraction]]:
@@ -233,20 +203,20 @@ def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> di
     the cost is harmonic on C, and by the maximum principle it is one
     constant c there.  So every successor of every vertex of C costs c.
     If c < 1, every vertex of C has a finite steepest-descent distance to
-    the blue terminal (``steepest_descent_closure``), every successor is
-    a descent step, and Blue's move goes to a vertex of C one step
-    nearer; but a vertex of C nearest the blue terminal has no such
-    move.  If c = 1, the same holds for Red on 1 - cost.  The chance that
-    Red wins is then harmonic with the terminal values 0 and 1, so it is
-    the cost: the paper's random-turn theorem.
+    the blue terminal (a vertex of cost below 1 reaches it along cheapest
+    successors), every successor is a descent step, and Blue's move goes
+    to a vertex of C one step nearer; but a vertex of C nearest the blue
+    terminal has no such move.  If c = 1, the same holds for Red on
+    1 - cost.  The chance that Red wins is then harmonic with the terminal
+    values 0 and 1, so it is the cost: the paper's random-turn theorem.
     """
-    dist = distances_to([goal], _descent_edges(g, table))
-    far = len(g.vertices)  # no vertex is |V| steps away
-    moves = {}
+    cheapest = {}
     for v, succ in g.moves.items():
         floor = min(table[u] for u in succ)
-        moves[v] = min((u for u in succ if table[u] == floor), key=lambda u: (dist.get(u, far), u))
-    return moves
+        cheapest[v] = [u for u in succ if table[u] == floor]
+    dist = distances_to([goal], ((v, u) for v, floor in cheapest.items() for u in floor))
+    far = len(g.vertices)  # no vertex is |V| steps away
+    return {v: min(floor, key=lambda u: (dist.get(u, far), u)) for v, floor in cheapest.items()}
 
 
 def _no_play(g: GameGraph, v: str) -> NoReturn:
@@ -290,8 +260,8 @@ class FullKnowledgeAgent(Agent):
         # drop to its cheapest successor, each as (numerator, denominator),
         # and that successor; the bid is drop * total.
         self._critical: dict[str, tuple[int, int, int, int, str]] = {}
-        for v in graph.moves:
-            lo, _ = extremal_successors(graph, table, v)
+        for v, succ in graph.moves.items():
+            lo = min(succ, key=lambda u: (table[u], u))
             cost, drop = table[v], table[v] - table[lo]
             self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
         # Integer upper-iterate ladder towards the goal, grown on demand:

@@ -44,9 +44,10 @@ and 3 redrawn (0: Blue moves, 1: Red moves).  The coin's winner moves by
 successor on its own costs (Red reads 1 - cost), ties to the fewest
 steepest-descent steps to its goal, then to the first name.  With that
 rule every game ends with probability 1, and Red wins with probability
-cost(start).  The engine reads the coins in bulk, many words at a time,
-and walks an integer move table built once per call, so the games are
-the same as one ``choice`` per move would give.
+cost(start).  ``random_turn_stats`` plays the games: it reads the coins
+in bulk, many words at a time, and walks an integer move table built
+once per call, so each game ends where one ``choice`` per move would
+take it.  A game keeps no record of its moves, only where it stopped.
 """
 
 from __future__ import annotations
@@ -70,17 +71,13 @@ __all__ = [
     "Step",
     "TIEBREAKS",
     "default_move_cap",
-    "derived_rng",
     "derived_seed",
     "format_trace",
-    "play_random_turn_game",
     "play_richman_game",
     "random_turn_move_cap",
     "random_turn_stats",
     "run_batch",
 ]
-
-ZERO = Fraction(0)
 
 TIEBREAKS = ("fair", "always-blue", "always-red")
 
@@ -103,10 +100,6 @@ def derived_seed(*parts: object) -> int:
     """A 64-bit seed that is a pure function of the given parts."""
     text = ":".join(map(str, parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def derived_rng(*parts: object) -> random.Random:
-    return random.Random(derived_seed(*parts))
 
 
 @dataclass(frozen=True)
@@ -312,6 +305,8 @@ class _Batch:
             raise ValueError("bankrolls must be nonnegative")
         if tiebreak not in TIEBREAKS:
             raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
+        if max_moves is not None and max_moves < 0:
+            raise ValueError("max_moves must be nonnegative")
         self.g, self.blue, self.red, self.start, self.seed = g, blue, red, start, seed
         self.cap = default_move_cap(g) if max_moves is None else max_moves
         den = math.lcm(b.denominator, r.denominator)
@@ -417,6 +412,8 @@ def run_batch(
 ) -> BatchStats:
     """Tallies of ``runs`` seeded games, game i a pure function of
     (master_seed, i); a game's record is built only for ``on_record``."""
+    if runs < 0:
+        raise ValueError("runs must be nonnegative")
     tallies = {BLUE_WINS: 0, RED_WINS: 0, UNRESOLVED: 0}
     move_counts: list[int] = []
     if runs >= 1:
@@ -458,13 +455,12 @@ _REDRAWN = bytes(range(128, 256))
 _CHUNK_WORDS = 64
 
 
-def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Random) -> tuple[int, bytes]:
+def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Random) -> int:
     """One coin-flip game on the integer move table ``step`` from index
     ``pos``, to a terminal (an index of at least ``len(step)``) or ``cap``
     moves (none when ``cap`` is 0 or less).  Returns the index where it
-    stopped and the coins it drew, 0 for Blue and 1 for Red; its moves are
-    those coins up to the stop, and any after a terminal were drawn but
-    not played.
+    stopped.  Coin 0 moves Blue and coin 1 moves Red; coins drawn after a
+    terminal are not played.
 
     Each coin is what ``rng.choice(("blue", "red"))`` would draw, read in
     bulk: ``choice`` takes the top two bits of the next 32-bit word until
@@ -472,7 +468,6 @@ def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Rand
     significant first, so each word's top byte is at offset 3 of its four
     little-endian bytes."""
     n = len(step)
-    drawn = []
     left = cap
     while pos < n and left > 0:
         words = rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little")
@@ -481,50 +476,8 @@ def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Rand
             pos = step[pos][coin]
             if pos >= n:
                 break
-        drawn.append(coins)
         left -= len(coins)
-    return pos, b"".join(drawn)
-
-
-def play_random_turn_game(
-    g: GameGraph,
-    costs: CostTable,
-    start: str,
-    max_moves: int | None = None,
-    seed: int = 0,
-    game_index: int = 0,
-) -> GameRecord:
-    """Coin-flip variant: no money, the coin winner moves optimally.
-
-    A terminal start is legal and yields an immediate outcome.  Steps reuse
-    the bidding Step shape with all money fields zero; ``tie`` records the
-    coin (True: Blue moved).
-    """
-    names, step = _coin_table(g, costs, start)
-    cap = 64 * len(g.vertices) if max_moves is None else max_moves
-    pos = names.index(start)
-    _, coins = _coin_game(step, pos, cap, derived_rng(seed, "randomturn", game_index))
-    steps = []
-    for i, coin in enumerate(coins):
-        if pos >= len(step):
-            break
-        destination = step[pos][coin]
-        steps.append(
-            Step(
-                index=i,
-                position=names[pos],
-                blue_bid=ZERO,
-                red_bid=ZERO,
-                tie=coin == 0,
-                winner=("blue", "red")[coin],
-                transfer=ZERO,
-                move_to=names[destination],
-                blue_after=ZERO,
-                red_after=ZERO,
-            )
-        )
-        pos = destination
-    return GameRecord(start, tuple(steps), _outcome(g, names[pos]), cap)
+    return pos
 
 
 @dataclass(frozen=True)
@@ -552,6 +505,8 @@ def random_turn_stats(
     """n seeded coin-flip games; frequency is the red-win rate."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if max_moves is not None and max_moves < 0:
+        raise ValueError("max_moves must be nonnegative")
     names, step = _coin_table(g, costs, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
     first = names.index(start)
@@ -559,7 +514,7 @@ def random_turn_stats(
     rng = random.Random()
     for i in range(runs):
         rng.seed(derived_seed(master_seed, "randomturn", i))
-        ends[_coin_game(step, first, cap, rng)[0]] += 1
+        ends[_coin_game(step, first, cap, rng)] += 1
     blue_wins, red_wins = ends[-2:]
     frequency = red_wins / runs
     stderr = math.sqrt(frequency * (1 - frequency) / runs)

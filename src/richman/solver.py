@@ -26,10 +26,10 @@ and below in exact arithmetic.
 
 Every iterate table is dyadic.  ``_iterates`` yields table t as (N, e):
 integer numerators N(v) over one shared 2^e, with the common power of two
-divided out, so e = 0 or some numerator is odd.  ``iterate_above``,
-``iterate_below`` and ``solve_iterative`` (whose gap is an integer
-difference over the larger 2^e) build Fractions only for the tables they
-return; the optimal agent's ladder keeps the integers.
+divided out, so e = 0 or some numerator is odd.  ``solve_iterative``
+(whose gap is an integer difference over the larger 2^e) builds Fractions
+only for the two tables it returns; the optimal agent's ladder keeps the
+integers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Mapping
 
 from .graphs import GameGraph, distances_to
@@ -48,14 +47,9 @@ __all__ = [
     "CostTable",
     "NotConvergedError",
     "SolverError",
-    "descent_distances",
-    "extremal_successors",
-    "iterate_above",
-    "iterate_below",
     "satisfies_exact_identity",
     "solve_exact",
     "solve_iterative",
-    "steepest_descent_closure",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -174,32 +168,6 @@ def _table(
 ) -> CostTable:
     """The table N(v) / den, one Fraction per vertex."""
     return CostTable({v: Fraction(nums[v], den) for v in g.vertices}, kind, t)
-
-
-def _iterate(g: GameGraph, t_max: int, fill: int, kind: str) -> list[CostTable]:
-    _require_valid(g)
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
-    iterates = islice(_iterates(g, g.blue, fill), t_max + 1)
-    return [_table(g, nums, 1 << e, kind, t) for t, (nums, e) in enumerate(iterates)]
-
-
-def iterate_above(g: GameGraph, t_max: int) -> list[CostTable]:
-    """Iterates started at 1 on the non-terminals; weakly decreasing in t.
-
-    Table t answers: what share does Blue need to force a win in at most t
-    moves?  Index 0 is the starting table.
-    """
-    return _iterate(g, t_max, 1, "upper-iterate")
-
-
-def iterate_below(g: GameGraph, t_max: int) -> list[CostTable]:
-    """Iterates started at 0 on the non-terminals; weakly increasing in t.
-
-    Table t answers: what share does Blue need to stop Red from forcing a
-    win in at most t moves?
-    """
-    return _iterate(g, t_max, 0, "lower-iterate")
 
 
 def solve_iterative(
@@ -451,57 +419,3 @@ def solve_exact(g: GameGraph) -> CostTable:
         if _identity_holds(g, nums, den):
             return _table(g, nums, den, "exact")
         policy = _pick_policy(g, nums, to_blue, to_red)
-
-
-def extremal_successors(
-    g: GameGraph, costs: CostTable | Mapping[str, Fraction], v: str
-) -> tuple[str, str]:
-    """(cheapest, dearest) successor of v, ties broken lexicographically."""
-    _require_valid(g)
-    succ = g.moves.get(v)
-    if not succ:
-        if v not in g.vertices:
-            raise KeyError(v)
-        raise ValueError(f"{v!r} is a terminal vertex")
-    lo = min(succ, key=lambda u: (costs[u], u))
-    hi = min(succ, key=lambda u: (-costs[u], u))
-    return lo, hi
-
-
-def _descent_edges(
-    g: GameGraph, costs: CostTable | Mapping[str, Fraction]
-) -> list[tuple[str, str]]:
-    """Steepest-descent edges (x, u): cost(u) is minimal over the successors
-    of x.  ``costs`` must cover every vertex; the arena must be valid."""
-    edges = []
-    for x, succ in g.moves.items():
-        floor = min(costs[u] for u in succ)
-        edges.extend((x, u) for u in succ if costs[u] == floor)
-    return edges
-
-
-def steepest_descent_closure(
-    g: GameGraph, costs: CostTable | Mapping[str, Fraction], v: str
-) -> frozenset[str]:
-    """All vertices reachable from v along steepest-descent edges.
-
-    v itself is included.  If cost(v) < 1 the closure contains the blue
-    terminal.
-    """
-    _require_valid(g)
-    if v not in g.vertices:
-        raise KeyError(v)
-    return frozenset(distances_to([v], ((u, x) for x, u in _descent_edges(g, costs))))
-
-
-def descent_distances(
-    g: GameGraph, costs: CostTable | Mapping[str, Fraction]
-) -> dict[str, int | None]:
-    """Length of the shortest steepest-descent path to the blue terminal.
-
-    None marks vertices with no descent path to blue (their cost is 1, or
-    they sit in a region that only descends elsewhere).
-    """
-    _require_valid(g)
-    dist = distances_to([g.blue], _descent_edges(g, costs))
-    return {v: dist.get(v) for v in g.vertices}

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+import pytest
+
 from richman import (
     Agent,
     BidDecision,
@@ -30,16 +32,15 @@ from richman import (
     SolverError,
     Step,
     default_move_cap,
-    derived_rng,
-    iterate_above,
-    play_random_turn_game,
+    derived_seed,
     random_turn_move_cap,
     random_turn_stats,
     run_batch,
-    safety_ratio,
     solve_exact,
     validate,
 )
+from richman.simulate import _coin_game, _coin_table
+from richman.solver import _iterates
 
 FIG1_TEXT = """\
 blue b
@@ -272,10 +273,20 @@ def exact_table(g: GameGraph) -> CostTable:
     return solve_exact(g)
 
 
+def iterate_tables(g: GameGraph, fill: int, t_max: int) -> list[dict[str, Fraction]]:
+    """Tables 0..t_max of the package's iterates towards the blue terminal
+    (``solver._iterates``) as Fractions: ``fill`` 1 gives the upper
+    iterates, weakly decreasing in t, and 0 the lower ones."""
+    return [
+        {v: Fraction(n, 1 << e) for v, n in nums.items()}
+        for nums, e in itertools.islice(_iterates(g, g.blue, fill), t_max + 1)
+    ]
+
+
 def first_vertex_reaching_goal(g: GameGraph, t_cap: int = 64) -> tuple[str, int] | None:
     """(v, t): first sorted non-terminal whose upper iterate drops below 1,
     with the smallest such t."""
-    tables = iterate_above(g, t_cap)
+    tables = iterate_tables(g, 1, t_cap)
     for v in g.non_terminals:
         for t, table in enumerate(tables):
             if table[v] < 1:
@@ -340,7 +351,7 @@ def reference_game(
     coin seeded from (seed, "tie", game_index, step) when "fair").  Nothing
     is shared with other games."""
     cap = default_move_cap(g) if max_moves is None else max_moves
-    rngs = {c: derived_rng(seed, "agent", game_index, c) for c in ("blue", "red")}
+    rngs = {c: random.Random(derived_seed(seed, "agent", game_index, c)) for c in ("blue", "red")}
     money = {"blue": start.blue_money, "red": start.red_money}
     position = start.position
     steps: list[Step] = []
@@ -364,7 +375,7 @@ def reference_game(
         if decisions["blue"].bid != decisions["red"].bid:
             winner = "blue" if decisions["blue"].bid > decisions["red"].bid else "red"
         elif tiebreak == "fair":
-            winner = derived_rng(seed, "tie", game_index, len(steps)).choice(("blue", "red"))
+            winner = random.Random(derived_seed(seed, "tie", game_index, len(steps))).choice(("blue", "red"))
             tie = winner == "blue"
         else:
             winner = tiebreak.removeprefix("always-")
@@ -392,65 +403,82 @@ def reference_game(
     return GameRecord(start.position, tuple(steps), outcome, cap)
 
 
+def side(g: GameGraph, costs, color: str) -> tuple[GameGraph, dict[str, Fraction]]:
+    """The arena and the costs as ``color`` plays them, its goal the blue
+    terminal: Red's mirror swaps the terminals and reads 1 - cost."""
+    if color == "red":
+        mirror = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
+        return mirror, {v: 1 - costs[v] for v in g.vertices}
+    return g, {v: costs[v] for v in g.vertices}
+
+
+def naive_descent_moves(g: GameGraph, cost) -> dict[str, str]:
+    """Each non-terminal's move towards the blue terminal: a cheapest
+    successor, ties to the fewest steepest-descent steps to that terminal
+    (``naive_descent_distances``), then to the first name."""
+    dist = naive_descent_distances(g, cost)
+    moves = {}
+    for v in g.non_terminals:
+        succ = sorted(g.successors(v))
+        floor = [u for u in succ if cost[u] == min(cost[w] for w in succ)]
+        moves[v] = min(floor, key=lambda u: (dist[u] is None, dist[u] or 0, u))
+    return moves
+
+
 def reference_coin_game(
     g: GameGraph,
     costs: CostTable,
     start: str,
-    max_moves: int | None = None,
+    max_moves: int,
     seed: int = 0,
     game_index: int = 0,
-) -> GameRecord:
-    """One coin-flip game played alone, one move at a time: a generator of
-    its own seeded from (seed, "randomturn", game_index), one
-    ``choice(("blue", "red"))`` per move, and the winner of the coin moves
-    on its own side of the arena (Red's mirror swaps the terminals and
-    reads 1 - cost) to a cheapest successor, ties to the fewest
-    steepest-descent steps to its own terminal, by a level-by-level search
-    (``naive_descent_distances``), then to the first name.  At most
-    ``max_moves`` moves (none when it is 0 or less; 64 |V| when None)."""
-    cap = 64 * len(g.vertices) if max_moves is None else max_moves
-    mirror = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
-    sides = {
-        "blue": (g, {v: costs[v] for v in g.vertices}),
-        "red": (mirror, {v: 1 - costs[v] for v in g.vertices}),
-    }
-    dist = {color: naive_descent_distances(*side) for color, side in sides.items()}
-    rng = derived_rng(seed, "randomturn", game_index)
-    position = start
-    steps: list[Step] = []
-    while not g.is_terminal(position) and len(steps) < cap:
-        mover = rng.choice(("blue", "red"))
-        cost, steps_to_goal = sides[mover][1], dist[mover]
-        succ = sorted(g.successors(position))
-        floor = [u for u in succ if cost[u] == min(cost[w] for w in succ)]
-        move_to = min(floor, key=lambda u: (steps_to_goal[u] is None, steps_to_goal[u] or 0, u))
-        zero = Fraction(0)
-        steps.append(Step(len(steps), position, zero, zero, mover == "blue", mover, zero, move_to, zero, zero))
-        position = move_to
-    outcome = {g.blue: "BlueWins", g.red: "RedWins"}.get(position, "Unresolved")
-    return GameRecord(start, tuple(steps), outcome, cap)
+) -> list[str]:
+    """One coin-flip game played alone, one move at a time, as the list of
+    vertices it visits, ``start`` first: a generator of its own seeded from
+    (seed, "randomturn", game_index), one ``choice(("blue", "red"))`` per
+    move, and the winner of the coin moves on its own side of the arena by
+    ``naive_descent_moves``.  At most ``max_moves`` moves (none when it is
+    0 or less)."""
+    moves = {color: naive_descent_moves(*side(g, costs, color)) for color in ("blue", "red")}
+    rng = random.Random(derived_seed(seed, "randomturn", game_index))
+    path = [start]
+    while not g.is_terminal(path[-1]) and len(path) <= max_moves:
+        path.append(moves[rng.choice(("blue", "red"))][path[-1]])
+    return path
+
+
+def coin_game_end(g: GameGraph, costs: CostTable, start: str, cap: int, seed: int, game_index: int) -> str:
+    """Where game ``game_index`` of a coin-flip batch seeded ``seed`` ends,
+    played alone by the package's coin walk (``_coin_game`` on
+    ``_coin_table``) on a generator of its own."""
+    names, step = _coin_table(g, costs, start)
+    rng = random.Random(derived_seed(seed, "randomturn", game_index))
+    return names[_coin_game(step, names.index(start), cap, rng)]
+
+
+def end_tallies(g: GameGraph, ends: list[str]) -> tuple[int, int, int]:
+    """Blue wins, Red wins and unresolved games of a list of end vertices."""
+    return ends.count(g.blue), ends.count(g.red), len(ends) - ends.count(g.blue) - ends.count(g.red)
 
 
 def check_coin_games_equal_the_reference(
     g: GameGraph, costs: CostTable, start: str, runs: int, seed: int, max_moves: int | None
-) -> list[GameRecord]:
-    """Games 0..runs-1 of ``play_random_turn_game`` equal
-    ``reference_coin_game`` record by record, and the tallies of
-    ``random_turn_stats`` equal the reference outcomes at the batch's cap.
-    Returns the reference records of the batch."""
-    for i in range(runs):
-        expected = reference_coin_game(g, costs, start, max_moves, seed, i)
-        assert play_random_turn_game(g, costs, start, max_moves, seed, i) == expected
+) -> list[list[str]]:
+    """At the batch's cap, games 0..runs-1 of the coin walk end where
+    ``reference_coin_game`` ends, and the tallies of ``random_turn_stats``
+    count those ends (a negative ``max_moves`` is a ValueError there).
+    Returns the reference paths of the batch."""
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
-    records = [reference_coin_game(g, costs, start, cap, seed, i) for i in range(runs)]
-    outcomes = [r.outcome for r in records]
+    paths = [reference_coin_game(g, costs, start, cap, seed, i) for i in range(runs)]
+    ends = [path[-1] for path in paths]
+    assert [coin_game_end(g, costs, start, cap, seed, i) for i in range(runs)] == ends
+    if cap < 0:
+        with pytest.raises(ValueError, match="max_moves must be nonnegative"):
+            random_turn_stats(g, costs, start, runs, master_seed=seed, max_moves=max_moves)
+        return paths
     stats = random_turn_stats(g, costs, start, runs, master_seed=seed, max_moves=max_moves)
-    assert (stats.blue_wins, stats.red_wins, stats.unresolved) == (
-        outcomes.count("BlueWins"),
-        outcomes.count("RedWins"),
-        outcomes.count("Unresolved"),
-    )
-    return records
+    assert (stats.blue_wins, stats.red_wins, stats.unresolved) == end_tallies(g, ends)
+    return paths
 
 
 class SeventhsAgent(Agent):
@@ -499,6 +527,13 @@ def check_money_conservation(record: GameRecord) -> None:
     assert len(totals) <= 1, f"money not conserved: {sorted(totals)}"
 
 
+def safety_ratio(costs, v: str, own_share: Fraction, color: str = "blue") -> Fraction | None:
+    """own_share over the player's cost of v, Blue's cost(v) or Red's
+    1 - cost(v); None where that cost is 0."""
+    cost = costs[v] if color == "blue" else 1 - costs[v]
+    return None if cost == 0 else own_share / cost
+
+
 def safety_ratios(record: GameRecord, costs: CostTable, color: str) -> list[Fraction | None]:
     """The player's safety ratio at the start of every step plus the end.
 
@@ -532,21 +567,13 @@ def check_stats_match_recorded_games(
     g: GameGraph, costs: CostTable, start: str, runs: int, seed: int
 ) -> None:
     """``random_turn_stats`` agrees game by game with the same games played
-    one by one as recorded ``play_random_turn_game`` traces: the tallies of
-    every prefix of the batch (at the batch's cap) equal the recorded
-    outcomes of that prefix."""
+    one by one (``coin_game_end``): the tallies of every prefix of the
+    batch (at the batch's cap) count the ends of that prefix."""
     cap = random_turn_move_cap(g, runs)
-    outcomes = [
-        play_random_turn_game(g, costs, start, max_moves=cap, seed=seed, game_index=i).outcome
-        for i in range(runs)
-    ]
+    ends = [coin_game_end(g, costs, start, cap, seed, i) for i in range(runs)]
     for n in range(1, runs + 1):
         stats = random_turn_stats(g, costs, start, n, master_seed=seed, max_moves=cap)
-        assert (stats.blue_wins, stats.red_wins, stats.unresolved) == (
-            outcomes[:n].count("BlueWins"),
-            outcomes[:n].count("RedWins"),
-            outcomes[:n].count("Unresolved"),
-        )
+        assert (stats.blue_wins, stats.red_wins, stats.unresolved) == end_tallies(g, ends[:n])
     assert stats == random_turn_stats(g, costs, start, runs, master_seed=seed)
 
 
@@ -613,11 +640,7 @@ def reference_decision(
     * uniform-random-bid: a 32-bit uniform fraction of its bankroll, then a
       uniform choice among the sorted successors.
     """
-    if color == "red":
-        g = GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
-        cost = {v: 1 - costs[v] for v in g.vertices}
-    else:
-        cost = dict(costs.costs)
+    g, cost = side(g, costs, color)
     v, own = view.position, view.own_money
     if name == "optimal" and view.opponent_money is None:
         raise ValueError("full-knowledge agent requires the opponent's bankroll")
@@ -630,10 +653,7 @@ def reference_decision(
     cheapest = min(succ, key=lambda u: (cost[u], u))
     if name == "safety":
         bid = Fraction(0) if cost[v] == 0 else own * (cost[v] - cost[cheapest]) / cost[v]
-        dist = naive_descent_distances(g, cost)
-        floor = [u for u in succ if cost[u] == cost[cheapest]]
-        move = min(floor, key=lambda u: (dist[u] is None, dist[u] or 0, u))
-        return BidDecision(bid, move)
+        return BidDecision(bid, naive_descent_moves(g, cost)[v])
     total = own + view.opponent_money
     if total > 0 and own / total > cost[v]:
         share = own / total

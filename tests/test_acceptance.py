@@ -22,13 +22,10 @@ from richman import (
     PlayerView,
     SafetyRatioAgent,
     build_series_graph,
-    iterate_above,
-    iterate_below,
     satisfies_exact_identity,
     series_bet_plan,
     solve_exact,
     solve_iterative,
-    extremal_successors,
     play_richman_game,
     random_turn_stats,
     run_batch,
@@ -65,7 +62,7 @@ def bound_runs(acyclic_graphs):
     runs = []
     for g in acyclic_graphs:
         v, horizon = corpus.first_vertex_reaching_goal(g)
-        tables = iterate_above(g, horizon)
+        tables = corpus.iterate_tables(g, 1, horizon)
         share = (tables[horizon][v] + tables[horizon - 1][v]) / 2
         costs = corpus.exact_table(g)
         record = play_richman_game(
@@ -191,8 +188,8 @@ def test_criterion_02_averaging_identity_and_bracket(corpus_graphs):
 
 def test_criterion_03_monotone_iterates(corpus_graphs):
     for g in corpus_graphs:
-        above = iterate_above(g, 201)
-        below = iterate_below(g, 201)
+        above = corpus.iterate_tables(g, 1, 201)
+        below = corpus.iterate_tables(g, 0, 201)
         for v in g.non_terminals:
             ups = [t[v] for t in above]
             downs = [t[v] for t in below]
@@ -210,7 +207,11 @@ def test_criterion_04_enumeration_equals_rationalized_iteration(corpus_graphs):
         table = solve_exact(g)
         approx = solve_iterative(g, tol=1e-12)
         # The hint only orders the search; acceptance re-solves exactly.
-        hint = tuple(extremal_successors(g, approx.upper, v) for v in g.non_terminals)
+        upper = approx.upper
+        hint = tuple(
+            (min(g.moves[v], key=lambda u: (upper[u], u)), min(g.moves[v], key=lambda u: (-upper[u], u)))
+            for v in g.non_terminals
+        )
         enumerated = corpus.solve_exact_by_enumeration(g, hint=hint)
         assert dict(enumerated.costs) == dict(table.costs)
         checked += 1

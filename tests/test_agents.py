@@ -16,12 +16,9 @@ from richman import (
     SafetyRatioAgent,
     SolverError,
     UniformRandomBidAgent,
-    iterate_above,
     make_agent,
-    optimal_bid,
     parse_game_graph,
     play_richman_game,
-    safety_ratio,
     solve_exact,
 )
 
@@ -56,22 +53,32 @@ def test_game_state_accessors():
         s.money("green")
 
 
+def critical_bids(g, costs, v, total):
+    """Both optimal agents' bids at v when Blue holds exactly cost(v) of
+    ``total``: each is critical, so each bids the half-gap."""
+    blue_money = costs[v] * total
+    blue = FullKnowledgeAgent(g, costs, "blue").decide(view("blue", v, blue_money, total - blue_money), None)
+    red = FullKnowledgeAgent(g, costs, "red").decide(view("red", v, total - blue_money, blue_money), None)
+    return blue.bid, red.bid
+
+
 def test_optimal_bid_examples(fig1, fig1_costs, path_graph, path_costs):
-    assert optimal_bid(fig1_costs, fig1, "m", F(1)) == F(1, 2)
-    assert optimal_bid(fig1_costs, fig1, "v", F(1)) == 0
-    assert optimal_bid(path_costs, path_graph, "v1", F(1)) == F(1, 3)
+    # The half-gap is the same bid for either player.
+    assert critical_bids(fig1, fig1_costs, "m", F(1)) == (F(1, 2), F(1, 2))
+    assert critical_bids(fig1, fig1_costs, "v", F(1)) == (0, 0)
+    assert critical_bids(path_graph, path_costs, "v1", F(1)) == (F(1, 3), F(1, 3))
     # Scales with the money supply.
-    assert optimal_bid(fig1_costs, fig1, "m", F(10)) == 5
+    assert critical_bids(fig1, fig1_costs, "m", F(10)) == (5, 5)
 
 
 def test_safety_ratio_examples(fig1_costs):
-    assert safety_ratio(fig1_costs, "m", F(3, 5)) == F(6, 5)
-    assert safety_ratio(fig1_costs, "r", F(1)) == 1
-    assert safety_ratio(fig1_costs, "b", F(1, 2)) is None
+    assert corpus.safety_ratio(fig1_costs, "m", F(3, 5)) == F(6, 5)
+    assert corpus.safety_ratio(fig1_costs, "r", F(1)) == 1
+    assert corpus.safety_ratio(fig1_costs, "b", F(1, 2)) is None
     # Red's cost runs the other way.
-    assert safety_ratio(fig1_costs, "b", F(1, 2), color="red") == F(1, 2)
-    assert safety_ratio(fig1_costs, "r", F(1, 2), color="red") is None
-    assert safety_ratio(fig1_costs, "m", F(1, 4), color="red") == F(1, 2)
+    assert corpus.safety_ratio(fig1_costs, "b", F(1, 2), color="red") == F(1, 2)
+    assert corpus.safety_ratio(fig1_costs, "r", F(1, 2), color="red") is None
+    assert corpus.safety_ratio(fig1_costs, "m", F(1, 4), color="red") == F(1, 2)
 
 
 def descent_moves(g, costs, color):
@@ -155,7 +162,7 @@ def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
 
 def test_full_knowledge_win_within_horizon_despite_hostile_ties(fig1, fig1_costs):
     share = F(7, 10)
-    tables = iterate_above(fig1, 10)
+    tables = corpus.iterate_tables(fig1, 1, 10)
     horizon = next(t for t in range(11) if tables[t]["v"] < share)
     assert horizon == 5
     record = play_richman_game(
@@ -244,7 +251,7 @@ def test_oriented_mirror_rejects_unknown_color(fig1, fig1_costs):
         with pytest.raises(ValueError, match="unknown color 'green'"):
             make_agent(name, fig1, fig1_costs, "green")
     with pytest.raises(ValueError, match="unknown color 'green'"):
-        safety_ratio(fig1_costs, "v", F(1, 2), "green")
+        _oriented(fig1, fig1_costs, "green")
 
 
 def test_red_agents_build_no_second_arena(fig1, fig1_costs, monkeypatch):
@@ -271,7 +278,7 @@ def test_winning_branch_share_keeps_clearing_the_next_rung(zchain):
     iterate table: the invariant behind the win-within-horizon bound."""
     g, costs = zchain
     share = F(7, 8)
-    tables = iterate_above(g, 10)
+    tables = corpus.iterate_tables(g, 1, 10)
     record = play_richman_game(
         g,
         FullKnowledgeAgent(g, costs, "blue"),

@@ -3,12 +3,12 @@ checks (the enumeration oracle on small arenas, the exact iteration
 bracket on larger ones), the policy it solves reaching a terminal
 whatever values it is read from and its integer elimination agreeing
 with dense elimination, the text format's round trip, monotone
-iterates, coin-flip tallies equal to the recorded games and both equal
-to the same coin games played one at a time from scratch, the coin
+iterates, coin-flip tallies equal to the same games played one by one
+and their ends equal to the coin games played from scratch, the coin
 game's move table ending every game with Red's chance of winning equal
 to the cost table and equal to the safety agent's moves, the arena
-walks (the move table, the interior cycle test and order, steepest-descent
-closure and distances) against naive searches, every agent's decisions
+walks (the move table, the interior cycle test and order, each player's
+steepest-descent moves) against naive searches, every agent's decisions
 against a from-scratch reference, and seeded batches of bidding games
 (their records and their tallies, built-in agents and an agent that
 defines only ``decide``) against the same games played one at a time
@@ -29,10 +29,6 @@ from richman import (
     GameState,
     PlayerView,
     SafetyRatioAgent,
-    descent_distances,
-    extremal_successors,
-    iterate_above,
-    iterate_below,
     make_agent,
     parse_game_graph,
     play_richman_game,
@@ -41,9 +37,9 @@ from richman import (
     serialize_game_graph,
     solve_exact,
     solve_iterative,
-    steepest_descent_closure,
     validate,
 )
+from richman.agents import _descent_moves, _oriented
 from richman.graphs import distances_to
 from richman.simulate import _coin_table
 from richman.solver import _iterates, _pick_policy, _solve_policy
@@ -81,7 +77,11 @@ def arenas(draw, min_size: int, max_size: int, acyclic: bool = False) -> GameGra
 def test_solve_exact_equals_the_enumeration_oracle(g):
     table = solve_exact(g)
     approx = solve_iterative(g, tol=1e-12)
-    hint = tuple(extremal_successors(g, approx.upper, v) for v in g.non_terminals)
+    upper = approx.upper
+    hint = tuple(
+        (min(g.moves[v], key=lambda u: (upper[u], u)), min(g.moves[v], key=lambda u: (-upper[u], u)))
+        for v in g.non_terminals
+    )
     assert dict(table.costs) == dict(corpus.solve_exact_by_enumeration(g, hint=hint).costs)
 
 
@@ -138,7 +138,7 @@ def test_serialization_round_trips(g):
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(arenas(1, 12))
 def test_iterates_are_monotone(g):
-    above, below = iterate_above(g, 30), iterate_below(g, 30)
+    above, below = corpus.iterate_tables(g, 1, 30), corpus.iterate_tables(g, 0, 30)
     for t in range(30):
         for v in g.vertices:
             assert above[t + 1][v] <= above[t][v]
@@ -242,14 +242,15 @@ def test_interior_has_cycle_matches_peeling(g):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
 def test_descent_walks_match_naive_searches(g):
+    """Each player's steepest-descent moves are the rule the reference coin
+    game moves by, and a vertex has a descent path to each player's goal
+    exactly when that player's cost of it is below 1."""
     costs = solve_exact(g)
-    down = corpus.min_cost_successors(g, costs)
-    for v in g.vertices:
-        reached = {v}
-        while more := {u for x in reached for u in down.get(x, ())} - reached:
-            reached |= more
-        assert steepest_descent_closure(g, costs, v) == reached
-    assert descent_distances(g, costs) == corpus.naive_descent_distances(g, costs)
+    for color in ("blue", "red"):
+        side, cost = corpus.side(g, costs, color)
+        assert _descent_moves(g, *_oriented(g, costs, color)) == corpus.naive_descent_moves(side, cost)
+        dist = corpus.naive_descent_distances(side, cost)
+        assert all((dist[v] is None) == (cost[v] == 1) for v in g.vertices)
 
 
 def outcome(decide):
@@ -294,9 +295,9 @@ def test_optimal_agent_at_and_beside_each_rung(g):
     total = Fraction(7, 5)
     for color in ("blue", "red"):
         agent = make_agent("optimal", g, costs, color)
-        mirror = g if color == "blue" else GameGraph.from_parts(g.vertices, g.edges, blue=g.red, red=g.blue)
+        mirror, own_costs = corpus.side(g, costs, color)
         for v in g.non_terminals:
-            cost = costs[v] if color == "blue" else 1 - costs[v]
+            cost = own_costs[v]
             for t, table in enumerate(islice(corpus._upper_iterates(mirror), 8)):
                 rung = table[v]
                 step = Fraction(1, rung.denominator << 8)

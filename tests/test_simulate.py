@@ -20,12 +20,10 @@ from richman import (
     ProtocolViolationError,
     Step,
     default_move_cap,
-    derived_rng,
     derived_seed,
     format_trace,
     make_agent,
     parse_game_graph,
-    play_random_turn_game,
     play_richman_game,
     random_turn_move_cap,
     random_turn_stats,
@@ -33,6 +31,7 @@ from richman import (
     solve_exact,
 )
 from richman.series import build_series_graph
+from richman.simulate import _coin_game, _coin_table
 
 import corpus
 
@@ -61,7 +60,7 @@ def test_derived_seed_is_stable_and_sensitive():
     assert derived_seed(0, "tie", 0, 0) == 15220288310468689684
     assert derived_seed(5, "agent", 2, "blue") == 4860830734878008140
     assert derived_seed(0, "tie", 0, 0) != derived_seed(0, "tie", 0, 1)
-    assert derived_rng(7, "x").random() == derived_rng(7, "x").random()
+    assert random.Random(derived_seed(7, "x")).random() == random.Random(derived_seed(7, "x")).random()
 
 
 def test_single_step_game_record(star, star_costs):
@@ -335,7 +334,7 @@ def test_a_violation_on_a_shared_branch_names_the_game_that_reached_it(fig1):
     first game whose coin falls to Red is the one reported."""
     blue = ScriptedAgent({"v": (0, "m"), "m": (F(1, 2), "b"), "c": (0, "a")})
     red = ScriptedAgent({"v": (0, "c"), "m": (0, "r"), "c": (2, "a")})
-    coins = [derived_rng(0, "tie", i, 0).choice(("blue", "red")) for i in range(50)]
+    coins = [random.Random(derived_seed(0, "tie", i, 0)).choice(("blue", "red")) for i in range(50)]
     k = coins.index("red")
     assert k > 0
     with pytest.raises(ProtocolViolationError) as info:
@@ -360,55 +359,66 @@ def test_game_record_json_shape(star, star_costs):
     json.dumps(payload)
 
 
-def test_random_turn_game_basics(fig1, fig1_costs):
-    sitting = play_random_turn_game(fig1, fig1_costs, "b")
-    assert sitting.outcome == "BlueWins"
-    assert sitting.steps == ()
-    assert sitting.final_position == "b"
-    assert play_random_turn_game(fig1, fig1_costs, "r").outcome == "RedWins"
-    with pytest.raises(ValueError, match="unknown start"):
-        play_random_turn_game(fig1, fig1_costs, "zz")
+def first_coin(seed, game_index):
+    """The first coin of coin-flip game ``game_index`` of a batch seeded
+    ``seed``, drawn by ``Random.choice``."""
+    return random.Random(derived_seed(seed, "randomturn", game_index)).choice(("blue", "red"))
 
-    record = play_random_turn_game(fig1, fig1_costs, "m", seed=4, game_index=9)
-    assert record.move_cap == 384
-    (step,) = record.steps
-    assert (step.winner, step.move_to, record.outcome) == ("red", "r", "RedWins")
-    assert step.tie is False
-    assert step.blue_bid == 0 and step.transfer == 0
-    twin = play_random_turn_game(fig1, fig1_costs, "m", seed=4, game_index=9)
-    assert twin == record
+
+def test_random_turn_game_basics(fig1, fig1_costs):
+    # A terminal start is legal, and its game ends there before any coin.
+    assert random_turn_stats(fig1, fig1_costs, "b", 3).blue_wins == 3
+    assert random_turn_stats(fig1, fig1_costs, "r", 3).red_wins == 3
+    names, step = _coin_table(fig1, fig1_costs, "b")
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert _coin_game(step, names.index("b"), 384, rng) == names.index("b")
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="unknown start"):
+        random_turn_stats(fig1, fig1_costs, "zz", 1)
+    with pytest.raises(ValueError, match="unknown start"):
+        _coin_table(fig1, fig1_costs, "zz")
+
+    # Game 9 of seed 4 from m: Red wins the first coin and moves home, and
+    # the same seed and index replay the same game.
+    assert first_coin(4, 9) == "red"
+    for _ in range(2):
+        assert corpus.coin_game_end(fig1, fig1_costs, "m", 384, 4, 9) == "r"
+    batch = random_turn_stats(fig1, fig1_costs, "m", 10, master_seed=4)
+    assert batch == random_turn_stats(fig1, fig1_costs, "m", 10, master_seed=4)
+    assert batch.red_wins == [first_coin(4, i) for i in range(10)].count("red")
 
 
 def test_random_turn_moves_follow_the_coin(fig1, fig1_costs):
+    ends = set()
     for i in range(50):
-        record = play_random_turn_game(fig1, fig1_costs, "m", seed=1, game_index=i)
-        (step,) = record.steps
-        if step.winner == "blue":
-            assert step.move_to == "b" and step.tie is True
-        else:
-            assert step.move_to == "r" and step.tie is False
-    outcomes = {
-        play_random_turn_game(fig1, fig1_costs, "m", seed=1, game_index=i).outcome
-        for i in range(50)
-    }
-    assert outcomes == {"BlueWins", "RedWins"}
+        end = corpus.coin_game_end(fig1, fig1_costs, "m", 384, 1, i)
+        assert end == {"blue": "b", "red": "r"}[first_coin(1, i)]
+        ends.add(end)
+    assert ends == {"b", "r"}
 
 
 def test_coins_equal_choice_across_chunk_refills():
     """The engine reads coins in chunks of at most 64.  A fair walk from
     the middle of a 64-vertex two-way chain lasts about 1 000 moves, so
     most games play as many coins as their cap: 260 (at least five
-    chunks) or, for every 20th seed, 1 000 (at least 16).  Each coin must
-    be the draw of one ``choice`` per move on the game's generator."""
+    chunks) or, for every 20th seed, 1 000 (at least 16).  Each game must
+    end where one ``choice`` per move on its generator takes it: Blue
+    steps towards b, Red towards r."""
     g = corpus.two_way_chain(64)
-    costs = solve_exact(g)
+    names, step = _coin_table(g, solve_exact(g), "v32")
     full = {260: 0, 1000: 0}
     for i in range(1000):
         cap = 1000 if i % 20 == 0 else 260
-        record = play_random_turn_game(g, costs, "v32", max_moves=cap, seed=7, game_index=i)
-        rng = derived_rng(7, "randomturn", i)
-        assert [s.winner for s in record.steps] == [rng.choice(("blue", "red")) for _ in record.steps]
-        full[cap] += len(record.steps) == cap
+        rng = random.Random(derived_seed(7, "randomturn", i))
+        k, moves = 32, 0
+        while 0 <= k < 64 and moves < cap:
+            k += 1 if rng.choice(("blue", "red")) == "red" else -1
+            moves += 1
+        expected = "b" if k < 0 else "r" if k == 64 else f"v{k:02d}"
+        rng.seed(derived_seed(7, "randomturn", i))
+        assert names[_coin_game(step, names.index("v32"), cap, rng)] == expected
+        full[cap] += moves == cap
     assert full[260] >= 800 and full[1000] >= 15
 
 
@@ -417,8 +427,8 @@ def test_coin_games_end_mid_chunk_after_refills():
     moves on average, so many games end at a terminal inside a later
     chunk."""
     g = corpus.two_way_chain(16)
-    records = corpus.check_coin_games_equal_the_reference(g, solve_exact(g), "v08", 200, 2, 500)
-    assert sum(len(r.steps) > 128 for r in records) > 20
+    paths = corpus.check_coin_games_equal_the_reference(g, solve_exact(g), "v08", 200, 2, 500)
+    assert sum(len(path) > 129 and path[-1] in ("b", "r") for path in paths) > 20
 
 
 def test_random_turn_stats_frozen(path_graph, path_costs):
@@ -460,19 +470,23 @@ def test_validate_runs_once_per_graph(data_dir, monkeypatch):
     ids=["series12", "ring12"],
 )
 def test_agents_plan_each_vertex_once(g, start, monkeypatch):
+    """The losing play of each vertex is planned when the agent is built,
+    and the winning play of each (horizon, vertex) on first use: a second
+    batch, on a play tree of its own, plans nothing."""
     calls = []
-    real = richman.agents.extremal_successors
-    monkeypatch.setattr(
-        richman.agents, "extremal_successors", lambda *args: calls.append(args[2]) or real(*args)
-    )
+    real = richman.agents._rung_plan
+    monkeypatch.setattr(richman.agents, "_rung_plan", lambda *args: calls.append(args) or real(*args))
     costs = solve_exact(g)
     blue = make_agent("optimal", g, costs, "blue")
     red = make_agent("optimal", g, costs, "red")
-    planned = len(calls)
-    assert planned <= 2 * len(g.non_terminals)
+    assert calls == []
     # Blue is ahead of its cost, so both the ladder and the half-gap play run.
     share = (costs[start] + 1) / 2
-    stats = run_batch(g, blue, red, GameState(start, share, 1 - share), runs=200, master_seed=3)
+    state = GameState(start, share, 1 - share)
+    run_batch(g, blue, red, state, runs=200, master_seed=3)
+    planned = len(calls)
+    assert planned > 0
+    stats = run_batch(g, blue, red, state, runs=200, master_seed=3)
     assert stats.runs == 200
     assert len(calls) == planned
 
@@ -498,3 +512,19 @@ def test_random_turn_stats_rejects_bad_arguments(fig1, fig1_costs):
     dead_end = GameGraph.from_parts(["b", "r", "v", "w"], [("v", "b"), ("v", "w")], "b", "r")
     with pytest.raises(ValueError, match="invalid graph: DEAD_END"):
         random_turn_stats(dead_end, fig1_costs, "v", 10)
+
+
+def test_negative_counts_are_value_errors(fig1, fig1_costs, optimal_pair):
+    blue, red = optimal_pair
+    start = GameState("v", F(1, 2), F(1, 2))
+    with pytest.raises(ValueError, match="runs must be nonnegative"):
+        run_batch(fig1, blue, red, start, runs=-3)
+    with pytest.raises(ValueError, match="max_moves must be nonnegative"):
+        play_richman_game(fig1, blue, red, start, max_moves=-2)
+    with pytest.raises(ValueError, match="max_moves must be nonnegative"):
+        run_batch(fig1, blue, red, start, max_moves=-1, runs=2)
+    with pytest.raises(ValueError, match="max_moves must be nonnegative"):
+        random_turn_stats(fig1, fig1_costs, "v", 10, max_moves=-1)
+    # No moves at all is a legal cap.
+    assert play_richman_game(fig1, blue, red, start, max_moves=0).outcome == "Unresolved"
+    assert random_turn_stats(fig1, fig1_costs, "v", 10, max_moves=0).unresolved == 10

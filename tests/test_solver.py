@@ -12,20 +12,20 @@ import pytest
 
 from richman import (
     CostTable,
+    FullKnowledgeAgent,
     NotConvergedError,
+    PlayerView,
+    SafetyRatioAgent,
     SolverError,
     build_series_graph,
-    descent_distances,
-    extremal_successors,
-    iterate_above,
-    iterate_below,
     parse_game_graph,
+    random_turn_stats,
     satisfies_exact_identity,
     solve_exact,
     solve_iterative,
-    steepest_descent_closure,
     validate,
 )
+from richman.agents import _descent_moves, _oriented
 
 import richman.graphs
 import richman.solver
@@ -39,7 +39,7 @@ def table_at(tables, t, names):
 
 
 def test_upper_iterates_fig1_hand_table(fig1):
-    tables = iterate_above(fig1, 5)
+    tables = corpus.iterate_tables(fig1, 1, 5)
     names = ("v", "m", "c", "a")
     assert table_at(tables, 0, names) == {"v": 1, "m": 1, "c": 1, "a": 1}
     assert table_at(tables, 1, names) == {"v": 1, "m": F(1, 2), "c": 1, "a": 1}
@@ -56,12 +56,10 @@ def test_upper_iterates_fig1_hand_table(fig1):
     for t in range(6):
         assert tables[t]["b"] == 0
         assert tables[t]["r"] == 1
-        assert tables[t].kind == "upper-iterate"
-        assert tables[t].step == t
 
 
 def test_lower_iterates_fig1_hand_table(fig1):
-    tables = iterate_below(fig1, 5)
+    tables = corpus.iterate_tables(fig1, 0, 5)
     assert [tables[t]["v"] for t in range(6)] == [0, 0, F(1, 4), F(1, 4), F(1, 4), F(3, 8)]
     assert [tables[t]["m"] for t in range(6)] == [0, F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2)]
     assert [tables[t]["a"] for t in range(6)] == [0, 0, 0, F(1, 4), F(1, 4), F(1, 4)]
@@ -69,14 +67,14 @@ def test_lower_iterates_fig1_hand_table(fig1):
 
 
 def test_upper_iterates_path_hand_table(path_graph):
-    tables = iterate_above(path_graph, 4)
+    tables = corpus.iterate_tables(path_graph, 1, 4)
     assert [tables[t]["v1"] for t in range(5)] == [1, F(1, 2), F(1, 2), F(3, 8), F(3, 8)]
     assert [tables[t]["v2"] for t in range(5)] == [1, 1, F(3, 4), F(3, 4), F(11, 16)]
 
 
 def test_star_iterates_settle_after_one_step(star):
-    above = iterate_above(star, 3)
-    below = iterate_below(star, 3)
+    above = corpus.iterate_tables(star, 1, 3)
+    below = corpus.iterate_tables(star, 0, 3)
     assert above[0]["v"] == 1 and below[0]["v"] == 0
     for t in (1, 2, 3):
         assert above[t]["v"] == F(1, 2)
@@ -94,19 +92,23 @@ def test_star_iterates_stay_two_bits_wide_for_100000_rungs(star):
 
 def test_upper_iterate_drops_below_one_exactly_at_goal_distance(fig1):
     # Moves needed to reach b: m needs 1, v needs 2, a needs 3, c needs 4.
-    tables = iterate_above(fig1, 6)
+    tables = corpus.iterate_tables(fig1, 1, 6)
     for v, d in (("m", 1), ("v", 2), ("a", 3), ("c", 4)):
         assert tables[d - 1][v] == 1
         assert tables[d][v] < 1
 
 
 def test_iterate_argument_validation(fig1, data_dir):
-    with pytest.raises(ValueError):
-        iterate_above(fig1, -1)
-    assert len(iterate_above(fig1, 0)) == 1
+    # A budget of no sweeps stops at table 0, the bracket [0, 1].
+    with pytest.raises(NotConvergedError) as info:
+        solve_iterative(fig1, max_iters=0)
+    assert (info.value.iterations, info.value.gap) == (0, 1)
+    # Both readers of the iterates check the arena first.
     bad = parse_game_graph((data_dir / "bad.rg").read_text())
     with pytest.raises(ValueError, match="DEAD_END"):
-        iterate_above(bad, 3)
+        solve_iterative(bad)
+    with pytest.raises(ValueError, match="DEAD_END"):
+        FullKnowledgeAgent(bad, {}, "blue")
 
 
 def test_solve_iterative_path_converges_in_thirty_sweeps(path_graph):
@@ -310,32 +312,52 @@ def test_solver_error_is_base_class():
     assert issubclass(NotConvergedError, SolverError)
 
 
+def critical_move(g, costs, color, v):
+    """The optimal agent's move at v in a critical position (its share
+    equal to its cost of v): Blue's cheapest successor, Red's dearest."""
+    share = costs[v] if color == "blue" else 1 - costs[v]
+    view = PlayerView(color, v, share, 1 - share)
+    return FullKnowledgeAgent(g, costs, color).decide(view, None).move_to
+
+
 def test_extremal_successors_examples(fig1, fig1_costs, path_graph, path_costs):
-    assert extremal_successors(fig1, fig1_costs, "m") == ("b", "r")
-    # Both successors of v cost 1/2: lexicographic tie-break on both slots.
-    assert extremal_successors(fig1, fig1_costs, "v") == ("c", "c")
-    assert extremal_successors(path_graph, path_costs, "v2") == ("v1", "r")
+    assert [critical_move(fig1, fig1_costs, c, "m") for c in ("blue", "red")] == ["b", "r"]
+    # Both successors of v cost 1/2: lexicographic tie-break for both players.
+    assert [critical_move(fig1, fig1_costs, c, "v") for c in ("blue", "red")] == ["c", "c"]
+    assert [critical_move(path_graph, path_costs, c, "v2") for c in ("blue", "red")] == ["v1", "r"]
     with pytest.raises(ValueError):
-        extremal_successors(fig1, fig1_costs, "b")
+        critical_move(fig1, fig1_costs, "blue", "b")
+
+
+def descent_walk(g, costs, color, v):
+    """The vertices ``color`` visits from v moving by its steepest-descent
+    moves alone, until a terminal or a vertex it has visited."""
+    moves = _descent_moves(g, *_oriented(g, costs, color))
+    walk = [v]
+    while walk[-1] in moves and moves[walk[-1]] not in walk:
+        walk.append(moves[walk[-1]])
+    return walk
 
 
 def test_steepest_descent_closure(fig1, fig1_costs):
-    assert steepest_descent_closure(fig1, fig1_costs, "m") == frozenset({"m", "b"})
-    assert steepest_descent_closure(fig1, fig1_costs, "v") == frozenset(
-        {"v", "m", "c", "a", "b"}
-    )
-    assert steepest_descent_closure(fig1, fig1_costs, "r") == frozenset({"r"})
-    with pytest.raises(KeyError):
-        steepest_descent_closure(fig1, fig1_costs, "nope")
+    # v's cheapest successors are c and m; Blue takes m, nearer its goal.
+    assert descent_walk(fig1, fig1_costs, "blue", "m") == ["m", "b"]
+    assert descent_walk(fig1, fig1_costs, "blue", "v") == ["v", "m", "b"]
+    assert descent_walk(fig1, fig1_costs, "red", "v") == ["v", "m", "r"]
+    assert descent_walk(fig1, fig1_costs, "blue", "r") == ["r"]
+    assert set(_descent_moves(fig1, *_oriented(fig1, fig1_costs, "blue"))) == set(fig1.non_terminals)
 
 
+# The ids name the rule each walk reads: the optimal agent's critical move
+# is the cheapest (Blue) or dearest (Red) successor, and the safety agent
+# and the coin-flip game move along steepest descent.
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda g, costs: extremal_successors(g, costs, "sink"),
-        lambda g, costs: extremal_successors(g, costs, "v"),
-        lambda g, costs: steepest_descent_closure(g, costs, "v"),
-        lambda g, costs: descent_distances(g, costs),
+        lambda g, costs: FullKnowledgeAgent(g, costs, "blue"),
+        lambda g, costs: FullKnowledgeAgent(g, costs, "red"),
+        lambda g, costs: SafetyRatioAgent(g, costs, "blue"),
+        lambda g, costs: random_turn_stats(g, costs, "v", 1),
     ],
     ids=["extremal_successors-sink", "extremal_successors-v", "steepest_descent_closure", "descent_distances"],
 )
@@ -347,13 +369,14 @@ def test_descent_walks_reject_an_invalid_arena(data_dir, walk):
 
 
 def test_descent_distances_fig1(fig1, fig1_costs):
-    assert descent_distances(fig1, fig1_costs) == {
+    # Blue's descent moves take each vertex to b in its steepest-descent
+    # distance: m 1, v 2, a 3, c 4.
+    assert {v: len(descent_walk(fig1, fig1_costs, "blue", v)) - 1 for v in fig1.vertices - {"r"}} == {
         "b": 0,
         "m": 1,
         "v": 2,
         "a": 3,
         "c": 4,
-        "r": None,
     }
 
 
@@ -367,8 +390,10 @@ def test_cost_table_helpers(star_costs):
 
 
 def test_iterate_labels(fig1):
-    tables = iterate_above(fig1, 2)
-    assert tables[2].label == "upper-iterate(2)"
+    with pytest.raises(NotConvergedError) as info:
+        solve_iterative(fig1, max_iters=2)
+    assert info.value.upper.label == "upper-iterate(2)"
+    assert info.value.lower.label == "lower-iterate(2)"
 
 
 def test_uniform_chain_matches_the_ruin_quotient():
@@ -432,8 +457,8 @@ def test_random_corpus_properties():
     for g in corpus.corpus200()[:30]:
         exact = corpus.exact_table(g)
         assert satisfies_exact_identity(g, exact)
-        above = iterate_above(g, 40)
-        below = iterate_below(g, 40)
+        above = corpus.iterate_tables(g, 1, 40)
+        below = corpus.iterate_tables(g, 0, 40)
         for v in g.non_terminals:
             ups = [t[v] for t in above]
             downs = [t[v] for t in below]
