@@ -12,7 +12,7 @@ Agents included:
 * ``FullKnowledgeAgent`` ("optimal") sees both bankrolls.  In a losing or
   critical position it bids the classic half-gap (cost(dearest) -
   cost(cheapest))/2 of the total supply, capped at its bankroll, and moves
-  to the cheapest successor.  In a strictly winning position it plays the
+  by ``_descent_moves``.  In a strictly winning position it plays the
   finite-horizon ladder: find the smallest t with upper-iterate(v, t) below
   its share, bid half the successor gap of table t-1 plus half the slack
   share - upper-iterate(v, t) (capped at its bankroll), and move to the
@@ -28,13 +28,13 @@ Agents included:
 
 ``_descent_moves`` is the one steepest-descent move rule: a cheapest
 successor on the player's own costs, ties to the fewest steepest-descent
-steps to its goal, then to the first name.  The safety agent and both
-players of the coin-flip game (``simulate``) move by it, and with it
-every coin-flip game ends.
+steps to its goal, then to the first name.  The optimal agent's losing
+and critical play, the safety agent and both players of the coin-flip
+game (``simulate``) move by it, and with it every coin-flip game ends.
 
 These strategies are functions of the vertex, so each agent plans every
-vertex once, when it is built: the optimal agent its losing play (cheapest
-successor and cost drop), the safety agent its bid rate and move, the
+vertex once, when it is built: the optimal agent its losing play (its
+move and cost drop), the safety agent its bid rate and move, the
 random agent reads the arena's move table.  The optimal agent's ladder is
 integer: rung t is the upper iterate as numerators over one power of two
 (``solver._iterates``), grown on demand, and the play of each (horizon,
@@ -191,10 +191,10 @@ def _oriented(
 
 
 def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> dict[str, str]:
-    """A player's move at every non-terminal, for the ``goal`` and
-    ``table`` of ``_oriented``: a cheapest successor, ties to the fewest
-    steepest-descent steps to the goal, then to the first name.  The
-    safety agent and the coin-flip game both move by it.
+    """Every non-terminal's move for the ``goal`` and ``table`` of
+    ``_oriented``: a cheapest successor, ties to the fewest steepest-descent
+    steps to the goal, then to the first name.  The optimal agent (losing
+    or critical), the safety agent and the coin-flip game move by it.
 
     When a fair coin picks who moves and both players move by it, every
     game ends with probability 1.  If not, the chain has a closed class C
@@ -209,6 +209,11 @@ def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> di
     terminal has no such move.  If c = 1, the same holds for Red on
     1 - cost.  The chance that Red wins is then harmonic with the terminal
     values 0 and 1, so it is the cost: the paper's random-turn theorem.
+
+    Two optimal agents with Blue's share at cost(v) both bid the drop
+    cost(v) - cheapest = dearest - cost(v); the tie winner pays it and
+    moves by this rule, so Blue's share stays at the cost: with fair ties
+    that bidding game is the coin-flip game, and it too ends.
     """
     cheapest = {}
     for v, succ in g.moves.items():
@@ -256,12 +261,11 @@ class FullKnowledgeAgent(Agent):
     ):
         goal, table = _oriented(graph, costs, color)
         self._graph = graph
-        # Losing or critical play per non-terminal: its cost and the cost
-        # drop to its cheapest successor, each as (numerator, denominator),
-        # and that successor; the bid is drop * total.
+        # Losing or critical play per non-terminal: its cost and the drop to
+        # its move, each as (numerator, denominator), then the move; the bid
+        # is drop * total.
         self._critical: dict[str, tuple[int, int, int, int, str]] = {}
-        for v, succ in graph.moves.items():
-            lo = min(succ, key=lambda u: (table[u], u))
+        for v, lo in _descent_moves(graph, goal, table).items():
             cost, drop = table[v], table[v] - table[lo]
             self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
         # Integer upper-iterate ladder towards the goal, grown on demand:
@@ -320,11 +324,7 @@ class FullKnowledgeAgent(Agent):
 
 class SafetyRatioAgent(Agent):
     """Bids own_money * (cost(v) - cheapest)/cost(v); blind to the opponent.
-
-    Moves to a cheapest successor; among those it prefers one with the
-    shortest steepest-descent path to the goal (then lexicographic), so
-    that won tiebreaks make progress instead of circling a plateau.
-    """
+    Moves by ``_descent_moves``, so won ties make progress."""
 
     name = "safety"
     deterministic = True

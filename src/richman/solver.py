@@ -79,8 +79,8 @@ class NotConvergedError(SolverError):
 class CostTable:
     """Vertex costs plus a tag saying how they were computed.
 
-    ``kind`` is one of "exact", "upper-iterate", "lower-iterate", "approx";
-    iterate tables carry their step index in ``step``.
+    ``kind`` is one of "exact", "upper-iterate", "lower-iterate"; iterate
+    tables carry their step index in ``step``.
     """
 
     costs: Mapping[str, Fraction]

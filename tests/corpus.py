@@ -505,6 +505,26 @@ class DeterministicSeventhsAgent(SeventhsAgent):
     deterministic = True
 
 
+class StallingAgent(Agent):
+    """A test-only adversary: it bids 0 and moves by a fixed table, so it
+    stalls wherever its opponent bids 0 and the ties go its way.  With
+    ``FIG1_CYCLE`` it circles v -> c -> a on fig1, where the safety bid
+    and the optimal agent's losing or critical bid are 0, because both
+    successors of v cost 1/2."""
+
+    name = "stalling"
+    deterministic = True
+
+    def __init__(self, moves: dict[str, str]):
+        self.moves = moves
+
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
+        return BidDecision(Fraction(0), self.moves[view.position])
+
+
+FIG1_CYCLE = {"v": "c", "c": "a", "a": "v"}
+
+
 def kept_records(*args, **kwargs) -> list[GameRecord]:
     """The records ``run_batch(*args, **kwargs)`` passes to ``on_record``,
     in order."""
@@ -633,10 +653,10 @@ def reference_decision(
       below its share; bid half the successor gap of iterate t-1 plus half
       the slack, capped at its bankroll; move to the cheapest successor in
       iterate t-1.  Otherwise bid the cost drop to the cheapest successor
-      times the total, capped; move there.
+      times the total, capped, and move by ``naive_descent_moves``.
     * safety: bid own * (cost(v) - cheapest) / cost(v) (0 where the cost is
-      0); move to the cheapest successor nearest the goal by steepest
-      descent, then by name.
+      0) and move by ``naive_descent_moves``: to the cheapest successor
+      nearest the goal by steepest descent, then by name.
     * uniform-random-bid: a 32-bit uniform fraction of its bankroll, then a
       uniform choice among the sorted successors.
     """
@@ -650,10 +670,10 @@ def reference_decision(
     if name == "uniform-random-bid":
         fraction = Fraction(rng.getrandbits(32), 2**32)
         return BidDecision(own * fraction, rng.choice(succ))
-    cheapest = min(succ, key=lambda u: (cost[u], u))
+    cheapest = naive_descent_moves(g, cost)[v]
     if name == "safety":
         bid = Fraction(0) if cost[v] == 0 else own * (cost[v] - cost[cheapest]) / cost[v]
-        return BidDecision(bid, naive_descent_moves(g, cost)[v])
+        return BidDecision(bid, cheapest)
     total = own + view.opponent_money
     if total > 0 and own / total > cost[v]:
         share = own / total

@@ -116,12 +116,19 @@ def safety_corpus_runs(acyclic_graphs):
 
 @pytest.fixture(scope="module")
 def fig1_safety_batches(fig1, fig1_costs):
-    """Criterion 7c/7d batches: Figure-1 arena, Blue safety at share 7/10."""
+    """Criterion 7c/7d batches: Figure-1 arena, Blue safety at share 7/10,
+    against optimal Red with fair and with hostile ties, and against a Red
+    that bids 0 and circles v -> c -> a with hostile ties."""
     blue = SafetyRatioAgent(fig1, fig1_costs, "blue")
-    red = FullKnowledgeAgent(fig1, fig1_costs, "red")
+    optimal = FullKnowledgeAgent(fig1, fig1_costs, "red")
+    stalling = corpus.StallingAgent(corpus.FIG1_CYCLE)
     start = GameState("v", F(7, 10), F(3, 10))
     out = {}
-    for key, tiebreak in (("fair", "fair"), ("hostile", "always-red")):
+    for key, red, tiebreak in (
+        ("fair", optimal, "fair"),
+        ("hostile", optimal, "always-red"),
+        ("stall", stalling, "always-red"),
+    ):
         records = []
         stats = run_batch(
             fig1,
@@ -276,14 +283,24 @@ def test_criterion_07c_safety_beats_optimal_with_fair_ties(fig1_safety_batches):
 
 
 def test_criterion_07d_hostile_ties_only_stall(fig1_safety_batches):
+    """Optimal Red wins every tie at v and moves to m, where safety Blue
+    outbids it; only a Red that circles the zero-bid cycle holds off the
+    loss, and then only until the cap."""
     stats, records = fig1_safety_batches["hostile"]
+    assert stats.runs == 200
+    assert stats.red_wins == 0
+    assert stats.blue_wins == 200
+    for record in records:
+        assert record.outcome == "BlueWins"
+        assert [s.move_to for s in record.steps] == ["m", "b"]
+    stats, records = fig1_safety_batches["stall"]
     assert stats.runs == 200
     assert stats.red_wins == 0
     assert stats.unresolved == 200
     for record in records:
         assert record.outcome == "Unresolved"
         assert len(record.steps) == record.move_cap == 384
-    print("PASS criterion 7d: hostile ties stall at the 384 cap; red never wins")
+    print("PASS criterion 7d: hostile ties stall at the 384 cap at best; red never wins")
 
 
 def test_criterion_08_random_turn_frequencies(random_turn_results):

@@ -103,8 +103,10 @@ def test_full_knowledge_critical_bids(fig1, fig1_costs):
     # At m with a split pot both sides bid the half-gap 1/2 and aim home.
     assert blue.decide(view("blue", "m", F(1, 2), F(1, 2)), rng) == BidDecision(F(1, 2), "b")
     assert red.decide(view("red", "m", F(1, 2), F(1, 2)), rng) == BidDecision(F(1, 2), "r")
-    # At v every successor ties at 1/2: bid zero, lexicographically smallest move.
-    assert blue.decide(view("blue", "v", F(1, 2), F(1, 2)), rng) == BidDecision(F(0), "c")
+    # At v every successor ties at 1/2: bid zero and move to m, the one
+    # nearer each goal by steepest descent.
+    assert blue.decide(view("blue", "v", F(1, 2), F(1, 2)), rng) == BidDecision(F(0), "m")
+    assert red.decide(view("red", "v", F(1, 2), F(1, 2)), rng) == BidDecision(F(0), "m")
 
 
 def test_full_knowledge_bid_is_capped_by_bankroll(fig1, fig1_costs):

@@ -65,7 +65,7 @@ def _groups() -> dict[str, list[tuple[str, ...]]]:
 
 
 GOLDEN = {
-    "simulate fig1.rg": "edfce8f2293dcb1109b13cac0d88b238fc516c4c53ba5626a6271762e05e7e25",
+    "simulate fig1.rg": "3fc2ef93fc570d7e2364faa6cb649e84b29bad1a7d405565744fafc092546ef3",
     "simulate ring5.rg": "d4cc390821d29d75a5774c2b9984f4bfe3adc717567c6b24186091f941c553e5",
     "simulate series3.rg": "a55205b109e16d2c822d9c3e6ef0665949487dcc63853c0154174d3c0e588919",
     "randomturn": "45e7903662abebbcdfd909a2d14f12140f3399fb4fbd6301241fc9589c7ef060",

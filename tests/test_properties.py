@@ -9,7 +9,8 @@ game's move table ending every game with Red's chance of winning equal
 to the cost table and equal to the safety agent's moves, the arena
 walks (the move table, the interior cycle test and order, each player's
 steepest-descent moves) against naive searches, every agent's decisions
-against a from-scratch reference, and seeded batches of bidding games
+against a from-scratch reference, two optimal agents at the critical
+share playing the coin-flip game, and seeded batches of bidding games
 (their records and their tallies, built-in agents and an agent that
 defines only ``decide``) against the same games played one at a time
 from scratch."""
@@ -282,6 +283,52 @@ def test_agents_match_the_per_decision_reference(g, seed):
                     lambda: corpus.reference_decision(name, g, costs, color, view, random.Random(seed))
                 )
                 assert mine == reference, (name, color, view)
+
+
+def check_critical_share_games(g: GameGraph, costs, start: str, runs: int, seed: int):
+    """A fair-tie batch of two optimal agents with Blue's share at its cost
+    of ``start``.  Both bid the same cost drop, since 2 cost(v) = cheapest +
+    dearest, so every step is a tie; the tie winner moves by its
+    ``_descent_moves`` and pays the drop, so Blue's money after each step
+    is its cost of the new position.  Returns the batch's tallies."""
+    blue, red = (make_agent("optimal", g, costs, color) for color in ("blue", "red"))
+    moves = {color: _descent_moves(g, *_oriented(g, costs, color)) for color in ("blue", "red")}
+    start_state = GameState(start, costs[start], 1 - costs[start])
+    records = []
+    stats = run_batch(g, blue, red, start_state, runs=runs, master_seed=seed, on_record=records.append)
+    for record in records:
+        for step in record.steps:
+            assert step.tie is not None
+            assert step.blue_after == costs[step.move_to]
+            assert step.move_to == moves[step.winner][step.position]
+    return stats
+
+
+@pytest.mark.parametrize(
+    "arena",
+    [lambda fig1: fig1, lambda fig1: corpus.ring_graph(12), lambda fig1: corpus.two_way_chain(8)],
+    ids=["fig1", "ring12", "chain8"],
+)
+def test_optimal_agents_at_the_critical_share_play_the_coin_flip_game(arena, fig1):
+    g = arena(fig1)
+    costs = solve_exact(g)
+    for start in g.non_terminals:
+        assert check_critical_share_games(g, costs, start, 20, 1).unresolved == 0
+
+
+def test_every_critical_share_game_from_fig1_v_ends(fig1, fig1_costs):
+    """Both successors of v cost 1/2; the tie winner moves to m, not
+    round the cycle v -> c -> a, so the game ends."""
+    stats = check_critical_share_games(fig1, fig1_costs, "v", 200, 5)
+    assert (stats.runs, stats.unresolved) == (200, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(arenas(1, 12))
+def test_optimal_agents_at_the_critical_share_play_the_coin_flip_game_anywhere(g):
+    costs = solve_exact(g)
+    for start in g.non_terminals:
+        assert check_critical_share_games(g, costs, start, 5, 0).unresolved == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

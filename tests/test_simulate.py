@@ -56,6 +56,18 @@ def optimal_pair(fig1, fig1_costs):
     )
 
 
+@pytest.fixture(scope="module")
+def chain_standoff():
+    """Two optimal agents on a 64-vertex two-way chain with Blue's share
+    at its cost of the middle vertex v32: both bid the same cost drop at
+    every step, so with fair ties the game is a fair walk of about 1 000
+    moves."""
+    g = corpus.two_way_chain(64)
+    costs = solve_exact(g)
+    agents = (make_agent("optimal", g, costs, "blue"), make_agent("optimal", g, costs, "red"))
+    return g, *agents, GameState("v32", costs["v32"], 1 - costs["v32"])
+
+
 def test_derived_seed_is_stable_and_sensitive():
     assert derived_seed(0, "tie", 0, 0) == 15220288310468689684
     assert derived_seed(5, "agent", 2, "blue") == 4860830734878008140
@@ -154,12 +166,17 @@ def test_zero_money_game_is_legal(fig1, fig1_costs):
 
 
 def test_critical_standoff_hits_the_cap(fig1, optimal_pair):
-    """With a split pot at v both sides bid 0 forever; the mover just laps
+    """With a split pot at v the optimal agent bids 0 on the cycle
+    v -> c -> a; an opponent that bids 0 too and wins every tie just laps
     the cycle, so the game ends only at the cap."""
     blue, red = optimal_pair
-    for tiebreak, tie_value in (("always-blue", True), ("always-red", False)):
+    stalling = corpus.StallingAgent(corpus.FIG1_CYCLE)
+    for tiebreak, tie_value, pair in (
+        ("always-blue", True, (stalling, red)),
+        ("always-red", False, (blue, stalling)),
+    ):
         record = play_richman_game(
-            fig1, blue, red, GameState("v", F(1, 2), F(1, 2)), tiebreak=tiebreak
+            fig1, *pair, GameState("v", F(1, 2), F(1, 2)), tiebreak=tiebreak
         )
         assert record.outcome == "Unresolved"
         assert record.move_cap == 384
@@ -172,20 +189,17 @@ def test_critical_standoff_hits_the_cap(fig1, optimal_pair):
         corpus.check_money_conservation(record)
 
 
-def test_fair_ties_use_the_derived_coin(fig1, optimal_pair):
-    blue, red = optimal_pair
-    state = GameState("v", F(1, 2), F(1, 2))
-    record = play_richman_game(fig1, blue, red, state, tiebreak="fair", seed=11)
-    twin = play_richman_game(fig1, blue, red, state, tiebreak="fair", seed=11)
+def test_fair_ties_use_the_derived_coin(chain_standoff):
+    g, blue, red, state = chain_standoff
+    record = play_richman_game(g, blue, red, state, tiebreak="fair", seed=11)
+    twin = play_richman_game(g, blue, red, state, tiebreak="fair", seed=11)
     assert record == twin
     assert {s.tie for s in record.steps} == {True, False}
 
 
-def test_max_moves_override(fig1, optimal_pair):
-    blue, red = optimal_pair
-    record = play_richman_game(
-        fig1, blue, red, GameState("v", F(1, 2), F(1, 2)), max_moves=5
-    )
+def test_max_moves_override(chain_standoff):
+    g, blue, red, state = chain_standoff
+    record = play_richman_game(g, blue, red, state, max_moves=5)
     assert record.move_cap == 5
     assert len(record.steps) == 5
     assert record.outcome == "Unresolved"
@@ -249,11 +263,12 @@ class CountingAgent(Agent):
         return self.inner.decide(view, rng)
 
 
-def test_undeclared_agents_are_asked_every_step_of_every_game(fig1, optimal_pair):
-    blue, red = (CountingAgent(agent) for agent in optimal_pair)
-    for state, distinct in ((GameState("m", F(1), F(0)), 1), (GameState("v", F(1, 2), F(1, 2)), 20)):
+def test_undeclared_agents_are_asked_every_step_of_every_game(chain_standoff):
+    g, *agents, standoff = chain_standoff
+    blue, red = (CountingAgent(agent) for agent in agents)
+    for state, distinct in ((GameState("v32", F(1), F(0)), 1), (standoff, 20)):
         blue.calls = red.calls = 0
-        records = corpus.kept_records(fig1, blue, red, state, runs=20, master_seed=4)
+        records = corpus.kept_records(g, blue, red, state, runs=20, master_seed=4)
         assert len(set(records)) == distinct
         assert blue.calls == red.calls == sum(len(r.steps) for r in records)
 

@@ -314,7 +314,8 @@ def test_solver_error_is_base_class():
 
 def critical_move(g, costs, color, v):
     """The optimal agent's move at v in a critical position (its share
-    equal to its cost of v): Blue's cheapest successor, Red's dearest."""
+    equal to its cost of v): its ``_descent_moves`` move, a cheapest
+    successor for Blue and a dearest for Red."""
     share = costs[v] if color == "blue" else 1 - costs[v]
     view = PlayerView(color, v, share, 1 - share)
     return FullKnowledgeAgent(g, costs, color).decide(view, None).move_to
@@ -322,8 +323,9 @@ def critical_move(g, costs, color, v):
 
 def test_extremal_successors_examples(fig1, fig1_costs, path_graph, path_costs):
     assert [critical_move(fig1, fig1_costs, c, "m") for c in ("blue", "red")] == ["b", "r"]
-    # Both successors of v cost 1/2: lexicographic tie-break for both players.
-    assert [critical_move(fig1, fig1_costs, c, "v") for c in ("blue", "red")] == ["c", "c"]
+    # Both successors of v cost 1/2: both players take m, one step from
+    # their goal, not c on the cycle v -> c -> a -> v.
+    assert [critical_move(fig1, fig1_costs, c, "v") for c in ("blue", "red")] == ["m", "m"]
     assert [critical_move(path_graph, path_costs, c, "v2") for c in ("blue", "red")] == ["v1", "r"]
     with pytest.raises(ValueError):
         critical_move(fig1, fig1_costs, "blue", "b")
@@ -348,9 +350,8 @@ def test_steepest_descent_closure(fig1, fig1_costs):
     assert set(_descent_moves(fig1, *_oriented(fig1, fig1_costs, "blue"))) == set(fig1.non_terminals)
 
 
-# The ids name the rule each walk reads: the optimal agent's critical move
-# is the cheapest (Blue) or dearest (Red) successor, and the safety agent
-# and the coin-flip game move along steepest descent.
+# The optimal agent (both colours), the safety agent and the coin-flip game
+# all move along steepest descent, and each checks the arena first.
 @pytest.mark.parametrize(
     "walk",
     [
