@@ -58,9 +58,8 @@ import math
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .graphs import GameGraph, distances_to
 from .solver import CostTable, SolverError, _iterates, _require_valid
@@ -91,8 +90,7 @@ def _plays_red(color: str) -> bool:
     return color == "red"
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Token position plus both bankrolls (exact rationals)."""
 
     position: str
@@ -107,8 +105,7 @@ class GameState:
         return self.red_money if _plays_red(color) else self.blue_money
 
 
-@dataclass(frozen=True)
-class PlayerView:
+class PlayerView(NamedTuple):
     """What one player is shown before bidding.
 
     ``opponent_money`` is None when the opponent's bankroll is withheld;
@@ -121,8 +118,7 @@ class PlayerView:
     opponent_money: Fraction | None
 
 
-@dataclass(frozen=True)
-class BidDecision:
+class BidDecision(NamedTuple):
     """A sealed bid plus the move to make if the bid wins."""
 
     bid: Fraction

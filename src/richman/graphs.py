@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 __all__ = [
@@ -43,7 +43,7 @@ class GraphFormatError(ValueError):
 
 
 def _check_vertex_id(token: str, line: int | None = None) -> str:
-    if not token or token == "#" or any(ch.isspace() for ch in token):
+    if token == "#":  # a str.split() field is never empty and holds no whitespace
         raise GraphFormatError(f"bad vertex id {token!r}", line)
     return token
 
@@ -131,15 +131,13 @@ class GameGraph:
         raise ValueError(f"{v!r} is not a terminal vertex")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -206,9 +204,10 @@ def validate(g: GameGraph) -> ValidationReport:
     for name, t in (("blue", g.blue), ("red", g.red)):
         if t not in g.vertices:
             found.append(Violation("MISSING_TERMINAL", t, f"{name} vertex {t!r} is not in the vertex set"))
-    for a, b in sorted(g.edges):
+    vs = g.vertices
+    for a, b in sorted((a, b) for a, b in g.edges if a not in vs or b not in vs):
         for end in (a, b):
-            if end not in g.vertices:
+            if end not in vs:
                 found.append(Violation("BAD_EDGE_ENDPOINT", end, f"edge ({a}, {b}) mentions unknown vertex {end!r}"))
     for t in sorted({g.blue, g.red}):
         if (t, t) in g.edges:

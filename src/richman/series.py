@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import GameGraph
 from .solver import SolverError, _frac_json, _integer_table, solve_exact
@@ -59,8 +59,7 @@ class SeriesSpec:
             raise ValueError("bankroll must lie between the two payout targets")
 
 
-@dataclass(frozen=True)
-class BetPlan:
+class BetPlan(NamedTuple):
     """Holding to maintain and stake to place at every interior state."""
 
     spec: SeriesSpec

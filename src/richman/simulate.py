@@ -55,9 +55,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .agents import Agent, GameState, _descent_moves, _oriented
 from .graphs import GameGraph
@@ -102,8 +101,7 @@ def derived_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One exchange: sealed bids, resolution, payment, move.
 
     ``tie`` is None when the bids differed; on equal bids it records the
@@ -122,8 +120,7 @@ class Step:
     red_after: Fraction
 
 
-@dataclass(frozen=True)
-class GameRecord:
+class GameRecord(NamedTuple):
     """Full trace of one game."""
 
     start: str
@@ -158,8 +155,7 @@ class GameRecord:
         }
 
 
-@dataclass(frozen=True)
-class BatchStats:
+class BatchStats(NamedTuple):
     """Tallies over a batch of games."""
 
     runs: int
@@ -176,7 +172,7 @@ class BatchStats:
         return dict(sorted(out.items()))
 
     def to_json_dict(self) -> dict:
-        payload = asdict(self)
+        payload = self._asdict()
         del payload["move_counts"]
         payload["move_histogram"] = {str(k): v for k, v in self.histogram().items()}
         return payload
@@ -480,8 +476,7 @@ def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Rand
     return pos
 
 
-@dataclass(frozen=True)
-class RandomTurnStats:
+class RandomTurnStats(NamedTuple):
     runs: int
     blue_wins: int
     red_wins: int
@@ -491,7 +486,7 @@ class RandomTurnStats:
     master_seed: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def random_turn_stats(

@@ -38,7 +38,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .graphs import GameGraph, distances_to
 
@@ -104,8 +104,7 @@ class CostTable:
         return {"kind": self.label, "costs": table}
 
 
-@dataclass(frozen=True)
-class ApproxSolve:
+class ApproxSolve(NamedTuple):
     """Bracketing pair of iterate tables: lower(v) <= cost(v) <= upper(v)."""
 
     upper: CostTable

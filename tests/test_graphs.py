@@ -7,6 +7,7 @@ import pytest
 from richman import (
     GameGraph,
     GraphFormatError,
+    Violation,
     parse_game_graph,
     serialize_game_graph,
     validate,
@@ -63,6 +64,24 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_game_graph(text)
     assert info.value.line == line
     assert f"line {line}:" in str(info.value)
+
+
+def test_split_separates_exactly_at_isspace_code_points():
+    """The parser takes vertex ids from ``str.split()`` and checks them only
+    for ``#``: no id is empty or holds whitespace because ``split``
+    separates at exactly the code points ``str.isspace`` accepts."""
+    for cp in range(0x110000):
+        ch = chr(cp)
+        assert (f"a{ch}b".split() == ["a", "b"]) == ch.isspace(), hex(cp)
+
+
+@pytest.mark.parametrize(
+    "text, line", [("blue b\nred r\nedge # x\n", 3), ("blue b\nred r\nedge x #\n", 3), ("blue #\nred r\n", 1)]
+)
+def test_parse_refuses_a_hash_vertex_id(text, line):
+    with pytest.raises(GraphFormatError) as info:
+        parse_game_graph(text)
+    assert (str(info.value), info.value.line) == (f"line {line}: bad vertex id '#'", line)
 
 
 def test_parse_requires_both_terminals():
@@ -139,6 +158,20 @@ def test_validate_flags_missing_terminal_and_bad_endpoint():
     codes = {(w.code, w.subject) for w in report.violations}
     assert ("MISSING_TERMINAL", "r") in codes
     assert ("BAD_EDGE_ENDPOINT", "ghost") in codes
+
+
+def test_bad_edge_endpoints_are_reported_in_edge_order():
+    g = GameGraph(
+        vertices=frozenset({"b", "r", "v"}),
+        edges=frozenset({("v", "b"), ("v", "r"), ("v", "zed"), ("v", "ghost"), ("ghost", "r")}),
+        blue="b",
+        red="r",
+    )
+    assert validate(g).violations == (
+        Violation("BAD_EDGE_ENDPOINT", "ghost", "edge (ghost, r) mentions unknown vertex 'ghost'"),
+        Violation("BAD_EDGE_ENDPOINT", "ghost", "edge (v, ghost) mentions unknown vertex 'ghost'"),
+        Violation("BAD_EDGE_ENDPOINT", "zed", "edge (v, zed) mentions unknown vertex 'zed'"),
+    )
 
 
 def test_violations_are_sorted(data_dir):

@@ -1,7 +1,15 @@
-"""The package's public names are exactly its modules' public names."""
+"""The package's public names are exactly its modules' public names, and
+its value records are named tuples."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
 
 import richman
 from richman import agents, graphs, series, simulate, solver
+
+F = Fraction
 
 PUBLIC = [
     "AGENT_NAMES",
@@ -62,3 +70,87 @@ def test_package_all_is_the_union_of_the_module_lists():
 def test_public_surface_is_pinned():
     """Growing or shrinking the public surface takes an edit here."""
     assert richman.__all__ == PUBLIC
+
+
+def test_only_three_public_types_are_dataclasses():
+    """GameGraph caches on its instance ``__dict__``, CostTable indexes by
+    vertex and SeriesSpec validates itself; every other record is a tuple."""
+    assert [n for n in richman.__all__ if dataclasses.is_dataclass(getattr(richman, n))] == [
+        "CostTable",
+        "GameGraph",
+        "SeriesSpec",
+    ]
+
+
+_TABLE = solver.CostTable({"b": F(0), "r": F(1)}, "upper-iterate", 2)
+_SPEC = series.SeriesSpec(2, F(1, 2))
+
+# One instance of each value record, with hashable fields where the type allows.
+RECORDS = [
+    graphs.Violation("DEAD_END", "v", "non-terminal 'v' has no outgoing edges"),
+    graphs.ValidationReport(True, ()),
+    solver.ApproxSolve(_TABLE, _TABLE, 2, F(1, 4)),
+    agents.GameState("v", F(1, 3), F(2, 3)),
+    agents.PlayerView("red", "v", F(2, 3), None),
+    agents.BidDecision(F(1, 2), "m"),
+    simulate.Step(0, "v", F(1, 3), F(1, 3), True, "blue", F(1, 3), "m", F(0), F(1)),
+    simulate.GameRecord("v", (), "Unresolved", 0),
+    simulate.BatchStats(3, 2, 1, 0, (2, 4, 2), 7),
+    simulate.RandomTurnStats(4, 1, 3, 0, 0.75, 0.25, 0),
+    series.BetPlan(_SPEC, {(0, 0): F(1, 2)}, {(0, 0): F(1, 4)}),
+]
+# These hold dicts, so they do not hash, as their dicts do not.
+UNHASHABLE = {"ApproxSolve", "BetPlan"}
+
+
+def test_every_value_record_is_pinned():
+    assert sorted(type(r).__name__ for r in RECORDS) == sorted(
+        n for n in richman.__all__ if isinstance(getattr(richman, n), type) and issubclass(getattr(richman, n), tuple)
+    )
+    assert len(RECORDS) == 11
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_value_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_value_records_compare_and_hash_by_value(record):
+    twin = type(record)(*record)
+    assert twin is not record and twin == record and record == tuple(record)
+    assert record._replace(**{record._fields[0]: "other"}) != record
+    if type(record).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_value_records_keep_their_repr(record):
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+def test_stats_json_dicts_are_pinned():
+    assert simulate.BatchStats(3, 2, 1, 0, (2, 4, 2), 7).to_json_dict() == {
+        "runs": 3,
+        "blue_wins": 2,
+        "red_wins": 1,
+        "unresolved": 0,
+        "master_seed": 7,
+        "move_histogram": {"2": 2, "4": 1},
+    }
+    assert simulate.RandomTurnStats(4, 1, 3, 0, 0.75, 0.25, 0).to_json_dict() == {
+        "runs": 4,
+        "blue_wins": 1,
+        "red_wins": 3,
+        "unresolved": 0,
+        "frequency": 0.75,
+        "stderr": 0.25,
+        "master_seed": 0,
+    }

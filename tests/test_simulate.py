@@ -282,16 +282,16 @@ def test_a_batch_builds_steps_only_for_the_records_it_passes_on(monkeypatch):
     built = []
 
     def counted(cls):
-        init = cls.__init__
+        new = cls.__new__
 
-        def __init__(self, *args, **kwargs):
+        def __new__(klass, *args, **kwargs):
             built.append(cls)
-            init(self, *args, **kwargs)
+            return new(klass, *args, **kwargs)
 
-        return __init__
+        return __new__
 
     for cls in (Step, PlayerView):
-        monkeypatch.setattr(cls, "__init__", counted(cls))
+        monkeypatch.setattr(cls, "__new__", counted(cls))
     blue = make_agent("uniform-random-bid", g, costs, "blue")
     red = make_agent("optimal", g, costs, "red")
     args = (g, blue, red, GameState("s0_0", F(2, 5), F(3, 5)))

@@ -321,7 +321,7 @@ def critical_move(g, costs, color, v):
     return FullKnowledgeAgent(g, costs, color).decide(view, None).move_to
 
 
-def test_extremal_successors_examples(fig1, fig1_costs, path_graph, path_costs):
+def test_optimal_agent_critical_moves(fig1, fig1_costs, path_graph, path_costs):
     assert [critical_move(fig1, fig1_costs, c, "m") for c in ("blue", "red")] == ["b", "r"]
     # Both successors of v cost 1/2: both players take m, one step from
     # their goal, not c on the cycle v -> c -> a -> v.
@@ -341,7 +341,7 @@ def descent_walk(g, costs, color, v):
     return walk
 
 
-def test_steepest_descent_closure(fig1, fig1_costs):
+def test_descent_walks_fig1(fig1, fig1_costs):
     # v's cheapest successors are c and m; Blue takes m, nearer its goal.
     assert descent_walk(fig1, fig1_costs, "blue", "m") == ["m", "b"]
     assert descent_walk(fig1, fig1_costs, "blue", "v") == ["v", "m", "b"]
@@ -360,7 +360,7 @@ def test_steepest_descent_closure(fig1, fig1_costs):
         lambda g, costs: SafetyRatioAgent(g, costs, "blue"),
         lambda g, costs: random_turn_stats(g, costs, "v", 1),
     ],
-    ids=["extremal_successors-sink", "extremal_successors-v", "steepest_descent_closure", "descent_distances"],
+    ids=["optimal-blue", "optimal-red", "safety-blue", "coin-game"],
 )
 def test_descent_walks_reject_an_invalid_arena(data_dir, walk):
     bad = parse_game_graph((data_dir / "bad.rg").read_text())
@@ -369,7 +369,7 @@ def test_descent_walks_reject_an_invalid_arena(data_dir, walk):
         walk(bad, costs)
 
 
-def test_descent_distances_fig1(fig1, fig1_costs):
+def test_descent_walk_lengths_fig1(fig1, fig1_costs):
     # Blue's descent moves take each vertex to b in its steepest-descent
     # distance: m 1, v 2, a 3, c 4.
     assert {v: len(descent_walk(fig1, fig1_costs, "blue", v)) - 1 for v in fig1.vertices - {"r"}} == {
