@@ -1,11 +1,13 @@
 """Bidding strategies.
 
 Every strategy is written from the point of view of the player trying to
-reach *their* terminal, its goal, on the arena as given: Blue's goal is the
-blue terminal and its costs are the table's; Red's goal is the red
-terminal and every cost reads 1 - cost.  Each player's cost is then 0 at
-its goal and 1 at the other terminal, which turns Red's steepest ascent
-into steepest descent and lets one implementation serve both colors.
+reach *their* terminal, its goal, on the arena as given (``_oriented``):
+Blue's goal is the blue terminal and its costs are the table's, read as
+integer numerators N over one denominator den; Red's goal is the red
+terminal and its costs are den - N, that is 1 - cost.  Each player's cost
+is then 0 at its goal and 1 at the other terminal, which turns Red's
+steepest ascent into steepest descent and lets one implementation serve
+both colors.
 
 Agents included:
 
@@ -62,7 +64,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .graphs import GameGraph, distances_to
-from .solver import CostTable, SolverError, _iterates, _require_valid
+from .solver import CostTable, SolverError, _integer_table, _iterates, _require_valid
 
 __all__ = [
     "AGENT_NAMES",
@@ -75,9 +77,6 @@ __all__ = [
     "UniformRandomBidAgent",
     "make_agent",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 COLORS = ("blue", "red")
 
@@ -177,17 +176,20 @@ def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random 
 
 def _oriented(
     g: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
-) -> tuple[str, Mapping[str, Fraction]]:
-    """``color``'s goal terminal on g and its costs, 0 at the goal and 1 at
-    the other terminal.  Checks the arena (the graph keeps the verdict)."""
+) -> tuple[str, dict[str, int], int]:
+    """``color``'s goal terminal on g and its costs as integer numerators N
+    over one denominator den, 0 at the goal and den at the other terminal:
+    the table's own numerators for Blue, den - N for Red.  Checks the arena
+    (the graph keeps the verdict)."""
     _require_valid(g)
+    nums, den = _integer_table(g, costs)
     if _plays_red(color):
-        return g.red, {v: ONE - costs[v] for v in g.vertices}
-    return g.blue, costs
+        return g.red, {v: den - n for v, n in nums.items()}, den
+    return g.blue, nums, den
 
 
-def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> dict[str, str]:
-    """Every non-terminal's move for the ``goal`` and ``table`` of
+def _descent_moves(g: GameGraph, goal: str, nums: Mapping[str, int]) -> dict[str, str]:
+    """Every non-terminal's move for the ``goal`` and numerators ``nums`` of
     ``_oriented``: a cheapest successor, ties to the fewest steepest-descent
     steps to the goal, then to the first name.  The optimal agent (losing
     or critical), the safety agent and the coin-flip game move by it.
@@ -213,8 +215,8 @@ def _descent_moves(g: GameGraph, goal: str, table: Mapping[str, Fraction]) -> di
     """
     cheapest = {}
     for v, succ in g.moves.items():
-        floor = min(table[u] for u in succ)
-        cheapest[v] = [u for u in succ if table[u] == floor]
+        floor = min(nums[u] for u in succ)
+        cheapest[v] = [u for u in succ if nums[u] == floor]
     dist = distances_to([goal], ((v, u) for v, floor in cheapest.items() for u in floor))
     far = len(g.vertices)  # no vertex is |V| steps away
     return {v: min(floor, key=lambda u: (dist.get(u, far), u)) for v, floor in cheapest.items()}
@@ -255,15 +257,15 @@ class FullKnowledgeAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        goal, table = _oriented(graph, costs, color)
+        goal, nums, den = _oriented(graph, costs, color)
         self._graph = graph
-        # Losing or critical play per non-terminal: its cost and the drop to
-        # its move, each as (numerator, denominator), then the move; the bid
-        # is drop * total.
-        self._critical: dict[str, tuple[int, int, int, int, str]] = {}
-        for v, lo in _descent_moves(graph, goal, table).items():
-            cost, drop = table[v], table[v] - table[lo]
-            self._critical[v] = (cost.numerator, cost.denominator, drop.numerator, drop.denominator, lo)
+        self._den = den
+        # Losing or critical play per non-terminal: the numerators over den
+        # of its cost and of the drop to its move, then the move; the bid is
+        # drop * total.
+        self._critical: dict[str, tuple[int, int, str]] = {
+            v: (nums[v], nums[v] - nums[lo], lo) for v, lo in _descent_moves(graph, goal, nums).items()
+        }
         # Integer upper-iterate ladder towards the goal, grown on demand:
         # rung t is (N, e), the table N / 2^e.  The winning play of each
         # (horizon, vertex) (_rung_plan) is filled on first use.
@@ -301,11 +303,11 @@ class FullKnowledgeAgent(Agent):
         critical = self._critical.get(position)
         if critical is None:
             _no_play(self._graph, position)
-        cost_num, cost_den, drop_num, drop_den, lo = critical
+        cost, drop, lo = critical
         # share = own / total, total = (own + opp) / den
         total = own + opp
 
-        if total > 0 and own * cost_den > cost_num * total:
+        if total > 0 and own * self._den > cost * total:
             t = self._horizon(position, own, total)
             plan = self._plans.get((t, position))
             if plan is None:
@@ -315,7 +317,7 @@ class FullKnowledgeAgent(Agent):
             # in total units and capped at own: min(own/2 + kappa total, own).
             return min((own << (s - 1)) + kappa * total, own << s), 1 << s, move
 
-        return min(drop_num * total, own * drop_den), drop_den, lo
+        return min(drop * total, own * self._den), self._den, lo
 
 
 class SafetyRatioAgent(Agent):
@@ -331,15 +333,14 @@ class SafetyRatioAgent(Agent):
         costs: CostTable | Mapping[str, Fraction],
         color: str,
     ):
-        goal, table = _oriented(graph, costs, color)
+        goal, nums, _ = _oriented(graph, costs, color)
         self._graph = graph
         # (rate numerator, rate denominator, move) per non-terminal; the
-        # bid is own_money * rate.
-        self._plan: dict[str, tuple[int, int, str]] = {}
-        for v, move in _descent_moves(graph, goal, table).items():
-            cost = table[v]
-            rate = ZERO if cost == 0 else (cost - table[move]) / cost
-            self._plan[v] = (rate.numerator, rate.denominator, move)
+        # bid is own_money * rate, and the rate is 0 at cost 0.
+        self._plan: dict[str, tuple[int, int, str]] = {
+            v: (nums[v] - nums[m], nums[v], m) if nums[v] else (0, 1, m)
+            for v, m in _descent_moves(graph, goal, nums).items()
+        }
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         return _decision(SafetyRatioAgent._bid, self, view, rng)

@@ -213,19 +213,15 @@ def validate(g: GameGraph) -> ValidationReport:
         if (t, t) in g.edges:
             found.append(Violation("TERMINAL_SELF_LOOP", t, f"terminal {t!r} has a self-loop"))
 
-    outgoing: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for a, b in g.edges:
-        if a in outgoing and b in outgoing:
-            outgoing[a].add(b)
-
-    for v in g.non_terminals:
-        if not outgoing[v]:
+    for v, succ in g.moves.items():
+        if not any(u in vs for u in succ):
             found.append(Violation("DEAD_END", v, f"non-terminal {v!r} has no outgoing edges"))
 
-    # Every vertex must reach one of the terminals.
+    # Every vertex must reach one of the terminals; edges out of a terminal
+    # cannot change which do.
     reached = distances_to(
-        [t for t in (g.blue, g.red) if t in g.vertices],
-        ((a, b) for a, ends in outgoing.items() for b in ends),
+        [t for t in (g.blue, g.red) if t in vs],
+        ((a, b) for a, succ in g.moves.items() for b in succ),
     )
     for v in sorted(v for v in g.vertices if v not in reached):
         found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))

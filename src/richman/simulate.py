@@ -436,7 +436,7 @@ def _coin_table(g: GameGraph, costs: CostTable, start: str) -> tuple[list[str], 
     non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
     Red's n+1) and, per non-terminal, the indices of its (Blue, Red) move,
     each player's ``_descent_moves``."""
-    blue, red = (_descent_moves(g, *_oriented(g, costs, color)) for color in ("blue", "red"))
+    blue, red = (_descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red"))
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
     names = [*g.moves, g.blue, g.red]

@@ -220,7 +220,7 @@ def _identity_holds(g: GameGraph, nums: Mapping[str, int], den: int) -> bool:
     return True
 
 
-def _integer_table(g: GameGraph, table: CostTable) -> tuple[dict[str, int], int]:
+def _integer_table(g: GameGraph, table: CostTable | Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
     """The table as integer numerators over the lcm of its denominators.
     Every vertex of g must have an int or Fraction cost."""
     den = math.lcm(*(table[v].denominator for v in g.vertices))
@@ -242,14 +242,14 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
 
 def _pick_policy(
     g: GameGraph,
-    x: Mapping[str, int | float],
+    x: Mapping[str, int],
     to_blue: Mapping[str, int],
     to_red: Mapping[str, int],
 ) -> dict[str, tuple[str, str]]:
     """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
 
-    ``x`` holds comparable values, such as the integer numerators of a
-    table over one denominator.
+    ``x`` holds the integer numerators of a table over one denominator;
+    only their order matters.
 
     A tie goes to the successor nearest the choosing player's own terminal
     (Blue picks the cheapest, Red the dearest), so on the true costs, and

@@ -19,10 +19,12 @@ from richman import (
     make_agent,
     parse_game_graph,
     play_richman_game,
+    random_turn_stats,
     solve_exact,
 )
 
 from richman.agents import _descent_moves, _oriented
+from richman.series import build_series_graph
 
 import corpus
 
@@ -82,7 +84,7 @@ def test_safety_ratio_examples(fig1_costs):
 
 
 def descent_moves(g, costs, color):
-    return _descent_moves(g, *_oriented(g, costs, color))
+    return _descent_moves(g, *_oriented(g, costs, color)[:2])
 
 
 def test_descent_moves_examples(fig1, fig1_costs, path_graph, path_costs):
@@ -295,3 +297,53 @@ def test_winning_branch_share_keeps_clearing_the_next_rung(zchain):
         rung = tables[horizon - k][positions[k]]
         assert blue_money / (blue_money + red_money) > rung
     assert record.outcome == "BlueWins"
+
+
+# Arenas the planning tests run on, each with a start for the coin-flip game.
+planned_arenas = pytest.mark.parametrize(
+    "build, start",
+    [
+        (lambda: parse_game_graph(corpus.FIG1_TEXT), "v"),
+        (lambda: corpus.ring_graph(12), "v00"),
+        (lambda: build_series_graph(4), "s0_0"),
+    ],
+    ids=["fig1", "ring12", "series4"],
+)
+
+
+@planned_arenas
+def test_oriented_reads_the_table_as_numerators(build, start):
+    g = build()
+    costs = solve_exact(g)
+    for color, goal, other in (("blue", g.blue, g.red), ("red", g.red, g.blue)):
+        got_goal, nums, den = _oriented(g, costs, color)
+        assert got_goal == goal
+        assert nums[goal] == 0 and nums[other] == den
+        assert all(F(nums[v], den) == (costs[v] if color == "blue" else 1 - costs[v]) for v in g.vertices)
+
+
+@planned_arenas
+def test_agents_and_coin_game_plan_without_fraction_arithmetic(build, start, monkeypatch):
+    g = build()
+    costs = solve_exact(g)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic while planning")
+
+    for op in ("__sub__", "__rsub__", "__truediv__", "__lt__", "__gt__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    for color in ("blue", "red"):
+        FullKnowledgeAgent(g, costs, color)
+        SafetyRatioAgent(g, costs, color)
+    stats = random_turn_stats(g, costs, start, 20, master_seed=3)
+    monkeypatch.undo()
+    assert stats.blue_wins + stats.red_wins + stats.unresolved == 20
+
+
+def test_safety_agent_bids_nothing_at_cost_zero():
+    g = parse_game_graph("blue b\nred r\nedge v b\n")
+    costs = solve_exact(g)
+    assert costs["v"] == 0
+    for color in ("blue", "red"):
+        decision = SafetyRatioAgent(g, costs, color).decide(view(color, "v", F(1, 2), None), None)
+        assert decision == BidDecision(F(0), "b")

@@ -174,6 +174,17 @@ def test_bad_edge_endpoints_are_reported_in_edge_order():
     )
 
 
+def test_edge_only_to_an_unknown_vertex_is_a_dead_end():
+    g = GameGraph(
+        vertices=frozenset({"b", "r", "v"}),
+        edges=frozenset({("v", "ghost")}),
+        blue="b",
+        red="r",
+    )
+    codes = {(w.code, w.subject) for w in validate(g).violations}
+    assert {("DEAD_END", "v"), ("BAD_EDGE_ENDPOINT", "ghost")} <= codes
+
+
 def test_violations_are_sorted(data_dir):
     g = parse_game_graph((data_dir / "bad.rg").read_text())
     report = validate(g)

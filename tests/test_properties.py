@@ -249,7 +249,7 @@ def test_descent_walks_match_naive_searches(g):
     costs = solve_exact(g)
     for color in ("blue", "red"):
         side, cost = corpus.side(g, costs, color)
-        assert _descent_moves(g, *_oriented(g, costs, color)) == corpus.naive_descent_moves(side, cost)
+        assert _descent_moves(g, *_oriented(g, costs, color)[:2]) == corpus.naive_descent_moves(side, cost)
         dist = corpus.naive_descent_distances(side, cost)
         assert all((dist[v] is None) == (cost[v] == 1) for v in g.vertices)
 
@@ -292,7 +292,7 @@ def check_critical_share_games(g: GameGraph, costs, start: str, runs: int, seed:
     ``_descent_moves`` and pays the drop, so Blue's money after each step
     is its cost of the new position.  Returns the batch's tallies."""
     blue, red = (make_agent("optimal", g, costs, color) for color in ("blue", "red"))
-    moves = {color: _descent_moves(g, *_oriented(g, costs, color)) for color in ("blue", "red")}
+    moves = {color: _descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red")}
     start_state = GameState(start, costs[start], 1 - costs[start])
     records = []
     stats = run_batch(g, blue, red, start_state, runs=runs, master_seed=seed, on_record=records.append)
