@@ -51,12 +51,12 @@ builds no ``Fraction``.  The game engine asks ``_bid``; each built-in
 ``decide`` puts the view's bankrolls over one denominator, asks ``_bid``
 and builds one ``Fraction``.  The base class's ``_bid`` asks ``decide``,
 so an agent that defines only ``decide`` plays too, and so does a
-subclass of a built-in agent that overrides ``decide``.
+subclass of a built-in agent that overrides ``decide``.  Bankrolls, cost
+tables and such bids enter the integers through ``solver._integers``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
@@ -64,7 +64,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .graphs import GameGraph, distances_to
-from .solver import CostTable, SolverError, _integer_table, _iterates, _require_valid
+from .solver import CostTable, SolverError, _integer_table, _integers, _iterates, _require_valid
 
 __all__ = [
     "AGENT_NAMES",
@@ -124,6 +124,10 @@ class BidDecision(NamedTuple):
     move_to: str
 
 
+class _InexactBid(Exception):
+    """args (color, bid): a ``decide`` bid that is not an int or a Fraction."""
+
+
 class Agent(ABC):
     """A bidding policy: view -> BidDecision, deterministic given the rng.
 
@@ -153,24 +157,25 @@ class Agent(ABC):
         """The decision of ``color`` at ``position`` with the bankrolls
         own / den and opp / den (opp None when withheld), in numerators:
         (num, scale, move) for the bid num / (den * scale).  This one asks
-        ``decide``; the built-in agents bid in integers."""
+        ``decide`` (``_InexactBid`` unless its bid is an int or a
+        Fraction); the built-in agents bid in integers."""
         view = PlayerView(color, position, Fraction(own, den), None if opp is None else Fraction(opp, den))
         decision = self.decide(view, rng)
-        bid = decision.bid
-        return bid.numerator * den, bid.denominator, decision.move_to
+        try:
+            (num,), scale = _integers((decision.bid,))
+        except ValueError:
+            raise _InexactBid(color, decision.bid) from None
+        return num * den, scale, decision.move_to
 
 
 def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random | None) -> BidDecision:
-    """A built-in agent's ``decide``: both bankrolls over one denominator,
-    then its class's ``_bid``, then one ``Fraction``."""
+    """A built-in agent's ``decide``: the view's bankrolls over one
+    denominator (``solver._integers``, so ValueError unless each is an int
+    or a Fraction), then its class's ``_bid``, then one ``Fraction``."""
     own, opp = view.own_money, view.opponent_money
-    if opp is None:
-        den, opp_num = own.denominator, None
-    else:
-        den = math.lcm(own.denominator, opp.denominator)
-        opp_num = opp.numerator * (den // opp.denominator)
-    own_num = own.numerator * (den // own.denominator)
-    num, scale, move = bid(agent, view.color, view.position, own_num, opp_num, den, rng)
+    nums, den = _integers([own] if opp is None else [own, opp])
+    opp_num = None if opp is None else nums[1]
+    num, scale, move = bid(agent, view.color, view.position, nums[0], opp_num, den, rng)
     return BidDecision(Fraction(num, den * scale), move)
 
 

@@ -14,7 +14,6 @@ lexicographically by (from, to); parsing it back yields an equal graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -53,7 +52,7 @@ class GameGraph:
     """Immutable arena.  ``blue`` and ``red`` are the terminal vertices.
 
     Edges out of a terminal may exist in the edge set (the parser keeps
-    them) but they are never reported as successors: play stops there.
+    them) but the move table ``moves`` leaves them out: play stops there.
     """
 
     vertices: frozenset[str]
@@ -106,29 +105,10 @@ class GameGraph:
             return None
         return tuple(order)
 
-    @property
-    def interior_has_cycle(self) -> bool:
-        """Whether the non-terminal vertices alone contain a directed cycle."""
-        return self.interior_order is None
-
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:
             raise KeyError(v)
         return v == self.blue or v == self.red
-
-    def successors(self, v: str) -> frozenset[str]:
-        """Successor set used for play, a view of ``moves``; empty at the terminals."""
-        if v not in self.vertices:
-            raise KeyError(v)
-        return frozenset(self.moves.get(v, ()))
-
-    def terminal_value(self, v: str) -> Fraction:
-        """Cost of a terminal: 0 at blue, 1 at red."""
-        if v == self.blue:
-            return Fraction(0)
-        if v == self.red:
-            return Fraction(1)
-        raise ValueError(f"{v!r} is not a terminal vertex")
 
 
 class Violation(NamedTuple):

@@ -11,13 +11,12 @@ target_high if red does) and stake the successor gap on each game.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .graphs import GameGraph
-from .solver import SolverError, _frac_json, _integer_table, solve_exact
+from .solver import SolverError, _frac_json, _integer_table, _integers, solve_exact
 
 __all__ = [
     "BankrollMismatchError",
@@ -127,9 +126,8 @@ def series_bet_plan(
     graph = _series_graph(states)
     nums, den = _integer_table(graph, solve_exact(graph))
     low, high = Fraction(target_low), Fraction(target_high)
-    scale = math.lcm(low.denominator, high.denominator)
-    low_num = low.numerator * (scale // low.denominator)
-    spread_num = high.numerator * (scale // high.denominator) - low_num
+    (low_num, high_num), scale = _integers((low, high))
+    spread_num = high_num - low_num
     # holding(v) = low + cost(v) (high - low) = held[v] / unit
     held = {v: low_num * den + n * spread_num for v, n in nums.items()}
     unit = scale * den

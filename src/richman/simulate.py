@@ -58,9 +58,9 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .agents import Agent, GameState, _descent_moves, _oriented
+from .agents import Agent, GameState, _descent_moves, _InexactBid, _oriented
 from .graphs import GameGraph
-from .solver import CostTable, _frac_json, _require_valid
+from .solver import CostTable, _frac_json, _integers, _require_valid
 
 __all__ = [
     "BatchStats",
@@ -86,7 +86,7 @@ UNRESOLVED = "Unresolved"
 
 
 class ProtocolViolationError(Exception):
-    """An agent bid more than it had (or less than zero) or moved off-graph."""
+    """An agent bid more than it had, less than zero or inexactly, or moved off-graph."""
 
     def __init__(self, color: str, reason: str, game_index: int = 0):
         self.color = color
@@ -184,7 +184,7 @@ def _frac_text(q: Fraction) -> str:
 
 def default_move_cap(g: GameGraph) -> int:
     """10 |V| when the non-terminal part is acyclic, else 64 |V|."""
-    factor = 64 if g.interior_has_cycle else 10
+    factor = 64 if g.interior_order is None else 10
     return factor * len(g.vertices)
 
 
@@ -279,12 +279,12 @@ class _Segment:
 
 class _Batch:
     """A bidding batch's set-up, done once: the checked arguments and move
-    cap, the start bankrolls as integers over one denominator, one
-    generator per random role (each agent's, None for a ``deterministic``
-    agent, and the tie coin's), reseeded for each game and each tie, and
-    the play tree, its root the entry None.  Games of two deterministic
-    agents share the tree; any other pair plays each game on a tree of
-    its own."""
+    cap, the start bankrolls as integers over one denominator (by
+    ``solver._integers``), one generator per random role (each agent's,
+    None for a ``deterministic`` agent, and the tie coin's), reseeded for
+    each game and each tie, and the play tree, its root the entry None.
+    Games of two deterministic agents share the tree; any other pair plays
+    each game on a tree of its own."""
 
     def __init__(
         self, g: GameGraph, blue: Agent, red: Agent, start: GameState, tiebreak: str, max_moves: int | None, seed: int
@@ -294,10 +294,8 @@ class _Batch:
             raise ValueError(f"unknown start vertex {start.position!r}")
         if g.is_terminal(start.position):
             raise ValueError(f"start position {start.position!r} is terminal; nothing to bid for")
-        b, r = start.blue_money, start.red_money
-        if not (isinstance(b, (int, Fraction)) and isinstance(r, (int, Fraction))):
-            raise ValueError(f"bankrolls must be ints or Fractions, got {b!r} and {r!r}")
-        if b < 0 or r < 0:
+        (blue_money, red_money), den = _integers((start.blue_money, start.red_money))
+        if blue_money < 0 or red_money < 0:
             raise ValueError("bankrolls must be nonnegative")
         if tiebreak not in TIEBREAKS:
             raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
@@ -305,8 +303,7 @@ class _Batch:
             raise ValueError("max_moves must be nonnegative")
         self.g, self.blue, self.red, self.start, self.seed = g, blue, red, start, seed
         self.cap = default_move_cap(g) if max_moves is None else max_moves
-        den = math.lcm(b.denominator, r.denominator)
-        self.root = (0, start.position, b.numerator * den // b.denominator, r.numerator * den // r.denominator, den)
+        self.root = (0, start.position, blue_money, red_money, den)
         self.rngs = tuple(None if agent.deterministic else random.Random() for agent in (blue, red))
         # The tie winner, or None when a fair coin decides.
         self.tie_winner = {"always-blue": "blue", "always-red": "red"}.get(tiebreak)
@@ -365,7 +362,12 @@ class _Batch:
                 else:
                     exchange = _exchange(tie, winner, winner == "blue")
                     first, state = [exchange], (tie[0] + 1, *exchange[3:])
-                node = after[winner] = self.segment(game_index, first, *state)
+                try:
+                    node = after[winner] = self.segment(game_index, first, *state)
+                except _InexactBid as err:
+                    color, bid = err.args
+                    reason = f"bid {bid!r} is not an int or a Fraction"
+                    raise ProtocolViolationError(color, reason, game_index) from None
             path.append(node)
             tie, after = node.tie, node.after
             if tie is None:

@@ -38,7 +38,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import GameGraph, distances_to
 
@@ -220,11 +220,23 @@ def _identity_holds(g: GameGraph, nums: Mapping[str, int], den: int) -> bool:
     return True
 
 
+def _integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the lcm of their denominators:
+    the package's one way into integers.  ValueError names the first value
+    that is not an int or a Fraction."""
+    for q in values:
+        if not isinstance(q, (int, Fraction)):
+            raise ValueError(f"values must be ints or Fractions, got {q!r}")
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 def _integer_table(g: GameGraph, table: CostTable | Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
-    """The table as integer numerators over the lcm of its denominators.
-    Every vertex of g must have an int or Fraction cost."""
-    den = math.lcm(*(table[v].denominator for v in g.vertices))
-    return {v: table[v].numerator * (den // table[v].denominator) for v in g.vertices}, den
+    """The table as integer numerators over one denominator (``_integers``):
+    KeyError for a vertex of g it lacks, ValueError for a cost that is not
+    an int or a Fraction."""
+    nums, den = _integers([table[v] for v in g.vertices])
+    return dict(zip(g.vertices, nums)), den
 
 
 def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
@@ -235,9 +247,11 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
     missing a vertex, or with a value other than an int or a Fraction,
     fails.
     """
-    if not all(isinstance(table.get(v), (int, Fraction)) for v in g.vertices):
+    try:
+        nums, den = _integer_table(g, table)
+    except (KeyError, ValueError):
         return False
-    return _identity_holds(g, *_integer_table(g, table))
+    return _identity_holds(g, nums, den)
 
 
 def _pick_policy(

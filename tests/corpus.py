@@ -170,7 +170,7 @@ def solve_exact_by_enumeration(
     """
     assert validate(g).ok
     interior = list(g.non_terminals)
-    succ = {v: sorted(g.successors(v)) for v in interior}
+    succ = {v: sorted(g.moves.get(v, ())) for v in interior}
 
     def attempt(policy: tuple[tuple[str, str], ...]) -> CostTable | None:
         costs = solve_policy_dense(g, dict(zip(interior, policy)))
@@ -360,6 +360,12 @@ def reference_game(
             "blue": blue.decide(PlayerView("blue", position, money["blue"], money["red"]), rngs["blue"]),
             "red": red.decide(PlayerView("red", position, money["red"], money["blue"]), rngs["red"]),
         }
+        # The engine asks each agent for its bid in integers, Blue first, so
+        # an inexact bid is found before any other rule is checked.
+        for color, decision in decisions.items():
+            if not isinstance(decision.bid, (int, Fraction)):
+                reason = f"bid {decision.bid!r} is not an int or a Fraction"
+                raise ProtocolViolationError(color, reason, game_index)
         for color, decision in decisions.items():
             if decision.bid < 0:
                 raise ProtocolViolationError(color, f"negative bid {decision.bid}", game_index)
@@ -367,7 +373,7 @@ def reference_game(
                 raise ProtocolViolationError(
                     color, f"bid {decision.bid} exceeds bankroll {money[color]}", game_index
                 )
-            if decision.move_to not in g.successors(position):
+            if decision.move_to not in g.moves.get(position, ()):
                 raise ProtocolViolationError(
                     color, f"move to {decision.move_to!r} is not an edge out of {position!r}", game_index
                 )
@@ -419,7 +425,7 @@ def naive_descent_moves(g: GameGraph, cost) -> dict[str, str]:
     dist = naive_descent_distances(g, cost)
     moves = {}
     for v in g.non_terminals:
-        succ = sorted(g.successors(v))
+        succ = sorted(g.moves.get(v, ()))
         floor = [u for u in succ if cost[u] == min(cost[w] for w in succ)]
         moves[v] = min(floor, key=lambda u: (dist[u] is None, dist[u] or 0, u))
     return moves
@@ -494,7 +500,7 @@ class SeventhsAgent(Agent):
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         if self.deterministic:
             rng = random.Random(repr(view))
-        succ = sorted(self.graph.successors(view.position))
+        succ = sorted(self.graph.moves.get(view.position, ()))
         return BidDecision(view.own_money * rng.randint(0, 7) / 7, rng.choice(succ))
 
 
@@ -600,7 +606,7 @@ def check_stats_match_recorded_games(
 def min_cost_successors(g: GameGraph, costs) -> dict[str, set[str]]:
     """The successors of each non-terminal that cost the least."""
     return {
-        x: {u for u in g.successors(x) if costs[u] == min(costs[w] for w in g.successors(x))}
+        x: {u for u in g.moves.get(x, ()) if costs[u] == min(costs[w] for w in g.moves.get(x, ()))}
         for x in g.non_terminals
     }
 
@@ -625,7 +631,7 @@ def _sweeps(g: GameGraph, fill: int):
         yield table
         table = {
             v: table[v] if v in (g.blue, g.red)
-            else (min(table[u] for u in g.successors(v)) + max(table[u] for u in g.successors(v))) / 2
+            else (min(table[u] for u in g.moves.get(v, ())) + max(table[u] for u in g.moves.get(v, ()))) / 2
             for v in g.vertices
         }
 
@@ -664,7 +670,9 @@ def reference_decision(
     v, own = view.position, view.own_money
     if name == "optimal" and view.opponent_money is None:
         raise ValueError("full-knowledge agent requires the opponent's bankroll")
-    succ = sorted(g.successors(v))
+    if v not in g.vertices:
+        raise KeyError(v)
+    succ = sorted(g.moves.get(v, ()))
     if not succ:
         raise ValueError(f"cannot bid at terminal vertex {v!r}")
     if name == "uniform-random-bid":

@@ -277,6 +277,21 @@ def test_agents_reject_an_invalid_arena(data_dir):
                 make_agent(name, bad, {}, color)
 
 
+@pytest.mark.parametrize("name", ["optimal", "safety"])
+@pytest.mark.parametrize("color", ["blue", "red"])
+def test_agents_reject_a_float_cost_table(fig1, name, color):
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        make_agent(name, fig1, {v: 0.5 for v in fig1.vertices}, color)
+
+
+def test_decide_rejects_a_float_bankroll(fig1, fig1_costs):
+    views = [view("blue", "v", 0.5, 0.5), view("blue", "v", F(1, 2), 0.5), view("blue", "v", 0.5, None)]
+    for agent in (FullKnowledgeAgent(fig1, fig1_costs, "blue"), SafetyRatioAgent(fig1, fig1_costs, "blue")):
+        for v in views:
+            with pytest.raises(ValueError, match="ints or Fractions"):
+                agent.decide(v, None)
+
+
 def test_winning_branch_share_keeps_clearing_the_next_rung(zchain):
     """After each exchange the winner-to-be's share still beats the next
     iterate table: the invariant behind the win-within-horizon bound."""

@@ -1,7 +1,5 @@
 """Parsing, serialization and structural validation of game arenas."""
 
-from fractions import Fraction
-
 import pytest
 
 from richman import (
@@ -21,8 +19,8 @@ def test_parse_fig1(fig1):
     assert fig1.red == "r"
     assert fig1.vertices == frozenset({"a", "b", "c", "m", "r", "v"})
     assert fig1.non_terminals == ("a", "c", "m", "v")
-    assert fig1.successors("v") == frozenset({"m", "c"})
-    assert fig1.successors("m") == frozenset({"b", "r"})
+    assert fig1.moves["v"] == ("c", "m")
+    assert fig1.moves["m"] == ("b", "r")
 
 
 def test_parse_skips_blank_lines_and_comments():
@@ -32,7 +30,7 @@ def test_parse_skips_blank_lines_and_comments():
 
 def test_parse_allows_any_declaration_order():
     g = parse_game_graph("edge v r\nred r\nedge v b\nblue b\n")
-    assert g.successors("v") == frozenset({"b", "r"})
+    assert g.moves["v"] == ("b", "r")
 
 
 def test_round_trip_is_identity(fig1, path_graph, star):
@@ -100,22 +98,15 @@ def test_from_parts_unions_edge_endpoints():
 
 def test_successors_empty_at_terminals_even_with_outgoing_edges():
     g = GameGraph.from_parts(["b", "r", "v"], [("v", "b"), ("v", "r"), ("b", "v")], "b", "r")
-    assert g.successors("b") == frozenset()
+    assert "b" not in g.moves
     assert ("b", "v") in g.edges
 
 
 def test_successors_and_is_terminal_reject_unknown_vertices(star):
     with pytest.raises(KeyError):
-        star.successors("nope")
+        star.moves["nope"]
     with pytest.raises(KeyError):
         star.is_terminal("nope")
-
-
-def test_terminal_value(star):
-    assert star.terminal_value("b") == Fraction(0)
-    assert star.terminal_value("r") == Fraction(1)
-    with pytest.raises(ValueError):
-        star.terminal_value("v")
 
 
 def test_validate_accepts_the_example_arenas(fig1, path_graph, star):

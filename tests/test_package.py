@@ -1,7 +1,10 @@
 """The package's public names are exactly its modules' public names, and
 its value records are named tuples."""
 
+import ast
 import dataclasses
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +68,21 @@ def test_package_all_is_the_union_of_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(richman, name) is getattr(m, name)
+
+
+def test_the_package_imports_only_the_standard_library():
+    sources = sorted(pathlib.Path(richman.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
 
 
 def test_public_surface_is_pinned():

@@ -44,15 +44,15 @@ def test_state_id():
 def test_series_graph_shape():
     g1 = build_series_graph(1)
     assert g1.non_terminals == ("s0_0",)
-    assert g1.successors("s0_0") == frozenset({"b", "r"})
+    assert g1.moves["s0_0"] == ("b", "r")
 
     g4 = build_series_graph(4)
     assert len(g4.vertices) == 18
     assert len(g4.non_terminals) == 16
     for v in g4.non_terminals:
-        assert len(g4.successors(v)) == 2
-    assert g4.successors("s3_3") == frozenset({"b", "r"})
-    assert g4.successors("s0_0") == frozenset({"s1_0", "s0_1"})
+        assert len(g4.moves[v]) == 2
+    assert g4.moves["s3_3"] == ("b", "r")
+    assert g4.moves["s0_0"] == ("s0_1", "s1_0")
     for k in (1, 2, 3, 5):
         assert validate(build_series_graph(k)).ok
     # Score grids are acyclic, so simulations get the tight cap.
@@ -138,6 +138,26 @@ def test_custom_payout_targets():
     with pytest.raises(BankrollMismatchError) as info:
         series_bet_plan(2, F(1), target_low=F(1), target_high=F(3))
     assert info.value.required == 2
+
+
+def test_fractional_payout_targets():
+    low, high = F(1, 3), F(5, 7)
+    cost = solve_exact(build_series_graph(3))
+
+    def holding(i, j):
+        vertex = "b" if i == 3 else "r" if j == 3 else state_id(i, j)
+        return low + cost[vertex] * (high - low)
+
+    required = holding(0, 0)
+    plan = series_bet_plan(3, required, target_low=low, target_high=high)
+    assert (plan.spec.bankroll, plan.spec.target_low, plan.spec.target_high) == (required, low, high)
+    assert sorted(plan.holdings) == sorted(plan.stakes) == [(i, j) for i in range(3) for j in range(3)]
+    for (i, j), held in plan.holdings.items():
+        assert held == holding(i, j)
+        assert plan.stakes[(i, j)] == holding(i, j + 1) - held == held - holding(i + 1, j)
+    with pytest.raises(BankrollMismatchError) as info:
+        series_bet_plan(3, required + F(1, 100), target_low=low, target_high=high)
+    assert info.value.required == required
 
 
 def test_series_spec_validation():

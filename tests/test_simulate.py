@@ -127,6 +127,33 @@ def test_start_validation(fig1, fig1_costs, data_dir):
         play_richman_game(bad, blue, red, GameState("v", F(1), F(1)))
 
 
+class FloatBidAgent(Agent):
+    """A third-party agent that defines only ``decide`` and bids a float."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def decide(self, view, rng):
+        return BidDecision(0.25, self.graph.moves[view.position][0])
+
+
+@pytest.mark.parametrize("color", ["blue", "red"])
+def test_an_inexact_bid_is_a_protocol_violation(fig1, optimal_pair, color):
+    blue, red = optimal_pair
+    if color == "blue":
+        blue = FloatBidAgent(fig1)
+    else:
+        red = FloatBidAgent(fig1)
+    start = GameState("v", F(1, 2), F(1, 2))
+    reason = "bid 0.25 is not an int or a Fraction"
+    for play in (play_richman_game, corpus.reference_game):
+        with pytest.raises(ProtocolViolationError, match=f"^{color} agent .* in game 5: {reason}$") as info:
+            play(fig1, blue, red, start, game_index=5)
+        assert (info.value.color, info.value.reason, info.value.game_index) == (color, reason, 5)
+    with pytest.raises(ProtocolViolationError, match=f"^{color} agent .* in game 0: {reason}$"):
+        run_batch(fig1, blue, red, start, runs=3)
+
+
 def test_a_bankroll_that_is_neither_int_nor_fraction_is_rejected_up_front(fig1, optimal_pair):
     blue, red = optimal_pair
     for start in (GameState("v", 0.5, 0.5), GameState("v", F(1, 2), 0.5), GameState("v", 1.0, F(0))):

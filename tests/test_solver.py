@@ -156,6 +156,14 @@ def test_solve_exact_star(star_costs):
     assert star_costs["v"] == F(1, 2)
 
 
+def test_integers_put_values_over_their_least_common_denominator():
+    assert richman.solver._integers((F(1, 6), F(5, 14), 2)) == ([7, 15, 84], 42)
+    assert richman.solver._integers(()) == ([], 1)
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(ValueError, match=f"ints or Fractions, got {bad!r}$"):
+            richman.solver._integers((F(1, 2), bad, 0.75))
+
+
 def test_exact_identity_checks(star, star_costs):
     assert satisfies_exact_identity(star, star_costs)
     # Wrong interior value: 2 * 2/5 != 0 + 1.
@@ -449,7 +457,7 @@ def test_an_acyclic_solve_walks_the_interior_once(monkeypatch):
     monkeypatch.setattr(richman.graphs, "post_order", counted)
     monkeypatch.setattr(richman.solver, "post_order", counted, raising=False)
     g = build_series_graph(12)
-    assert not g.interior_has_cycle
+    assert g.interior_order is not None
     assert satisfies_exact_identity(g, solve_exact(g))
     assert len(calls) == 1
 
