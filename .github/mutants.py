@@ -1,0 +1,100 @@
+"""Fail unless each listed source edit (a mutant) makes its named tests fail.
+
+Usage: python .github/mutants.py
+
+Each mutant replaces one exact snippet of a file under src/richman in a
+temporary copy of src/ and tests/ and runs the named tests there with
+pytest.  The named tests must first pass on the unedited copy, and then
+fail (pytest exit code 1) on each of their mutants.  A snippet that is not
+found exactly once is an error too, so a mutant cannot go stale silently.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant(
+        "the policy pick returns its pair without the fallback to the first round",
+        "src/richman/solver.py",
+        "    return {v: pair if v in halting else first[v] for v, pair in policy.items()}\n",
+        "    return policy\n",
+        ("tests/test_properties.py::test_picked_policy_reaches_a_terminal_from_any_values",),
+    ),
+    Mutant(
+        "Red picks its choice on the values instead of their negation",
+        "src/richman/solver.py",
+        "    red = _descent_moves(g, g.red, {v: -n for v, n in x.items()})\n",
+        "    red = _descent_moves(g, g.red, x)\n",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "the elimination divides the row by its content but not the right-hand side",
+        "src/richman/solver.py",
+        "                new_rhs //= divisor\n",
+        "",
+        ("tests/test_solver.py",),
+    ),
+]
+
+
+def pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+            code = pytest(tree, tests)
+            print(f"unedited: {' '.join(tests)} -> exit {code}")
+            if code != 0:
+                failures.append(f"{' '.join(tests)} fails on the unedited source (exit {code})")
+        for m in MUTANTS:
+            target = tree / m.path
+            original = target.read_text()
+            found = original.count(m.old)
+            if found != 1:
+                failures.append(f"{m.name}: snippet found {found} times in {m.path}, not once")
+                continue
+            target.write_text(original.replace(m.old, m.new))
+            try:
+                code = pytest(tree, m.tests)
+            finally:
+                target.write_text(original)
+            print(f"{m.name}: {' '.join(m.tests)} -> exit {code}")
+            if code != 1:
+                failures.append(f"{m.name}: survived ({' '.join(m.tests)} gave exit {code}, not 1)")
+    for line in failures:
+        print(f"error: {line}")
+    if failures:
+        return 1
+    print(f"all {len(MUTANTS)} mutants caught")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

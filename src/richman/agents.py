@@ -28,11 +28,12 @@ Agents included:
 * ``UniformRandomBidAgent`` ("uniform-random-bid") is a seeded chaos monkey
   for tests.
 
-``_descent_moves`` is the one steepest-descent move rule: a cheapest
-successor on the player's own costs, ties to the fewest steepest-descent
-steps to its goal, then to the first name.  The optimal agent's losing
-and critical play, the safety agent and both players of the coin-flip
-game (``simulate``) move by it, and with it every coin-flip game ends.
+``solver._descent_moves`` is the one steepest-descent move rule: a
+cheapest successor on the player's own costs, ties to the fewest
+steepest-descent steps to its goal, then to the first name.  The optimal
+agent's losing and critical play, the safety agent, both players of the
+coin-flip game (``simulate``) and the exact solver's policy rounds move by
+it, and with it every coin-flip game ends.
 
 These strategies are functions of the vertex, so each agent plans every
 vertex once, when it is built: the optimal agent its losing play (its
@@ -63,8 +64,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
-from .graphs import GameGraph, distances_to
-from .solver import CostTable, SolverError, _integer_table, _integers, _iterates, _require_valid
+from .graphs import GameGraph
+from .solver import CostTable, SolverError, _descent_moves, _integer_table, _integers, _iterates, _require_valid
 
 __all__ = [
     "AGENT_NAMES",
@@ -191,40 +192,6 @@ def _oriented(
     if _plays_red(color):
         return g.red, {v: den - n for v, n in nums.items()}, den
     return g.blue, nums, den
-
-
-def _descent_moves(g: GameGraph, goal: str, nums: Mapping[str, int]) -> dict[str, str]:
-    """Every non-terminal's move for the ``goal`` and numerators ``nums`` of
-    ``_oriented``: a cheapest successor, ties to the fewest steepest-descent
-    steps to the goal, then to the first name.  The optimal agent (losing
-    or critical), the safety agent and the coin-flip game move by it.
-
-    When a fair coin picks who moves and both players move by it, every
-    game ends with probability 1.  If not, the chain has a closed class C
-    of non-terminals.  Blue's move is a cheapest successor and Red's a
-    dearest, so each cost is the average of the costs of the two moves:
-    the cost is harmonic on C, and by the maximum principle it is one
-    constant c there.  So every successor of every vertex of C costs c.
-    If c < 1, every vertex of C has a finite steepest-descent distance to
-    the blue terminal (a vertex of cost below 1 reaches it along cheapest
-    successors), every successor is a descent step, and Blue's move goes
-    to a vertex of C one step nearer; but a vertex of C nearest the blue
-    terminal has no such move.  If c = 1, the same holds for Red on
-    1 - cost.  The chance that Red wins is then harmonic with the terminal
-    values 0 and 1, so it is the cost: the paper's random-turn theorem.
-
-    Two optimal agents with Blue's share at cost(v) both bid the drop
-    cost(v) - cheapest = dearest - cost(v); the tie winner pays it and
-    moves by this rule, so Blue's share stays at the cost: with fair ties
-    that bidding game is the coin-flip game, and it too ends.
-    """
-    cheapest = {}
-    for v, succ in g.moves.items():
-        floor = min(nums[u] for u in succ)
-        cheapest[v] = [u for u in succ if nums[u] == floor]
-    dist = distances_to([goal], ((v, u) for v, floor in cheapest.items() for u in floor))
-    far = len(g.vertices)  # no vertex is |V| steps away
-    return {v: min(floor, key=lambda u: (dist.get(u, far), u)) for v, floor in cheapest.items()}
 
 
 def _no_play(g: GameGraph, v: str) -> NoReturn:

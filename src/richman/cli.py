@@ -150,7 +150,7 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
 
 def _load_graph(path: str) -> GameGraph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not part of the text
     except (OSError, UnicodeDecodeError) as err:
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {err}")
     try:

@@ -40,7 +40,7 @@ The coin-flip variant has no money: each move's coin is the draw of
 ``Random.choice(("blue", "red"))`` on the game's own derived generator,
 that is, the top two bits of the generator's next 32-bit word, with 2
 and 3 redrawn (0: Blue moves, 1: Red moves).  The coin's winner moves by
-``agents._descent_moves``, the agents' steepest-descent rule: a cheapest
+``solver._descent_moves``, the agents' steepest-descent rule: a cheapest
 successor on its own costs (Red reads 1 - cost), ties to the fewest
 steepest-descent steps to its goal, then to the first name.  With that
 rule every game ends with probability 1, and Red wins with probability
@@ -58,9 +58,9 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .agents import Agent, GameState, _descent_moves, _InexactBid, _oriented
+from .agents import Agent, GameState, _InexactBid, _oriented
 from .graphs import GameGraph
-from .solver import CostTable, _frac_json, _integers, _require_valid
+from .solver import CostTable, _descent_moves, _frac_json, _integers, _require_valid
 
 __all__ = [
     "BatchStats",

@@ -13,11 +13,13 @@ with E the most non-terminals on a path to a terminal: each N(v) is
 (min + max) / 2 of numerators already found, a halving that stays exact
 because a vertex with at most d non-terminals on any path from it (itself
 included) has a cost that is a multiple of 2^-d.  Otherwise it runs policy rounds: a (cheapest,
-dearest) successor policy, first picked by distance to the terminals
-alone, has its linear system solved exactly, with integer rows eliminated
-fraction-free in minimum-degree order and back-substituted over one
-common denominator, and is re-picked from the exact numerators until the
-table passes the averaging identity.  Every route returns a table only
+dearest) successor policy, each player's choice picked by the one
+steepest-descent move rule ``_descent_moves`` (first on the all-zero
+table, where it is distance to the player's terminal), has its linear
+system solved exactly, with integer rows eliminated fraction-free in
+minimum-degree order and back-substituted over one common denominator,
+and is re-picked from the exact numerators until the table passes the
+averaging identity.  Every route returns a table only
 once it passes that identity, checked in integers as 2 N(v) = min + max,
 which by uniqueness certifies it; the returned Fractions are built once,
 from (N, D).
@@ -254,46 +256,72 @@ def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
     return _identity_holds(g, nums, den)
 
 
+def _descent_moves(g: GameGraph, goal: str, nums: Mapping[str, int]) -> dict[str, str]:
+    """Every non-terminal's move towards ``goal`` on the numerators ``nums``,
+    lowest the best (only their order matters): a cheapest successor, ties
+    to the fewest steepest-descent steps to the goal, then to the first
+    name.  The optimal agent (losing or critical), the safety agent, the
+    coin-flip game and the exact solver's policy rounds move by it.
+
+    When a fair coin picks who moves and both players move by it on the
+    true costs (Blue on the costs, Red on 1 - cost), every game ends with
+    probability 1.  If not, the chain has a closed class C of
+    non-terminals.  Blue's move is a cheapest successor and Red's a
+    dearest, so each cost is the average of the costs of the two moves:
+    the cost is harmonic on C, and by the maximum principle it is one
+    constant c there.  So every successor of every vertex of C costs c.
+    If c < 1, every vertex of C has a finite steepest-descent distance to
+    the blue terminal (a vertex of cost below 1 reaches it along cheapest
+    successors), every successor is a descent step, and Blue's move goes
+    to a vertex of C one step nearer; but a vertex of C nearest the blue
+    terminal has no such move.  If c = 1, the same holds for Red on
+    1 - cost.  The chance that Red wins is then harmonic with the terminal
+    values 0 and 1, so it is the cost: the paper's random-turn theorem.
+
+    Two optimal agents with Blue's share at cost(v) both bid the drop
+    cost(v) - cheapest = dearest - cost(v); the tie winner pays it and
+    moves by this rule, so Blue's share stays at the cost: with fair ties
+    that bidding game is the coin-flip game, and it too ends.
+    """
+    cheapest = {}
+    for v, succ in g.moves.items():
+        floor = min(nums[u] for u in succ)
+        cheapest[v] = [u for u in succ if nums[u] == floor]
+    dist = distances_to([goal], ((v, u) for v, floor in cheapest.items() for u in floor))
+    far = len(g.vertices)  # no vertex is |V| steps away
+    # Successors are in name order and min keeps the first of equals; a lone
+    # cheapest successor needs no distance.
+    return {
+        v: floor[0] if len(floor) == 1 else min(floor, key=lambda u: dist.get(u, far))
+        for v, floor in cheapest.items()
+    }
+
+
 def _pick_policy(
-    g: GameGraph,
-    x: Mapping[str, int],
-    to_blue: Mapping[str, int],
-    to_red: Mapping[str, int],
+    g: GameGraph, x: Mapping[str, int], first: Mapping[str, tuple[str, str]]
 ) -> dict[str, tuple[str, str]]:
     """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
 
     ``x`` holds the integer numerators of a table over one denominator;
-    only their order matters.
+    only their order matters.  Blue's choice is its ``_descent_moves`` on
+    ``x`` and Red's its ``_descent_moves`` on ``-x``, so on the true costs
+    the policy is the coin-flip game's and reaches a terminal from every
+    vertex.  Other values can still close a cycle off from the terminals;
+    each vertex so cut off takes both choices of ``first``, a policy that
+    reaches a terminal from every vertex, so the picked one does too and
+    its system is never singular.
 
-    A tie goes to the successor nearest the choosing player's own terminal
-    (Blue picks the cheapest, Red the dearest), so on the true costs, and
-    on a constant table, where distance alone chooses, the policy reaches
-    a terminal from every vertex.  Other values can still close a cycle
-    off from the terminals; each vertex so cut off then moves the choice
-    of the player whose terminal is nearer onto the successor nearest that
-    terminal.  Distance to the nearer terminal falls along every moved
-    choice, so every vertex reaches a terminal and the policy's system is
-    never singular.
+    ``first`` is the pick on the all-zero table, which needs no ``first``:
+    there every successor ties, so Blue's choice is a successor nearest the
+    blue terminal and Red's one nearest the red terminal.  Every vertex of
+    a valid arena reaches a terminal, and one of its two choices is a step
+    nearer the nearer one, so every vertex reaches a terminal.
     """
-    far = len(g.vertices)
-    policy = {}
-    for v, succ in g.moves.items():
-        floor = min(x[u] for u in succ)
-        ceiling = max(x[u] for u in succ)
-        lo = min((u for u in succ if x[u] == floor), key=lambda u: (to_blue.get(u, far), u))
-        hi = min((u for u in succ if x[u] == ceiling), key=lambda u: (to_red.get(u, far), u))
-        policy[v] = (lo, hi)
+    blue = _descent_moves(g, g.blue, x)
+    red = _descent_moves(g, g.red, {v: -n for v, n in x.items()})
+    policy = {v: (blue[v], red[v]) for v in g.moves}
     halting = distances_to((g.blue, g.red), ((v, u) for v, pair in policy.items() for u in pair))
-    for v, succ in g.moves.items():
-        if v in halting:
-            continue
-        lo, hi = policy[v]
-        if to_blue.get(v, far) <= to_red.get(v, far):
-            lo = min(succ, key=lambda u: (to_blue.get(u, far), u))
-        else:
-            hi = min(succ, key=lambda u: (to_red.get(u, far), u))
-        policy[v] = (lo, hi)
-    return policy
+    return {v: pair if v in halting else first[v] for v, pair in policy.items()}
 
 
 def _solve_policy(
@@ -319,9 +347,15 @@ def _solve_policy(
     t / gcd(t, pivot).
 
     A policy that reaches a terminal from every vertex (``_pick_policy``
-    sees to it) has a nonsingular M-matrix, so every pivot of every
-    symmetric elimination order is positive.  A zero pivot would mean a
-    closed cycle that never reaches a terminal, and raises SolverError.
+    sees to it) has a nonsingular M-matrix: its off-diagonal entries are
+    <= 0, and so is every Schur complement, so every pivot of every
+    symmetric elimination order is positive.  Each row here is a Schur
+    complement row times a positive number, so the signs carry over, and
+    fill never cancels to 0: off the diagonal, pivot * r[w] <= 0 and
+    r[v] * row(v)[w] is a product of two negative entries, so the new
+    entry is < 0; on the diagonal it is a pivot to come, > 0.  A zero
+    pivot would mean a closed cycle that never reaches a terminal, and
+    raises SolverError.
     """
     rows: dict[str, dict[str, int]] = {}
     rhs: dict[str, int] = {}
@@ -358,13 +392,8 @@ def _solve_policy(
             a = old.pop(v)
             new = {w: pivot * c for w, c in old.items()}
             for w, c in row.items():
-                entry = new.get(w, 0) - a * c
-                if entry:
-                    new[w] = entry
-                    naming[w].add(r)
-                else:
-                    del new[w]
-                    naming[w].discard(r)
+                new[w] = new.get(w, 0) - a * c
+                naming[w].add(r)
             new_rhs = pivot * rhs[r] - a * b
             divisor = math.gcd(new_rhs, *new.values())
             if divisor > 1:
@@ -398,10 +427,12 @@ def solve_exact(g: GameGraph) -> CostTable:
     cycle among the non-terminals, each numerator over 2^E (E the interior's
     depth) is (min + max) / 2 of numerators already found, in DFS
     post-order.  Otherwise a (cheapest, dearest) successor policy is picked
-    by distance to the terminals alone and its linear system is solved
+    on the all-zero table, where each player's steepest-descent move is a
+    successor nearest its terminal, and its linear system is solved
     exactly; the table is the answer once it satisfies the identity, whose
-    solution is unique.  Until then the policy is re-picked from the exact
-    numerators and solved again.  Every picked policy reaches a terminal,
+    solution is unique.  Until then each player's choice is re-picked by
+    its steepest-descent move on the exact numerators (``_pick_policy``)
+    and the policy solved again.  Every picked policy reaches a terminal,
     so its system has one solution; the re-picking is not proved to end,
     and a policy seen before raises SolverError rather than looping.
     """
@@ -418,10 +449,7 @@ def solve_exact(g: GameGraph) -> CostTable:
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
         return _table(g, nums, den, "exact")
-    edges = [(x, u) for x, succ in g.moves.items() for u in succ]
-    to_blue = distances_to([g.blue], edges)
-    to_red = distances_to([g.red], edges)
-    policy = _pick_policy(g, dict.fromkeys(g.vertices, 0), to_blue, to_red)
+    policy = first = _pick_policy(g, dict.fromkeys(g.vertices, 0), {})  # halts by itself
     tried: set[tuple[tuple[str, str], ...]] = set()
     while True:
         key = tuple(policy.values())
@@ -431,4 +459,4 @@ def solve_exact(g: GameGraph) -> CostTable:
         nums, den = _solve_policy(g, policy)
         if _identity_holds(g, nums, den):
             return _table(g, nums, den, "exact")
-        policy = _pick_policy(g, nums, to_blue, to_red)
+        policy = _pick_policy(g, nums, first)

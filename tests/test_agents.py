@@ -23,8 +23,9 @@ from richman import (
     solve_exact,
 )
 
-from richman.agents import _descent_moves, _oriented
+from richman.agents import _oriented
 from richman.series import build_series_graph
+from richman.solver import _descent_moves
 
 import corpus
 

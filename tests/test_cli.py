@@ -71,7 +71,7 @@ def test_solve_iterate_table(cli, data_dir):
     assert lines[-1] == "iterations 20"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
 def test_solve_iterate_rejects_a_bad_tolerance(cli, data_dir, tol):
     code, out, err = cli("solve", str(data_dir / "fig1.rg"), "--iterate", "--tol", tol)
     assert (code, out) == (6, "")
@@ -112,6 +112,16 @@ def test_solve_file_that_is_not_utf8(cli, data_dir, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot read {latin1}: ")
     assert "utf-8" in err
+
+
+def test_solve_reads_a_file_with_a_byte_order_mark(cli, data_dir, tmp_path):
+    """Notepad and Windows PowerShell save UTF-8 with a leading BOM."""
+    plain = data_dir / "path.rg"
+    marked = tmp_path / "g.rg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out, err = cli("solve", str(marked))
+    assert (code, out, err) == cli("solve", str(plain))
+    assert code == 0
 
 
 def test_solve_unparsable_file(cli, tmp_path):

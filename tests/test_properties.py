@@ -40,10 +40,10 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.agents import _descent_moves, _oriented
+from richman.agents import _oriented
 from richman.graphs import distances_to
 from richman.simulate import _coin_table
-from richman.solver import _iterates, _pick_policy, _solve_policy
+from richman.solver import _descent_moves, _integer_table, _iterates, _pick_policy, _solve_policy
 
 import corpus
 
@@ -121,11 +121,12 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     g = data.draw(arenas_with_one_exit(12))
     x = {v: data.draw(st.floats(0, 1)) for v in g.non_terminals}
     x.update(b=0.0, r=1.0)
-    moves = [(v, u) for v in g.non_terminals for u in g.moves.get(v, ())]
-    policy = _pick_policy(g, x, distances_to(["b"], moves), distances_to(["r"], moves))
-    assert all({lo, hi} <= set(g.moves.get(v, ())) for v, (lo, hi) in policy.items())
-    halting = distances_to(["b", "r"], [(v, u) for v, pair in policy.items() for u in pair])
-    assert set(g.non_terminals) <= halting.keys()
+    first = _pick_policy(g, dict.fromkeys(g.vertices, 0), {})  # halts by itself, so needs no first
+    policy = _pick_policy(g, x, first)
+    for pick in (first, policy):
+        assert all({lo, hi} <= set(g.moves.get(v, ())) for v, (lo, hi) in pick.items())
+        halting = distances_to(["b", "r"], [(v, u) for v, pair in pick.items() for u in pair])
+        assert set(g.non_terminals) <= halting.keys()
     nums, den = _solve_policy(g, policy)
     assert {v: Fraction(n, den) for v, n in nums.items()} == corpus.solve_policy_dense(g, policy)
 
@@ -180,10 +181,12 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     """The paper's random-turn theorem as an exact check: on the coin
     game's move table every vertex reaches a terminal, so every game ends,
     and Red's chance to win is the cost table.  Each player's coin move is
-    the safety agent's move: one move rule."""
+    the safety agent's move and the exact solver's pick on the costs, which
+    needs no fallback there: one move rule."""
     costs = solve_exact(g)
     names, step = _coin_table(g, costs, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
+    assert _pick_policy(g, _integer_table(g, costs)[0], {}) == table
     halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
     assert set(halting) == set(g.vertices)
     nums, den = _solve_policy(g, table)

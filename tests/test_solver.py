@@ -25,7 +25,8 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.agents import _descent_moves, _oriented
+from richman.agents import _oriented
+from richman.solver import _descent_moves
 
 import richman.graphs
 import richman.solver
