@@ -50,6 +50,34 @@ MUTANTS = [
         "",
         ("tests/test_solver.py",),
     ),
+    Mutant(
+        "the ladder plans its winning bid on rung t instead of rung t-1",
+        "src/richman/agents.py",
+        "_rung_plan(self._ladder[t - 1], self._graph.moves[position])",
+        "_rung_plan(self._ladder[t], self._graph.moves[position])",
+        ("tests/test_agents.py::test_full_knowledge_winning_branch_picks_short_circuit",),
+    ),
+    Mutant(
+        "the safety agent bids half its rate",
+        "src/richman/agents.py",
+        "        return own * rate_num, rate_den, move\n",
+        "        return own * rate_num, 2 * rate_den, move\n",
+        ("tests/test_agents.py::test_safety_agent_bids",),
+    ),
+    Mutant(
+        "the ladder's plan drops the half-slack term (half the next rung's value)",
+        "src/richman/agents.py",
+        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move\n",
+        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, move\n",
+        ("tests/test_agents.py::test_full_knowledge_winning_branch_star",),
+    ),
+    Mutant(
+        "the losing bid is not capped at the bankroll",
+        "src/richman/agents.py",
+        "        return min(drop * total, own * self._den), self._den, lo\n",
+        "        return drop * total, self._den, lo\n",
+        ("tests/test_agents.py::test_full_knowledge_bid_is_capped_by_bankroll",),
+    ),
 ]
 
 

@@ -17,10 +17,11 @@ Agents included:
   by ``_descent_moves``.  In a strictly winning position it plays the
   finite-horizon ladder: find the smallest t with upper-iterate(v, t) below
   its share, bid half the successor gap of table t-1 plus half the slack
-  share - upper-iterate(v, t) (capped at its bankroll), and move to the
-  successor cheapest in table t-1.  That wins within t moves no matter how
-  ties are broken; bidding off the limiting costs instead can wander down
-  a cheap-but-long branch and miss the bound.
+  share - upper-iterate(v, t) (always less than its bankroll, so never
+  capped), and move to the successor cheapest in table t-1.  That wins
+  within t moves no matter how ties are broken; bidding off the limiting
+  costs instead can wander down a cheap-but-long branch and miss the
+  bound.
 * ``SafetyRatioAgent`` ("safety") never reads the opponent's bankroll: it
   bids own_money * (cost(v) - cheapest successor cost) / cost(v), which
   keeps own_share / cost(v) from ever decreasing, and moves by
@@ -65,7 +66,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .graphs import GameGraph
-from .solver import CostTable, SolverError, _descent_moves, _integer_table, _integers, _iterates, _require_valid
+from .solver import SolverError, _descent_moves, _integer_table, _integers, _iterates, _require_valid
 
 __all__ = [
     "AGENT_NAMES",
@@ -181,7 +182,7 @@ def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random 
 
 
 def _oriented(
-    g: GameGraph, costs: CostTable | Mapping[str, Fraction], color: str
+    g: GameGraph, costs: Mapping[str, Fraction], color: str
 ) -> tuple[str, dict[str, int], int]:
     """``color``'s goal terminal on g and its costs as integer numerators N
     over one denominator den, 0 at the goal and den at the other terminal:
@@ -226,7 +227,7 @@ class FullKnowledgeAgent(Agent):
     def __init__(
         self,
         graph: GameGraph,
-        costs: CostTable | Mapping[str, Fraction],
+        costs: Mapping[str, Fraction],
         color: str,
     ):
         goal, nums, den = _oriented(graph, costs, color)
@@ -285,9 +286,14 @@ class FullKnowledgeAgent(Agent):
             if plan is None:
                 plan = self._plans[t, position] = _rung_plan(self._ladder[t - 1], self._graph.moves[position])
             kappa, s, move = plan
-            # Half the gap of rung t-1 plus half the slack share - rung t,
-            # in total units and capped at own: min(own/2 + kappa total, own).
-            return min((own << (s - 1)) + kappa * total, own << s), 1 << s, move
+            # Half the gap of rung t-1 plus half the slack share - rung t, in
+            # total units: own/2 + kappa total, which lies in (0, own) with no
+            # cap.  With rung t-1 the table N / 2^e and 0 <= m <= M the
+            # numerators of the vertex's cheapest and dearest successors,
+            # share exceeds rung t at the vertex, (m + M) / 2^(e+1), which is
+            # at least both (M - 3m) / 2^(e+1) = 2 kappa and -2 kappa; so
+            # |kappa| total < own / 2.
+            return (own << (s - 1)) + kappa * total, 1 << s, move
 
         return min(drop * total, own * self._den), self._den, lo
 
@@ -302,7 +308,7 @@ class SafetyRatioAgent(Agent):
     def __init__(
         self,
         graph: GameGraph,
-        costs: CostTable | Mapping[str, Fraction],
+        costs: Mapping[str, Fraction],
         color: str,
     ):
         goal, nums, _ = _oriented(graph, costs, color)
@@ -357,7 +363,7 @@ AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")
 def make_agent(
     name: str,
     graph: GameGraph,
-    costs: CostTable | Mapping[str, Fraction],
+    costs: Mapping[str, Fraction],
     color: str,
 ) -> Agent:
     """Agent registry used by the CLI; ``name`` is one of AGENT_NAMES."""

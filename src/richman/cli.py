@@ -27,14 +27,7 @@ from .agents import AGENT_NAMES, GameState, make_agent
 from .graphs import GameGraph, GraphFormatError, parse_game_graph
 from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
-from .solver import (
-    CostTable,
-    NotConvergedError,
-    SolverError,
-    _cost_json,
-    solve_exact,
-    solve_iterative,
-)
+from .solver import NotConvergedError, SolverError, _frac_json, solve_exact, solve_iterative
 
 __all__ = ["main", "run"]
 
@@ -165,10 +158,19 @@ def _load_graph(path: str) -> GameGraph:
     return g
 
 
-def _print_cost_rows(costs: CostTable) -> None:
+def _cost_json(q: Fraction) -> dict:
+    return {**_frac_json(q), "float": float(q)}
+
+
+def _table_json(costs: dict[str, Fraction], kind: str) -> dict:
+    """A cost table as JSON, labelled with how it was computed: "exact", or
+    an iterate with its sweep count, as in "upper-iterate(7)"."""
+    return {"kind": kind, "costs": {v: _cost_json(q) for v, q in sorted(costs.items())}}
+
+
+def _print_cost_rows(costs: dict[str, Fraction]) -> None:
     print("vertex cost float")
-    for v in sorted(costs.costs):
-        q = costs[v]
+    for v, q in sorted(costs.items()):
         print(f"{v} {str(q)} {float(q)}")
 
 
@@ -179,15 +181,15 @@ def _cmd_solve(args) -> int:
         if args.output == "json":
             payload = {
                 "mode": "iterate",
-                "upper": approx.upper.to_json_dict(),
-                "lower": approx.lower.to_json_dict(),
+                "upper": _table_json(approx.upper, f"upper-iterate({approx.iterations})"),
+                "lower": _table_json(approx.lower, f"lower-iterate({approx.iterations})"),
                 "gap": _cost_json(approx.gap),
                 "iterations": approx.iterations,
             }
             print(json.dumps(payload, sort_keys=True))
         else:
             print("vertex upper lower")
-            for v in sorted(approx.upper.costs):
+            for v in sorted(approx.upper):
                 print(
                     f"{v} {str(approx.upper[v])} {str(approx.lower[v])}"
                 )
@@ -196,7 +198,7 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     table = solve_exact(g)
     if args.output == "json":
-        print(json.dumps({"mode": "exact", **table.to_json_dict()}, sort_keys=True))
+        print(json.dumps({"mode": "exact", **_table_json(table, "exact")}, sort_keys=True))
     else:
         _print_cost_rows(table)
     return EXIT_OK
@@ -285,8 +287,8 @@ def _cmd_series(args) -> int:
     if args.output == "json":
         print(json.dumps(plan.to_json_dict(), sort_keys=True))
     else:
-        print(f"wins_needed {plan.spec.wins_needed}")
-        print(f"bankroll {str(plan.spec.bankroll)}")
+        print(f"wins_needed {plan.wins_needed}")
+        print(f"bankroll {str(plan.bankroll)}")
         print("state holding stake")
         for (i, j) in sorted(plan.holdings):
             print(

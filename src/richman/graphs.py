@@ -214,7 +214,6 @@ def parse_game_graph(text: str) -> GameGraph:
     blue: str | None = None
     red: str | None = None
     edges: set[tuple[str, str]] = set()
-    mentioned: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -234,14 +233,12 @@ def parse_game_graph(text: str) -> GameGraph:
                 if red is not None:
                     raise GraphFormatError("duplicate red declaration", lineno)
                 red = vid
-            mentioned.add(vid)
         elif keyword == "edge":
             if len(parts) != 3:
                 raise GraphFormatError("expected 'edge <from> <to>'", lineno)
             a = _check_vertex_id(parts[1], lineno)
             b = _check_vertex_id(parts[2], lineno)
             edges.add((a, b))
-            mentioned.update((a, b))
         else:
             raise GraphFormatError(f"unknown directive {keyword!r}", lineno)
 
@@ -251,7 +248,7 @@ def parse_game_graph(text: str) -> GameGraph:
         raise GraphFormatError("missing red declaration")
     if blue == red:
         raise GraphFormatError("blue and red must be distinct vertices")
-    return GameGraph.from_parts(mentioned, edges, blue, red)
+    return GameGraph.from_parts((), edges, blue, red)
 
 
 def serialize_game_graph(g: GameGraph) -> str:

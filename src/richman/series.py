@@ -11,17 +11,15 @@ target_high if red does) and stake the successor gap on each game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .graphs import GameGraph
-from .solver import SolverError, _frac_json, _integer_table, _integers, solve_exact
+from .solver import _frac_json, _integer_table, _integers, solve_exact
 
 __all__ = [
     "BankrollMismatchError",
     "BetPlan",
-    "SeriesSpec",
     "build_series_graph",
     "series_bet_plan",
     "state_id",
@@ -42,35 +40,25 @@ class BankrollMismatchError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """First to ``wins_needed`` takes the series; payouts in grand units."""
+class BetPlan(NamedTuple):
+    """First to ``wins_needed`` takes the series, paying ``target_low`` (in
+    grand units) if blue takes it and ``target_high`` if red does; the plan
+    is the holding to maintain and the stake to place at every interior
+    state, starting from ``bankroll``."""
 
     wins_needed: int
     bankroll: Fraction
-    target_low: Fraction = Fraction(0)
-    target_high: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.wins_needed < 1:
-            raise ValueError("wins_needed must be at least 1")
-        if not self.target_low <= self.bankroll <= self.target_high:
-            raise ValueError("bankroll must lie between the two payout targets")
-
-
-class BetPlan(NamedTuple):
-    """Holding to maintain and stake to place at every interior state."""
-
-    spec: SeriesSpec
+    target_low: Fraction
+    target_high: Fraction
     holdings: Mapping[tuple[int, int], Fraction]
     stakes: Mapping[tuple[int, int], Fraction]
 
     def to_json_dict(self) -> dict:
         return {
-            "wins_needed": self.spec.wins_needed,
-            "bankroll": _frac_json(self.spec.bankroll),
-            "target_low": _frac_json(self.spec.target_low),
-            "target_high": _frac_json(self.spec.target_high),
+            "wins_needed": self.wins_needed,
+            "bankroll": _frac_json(self.bankroll),
+            "target_low": _frac_json(self.target_low),
+            "target_high": _frac_json(self.target_high),
             "holdings": {
                 state_id(i, j): _frac_json(q) for (i, j), q in sorted(self.holdings.items())
             },
@@ -115,17 +103,24 @@ def series_bet_plan(
 ) -> BetPlan:
     """Exact ladder for a first-to-k series.
 
-    Rejects any bankroll other than the required initial holding — riding
-    the ladder from the wrong starting amount is impossible, and the error
-    carries the required value.  Holdings and stakes are integers over one
-    denominator, checked against the two-successor averaging identity
-    (stake up = stake down at every state, else SolverError), and each is
-    returned as one Fraction.
+    Rejects target_low > target_high before solving, and any bankroll
+    other than the required initial holding — riding the ladder from the
+    wrong starting amount is impossible, and the error carries the
+    required value.  Holdings and stakes are integers over one
+    denominator, each returned as one Fraction.
+
+    The stake is the same whichever team takes the next game, with no
+    second check: ``solve_exact`` certified 2 N(v) = N(blue_next) +
+    N(red_next) for its numerators N over den, and held(v) = low_num den +
+    N(v) spread_num is an affine image of N, so held(red_next) - held(v) =
+    held(v) - held(blue_next).
     """
     states = _series_states(k)
+    low, high = Fraction(target_low), Fraction(target_high)
+    if low > high:
+        raise ValueError(f"target_low {low} is above target_high {high}")
     graph = _series_graph(states)
     nums, den = _integer_table(graph, solve_exact(graph))
-    low, high = Fraction(target_low), Fraction(target_high)
     (low_num, high_num), scale = _integers((low, high))
     spread_num = high_num - low_num
     # holding(v) = low + cost(v) (high - low) = held[v] / unit
@@ -134,14 +129,6 @@ def series_bet_plan(
     start, given = held[states[0][1]], Fraction(bankroll)
     if given.numerator * unit != start * given.denominator:
         raise BankrollMismatchError(given, Fraction(start, unit))
-    spec = SeriesSpec(wins_needed=k, bankroll=given, target_low=low, target_high=high)
-
-    holdings: dict[tuple[int, int], Fraction] = {}
-    stakes: dict[tuple[int, int], Fraction] = {}
-    for state, here, blue_next, red_next in states:
-        up = held[red_next] - held[here]
-        if up != held[here] - held[blue_next]:
-            raise SolverError(f"the ladder breaks the averaging identity at {here}")
-        holdings[state] = Fraction(held[here], unit)
-        stakes[state] = Fraction(up, unit)
-    return BetPlan(spec=spec, holdings=holdings, stakes=stakes)
+    holdings = {state: Fraction(held[here], unit) for state, here, _, _ in states}
+    stakes = {state: Fraction(held[red_next] - held[here], unit) for state, here, _, red_next in states}
+    return BetPlan(k, given, low, high, holdings, stakes)

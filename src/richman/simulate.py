@@ -56,11 +56,11 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .agents import Agent, GameState, _InexactBid, _oriented
 from .graphs import GameGraph
-from .solver import CostTable, _descent_moves, _frac_json, _integers, _require_valid
+from .solver import _descent_moves, _frac_json, _integers, _require_valid
 
 __all__ = [
     "BatchStats",
@@ -432,7 +432,7 @@ def run_batch(
     )
 
 
-def _coin_table(g: GameGraph, costs: CostTable, start: str) -> tuple[list[str], list[tuple[int, int]]]:
+def _coin_table(g: GameGraph, costs: Mapping[str, Fraction], start: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Check a coin-flip game's arguments and return its move table in
     integers, the same in every game: the vertex of each index (the
     non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
@@ -493,7 +493,7 @@ class RandomTurnStats(NamedTuple):
 
 def random_turn_stats(
     g: GameGraph,
-    costs: CostTable,
+    costs: Mapping[str, Fraction],
     start: str,
     runs: int,
     master_seed: int = 0,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -46,7 +45,6 @@ from .graphs import GameGraph, distances_to
 
 __all__ = [
     "ApproxSolve",
-    "CostTable",
     "NotConvergedError",
     "SolverError",
     "satisfies_exact_identity",
@@ -69,7 +67,7 @@ class NotConvergedError(SolverError):
     and ``iterations`` describe what was actually computed.
     """
 
-    def __init__(self, gap: Fraction, iterations: int, upper: "CostTable", lower: "CostTable"):
+    def __init__(self, gap: Fraction, iterations: int, upper: dict[str, Fraction], lower: dict[str, Fraction]):
         self.gap = gap
         self.iterations = iterations
         self.upper = upper
@@ -77,50 +75,18 @@ class NotConvergedError(SolverError):
         super().__init__(f"no convergence after {iterations} iterations, gap {float(gap):.3e}")
 
 
-@dataclass(frozen=True)
-class CostTable:
-    """Vertex costs plus a tag saying how they were computed.
-
-    ``kind`` is one of "exact", "upper-iterate", "lower-iterate"; iterate
-    tables carry their step index in ``step``.
-    """
-
-    costs: Mapping[str, Fraction]
-    kind: str
-    step: int | None = None
-
-    def __getitem__(self, v: str) -> Fraction:
-        return self.costs[v]
-
-    def get(self, v: str, default: Fraction | None = None) -> Fraction | None:
-        return self.costs.get(v, default)
-
-    @property
-    def label(self) -> str:
-        if self.step is None:
-            return self.kind
-        return f"{self.kind}({self.step})"
-
-    def to_json_dict(self) -> dict:
-        table = {v: _cost_json(c) for v, c in sorted(self.costs.items())}
-        return {"kind": self.label, "costs": table}
-
-
 class ApproxSolve(NamedTuple):
-    """Bracketing pair of iterate tables: lower(v) <= cost(v) <= upper(v)."""
+    """Bracketing pair of iterate tables, both after ``iterations`` sweeps:
+    lower[v] <= cost(v) <= upper[v]."""
 
-    upper: CostTable
-    lower: CostTable
+    upper: dict[str, Fraction]
+    lower: dict[str, Fraction]
     iterations: int
     gap: Fraction
 
 
 def _frac_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
-
-
-def _cost_json(q: Fraction) -> dict:
-    return {**_frac_json(q), "float": float(q)}
 
 
 def _require_valid(g: GameGraph) -> None:
@@ -164,11 +130,9 @@ def _iterates(g: GameGraph, goal: str, fill: int) -> Iterator[tuple[dict[str, in
         nums = new
 
 
-def _table(
-    g: GameGraph, nums: Mapping[str, int], den: int, kind: str, t: int | None = None
-) -> CostTable:
+def _table(g: GameGraph, nums: Mapping[str, int], den: int) -> dict[str, Fraction]:
     """The table N(v) / den, one Fraction per vertex."""
-    return CostTable({v: Fraction(nums[v], den) for v in g.vertices}, kind, t)
+    return {v: Fraction(nums[v], den) for v in g.vertices}
 
 
 def solve_iterative(
@@ -192,8 +156,8 @@ def solve_iterative(
         if not gap > tol or t >= max_iters:  # not `gap <= tol`: they differ on a NaN tol
             break
     result = ApproxSolve(
-        upper=_table(g, upper, 1 << e_up, "upper-iterate", t),
-        lower=_table(g, lower, 1 << e_low, "lower-iterate", t),
+        upper=_table(g, upper, 1 << e_up),
+        lower=_table(g, lower, 1 << e_low),
         iterations=t,
         gap=gap,
     )
@@ -233,7 +197,7 @@ def _integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
-def _integer_table(g: GameGraph, table: CostTable | Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+def _integer_table(g: GameGraph, table: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
     """The table as integer numerators over one denominator (``_integers``):
     KeyError for a vertex of g it lacks, ValueError for a cost that is not
     an int or a Fraction."""
@@ -241,7 +205,7 @@ def _integer_table(g: GameGraph, table: CostTable | Mapping[str, Fraction]) -> t
     return dict(zip(g.vertices, nums)), den
 
 
-def satisfies_exact_identity(g: GameGraph, table: CostTable) -> bool:
+def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> bool:
     """True when the table is a genuine cost table for g.
 
     Checks the terminal boundary, the [0, 1] range, and the averaging
@@ -419,8 +383,9 @@ def _solve_policy(
     return nums, den
 
 
-def solve_exact(g: GameGraph) -> CostTable:
-    """Exact cost table, certified by the averaging identity before return.
+def solve_exact(g: GameGraph) -> dict[str, Fraction]:
+    """Exact cost table, one Fraction per vertex, certified by the averaging
+    identity before return.
 
     No floats are used, and every table is integer numerators over one
     denominator until the certified one is returned as Fractions.  With no
@@ -448,7 +413,7 @@ def solve_exact(g: GameGraph) -> CostTable:
             nums[v] = (min(values) + max(values)) >> 1
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
-        return _table(g, nums, den, "exact")
+        return _table(g, nums, den)
     policy = first = _pick_policy(g, dict.fromkeys(g.vertices, 0), {})  # halts by itself
     tried: set[tuple[tuple[str, str], ...]] = set()
     while True:
@@ -458,5 +423,5 @@ def solve_exact(g: GameGraph) -> CostTable:
         tried.add(key)
         nums, den = _solve_policy(g, policy)
         if _identity_holds(g, nums, den):
-            return _table(g, nums, den, "exact")
+            return _table(g, nums, den)
         policy = _pick_policy(g, nums, first)

@@ -23,7 +23,6 @@ import pytest
 from richman import (
     Agent,
     BidDecision,
-    CostTable,
     GameGraph,
     GameRecord,
     GameState,
@@ -93,12 +92,6 @@ def pascal_red_win(i: int, j: int, k: int) -> Fraction:
     return Fraction(total, 2 ** (a + m - 1))
 
 
-def series_table_off_the_ladder(g: GameGraph) -> CostTable:
-    """The first-to-2 series table with s0_1 moved from 3/4 to 5/8: s0_0
-    keeps its 1/2, but its two stakes differ (1/8 up, 1/4 down)."""
-    return CostTable({**solve_exact(g).costs, "s0_1": Fraction(5, 8)}, "exact")
-
-
 def ruin_red_probability(position: int, n: int) -> Fraction:
     """Fair birth-death walk on 0..n absorbing at both ends; chance of
     hitting n (the red end) from ``position`` is position/n."""
@@ -158,7 +151,7 @@ def solve_policy_dense(
 
 def solve_exact_by_enumeration(
     g: GameGraph, hint: tuple[tuple[str, str], ...] | None = None
-) -> CostTable:
+) -> dict[str, Fraction]:
     """Exact solve by trying every (lo, hi) successor policy.
 
     Each policy induces the linear system 2 cost(v) = cost(lo(v)) + cost(hi(v))
@@ -172,7 +165,7 @@ def solve_exact_by_enumeration(
     interior = list(g.non_terminals)
     succ = {v: sorted(g.moves.get(v, ())) for v in interior}
 
-    def attempt(policy: tuple[tuple[str, str], ...]) -> CostTable | None:
+    def attempt(policy: tuple[tuple[str, str], ...]) -> dict[str, Fraction] | None:
         costs = solve_policy_dense(g, dict(zip(interior, policy)))
         if costs is None or not all(0 <= c <= 1 for c in costs.values()):
             return None
@@ -181,7 +174,7 @@ def solve_exact_by_enumeration(
             lo, hi = policy[i]
             if costs[lo] != min(values) or costs[hi] != max(values):
                 return None
-        return CostTable(costs, "exact")
+        return costs
 
     if hint is not None:
         found = attempt(hint)
@@ -269,7 +262,7 @@ def corpus200() -> tuple[GameGraph, ...]:
 
 
 @lru_cache(maxsize=512)
-def exact_table(g: GameGraph) -> CostTable:
+def exact_table(g: GameGraph) -> dict[str, Fraction]:
     return solve_exact(g)
 
 
@@ -433,7 +426,7 @@ def naive_descent_moves(g: GameGraph, cost) -> dict[str, str]:
 
 def reference_coin_game(
     g: GameGraph,
-    costs: CostTable,
+    costs: Mapping[str, Fraction],
     start: str,
     max_moves: int,
     seed: int = 0,
@@ -453,7 +446,7 @@ def reference_coin_game(
     return path
 
 
-def coin_game_end(g: GameGraph, costs: CostTable, start: str, cap: int, seed: int, game_index: int) -> str:
+def coin_game_end(g: GameGraph, costs: Mapping[str, Fraction], start: str, cap: int, seed: int, game_index: int) -> str:
     """Where game ``game_index`` of a coin-flip batch seeded ``seed`` ends,
     played alone by the package's coin walk (``_coin_game`` on
     ``_coin_table``) on a generator of its own."""
@@ -468,7 +461,7 @@ def end_tallies(g: GameGraph, ends: list[str]) -> tuple[int, int, int]:
 
 
 def check_coin_games_equal_the_reference(
-    g: GameGraph, costs: CostTable, start: str, runs: int, seed: int, max_moves: int | None
+    g: GameGraph, costs: Mapping[str, Fraction], start: str, runs: int, seed: int, max_moves: int | None
 ) -> list[list[str]]:
     """At the batch's cap, games 0..runs-1 of the coin walk end where
     ``reference_coin_game`` ends, and the tallies of ``random_turn_stats``
@@ -560,7 +553,7 @@ def safety_ratio(costs, v: str, own_share: Fraction, color: str = "blue") -> Fra
     return None if cost == 0 else own_share / cost
 
 
-def safety_ratios(record: GameRecord, costs: CostTable, color: str) -> list[Fraction | None]:
+def safety_ratios(record: GameRecord, costs: Mapping[str, Fraction], color: str) -> list[Fraction | None]:
     """The player's safety ratio at the start of every step plus the end.
 
     None encodes an infinite ratio (the player's cost there is zero).
@@ -579,7 +572,7 @@ def safety_ratios(record: GameRecord, costs: CostTable, color: str) -> list[Frac
     return out
 
 
-def check_safety_ratio_monotone(record: GameRecord, costs: CostTable, color: str) -> None:
+def check_safety_ratio_monotone(record: GameRecord, costs: Mapping[str, Fraction], color: str) -> None:
     """Exact non-decrease of the safety ratio along a trace (None = infinite)."""
     ratios = safety_ratios(record, costs, color)
     for earlier, later in zip(ratios, ratios[1:]):
@@ -590,7 +583,7 @@ def check_safety_ratio_monotone(record: GameRecord, costs: CostTable, color: str
 
 
 def check_stats_match_recorded_games(
-    g: GameGraph, costs: CostTable, start: str, runs: int, seed: int
+    g: GameGraph, costs: Mapping[str, Fraction], start: str, runs: int, seed: int
 ) -> None:
     """``random_turn_stats`` agrees game by game with the same games played
     one by one (``coin_game_end``): the tallies of every prefix of the
@@ -649,7 +642,7 @@ def _lower_iterates(g: GameGraph):
 
 
 def reference_decision(
-    name: str, g: GameGraph, costs: CostTable, color: str, view: PlayerView, rng: random.Random
+    name: str, g: GameGraph, costs: Mapping[str, Fraction], color: str, view: PlayerView, rng: random.Random
 ) -> BidDecision:
     """One agent decision worked out from scratch with the strategies'
     formulas, nothing kept between calls: Red plays the mirrored arena

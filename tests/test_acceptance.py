@@ -220,7 +220,7 @@ def test_criterion_04_enumeration_equals_rationalized_iteration(corpus_graphs):
             for v in g.non_terminals
         )
         enumerated = corpus.solve_exact_by_enumeration(g, hint=hint)
-        assert dict(enumerated.costs) == dict(table.costs)
+        assert enumerated == table
         checked += 1
     assert checked == 160
     print(f"PASS criterion 4: policy enumeration matched on {checked} graphs")

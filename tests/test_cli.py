@@ -328,13 +328,6 @@ def test_series_wrong_bankroll(cli):
     assert err == "bankroll 2/5 does not match the ladder; required: 1/2\n"
 
 
-def test_series_table_off_the_ladder_is_an_internal_error(cli, monkeypatch):
-    monkeypatch.setattr(richman.series, "solve_exact", corpus.series_table_off_the_ladder)
-    code, out, err = cli("series", "--wins", "2", "--bankroll", "1/2")
-    assert (code, out) == (1, "")
-    assert err.startswith("internal solver error: ")
-
-
 def test_series_bad_wins(cli):
     code, _, err = cli("series", "--wins", "0", "--bankroll", "1/2")
     assert code == 3

@@ -22,7 +22,6 @@ PUBLIC = [
     "BatchStats",
     "BetPlan",
     "BidDecision",
-    "CostTable",
     "FullKnowledgeAgent",
     "GameGraph",
     "GameRecord",
@@ -33,7 +32,6 @@ PUBLIC = [
     "ProtocolViolationError",
     "RandomTurnStats",
     "SafetyRatioAgent",
-    "SeriesSpec",
     "SolverError",
     "Step",
     "TIEBREAKS",
@@ -90,18 +88,13 @@ def test_public_surface_is_pinned():
     assert richman.__all__ == PUBLIC
 
 
-def test_only_three_public_types_are_dataclasses():
-    """GameGraph caches on its instance ``__dict__``, CostTable indexes by
-    vertex and SeriesSpec validates itself; every other record is a tuple."""
-    assert [n for n in richman.__all__ if dataclasses.is_dataclass(getattr(richman, n))] == [
-        "CostTable",
-        "GameGraph",
-        "SeriesSpec",
-    ]
+def test_only_game_graph_is_a_dataclass():
+    """GameGraph caches on its instance ``__dict__``; every other record is
+    a tuple, and a cost table is a plain dict."""
+    assert [n for n in richman.__all__ if dataclasses.is_dataclass(getattr(richman, n))] == ["GameGraph"]
 
 
-_TABLE = solver.CostTable({"b": F(0), "r": F(1)}, "upper-iterate", 2)
-_SPEC = series.SeriesSpec(2, F(1, 2))
+_TABLE = {"b": F(0), "r": F(1)}
 
 # One instance of each value record, with hashable fields where the type allows.
 RECORDS = [
@@ -115,7 +108,7 @@ RECORDS = [
     simulate.GameRecord("v", (), "Unresolved", 0),
     simulate.BatchStats(3, 2, 1, 0, (2, 4, 2), 7),
     simulate.RandomTurnStats(4, 1, 3, 0, 0.75, 0.25, 0),
-    series.BetPlan(_SPEC, {(0, 0): F(1, 2)}, {(0, 0): F(1, 4)}),
+    series.BetPlan(1, F(1, 2), F(0), F(1), {(0, 0): F(1, 2)}, {(0, 0): F(1, 4)}),
 ]
 # These hold dicts, so they do not hash, as their dicts do not.
 UNHASHABLE = {"ApproxSolve", "BetPlan"}

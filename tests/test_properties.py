@@ -9,7 +9,8 @@ game's move table ending every game with Red's chance of winning equal
 to the cost table and equal to the safety agent's moves, the arena
 walks (the move table, the interior cycle test and order, each player's
 steepest-descent moves) against naive searches, every agent's decisions
-against a from-scratch reference, two optimal agents at the critical
+against a from-scratch reference, the optimal agent's ladder bids
+inside its bankroll, two optimal agents at the critical
 share playing the coin-flip game, and seeded batches of bidding games
 (their records and their tallies, built-in agents and an agent that
 defines only ``decide``) against the same games played one at a time
@@ -83,7 +84,7 @@ def test_solve_exact_equals_the_enumeration_oracle(g):
         (min(g.moves[v], key=lambda u: (upper[u], u)), min(g.moves[v], key=lambda u: (-upper[u], u)))
         for v in g.non_terminals
     )
-    assert dict(table.costs) == dict(corpus.solve_exact_by_enumeration(g, hint=hint).costs)
+    assert table == corpus.solve_exact_by_enumeration(g, hint=hint)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -190,7 +191,7 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
     assert set(halting) == set(g.vertices)
     nums, den = _solve_policy(g, table)
-    assert {v: Fraction(n, den) for v, n in nums.items()} == dict(costs.costs)
+    assert {v: Fraction(n, den) for v, n in nums.items()} == costs
     for column, color in enumerate(("blue", "red")):
         agent = SafetyRatioAgent(g, costs, color)
         for v, pair in table.items():
@@ -286,6 +287,23 @@ def test_agents_match_the_per_decision_reference(g, seed):
                     lambda: corpus.reference_decision(name, g, costs, color, view, random.Random(seed))
                 )
                 assert mine == reference, (name, color, view)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(arenas(1, 10))
+def test_ladder_bids_lie_strictly_inside_the_bankroll(g):
+    """The optimal agent's winning-branch bid needs no cap at its bankroll:
+    at every share above its cost it bids more than 0 and less than all."""
+    costs = solve_exact(g)
+    for color in ("blue", "red"):
+        agent = make_agent("optimal", g, costs, color)
+        for v in g.non_terminals:
+            cost = costs[v] if color == "blue" else 1 - costs[v]
+            for k in range(1, 9):
+                share = cost + (1 - cost) * Fraction(k, 8)
+                if share > cost:
+                    bid = agent.decide(PlayerView(color, v, share, 1 - share), None).bid
+                    assert 0 < bid < share, (color, v, share)
 
 
 def check_critical_share_games(g: GameGraph, costs, start: str, runs: int, seed: int):

@@ -7,8 +7,6 @@ import pytest
 
 from richman import (
     BankrollMismatchError,
-    SeriesSpec,
-    SolverError,
     build_series_graph,
     default_move_cap,
     series_bet_plan,
@@ -71,7 +69,7 @@ def test_costs_match_the_binomial_oracle(k):
 
 def test_bet_plan_for_a_first_to_four_series():
     plan = series_bet_plan(4, F(1, 2))
-    assert plan.spec.wins_needed == 4
+    assert plan.wins_needed == 4
     assert plan.holdings[(0, 0)] == F(1, 2)
     assert plan.holdings[(0, 3)] == F(15, 16)
     assert plan.holdings[(3, 0)] == F(1, 16)
@@ -87,9 +85,9 @@ def test_stake_identity_at_every_state():
 
     def holding(state_key):
         if state_key == "b":
-            return plan.spec.target_low
+            return plan.target_low
         if state_key == "r":
-            return plan.spec.target_high
+            return plan.target_high
         i, j = state_key
         return plan.holdings[(i, j)]
 
@@ -111,12 +109,6 @@ def test_bet_plan_for_a_first_to_32_series_equals_the_binomial_sums():
         assert plan.holdings[(i, j)] == holding(i, j)
         assert stake == holding(i, j + 1) - holding(i, j) == holding(i, j) - holding(i + 1, j)
     assert len(plan.stakes) == k * k
-
-
-def test_a_table_off_the_ladder_raises_solver_error(monkeypatch):
-    monkeypatch.setattr(richman.series, "solve_exact", corpus.series_table_off_the_ladder)
-    with pytest.raises(SolverError, match="s0_0"):
-        series_bet_plan(2, F(1, 2))
 
 
 def test_wrong_bankroll_reports_the_required_value():
@@ -150,7 +142,7 @@ def test_fractional_payout_targets():
 
     required = holding(0, 0)
     plan = series_bet_plan(3, required, target_low=low, target_high=high)
-    assert (plan.spec.bankroll, plan.spec.target_low, plan.spec.target_high) == (required, low, high)
+    assert (plan.bankroll, plan.target_low, plan.target_high) == (required, low, high)
     assert sorted(plan.holdings) == sorted(plan.stakes) == [(i, j) for i in range(3) for j in range(3)]
     for (i, j), held in plan.holdings.items():
         assert held == holding(i, j)
@@ -161,12 +153,21 @@ def test_fractional_payout_targets():
 
 
 def test_series_spec_validation():
-    with pytest.raises(ValueError, match="wins_needed"):
-        SeriesSpec(wins_needed=0, bankroll=F(1, 2))
-    with pytest.raises(ValueError, match="between"):
-        SeriesSpec(wins_needed=2, bankroll=F(3, 2))
-    spec = SeriesSpec(wins_needed=2, bankroll=F(1, 2))
-    assert spec.target_low == 0 and spec.target_high == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        series_bet_plan(0, F(1, 2))
+    with pytest.raises(BankrollMismatchError, match="must be 1/2"):
+        series_bet_plan(2, F(3, 2))
+    plan = series_bet_plan(2, F(1, 2))
+    assert plan.target_low == 0 and plan.target_high == 1
+
+
+def test_reversed_payout_targets_are_rejected_before_solving(monkeypatch):
+    """A bankroll between reversed targets is not the fault: the targets are."""
+    solved = []
+    monkeypatch.setattr(richman.series, "solve_exact", lambda g: solved.append(g) or solve_exact(g))
+    with pytest.raises(ValueError, match="^target_low 1 is above target_high 0$"):
+        series_bet_plan(2, F(1, 2), target_low=F(1), target_high=F(0))
+    assert solved == []
 
 
 def test_bet_plan_json():

@@ -5,13 +5,13 @@ time, before being pinned here; the exact values come from independent
 linear algebra (see corpus.PATH_EXACT).
 """
 
+import json
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from richman import (
-    CostTable,
     FullKnowledgeAgent,
     NotConvergedError,
     PlayerView,
@@ -28,6 +28,7 @@ from richman import (
 from richman.agents import _oriented
 from richman.solver import _descent_moves
 
+import richman.cli
 import richman.graphs
 import richman.solver
 import corpus
@@ -118,8 +119,6 @@ def test_solve_iterative_path_converges_in_thirty_sweeps(path_graph):
     assert approx.gap == F(1, 2**30)
     for v, exact in corpus.PATH_EXACT.items():
         assert approx.lower[v] <= exact <= approx.upper[v]
-    assert approx.upper.kind == "upper-iterate"
-    assert approx.lower.kind == "lower-iterate"
 
 
 def test_solve_iterative_raises_when_out_of_budget(path_graph):
@@ -138,11 +137,12 @@ def test_solve_iterative_without_budget_raises_at_once(path_graph, max_iters):
     err = info.value
     assert err.iterations == 0
     assert err.gap == 1
-    assert err.upper.step == err.lower.step == 0
+    assert err.upper == {v: 0 if v == "b" else 1 for v in path_graph.vertices}
+    assert err.lower == {v: 1 if v == "r" else 0 for v in path_graph.vertices}
 
 
-def test_solve_exact_fig1_is_all_halves(fig1_costs):
-    assert fig1_costs.kind == "exact"
+def test_solve_exact_fig1_is_all_halves(fig1, fig1_costs):
+    assert set(fig1_costs) == fig1.vertices
     for v in ("v", "m", "c", "a"):
         assert fig1_costs[v] == F(1, 2)
     assert fig1_costs["b"] == 0
@@ -169,37 +169,37 @@ def test_exact_identity_checks(star, star_costs):
     assert satisfies_exact_identity(star, star_costs)
     # Wrong interior value: 2 * 2/5 != 0 + 1.
     assert not satisfies_exact_identity(
-        star, CostTable({"b": F(0), "r": F(1), "v": F(2, 5)}, "exact")
+        star, {"b": F(0), "r": F(1), "v": F(2, 5)}
     )
     # Wrong boundary.
     assert not satisfies_exact_identity(
-        star, CostTable({"b": F(1, 10), "r": F(1), "v": F(11, 20)}, "exact")
+        star, {"b": F(1, 10), "r": F(1), "v": F(11, 20)}
     )
     # Out of range.
     assert not satisfies_exact_identity(
-        star, CostTable({"b": F(0), "r": F(1), "v": F(3, 2)}, "exact")
+        star, {"b": F(0), "r": F(1), "v": F(3, 2)}
     )
     # Missing vertex.
-    assert not satisfies_exact_identity(star, CostTable({"b": F(0), "r": F(1)}, "exact"))
+    assert not satisfies_exact_identity(star, {"b": F(0), "r": F(1)})
     # A value that is neither an int nor a Fraction fails, even a float that
     # would pass the identity.
-    assert not satisfies_exact_identity(star, CostTable({"b": F(0), "r": F(1), "v": 0.5}, "exact"))
+    assert not satisfies_exact_identity(star, {"b": F(0), "r": F(1), "v": 0.5})
     assert not satisfies_exact_identity(
-        star, CostTable({"b": 0.0, "r": F(1), "v": F(1, 2)}, "exact")
+        star, {"b": 0.0, "r": F(1), "v": F(1, 2)}
     )
     # Int-valued terminals are accepted.
-    assert satisfies_exact_identity(star, CostTable({"b": 0, "r": 1, "v": F(1, 2)}, "exact"))
+    assert satisfies_exact_identity(star, {"b": 0, "r": 1, "v": F(1, 2)})
     # Out of range but averaging: a closed cycle that never reaches a
     # terminal (an invalid arena) leaves the identity without a unique
     # solution, so only the range check rejects 2 there.
     loop = richman.GameGraph.from_parts(["v", "w"], [("v", "b"), ("v", "r"), ("w", "w")], "b", "r")
     assert not satisfies_exact_identity(
-        loop, CostTable({"b": 0, "r": 1, "v": F(1, 2), "w": 2}, "exact")
+        loop, {"b": 0, "r": 1, "v": F(1, 2), "w": 2}
     )
     # A dead end (another invalid arena) has nothing to average.
     dead_end = richman.GameGraph.from_parts(["v", "sink"], [("v", "b"), ("v", "sink")], "b", "r")
     assert not satisfies_exact_identity(
-        dead_end, CostTable({"b": 0, "r": 1, "v": 0, "sink": 0}, "exact")
+        dead_end, {"b": 0, "r": 1, "v": 0, "sink": 0}
     )
 
 
@@ -207,7 +207,7 @@ def test_enumeration_agrees_with_rationalized_iteration(fig1, path_graph, star):
     for g in (fig1, path_graph, star):
         by_policy = corpus.solve_exact_by_enumeration(g)
         by_iteration = solve_exact(g)
-        assert dict(by_policy.costs) == dict(by_iteration.costs)
+        assert by_policy == by_iteration
 
 
 def test_solve_exact_eleven_vertex_chain_matches_the_oracle():
@@ -223,7 +223,7 @@ def test_solve_exact_eleven_vertex_chain_matches_the_oracle():
     assert validate(chain).ok
     table = solve_exact(chain)
     assert satisfies_exact_identity(chain, table)
-    assert dict(table.costs) == dict(corpus.solve_exact_by_enumeration(chain).costs)
+    assert table == corpus.solve_exact_by_enumeration(chain)
 
 
 def test_solve_exact_ring21_matches_the_closed_form():
@@ -232,7 +232,6 @@ def test_solve_exact_ring21_matches_the_closed_form():
         ring = corpus.ring_graph(n)
         assert validate(ring).ok
         table = solve_exact(ring)
-        assert table.kind == "exact"
         for i in range(n):
             assert table[f"v{i:02d}"] == F(2**i, 2**n - 1)
 
@@ -265,7 +264,7 @@ def test_back_substitution_rescales_the_values_found_so_far():
     ]  # fmt: skip
     g = richman.GameGraph.from_parts(["b", "r"], edges, "b", "r")
     thirds = {"v00": F(1, 3), "v01": F(1, 3), "v03": F(1, 3), "v05": F(2, 3)}
-    assert dict(solve_exact(g).costs) == {"b": 0, "r": 1, "v02": 0, "v04": F(1, 6), **thirds}
+    assert solve_exact(g) == {"b": 0, "r": 1, "v02": 0, "v04": F(1, 6), **thirds}
     policy = {
         "v00": ("b", "v05"), "v01": ("v00", "v00"), "v02": ("b", "b"),
         "v03": ("v00", "v00"), "v04": ("v02", "v00"), "v05": ("v00", "r"),
@@ -391,19 +390,21 @@ def test_descent_walk_lengths_fig1(fig1, fig1_costs):
 
 
 def test_cost_table_helpers(star_costs):
-    assert star_costs.label == "exact"
     assert star_costs.get("nope") is None
-    payload = star_costs.to_json_dict()
+    payload = richman.cli._table_json(star_costs, "exact")
     assert payload["kind"] == "exact"
     assert list(payload["costs"]) == sorted(payload["costs"])
     assert payload["costs"]["v"] == {"num": 1, "den": 2, "float": 0.5}
 
 
-def test_iterate_labels(fig1):
-    with pytest.raises(NotConvergedError) as info:
-        solve_iterative(fig1, max_iters=2)
-    assert info.value.upper.label == "upper-iterate(2)"
-    assert info.value.lower.label == "lower-iterate(2)"
+def test_iterate_labels(capsys, data_dir):
+    """The iterate tables carry no step; the CLI labels them with the sweep
+    count ``iterations``."""
+    assert richman.cli.main(["solve", str(data_dir / "path.rg"), "--iterate", "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["iterations"] == 30
+    assert payload["upper"]["kind"] == "upper-iterate(30)"
+    assert payload["lower"]["kind"] == "lower-iterate(30)"
 
 
 def test_uniform_chain_matches_the_ruin_quotient():
@@ -429,7 +430,7 @@ def test_uniform_draw_arena_passes_the_identity():
     # 400 vertices, slowly mixing, three policy rounds, ~280-bit denominators.
     g = corpus.uniform_draw_graph(seed=0, n_interior=400)
     table = solve_exact(g)
-    assert set(table.costs) == g.vertices
+    assert set(table) == g.vertices
     assert satisfies_exact_identity(g, table)
 
 
