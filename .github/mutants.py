@@ -32,15 +32,15 @@ MUTANTS = [
     Mutant(
         "the policy pick returns its pair without the fallback to the first round",
         "src/richman/solver.py",
-        "    return {v: pair if v in halting else first[v] for v, pair in policy.items()}\n",
+        "    return [pair if halting[v] < far else first[v] for v, pair in enumerate(policy)]\n",
         "    return policy\n",
         ("tests/test_properties.py::test_picked_policy_reaches_a_terminal_from_any_values",),
     ),
     Mutant(
         "Red picks its choice on the values instead of their negation",
         "src/richman/solver.py",
-        "    red = _descent_moves(g, g.red, {v: -n for v, n in x.items()})\n",
-        "    red = _descent_moves(g, g.red, x)\n",
+        "_descent_moves(g, blue + 1, [-n for n in x])",
+        "_descent_moves(g, blue + 1, x)",
         ("tests/test_solver.py",),
     ),
     Mutant(
@@ -53,8 +53,8 @@ MUTANTS = [
     Mutant(
         "the ladder plans its winning bid on rung t instead of rung t-1",
         "src/richman/agents.py",
-        "_rung_plan(self._ladder[t - 1], self._graph.moves[position])",
-        "_rung_plan(self._ladder[t], self._graph.moves[position])",
+        "_rung_plan(self._ladder[t - 1], self._graph, v)",
+        "_rung_plan(self._ladder[t], self._graph, v)",
         ("tests/test_agents.py::test_full_knowledge_winning_branch_picks_short_circuit",),
     ),
     Mutant(
@@ -67,8 +67,8 @@ MUTANTS = [
     Mutant(
         "the ladder's plan drops the half-slack term (half the next rung's value)",
         "src/richman/agents.py",
-        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move\n",
-        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, move\n",
+        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._index.names[move]\n",
+        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, g._index.names[move]\n",
         ("tests/test_agents.py::test_full_knowledge_winning_branch_star",),
     ),
     Mutant(
@@ -77,6 +77,27 @@ MUTANTS = [
         "        return min(drop * total, own * self._den), self._den, lo\n",
         "        return drop * total, self._den, lo\n",
         ("tests/test_agents.py::test_full_knowledge_bid_is_capped_by_bankroll",),
+    ),
+    Mutant(
+        "the descent walk drops its floor test and steps along every edge",
+        "src/richman/solver.py",
+        "lambda x, u: nums[u] == floors[x]",
+        "lambda x, u: True",
+        ("tests/test_solver.py::test_descent_ties_go_by_descent_distance_not_edge_distance",),
+    ),
+    Mutant(
+        "the arena index builds its predecessor lists from the wrong end of each edge",
+        "src/richman/graphs.py",
+        "                pred[u].append(x)\n",
+        "                pred[x].append(u)\n",
+        ("tests/test_graphs.py::test_validate_matches_the_name_based_reference",),
+    ),
+    Mutant(
+        "the height walk takes a position at its first successor instead of its last",
+        "src/richman/graphs.py",
+        "        return not left[x]\n",
+        "        return True\n",
+        ("tests/test_properties.py::test_interior_has_cycle_matches_peeling",),
     ),
 ]
 

@@ -29,20 +29,15 @@ Agents included:
 * ``UniformRandomBidAgent`` ("uniform-random-bid") is a seeded chaos monkey
   for tests.
 
-``solver._descent_moves`` is the one steepest-descent move rule: a
-cheapest successor on the player's own costs, ties to the fewest
-steepest-descent steps to its goal, then to the first name.  The optimal
-agent's losing and critical play, the safety agent, both players of the
-coin-flip game (``simulate``) and the exact solver's policy rounds move by
-it, and with it every coin-flip game ends.
-
 These strategies are functions of the vertex, so each agent plans every
-vertex once, when it is built: the optimal agent its losing play (its
-move and cost drop), the safety agent its bid rate and move, the
-random agent reads the arena's move table.  The optimal agent's ladder is
-integer: rung t is the upper iterate as numerators over one power of two
-(``solver._iterates``), grown on demand, and the play of each (horizon,
-vertex) is planned on first use.
+vertex once, when it is built, on the arena's integer positions
+(``GameGraph._index``), and keys its plans by name for the engine: the
+optimal agent its losing play (its ``solver._descent_moves`` move and cost
+drop), the safety agent its bid rate and move; the random agent reads
+the move table.  The optimal agent's ladder is integer: rung t is the
+upper iterate as numerators over one power of two (``solver._iterates``),
+grown on demand, and the play of each (horizon, vertex) is planned on
+first use.
 
 Both strategies bid a share that scales with the money, so an agent bids
 in numerators: ``Agent._bid`` takes both bankrolls as integers over one
@@ -181,18 +176,17 @@ def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random 
     return BidDecision(Fraction(num, den * scale), move)
 
 
-def _oriented(
-    g: GameGraph, costs: Mapping[str, Fraction], color: str
-) -> tuple[str, dict[str, int], int]:
+def _oriented(g: GameGraph, costs: Mapping[str, Fraction], color: str) -> tuple[int, list[int], int]:
     """``color``'s goal terminal on g and its costs as integer numerators N
     over one denominator den, 0 at the goal and den at the other terminal:
-    the table's own numerators for Blue, den - N for Red.  Checks the arena
-    (the graph keeps the verdict)."""
+    the table's own numerators for Blue, den - N for Red, all by position
+    (``g._index``).  Checks the arena (the graph keeps the verdict)."""
     _require_valid(g)
     nums, den = _integer_table(g, costs)
+    blue = len(g._index.succ)
     if _plays_red(color):
-        return g.red, {v: den - n for v, n in nums.items()}, den
-    return g.blue, nums, den
+        return blue + 1, [den - n for n in nums], den
+    return blue, nums, den
 
 
 def _no_play(g: GameGraph, v: str) -> NoReturn:
@@ -203,18 +197,18 @@ def _no_play(g: GameGraph, v: str) -> NoReturn:
     raise ValueError(f"cannot bid at terminal vertex {v!r}")
 
 
-def _rung_plan(rung: tuple[Mapping[str, int], int], succ: tuple[str, ...]) -> tuple[int, int, str]:
-    """Winning play at a vertex whose horizon is the rung after ``rung``,
+def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, int, str]:
+    """Winning play at position v whose horizon is the rung after ``rung``,
     the table N / 2^e: the constant kappa = half the successor gap of this
-    table minus half the next rung's value at the vertex, as K / 2^s, and
-    the cheapest successor in this table (ties by name).
+    table minus half the next rung's value at v, as K / 2^s, and the
+    cheapest successor in this table (ties by name).
 
     With m and M the cheapest and dearest successor numerators, the next
     rung's value is (m + M) / 2^(e+1), so kappa = (M - 3m) / 2^(e+2).
     """
-    nums, e = rung
-    move = min(succ, key=lambda u: (nums[u], u))
-    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move
+    (nums, e), succ = rung, g._index.succ[v]
+    move = min(succ, key=nums.__getitem__)
+    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._index.names[move]
 
 
 class FullKnowledgeAgent(Agent):
@@ -224,42 +218,39 @@ class FullKnowledgeAgent(Agent):
     name = "optimal"
     deterministic = True
 
-    def __init__(
-        self,
-        graph: GameGraph,
-        costs: Mapping[str, Fraction],
-        color: str,
-    ):
+    def __init__(self, graph: GameGraph, costs: Mapping[str, Fraction], color: str):
         goal, nums, den = _oriented(graph, costs, color)
         self._graph = graph
         self._den = den
+        names = graph._index.names
         # Losing or critical play per non-terminal: the numerators over den
-        # of its cost and of the drop to its move, then the move; the bid is
-        # drop * total.
-        self._critical: dict[str, tuple[int, int, str]] = {
-            v: (nums[v], nums[v] - nums[lo], lo) for v, lo in _descent_moves(graph, goal, nums).items()
+        # of its cost and of the drop to its move, the move and the vertex's
+        # position; the bid is drop * total.
+        self._critical: dict[str, tuple[int, int, str, int]] = {
+            names[v]: (nums[v], nums[v] - nums[lo], names[lo], v)
+            for v, lo in enumerate(_descent_moves(graph, goal, nums))
         }
         # Integer upper-iterate ladder towards the goal, grown on demand:
         # rung t is (N, e), the table N / 2^e.  The winning play of each
         # (horizon, vertex) (_rung_plan) is filled on first use.
         self._upper = _iterates(graph, goal, 1)
-        self._ladder: list[tuple[dict[str, int], int]] = [next(self._upper)]
-        self._plans: dict[tuple[int, str], tuple[int, int, str]] = {}
+        self._ladder: list[tuple[list[int], int]] = [next(self._upper)]
+        self._plans: dict[tuple[int, int], tuple[int, int, str]] = {}
 
-    def _horizon(self, v: str, p: int, q: int) -> int:
-        """Smallest t with upper-iterate(v, t) < p / q, that is N_t(v) q <
-        p 2^e_t.  Exists whenever p / q exceeds the exact cost of v.  The
-        rungs built so far are bisected; the ladder grows only when all of
-        them are >= p / q."""
+    def _horizon(self, v: int, p: int, q: int) -> int:
+        """Smallest t with upper-iterate(v, t) < p / q at position v, that
+        is N_t(v) q < p 2^e_t.  Exists whenever p / q exceeds the exact cost
+        of v.  The rungs built so far are bisected; the ladder grows only
+        when all of them are >= p / q."""
 
-        def below(rung: tuple[dict[str, int], int]) -> bool:
+        def below(rung: tuple[list[int], int]) -> bool:
             return rung[0][v] * q < p << rung[1]
 
         ladder = self._ladder
         t = bisect_left(ladder, True, key=below)
         while t == len(ladder):
             if t > 100_000:
-                raise SolverError(f"no iterate at {v!r} ever drops below {Fraction(p, q)}")
+                raise SolverError(f"no iterate at {self._graph._index.names[v]!r} ever drops below {Fraction(p, q)}")
             ladder.append(next(self._upper))
             if not below(ladder[t]):
                 t += 1
@@ -276,15 +267,15 @@ class FullKnowledgeAgent(Agent):
         critical = self._critical.get(position)
         if critical is None:
             _no_play(self._graph, position)
-        cost, drop, lo = critical
+        cost, drop, lo, v = critical
         # share = own / total, total = (own + opp) / den
         total = own + opp
 
         if total > 0 and own * self._den > cost * total:
-            t = self._horizon(position, own, total)
-            plan = self._plans.get((t, position))
+            t = self._horizon(v, own, total)
+            plan = self._plans.get((t, v))
             if plan is None:
-                plan = self._plans[t, position] = _rung_plan(self._ladder[t - 1], self._graph.moves[position])
+                plan = self._plans[t, v] = _rung_plan(self._ladder[t - 1], self._graph, v)
             kappa, s, move = plan
             # Half the gap of rung t-1 plus half the slack share - rung t, in
             # total units: own/2 + kappa total, which lies in (0, own) with no
@@ -305,19 +296,15 @@ class SafetyRatioAgent(Agent):
     name = "safety"
     deterministic = True
 
-    def __init__(
-        self,
-        graph: GameGraph,
-        costs: Mapping[str, Fraction],
-        color: str,
-    ):
+    def __init__(self, graph: GameGraph, costs: Mapping[str, Fraction], color: str):
         goal, nums, _ = _oriented(graph, costs, color)
         self._graph = graph
+        names = graph._index.names
         # (rate numerator, rate denominator, move) per non-terminal; the
         # bid is own_money * rate, and the rate is 0 at cost 0.
         self._plan: dict[str, tuple[int, int, str]] = {
-            v: (nums[v] - nums[m], nums[v], m) if nums[v] else (0, 1, m)
-            for v, m in _descent_moves(graph, goal, nums).items()
+            names[v]: (nums[v] - nums[m], nums[v], names[m]) if nums[v] else (0, 1, names[m])
+            for v, m in enumerate(_descent_moves(graph, goal, nums))
         }
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
@@ -360,12 +347,7 @@ class UniformRandomBidAgent(Agent):
 AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")
 
 
-def make_agent(
-    name: str,
-    graph: GameGraph,
-    costs: Mapping[str, Fraction],
-    color: str,
-) -> Agent:
+def make_agent(name: str, graph: GameGraph, costs: Mapping[str, Fraction], color: str) -> Agent:
     """Agent registry used by the CLI; ``name`` is one of AGENT_NAMES."""
     if name == "optimal":
         return FullKnowledgeAgent(graph, costs, color)

@@ -61,9 +61,7 @@ def _money(text: str) -> Fraction:
     """Exact nonnegative rational: an integer or 'p/q'."""
     num, slash, den = text.partition("/")
     if not num.isdigit() or (slash and not den.isdigit()):
-        raise argparse.ArgumentTypeError(
-            f"money must be a nonnegative integer or p/q fraction, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"money must be a nonnegative integer or p/q fraction, got {text!r}")
     if slash and int(den) == 0:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
@@ -190,9 +188,7 @@ def _cmd_solve(args) -> int:
         else:
             print("vertex upper lower")
             for v in sorted(approx.upper):
-                print(
-                    f"{v} {str(approx.upper[v])} {str(approx.lower[v])}"
-                )
+                print(f"{v} {approx.upper[v]} {approx.lower[v]}")
             print(f"gap {str(approx.gap)} {float(approx.gap)}")
             print(f"iterations {approx.iterations}")
         return EXIT_OK
@@ -220,17 +216,8 @@ def _cmd_simulate(args) -> int:
     start = GameState(args.start, args.blue_money, args.red_money)
 
     traces: list = []
-    stats = run_batch(
-        g,
-        blue,
-        red,
-        start,
-        tiebreak=args.tiebreak,
-        max_moves=args.max_moves,
-        runs=args.runs,
-        master_seed=args.seed,
-        on_record=traces.append if args.trace else None,
-    )
+    on_record = traces.append if args.trace else None
+    stats = run_batch(g, blue, red, start, args.tiebreak, args.max_moves, args.runs, args.seed, on_record)
     if args.output == "json":
         payload = {"stats": stats.to_json_dict()}
         if args.trace:
@@ -278,10 +265,7 @@ def _cmd_series(args) -> int:
     try:
         plan = series_bet_plan(args.wins, args.bankroll)
     except BankrollMismatchError as err:
-        raise _Failure(
-            EXIT_VALIDATION,
-            f"bankroll {err.given} does not match the ladder; required: {err.required}",
-        )
+        raise _Failure(EXIT_VALIDATION, f"bankroll {err.given} does not match the ladder; required: {err.required}")
     except ValueError as err:
         raise _Failure(EXIT_VALIDATION, str(err))
     if args.output == "json":
@@ -290,11 +274,8 @@ def _cmd_series(args) -> int:
         print(f"wins_needed {plan.wins_needed}")
         print(f"bankroll {str(plan.bankroll)}")
         print("state holding stake")
-        for (i, j) in sorted(plan.holdings):
-            print(
-                f"{state_id(i, j)} {str(plan.holdings[(i, j)])} "
-                f"{str(plan.stakes[(i, j)])}"
-            )
+        for (i, j), holding in sorted(plan.holdings.items()):
+            print(f"{state_id(i, j)} {holding} {plan.stakes[i, j]}")
     return EXIT_OK
 
 
@@ -319,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         print(failure.message, file=sys.stderr)
         return failure.code
     except NotConvergedError as err:
-        print(
-            f"no convergence after {err.iterations} iterations; gap {float(err.gap):.3e}",
-            file=sys.stderr,
-        )
+        print(f"no convergence after {err.iterations} iterations; gap {float(err.gap):.3e}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except SolverError as err:
         print(f"internal solver error: {err}", file=sys.stderr)

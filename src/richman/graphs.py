@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 __all__ = [
@@ -61,13 +61,7 @@ class GameGraph:
     red: str
 
     @classmethod
-    def from_parts(
-        cls,
-        vertices: Iterable[str],
-        edges: Iterable[tuple[str, str]],
-        blue: str,
-        red: str,
-    ) -> "GameGraph":
+    def from_parts(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]], blue: str, red: str) -> GameGraph:
         vs = frozenset(vertices) | {blue, red}
         es = frozenset((a, b) for a, b in edges)
         vs = vs | {a for a, _ in es} | {b for _, b in es}
@@ -79,9 +73,9 @@ class GameGraph:
 
     @cached_property
     def moves(self) -> dict[str, tuple[str, ...]]:
-        """The move table every walk of the arena reads: each non-terminal,
-        in name order, to its successors sorted by name.  The terminals have
-        no entry, since play stops there."""
+        """The move table: each non-terminal, in name order, to its
+        successors sorted by name.  The terminals have no entry, since play
+        stops there."""
         out: dict[str, list[str]] = {v: [] for v in self.non_terminals}
         for a, b in self.edges:
             if a in out:
@@ -94,16 +88,25 @@ class GameGraph:
         return validate(self)
 
     @cached_property
+    def _index(self) -> _Index:
+        """Non-terminals 0..n-1 in ``moves`` order, Blue n and Red n+1; an edge
+        to an unknown vertex is left out, as ``validate`` reads it."""
+        moves = {v: [u for u in ts if u in self.vertices] for v, ts in self.moves.items()}
+        return _Index((*moves, self.blue, self.red), moves)
+
+    @cached_property
+    def _depth(self) -> list[int] | None:
+        """Per position, the most non-terminals on a path from it to a
+        terminal, or None when the non-terminals contain a directed cycle."""
+        depth = _heights([len(ts) for ts in self._index.succ] + [0, 0], self._index.pred)
+        return None if len(depth) in depth else depth
+
+    @cached_property
     def interior_order(self) -> tuple[str, ...] | None:
-        """The non-terminals in DFS post-order, each after its non-terminal
-        successors, or None when the non-terminals alone contain a directed
-        cycle: exactly when some interior edge does not lead down that
-        order."""
-        order = post_order(self.moves)
-        rank = {v: i for i, v in enumerate(order)}
-        if any(rank[u] >= rank[v] for v, succ in self.moves.items() for u in succ if u in rank):
-            return None
-        return tuple(order)
+        """The non-terminals, each after its non-terminal successors, or
+        None when the non-terminals alone contain a directed cycle."""
+        depth = self._depth
+        return None if depth is None else tuple(v for _, v in sorted(zip(depth, self.moves)))
 
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:
@@ -122,52 +125,78 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Fewest edges from each vertex to one of ``targets``, found by a
-    breadth-first search along the reversed (from, to) edges.  Vertices that
-    reach no target are left out.
-    """
-    incoming: dict[str, list[str]] = {}
-    for a, b in edges:
-        incoming.setdefault(b, []).append(a)
-    dist = dict.fromkeys(targets, 0)
-    frontier = list(dist)
+class _Index:
+    """Vertices on integer positions: ``names`` in the order given, the
+    name → position map, the successor positions of each key of
+    ``successors`` (the first positions, in order; other vertices are left
+    out) and each position's predecessors."""
+
+    __slots__ = ("names", "position", "succ", "pred")
+
+    def __init__(self, names: Sequence[str], successors: Mapping[str, Iterable[str]]):
+        self.names = names
+        self.position = position = {v: i for i, v in enumerate(names)}
+        self.succ = succ = [tuple([position[u] for u in ts if u in position]) for ts in successors.values()]
+        self.pred = pred = [[] for _ in names]
+        for x, ts in enumerate(succ):
+            for u in ts:
+                pred[u].append(x)
+
+
+def _walk(pred: list[list[int]], targets: Iterable[int], keep: Callable | None = None) -> list[int]:
+    """The one walk: fewest edges from each position to one of ``targets``
+    along the predecessor lists, taking an edge (x, u) only where
+    ``keep(x, u)`` (any without ``keep``); ``len(pred)`` if none is reached."""
+    far = len(pred)
+    dist = [far] * far
+    frontier, steps = list(targets), 0
+    for t in frontier:
+        dist[t] = 0
     while frontier:
-        next_frontier = []
+        steps += 1
+        reached = []
         for u in frontier:
-            for x in incoming.get(u, ()):
-                if x not in dist:
-                    dist[x] = dist[u] + 1
-                    next_frontier.append(x)
-        frontier = next_frontier
+            for x in pred[u]:
+                if dist[x] == far and (keep is None or keep(x, u)):
+                    dist[x] = steps
+                    reached.append(x)
+        frontier = reached
     return dist
 
 
+def _heights(left: list[int], pred: list[list[int]]) -> list[int]:
+    """The most edges on a path from each position to one without
+    successors (``left`` counts them, and is used up), or ``len(pred)`` on
+    or before a cycle: the walk takes the edge to the last successor."""
+
+    def last(x: int, _: int) -> bool:
+        left[x] -= 1
+        return not left[x]
+
+    return _walk(pred, [i for i, k in enumerate(left) if not k], last)
+
+
+def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Fewest edges from each vertex to one of ``targets`` along the (from,
+    to) edges; vertices that reach no target are left out."""
+    out: dict[str, list[str]] = {v: [] for v in targets}
+    n = len(out)
+    for a, b in edges:
+        out.setdefault(b, [])
+        out.setdefault(a, []).append(b)
+    index = _Index(list(out), out)
+    dist = _walk(index.pred, range(n))
+    return {v: d for v, d in zip(index.names, dist) if d < len(dist)}
+
+
 def post_order(successors: Mapping[str, Iterable[str]]) -> list[str]:
-    """Depth-first post-order of the keys of ``successors``, roots and
-    children taken in the order given; edges to vertices that are not keys
-    are ignored.  Successors come before predecessors wherever the graph
-    is acyclic: it has a cycle exactly when some edge (v, u) between keys
-    has u no earlier than v in this order.
-    """
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in successors:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(successors[root]))]
-        while stack:
-            v, pending = stack[-1]
-            for u in pending:
-                if u in successors and u not in seen:
-                    seen.add(u)
-                    stack.append((u, iter(successors[u])))
-                    break
-            else:
-                stack.pop()
-                order.append(v)
-    return order
+    """The keys of ``successors`` by the most edges on a path between keys,
+    ties in the order given, those on or before a cycle last: there is a
+    cycle exactly when some edge (v, u) between keys has u no earlier than
+    v in this order."""
+    index = _Index(list(successors), successors)
+    height = _heights([len(ts) for ts in index.succ], index.pred)
+    return sorted(index.names, key=lambda v: height[index.position[v]])
 
 
 def validate(g: GameGraph) -> ValidationReport:
@@ -193,17 +222,15 @@ def validate(g: GameGraph) -> ValidationReport:
         if (t, t) in g.edges:
             found.append(Violation("TERMINAL_SELF_LOOP", t, f"terminal {t!r} has a self-loop"))
 
-    for v, succ in g.moves.items():
-        if not any(u in vs for u in succ):
+    index = g._index
+    for v, succ in zip(index.names, index.succ):
+        if not succ:
             found.append(Violation("DEAD_END", v, f"non-terminal {v!r} has no outgoing edges"))
 
     # Every vertex must reach one of the terminals; edges out of a terminal
     # cannot change which do.
-    reached = distances_to(
-        [t for t in (g.blue, g.red) if t in vs],
-        ((a, b) for a, succ in g.moves.items() for b in succ),
-    )
-    for v in sorted(v for v in g.vertices if v not in reached):
+    reached = _walk(index.pred, [index.position[t] for t in (g.blue, g.red) if t in vs])
+    for v in sorted(v for v in vs if reached[index.position[v]] == len(reached)):
         found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))
 
     found.sort(key=lambda w: (w.code, w.subject))

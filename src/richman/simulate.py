@@ -38,16 +38,11 @@ tree of its own, with the agents' generators reseeded per game.
 
 The coin-flip variant has no money: each move's coin is the draw of
 ``Random.choice(("blue", "red"))`` on the game's own derived generator,
-that is, the top two bits of the generator's next 32-bit word, with 2
-and 3 redrawn (0: Blue moves, 1: Red moves).  The coin's winner moves by
-``solver._descent_moves``, the agents' steepest-descent rule: a cheapest
-successor on its own costs (Red reads 1 - cost), ties to the fewest
-steepest-descent steps to its goal, then to the first name.  With that
-rule every game ends with probability 1, and Red wins with probability
-cost(start).  ``random_turn_stats`` plays the games: it reads the coins
-in bulk, many words at a time, and walks an integer move table built
-once per call, so each game ends where one ``choice`` per move would
-take it.  A game keeps no record of its moves, only where it stopped.
+and its winner moves by ``solver._descent_moves`` on its own costs, so
+every game ends with probability 1 and Red wins with probability
+cost(start).  ``random_turn_stats`` reads the coins in bulk and walks a
+move table on the arena's integer positions (``GameGraph._index``),
+built once per call; a game keeps only where it stopped.
 """
 
 from __future__ import annotations
@@ -184,7 +179,7 @@ def _frac_text(q: Fraction) -> str:
 
 def default_move_cap(g: GameGraph) -> int:
     """10 |V| when the non-terminal part is acyclic, else 64 |V|."""
-    factor = 64 if g.interior_order is None else 10
+    factor = 64 if g._depth is None else 10
     return factor * len(g.vertices)
 
 
@@ -422,28 +417,18 @@ def run_batch(
             move_counts.append(sum(len(node.exchanges) for node in path))
             if on_record is not None:
                 on_record(batch.record(path))
-    return BatchStats(
-        runs=runs,
-        blue_wins=tallies[BLUE_WINS],
-        red_wins=tallies[RED_WINS],
-        unresolved=tallies[UNRESOLVED],
-        move_counts=tuple(move_counts),
-        master_seed=master_seed,
-    )
+    outcomes = tallies[BLUE_WINS], tallies[RED_WINS], tallies[UNRESOLVED]
+    return BatchStats(runs, *outcomes, tuple(move_counts), master_seed)
 
 
 def _coin_table(g: GameGraph, costs: Mapping[str, Fraction], start: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Check a coin-flip game's arguments and return its move table in
-    integers, the same in every game: the vertex of each index (the
-    non-terminals are 0..n-1 in ``g.moves`` order, Blue's terminal is n and
-    Red's n+1) and, per non-terminal, the indices of its (Blue, Red) move,
-    each player's ``_descent_moves``."""
+    """Check a coin-flip game's arguments and return its move table, the
+    same in every game: the vertex of each position of ``g._index`` and,
+    per non-terminal, its (Blue, Red) ``_descent_moves`` positions."""
     blue, red = (_descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red"))
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    names = [*g.moves, g.blue, g.red]
-    index = {v: i for i, v in enumerate(names)}
-    return names, [(index[blue[v]], index[red[v]]) for v in g.moves]
+    return list(g._index.names), list(zip(blue, red))
 
 
 # A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),
@@ -506,7 +491,7 @@ def random_turn_stats(
         raise ValueError("max_moves must be nonnegative")
     names, step = _coin_table(g, costs, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
-    first = names.index(start)
+    first = g._index.position[start]
     ends = [0] * len(names)
     rng = random.Random()
     for i in range(runs):
@@ -515,15 +500,7 @@ def random_turn_stats(
     blue_wins, red_wins = ends[-2:]
     frequency = red_wins / runs
     stderr = math.sqrt(frequency * (1 - frequency) / runs)
-    return RandomTurnStats(
-        runs=runs,
-        blue_wins=blue_wins,
-        red_wins=red_wins,
-        unresolved=runs - blue_wins - red_wins,
-        frequency=frequency,
-        stderr=stderr,
-        master_seed=master_seed,
-    )
+    return RandomTurnStats(runs, blue_wins, red_wins, runs - blue_wins - red_wins, frequency, stderr, master_seed)
 
 
 def format_trace(record: GameRecord) -> str:

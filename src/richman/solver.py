@@ -6,32 +6,35 @@ at every other vertex the average of the cheapest and the dearest successor
 cost.  On a finite arena that averaging identity has a unique solution with
 the terminal boundary values, and it is always rational.
 
+Every table, move list and policy inside is a list by position of the
+arena's index (``GameGraph._index``: non-terminals 0..n-1, Blue n, Red
+n+1); names come back only in the returned Fractions.
+
 ``solve_exact`` uses no floats, and no Fractions until it returns.  Its
 tables are integer numerators N(v) over one shared denominator D.  When
 the non-terminals alone have no cycle it back-substitutes over D = 2^E,
 with E the most non-terminals on a path to a terminal: each N(v) is
 (min + max) / 2 of numerators already found, a halving that stays exact
 because a vertex with at most d non-terminals on any path from it (itself
-included) has a cost that is a multiple of 2^-d.  Otherwise it runs policy rounds: a (cheapest,
-dearest) successor policy, each player's choice picked by the one
-steepest-descent move rule ``_descent_moves`` (first on the all-zero
-table, where it is distance to the player's terminal), has its linear
-system solved exactly, with integer rows eliminated fraction-free in
-minimum-degree order and back-substituted over one common denominator,
-and is re-picked from the exact numerators until the table passes the
-averaging identity.  Every route returns a table only
+included) has a cost that is a multiple of 2^-d.  Otherwise it runs policy
+rounds: a (cheapest, dearest) successor policy, each player's choice
+picked by the one steepest-descent move rule ``_descent_moves`` (first on
+the all-zero table, where it is distance to the player's terminal), has
+its linear system solved exactly, with integer rows eliminated
+fraction-free in minimum-degree order and back-substituted over one
+common denominator, and is re-picked from the exact numerators until the
+table passes the averaging identity.  Every route returns a table only
 once it passes that identity, checked in integers as 2 N(v) = min + max,
 which by uniqueness certifies it; the returned Fractions are built once,
-from (N, D).
-``solve_iterative`` brackets the costs with monotone iterations from above
-and below in exact arithmetic.
+from (N, D).  ``solve_iterative`` brackets the costs with monotone
+iterations from above and below in exact arithmetic.
 
 Every iterate table is dyadic.  ``_iterates`` yields table t as (N, e):
 integer numerators N(v) over one shared 2^e, with the common power of two
 divided out, so e = 0 or some numerator is odd.  ``solve_iterative``
-(whose gap is an integer difference over the larger 2^e) builds Fractions
-only for the two tables it returns; the optimal agent's ladder keeps the
-integers.
+compares its gap, an integer over the larger 2^e, with tol in integers and
+builds Fractions only for the two tables it returns; the optimal agent's
+ladder keeps the integers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .graphs import GameGraph, distances_to
+from .graphs import GameGraph, _walk
 
 __all__ = [
     "ApproxSolve",
@@ -96,92 +99,80 @@ def _require_valid(g: GameGraph) -> None:
         raise ValueError(f"invalid graph: {first.code} at {first.subject!r} ({first.message})")
 
 
-def _iterates(g: GameGraph, goal: str, fill: int) -> Iterator[tuple[dict[str, int], int]]:
+def _iterates(g: GameGraph, goal: int, fill: int) -> Iterator[tuple[list[int], int]]:
     """Iterate tables 0, 1, 2, ... as integer numerators over a shared power
-    of two: each yielded (N, e) is the table N(v) / 2^e, in a fresh dict.
+    of two: each yielded (N, e) is the table N(v) / 2^e, in a fresh list.
 
     Table 0 is 0 at the ``goal`` terminal, 1 at the other terminal and
     ``fill`` (0 or 1) elsewhere, with e = 0: Blue's iterates for the blue
     goal, Red's for the red one.  A sweep sets N'(v) = min + max of the
     successors' numerators and the other terminal to 2^(e+1): over 2^(e+1)
     that is the averaging step (min + max) / 2.  It then divides out the
-    trailing zeros of the OR of all numerators, at most e + 1 because the
-    other terminal's numerator is 2^(e+1).  Without that reduction a table
-    that stops moving would still grow by one bit per sweep.
+    gcd of all numerators, a power of two because the other terminal's
+    numerator is 2^(e+1).  Without that reduction a table that stops moving
+    would still grow by one bit per sweep.
     """
-    other = g.red if goal == g.blue else g.blue
-    nums = dict.fromkeys(g.vertices, fill)
-    nums[goal] = 0
-    nums[other] = 1
-    e = 0
+    succ = g._index.succ
+    ends = [0, 1] if goal == len(succ) else [1, 0]
+    nums, e = [fill] * len(succ) + ends, 0
     while True:
         yield nums, e
         e += 1
-        new = {goal: 0, other: 1 << e}
-        common = new[other]
-        for v, succ in g.moves.items():
-            values = [nums[u] for u in succ]
-            n = new[v] = min(values) + max(values)
-            common |= n
-        shift = (common & -common).bit_length() - 1
+        new = [min(values) + max(values) for values in [[nums[u] for u in ts] for ts in succ]]
+        new += [n << e for n in ends]
+        shift = math.gcd(*new).bit_length() - 1
         if shift:
-            new = {v: n >> shift for v, n in new.items()}
+            new = [n >> shift for n in new]
             e -= shift
         nums = new
 
 
-def _table(g: GameGraph, nums: Mapping[str, int], den: int) -> dict[str, Fraction]:
+def _table(g: GameGraph, nums: Sequence[int], den: int) -> dict[str, Fraction]:
     """The table N(v) / den, one Fraction per vertex."""
-    return {v: Fraction(nums[v], den) for v in g.vertices}
+    return {v: Fraction(n, den) for v, n in zip(g._index.names, nums)}
 
 
-def solve_iterative(
-    g: GameGraph,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> ApproxSolve:
+def solve_iterative(g: GameGraph, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> ApproxSolve:
     """Run both iterations in lockstep until the bracket closes to tol.
 
-    All arithmetic is exact; only the stopping test compares against the
-    float tolerance.  Raises NotConvergedError rather than returning a
-    bracket wider than tol.
+    All arithmetic is exact: the gap is an integer over 2^e and tol the
+    ratio p / q of integers, so the bracket is closed when gap q <= p 2^e.
+    A NaN or infinite tol has no such ratio: NaN and +inf close every
+    bracket and -inf none, as comparing the gap with them would.  Raises
+    NotConvergedError rather than returning a bracket wider than tol.
     """
     _require_valid(g)
-    for t, ((upper, e_up), (lower, e_low)) in enumerate(
-        zip(_iterates(g, g.blue, 1), _iterates(g, g.blue, 0))
-    ):
+    try:
+        p, q = tol.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinity or NaN
+        p, q = -1 if tol < 0 else 1, 0
+    blue = len(g._index.succ)
+    for t, ((upper, e_up), (lower, e_low)) in enumerate(zip(_iterates(g, blue, 1), _iterates(g, blue, 0))):
         e = max(e_up, e_low)
         up, low = e - e_up, e - e_low
-        gap = Fraction(max((upper[v] << up) - (lower[v] << low) for v in upper), 1 << e)
-        if not gap > tol or t >= max_iters:  # not `gap <= tol`: they differ on a NaN tol
+        gap = max((a << up) - (b << low) for a, b in zip(upper, lower))
+        closed = gap * q <= p << e
+        if closed or t >= max_iters:
             break
-    result = ApproxSolve(
-        upper=_table(g, upper, 1 << e_up),
-        lower=_table(g, lower, 1 << e_low),
-        iterations=t,
-        gap=gap,
-    )
-    if gap > tol:
-        raise NotConvergedError(gap, t, result.upper, result.lower)
+    result = ApproxSolve(_table(g, upper, 1 << e_up), _table(g, lower, 1 << e_low), t, Fraction(gap, 1 << e))
+    if not closed:
+        raise NotConvergedError(result.gap, t, result.upper, result.lower)
     return result
 
 
-def _identity_holds(g: GameGraph, nums: Mapping[str, int], den: int) -> bool:
+def _identity_holds(g: GameGraph, nums: Sequence[int], den: int) -> bool:
     """True when N(v) / den is a genuine cost table for g.
 
     Checks the terminal boundary, the [0, 1] range, and the averaging
     identity 2 N(v) = min + max over successors, all in integers.  A dead
     end has no successors to average, so it fails.
     """
-    if nums.get(g.blue) != 0 or nums.get(g.red) != den:
+    succ = g._index.succ
+    if nums[len(succ)] != 0 or nums[len(succ) + 1] != den or min(nums) < 0 or max(nums) > den:
         return False
-    for v in g.vertices:
-        n = nums.get(v)
-        if n is None or n < 0 or n > den:
-            return False
-    for v, succ in g.moves.items():
-        values = [nums[u] for u in succ]
-        if not values or 2 * nums[v] != min(values) + max(values):
+    for n, ts in zip(nums, succ):
+        values = [nums[u] for u in ts]
+        if not values or 2 * n != min(values) + max(values):
             return False
     return True
 
@@ -197,12 +188,11 @@ def _integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
-def _integer_table(g: GameGraph, table: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+def _integer_table(g: GameGraph, table: Mapping[str, Fraction]) -> tuple[list[int], int]:
     """The table as integer numerators over one denominator (``_integers``):
     KeyError for a vertex of g it lacks, ValueError for a cost that is not
     an int or a Fraction."""
-    nums, den = _integers([table[v] for v in g.vertices])
-    return dict(zip(g.vertices, nums)), den
+    return _integers([table[v] for v in g._index.names])
 
 
 def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> bool:
@@ -217,10 +207,10 @@ def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> boo
         nums, den = _integer_table(g, table)
     except (KeyError, ValueError):
         return False
-    return _identity_holds(g, nums, den)
+    return {g.blue, g.red} <= g.vertices and _identity_holds(g, nums, den)
 
 
-def _descent_moves(g: GameGraph, goal: str, nums: Mapping[str, int]) -> dict[str, str]:
+def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
     """Every non-terminal's move towards ``goal`` on the numerators ``nums``,
     lowest the best (only their order matters): a cheapest successor, ties
     to the fewest steepest-descent steps to the goal, then to the first
@@ -247,23 +237,19 @@ def _descent_moves(g: GameGraph, goal: str, nums: Mapping[str, int]) -> dict[str
     moves by this rule, so Blue's share stays at the cost: with fair ties
     that bidding game is the coin-flip game, and it too ends.
     """
-    cheapest = {}
-    for v, succ in g.moves.items():
-        floor = min(nums[u] for u in succ)
-        cheapest[v] = [u for u in succ if nums[u] == floor]
-    dist = distances_to([goal], ((v, u) for v, floor in cheapest.items() for u in floor))
-    far = len(g.vertices)  # no vertex is |V| steps away
-    # Successors are in name order and min keeps the first of equals; a lone
-    # cheapest successor needs no distance.
-    return {
-        v: floor[0] if len(floor) == 1 else min(floor, key=lambda u: dist.get(u, far))
-        for v, floor in cheapest.items()
-    }
+    index = g._index
+    floors, cheapest = [], []
+    for succ in index.succ:
+        floor = min([nums[u] for u in succ])
+        floors.append(floor)
+        cheapest.append([u for u in succ if nums[u] == floor])
+    # The walk keeps the edges to a cheapest successor.  Successors are in
+    # name order and min keeps the first of equals.
+    dist = _walk(index.pred, (goal,), lambda x, u: nums[u] == floors[x])
+    return [ts[0] if len(ts) == 1 else min(ts, key=dist.__getitem__) for ts in cheapest]
 
 
-def _pick_policy(
-    g: GameGraph, x: Mapping[str, int], first: Mapping[str, tuple[str, str]]
-) -> dict[str, tuple[str, str]]:
+def _pick_policy(g: GameGraph, x: Sequence[int], first: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
 
     ``x`` holds the integer numerators of a table over one denominator;
@@ -281,16 +267,15 @@ def _pick_policy(
     a valid arena reaches a terminal, and one of its two choices is a step
     nearer the nearer one, so every vertex reaches a terminal.
     """
-    blue = _descent_moves(g, g.blue, x)
-    red = _descent_moves(g, g.red, {v: -n for v, n in x.items()})
-    policy = {v: (blue[v], red[v]) for v in g.moves}
-    halting = distances_to((g.blue, g.red), ((v, u) for v, pair in policy.items() for u in pair))
-    return {v: pair if v in halting else first[v] for v, pair in policy.items()}
+    index = g._index
+    blue = len(index.succ)
+    policy = list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, [-n for n in x])))
+    halting = _walk(index.pred, (blue, blue + 1), lambda v, u: u in policy[v])
+    far = len(halting)
+    return [pair if halting[v] < far else first[v] for v, pair in enumerate(policy)]
 
 
-def _solve_policy(
-    g: GameGraph, policy: Mapping[str, tuple[str, str]]
-) -> tuple[dict[str, int], int]:
+def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
 
     Each non-terminal v has the integer row 2 x(v) - x(lo) - x(hi) =
@@ -321,37 +306,36 @@ def _solve_policy(
     pivot would mean a closed cycle that never reaches a terminal, and
     raises SolverError.
     """
-    rows: dict[str, dict[str, int]] = {}
-    rhs: dict[str, int] = {}
-    naming: dict[str, set[str]] = {v: set() for v in policy}  # active rows naming each column
-    for v, pair in policy.items():
+    n = len(policy)
+    rows: list[dict[int, int] | None] = []
+    rhs: list[int] = []
+    naming: list[set[int]] = [set() for _ in policy]  # active rows naming each column
+    for v, pair in enumerate(policy):
         row = {v: 2}
-        rhs[v] = 0
+        rhs.append(pair.count(n + 1))
         for u in pair:
-            if u == g.red:
-                rhs[v] += 1
-            elif u != g.blue:
+            if u < n:
                 row[u] = row.get(u, 0) - 1
-        rows[v] = {u: a for u, a in row.items() if a}
+        rows.append({u: a for u, a in row.items() if a})
         for u in rows[v]:
             naming[u].add(v)
-    heap = [(len(row) + len(naming[v]), v) for v, row in rows.items()]
+    heap = [(len(row) + len(naming[v]), v) for v, row in enumerate(rows)]
     heapq.heapify(heap)
-    eliminated: list[tuple[str, int, int, dict[str, int]]] = []
+    eliminated: list[tuple[int, int, int, dict[int, int]]] = []
     while heap:
         degree, v = heapq.heappop(heap)
-        row = rows.get(v)
+        row = rows[v]
         if row is None or degree != len(row) + len(naming[v]):
             continue  # eliminated already, or a stale degree
-        del rows[v]
+        rows[v] = None
         pivot = row.pop(v, 0)
         if pivot == 0:
-            raise SolverError(f"singular policy: {v!r} never reaches a terminal")
-        b = rhs.pop(v)
+            raise SolverError(f"singular policy: {g._index.names[v]!r} never reaches a terminal")
+        b = rhs[v]
         naming[v].discard(v)
         for w in row:
             naming[w].discard(v)
-        for r in naming.pop(v):
+        for r in naming[v]:
             old = rows[r]
             a = old.pop(v)
             new = {w: pivot * c for w, c in old.items()}
@@ -369,7 +353,7 @@ def _solve_policy(
         for w in row:
             heapq.heappush(heap, (len(rows[w]) + len(naming[w]), w))
         eliminated.append((v, pivot, b, row))
-    nums = {g.blue: 0, g.red: 1}
+    nums = [0] * n + [0, 1]
     den = 1
     for v, pivot, b, row in reversed(eliminated):
         t = b * den - sum(c * nums[w] for w, c in row.items())
@@ -377,47 +361,35 @@ def _solve_policy(
         if divisor < pivot:
             scale = pivot // divisor
             den *= scale
-            for w in nums:
-                nums[w] *= scale
+            nums = [x * scale for x in nums]
         nums[v] = t // divisor
     return nums, den
 
 
 def solve_exact(g: GameGraph) -> dict[str, Fraction]:
     """Exact cost table, one Fraction per vertex, certified by the averaging
-    identity before return.
-
-    No floats are used, and every table is integer numerators over one
-    denominator until the certified one is returned as Fractions.  With no
-    cycle among the non-terminals, each numerator over 2^E (E the interior's
-    depth) is (min + max) / 2 of numerators already found, in DFS
-    post-order.  Otherwise a (cheapest, dearest) successor policy is picked
-    on the all-zero table, where each player's steepest-descent move is a
-    successor nearest its terminal, and its linear system is solved
-    exactly; the table is the answer once it satisfies the identity, whose
-    solution is unique.  Until then each player's choice is re-picked by
-    its steepest-descent move on the exact numerators (``_pick_policy``)
-    and the policy solved again.  Every picked policy reaches a terminal,
-    so its system has one solution; the re-picking is not proved to end,
-    and a policy seen before raises SolverError rather than looping.
+    identity before return (the routes are in the module docstring).  With
+    no interior cycle the numerators are found in order of depth.  Every
+    picked policy reaches a terminal, so its system has one solution; the
+    re-picking is not proved to end, and a policy seen before raises
+    SolverError rather than looping.
     """
     _require_valid(g)
-    if g.interior_order is not None:
-        depth = {g.blue: 0, g.red: 0}  # most non-terminals on a path to a terminal
-        for v in g.interior_order:
-            depth[v] = 1 + max(depth[u] for u in g.moves[v])
-        den = 1 << max(depth.values())
-        nums = {g.blue: 0, g.red: den}
-        for v in g.interior_order:
-            values = [nums[u] for u in g.moves[v]]
+    succ, depth = g._index.succ, g._depth  # most non-terminals on a path to a terminal
+    if depth is not None:
+        den = 1 << max(depth)
+        nums = [0] * len(depth)
+        nums[-1] = den
+        for v in sorted(range(len(succ)), key=depth.__getitem__):
+            values = [nums[u] for u in succ[v]]
             nums[v] = (min(values) + max(values)) >> 1
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
         return _table(g, nums, den)
-    policy = first = _pick_policy(g, dict.fromkeys(g.vertices, 0), {})  # halts by itself
-    tried: set[tuple[tuple[str, str], ...]] = set()
+    policy = first = _pick_policy(g, [0] * (len(succ) + 2), ())  # halts by itself
+    tried: set[tuple[tuple[int, int], ...]] = set()
     while True:
-        key = tuple(policy.values())
+        key = tuple(policy)
         if key in tried:
             raise SolverError("policy improvement revisited a policy")
         tried.add(key)

@@ -30,6 +30,8 @@ from richman import (
     ProtocolViolationError,
     SolverError,
     Step,
+    ValidationReport,
+    Violation,
     default_move_cap,
     derived_seed,
     random_turn_move_cap,
@@ -38,8 +40,9 @@ from richman import (
     solve_exact,
     validate,
 )
+from richman.agents import _oriented
 from richman.simulate import _coin_game, _coin_table
-from richman.solver import _iterates
+from richman.solver import _descent_moves, _iterates
 
 FIG1_TEXT = """\
 blue b
@@ -266,13 +269,50 @@ def exact_table(g: GameGraph) -> dict[str, Fraction]:
     return solve_exact(g)
 
 
+def by_name(g: GameGraph, values) -> dict:
+    """Values listed by position of the package's arena index
+    (``GameGraph._index``) as a dict keyed by vertex name."""
+    return dict(zip(g._index.names, values))
+
+
+def named_moves(g: GameGraph, moves) -> dict:
+    """Moves listed by non-terminal position, each a position or a tuple of
+    positions, as a dict of vertex names."""
+    names = g._index.names
+    return {names[v]: names[m] if isinstance(m, int) else tuple(names[u] for u in m) for v, m in enumerate(moves)}
+
+
+def by_position(g: GameGraph, table: Mapping) -> list:
+    """A table keyed by vertex name as a list by position."""
+    return [table[v] for v in g._index.names]
+
+
+def policy_by_position(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> list[tuple[int, int]]:
+    """A (lo, hi) successor policy keyed by vertex name as position pairs."""
+    position = g._index.position
+    return [tuple(position[u] for u in policy[v]) for v in g.moves]
+
+
+def descent_moves(g: GameGraph, costs, color: str) -> dict[str, str]:
+    """The package's steepest-descent move of ``color`` at every non-terminal
+    (``solver._descent_moves``), by vertex name."""
+    return named_moves(g, _descent_moves(g, *_oriented(g, costs, color)[:2]))
+
+
+def iterates(g: GameGraph, fill: int):
+    """The package's iterates towards the blue terminal
+    (``solver._iterates``), each (N, e) with N keyed by vertex name."""
+    for nums, e in _iterates(g, g._index.position[g.blue], fill):
+        yield by_name(g, nums), e
+
+
 def iterate_tables(g: GameGraph, fill: int, t_max: int) -> list[dict[str, Fraction]]:
     """Tables 0..t_max of the package's iterates towards the blue terminal
     (``solver._iterates``) as Fractions: ``fill`` 1 gives the upper
     iterates, weakly decreasing in t, and 0 the lower ones."""
     return [
         {v: Fraction(n, 1 << e) for v, n in nums.items()}
-        for nums, e in itertools.islice(_iterates(g, g.blue, fill), t_max + 1)
+        for nums, e in itertools.islice(iterates(g, fill), t_max + 1)
     ]
 
 
@@ -400,6 +440,38 @@ def reference_game(
         position = decisions[winner].move_to
     outcome = {g.blue: "BlueWins", g.red: "RedWins"}.get(position, "Unresolved")
     return GameRecord(start.position, tuple(steps), outcome, cap)
+
+
+def reference_validate(g: GameGraph) -> ValidationReport:
+    """``validate`` written on vertex names from the edge set alone: the
+    moves are the edges from a vertex other than the terminals to a known
+    vertex, and the vertices that reach a terminal are grown to a fixed
+    point along them."""
+    vs, terminals = g.vertices, (g.blue, g.red)
+    found = []
+    if g.blue == g.red:
+        found.append(Violation("BLUE_EQUALS_RED", g.blue, "blue and red are the same vertex"))
+    for name, t in zip(("blue", "red"), terminals):
+        if t not in vs:
+            found.append(Violation("MISSING_TERMINAL", t, f"{name} vertex {t!r} is not in the vertex set"))
+    for a, b in sorted(g.edges):
+        for end in (a, b):
+            if end not in vs:
+                found.append(Violation("BAD_EDGE_ENDPOINT", end, f"edge ({a}, {b}) mentions unknown vertex {end!r}"))
+    for t in sorted(set(terminals)):
+        if (t, t) in g.edges:
+            found.append(Violation("TERMINAL_SELF_LOOP", t, f"terminal {t!r} has a self-loop"))
+    moves = {(a, b) for a, b in g.edges if a in vs and a not in terminals and b in vs}
+    for v in sorted(vs - set(terminals)):
+        if all(a != v for a, _ in moves):
+            found.append(Violation("DEAD_END", v, f"non-terminal {v!r} has no outgoing edges"))
+    reached = {t for t in terminals if t in vs}
+    while more := {a for a, b in moves if b in reached} - reached:
+        reached |= more
+    for v in sorted(vs - reached):
+        found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))
+    found.sort(key=lambda w: (w.code, w.subject))
+    return ValidationReport(not found, tuple(found))
 
 
 def side(g: GameGraph, costs, color: str) -> tuple[GameGraph, dict[str, Fraction]]:

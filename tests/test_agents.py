@@ -25,7 +25,6 @@ from richman import (
 
 from richman.agents import _oriented
 from richman.series import build_series_graph
-from richman.solver import _descent_moves
 
 import corpus
 
@@ -84,19 +83,15 @@ def test_safety_ratio_examples(fig1_costs):
     assert corpus.safety_ratio(fig1_costs, "m", F(1, 4), color="red") == F(1, 2)
 
 
-def descent_moves(g, costs, color):
-    return _descent_moves(g, *_oriented(g, costs, color)[:2])
-
-
 def test_descent_moves_examples(fig1, fig1_costs, path_graph, path_costs):
-    assert descent_moves(fig1, fig1_costs, "blue")["m"] == "b"
-    assert descent_moves(fig1, fig1_costs, "red")["m"] == "r"
-    assert descent_moves(path_graph, path_costs, "blue")["v2"] == "v1"
-    assert descent_moves(path_graph, path_costs, "red")["v2"] == "r"
+    assert corpus.descent_moves(fig1, fig1_costs, "blue")["m"] == "b"
+    assert corpus.descent_moves(fig1, fig1_costs, "red")["m"] == "r"
+    assert corpus.descent_moves(path_graph, path_costs, "blue")["v2"] == "v1"
+    assert corpus.descent_moves(path_graph, path_costs, "red")["v2"] == "r"
     # At v both successors cost 1/2; m is one step from either goal, and
     # c only leads back to v (c -> a -> v), so both players move to m.
-    assert descent_moves(fig1, fig1_costs, "blue")["v"] == "m"
-    assert descent_moves(fig1, fig1_costs, "red")["v"] == "m"
+    assert corpus.descent_moves(fig1, fig1_costs, "blue")["v"] == "m"
+    assert corpus.descent_moves(fig1, fig1_costs, "red")["v"] == "m"
 
 
 def test_full_knowledge_critical_bids(fig1, fig1_costs):
@@ -138,9 +133,10 @@ def test_full_knowledge_winning_branch_star(star, star_costs):
 def test_full_knowledge_horizon_gives_up_after_100000_rungs(star, star_costs):
     # Star's upper iterate at v is 1/2 from rung 1 on, never below 1/2.
     agent = FullKnowledgeAgent(star, star_costs, "blue")
-    assert agent._horizon("v", 10**9 + 2, 2 * 10**9) == 1
+    v = star._index.position["v"]
+    assert agent._horizon(v, 10**9 + 2, 2 * 10**9) == 1
     with pytest.raises(SolverError, match="ever drops below 1/2"):
-        agent._horizon("v", 1, 2)
+        agent._horizon(v, 1, 2)
 
 
 def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
@@ -333,7 +329,8 @@ def test_oriented_reads_the_table_as_numerators(build, start):
     costs = solve_exact(g)
     for color, goal, other in (("blue", g.blue, g.red), ("red", g.red, g.blue)):
         got_goal, nums, den = _oriented(g, costs, color)
-        assert got_goal == goal
+        nums = corpus.by_name(g, nums)
+        assert got_goal == g._index.position[goal]
         assert nums[goal] == 0 and nums[other] == den
         assert all(F(nums[v], den) == (costs[v] if color == "blue" else 1 - costs[v]) for v in g.vertices)
 

@@ -176,6 +176,30 @@ def test_edge_only_to_an_unknown_vertex_is_a_dead_end():
     assert {("DEAD_END", "v"), ("BAD_EDGE_ENDPOINT", "ghost")} <= codes
 
 
+def test_validate_matches_the_name_based_reference(data_dir, fig1):
+    """Every violation code, on graphs built directly as well as parsed:
+    the integer index leaves out edges to unknown vertices, as the move
+    table's reading of them does."""
+    graphs = [
+        fig1,
+        parse_game_graph((data_dir / "bad.rg").read_text()),
+        GameGraph.from_parts(["b", "r", "v"], [("v", "b"), ("v", "r"), ("r", "r"), ("b", "b")], "b", "r"),
+        GameGraph(frozenset({"x", "v"}), frozenset({("v", "x")}), "x", "x"),
+        GameGraph(frozenset({"b", "v", "w"}), frozenset({("v", "b"), ("v", "ghost"), ("w", "r")}), "b", "r"),
+        GameGraph(frozenset({"b", "r", "v", "w"}), frozenset({("v", "ghost"), ("w", "v"), ("w", "r")}), "b", "r"),
+        GameGraph(frozenset({"b", "r", "v", "d"}), frozenset({("v", "d"), ("v", "b"), ("d", "ghost")}), "b", "r"),
+    ]
+    codes = set()
+    for g in graphs:
+        report = validate(g)
+        assert report == corpus.reference_validate(g)
+        codes |= {w.code for w in report.violations}
+    assert codes == {
+        "BAD_EDGE_ENDPOINT", "BLUE_EQUALS_RED", "DEAD_END",
+        "MISSING_TERMINAL", "TERMINAL_SELF_LOOP", "UNREACHABLE_TERMINALS",
+    }  # fmt: skip
+
+
 def test_violations_are_sorted(data_dir):
     g = parse_game_graph((data_dir / "bad.rg").read_text())
     report = validate(g)

@@ -41,10 +41,9 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.agents import _oriented
-from richman.graphs import distances_to
+from richman.graphs import distances_to, post_order
 from richman.simulate import _coin_table
-from richman.solver import _descent_moves, _integer_table, _iterates, _pick_policy, _solve_policy
+from richman.solver import _integer_table, _pick_policy, _solve_policy
 
 import corpus
 
@@ -122,14 +121,31 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     g = data.draw(arenas_with_one_exit(12))
     x = {v: data.draw(st.floats(0, 1)) for v in g.non_terminals}
     x.update(b=0.0, r=1.0)
-    first = _pick_policy(g, dict.fromkeys(g.vertices, 0), {})  # halts by itself, so needs no first
-    policy = _pick_policy(g, x, first)
+    first = _pick_policy(g, [0] * len(g.vertices), ())  # halts by itself, so needs no first
+    policy = _pick_policy(g, corpus.by_position(g, x), first)
+    nums, den = _solve_policy(g, policy)
+    first, policy = corpus.named_moves(g, first), corpus.named_moves(g, policy)
     for pick in (first, policy):
         assert all({lo, hi} <= set(g.moves.get(v, ())) for v, (lo, hi) in pick.items())
         halting = distances_to(["b", "r"], [(v, u) for v, pair in pick.items() for u in pair])
         assert set(g.non_terminals) <= halting.keys()
-    nums, den = _solve_policy(g, policy)
-    assert {v: Fraction(n, den) for v, n in nums.items()} == corpus.solve_policy_dense(g, policy)
+    assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == corpus.solve_policy_dense(g, policy)
+
+
+@st.composite
+def raw_graphs(draw) -> GameGraph:
+    """Graphs built directly, valid or not: any vertex set, edges and
+    terminals over a few names, so edges may mention unknown vertices."""
+    names = st.sampled_from(["b", "r", "v0", "v1", "v2", "v3", "x"])
+    vertices = frozenset(draw(st.sets(names)))
+    edges = frozenset(draw(st.sets(st.tuples(names, names), max_size=12)))
+    return GameGraph(vertices, edges, draw(names), draw(names))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(raw_graphs(), arenas(1, 12)))
+def test_validate_matches_the_name_based_reference_on_any_graph(g):
+    assert validate(g) == corpus.reference_validate(g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -152,7 +168,7 @@ def test_iterates_are_monotone(g):
 @given(arenas(1, 12))
 def test_integer_iterates_equal_the_fraction_sweeps(g):
     for fill, sweeps in ((1, corpus._upper_iterates(g)), (0, corpus._lower_iterates(g))):
-        for (nums, e), table in islice(zip(_iterates(g, g.blue, fill), sweeps), 41):
+        for (nums, e), table in islice(zip(corpus.iterates(g, fill), sweeps), 41):
             assert {v: Fraction(n, 2**e) for v, n in nums.items()} == table
             assert e == 0 or any(n % 2 for n in nums.values())  # no common factor 2 left
 
@@ -187,11 +203,11 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     costs = solve_exact(g)
     names, step = _coin_table(g, costs, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
-    assert _pick_policy(g, _integer_table(g, costs)[0], {}) == table
+    assert _pick_policy(g, _integer_table(g, costs)[0], ()) == step
     halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
     assert set(halting) == set(g.vertices)
-    nums, den = _solve_policy(g, table)
-    assert {v: Fraction(n, den) for v, n in nums.items()} == costs
+    nums, den = _solve_policy(g, step)
+    assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == costs
     for column, color in enumerate(("blue", "red")):
         agent = SafetyRatioAgent(g, costs, color)
         for v, pair in table.items():
@@ -244,6 +260,16 @@ def test_interior_has_cycle_matches_peeling(g):
         assert all(rank[u] < rank[v] for v in g.interior_order for u in g.moves[v] if u in rank)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True), arenas_with_terminal_edges(12, acyclic=True)))
+def test_post_order_puts_successors_first_exactly_when_acyclic(g):
+    order = post_order(g.moves)
+    assert sorted(order) == list(g.non_terminals)
+    rank = {v: i for i, v in enumerate(order)}
+    back_edge = any(rank[u] >= rank[v] for v in order for u in g.moves[v] if u in rank)
+    assert back_edge == interior_has_cycle_by_peeling(g)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
 def test_descent_walks_match_naive_searches(g):
@@ -253,7 +279,7 @@ def test_descent_walks_match_naive_searches(g):
     costs = solve_exact(g)
     for color in ("blue", "red"):
         side, cost = corpus.side(g, costs, color)
-        assert _descent_moves(g, *_oriented(g, costs, color)[:2]) == corpus.naive_descent_moves(side, cost)
+        assert corpus.descent_moves(g, costs, color) == corpus.naive_descent_moves(side, cost)
         dist = corpus.naive_descent_distances(side, cost)
         assert all((dist[v] is None) == (cost[v] == 1) for v in g.vertices)
 
@@ -313,7 +339,7 @@ def check_critical_share_games(g: GameGraph, costs, start: str, runs: int, seed:
     ``_descent_moves`` and pays the drop, so Blue's money after each step
     is its cost of the new position.  Returns the batch's tallies."""
     blue, red = (make_agent("optimal", g, costs, color) for color in ("blue", "red"))
-    moves = {color: _descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red")}
+    moves = {color: corpus.descent_moves(g, costs, color) for color in ("blue", "red")}
     start_state = GameState(start, costs[start], 1 - costs[start])
     records = []
     stats = run_batch(g, blue, red, start_state, runs=runs, master_seed=seed, on_record=records.append)
@@ -380,7 +406,7 @@ def test_optimal_agent_at_and_beside_each_rung(g):
                 if rung > cost:
                     horizon = next(u for u, later in enumerate(corpus._upper_iterates(mirror)) if later[v] < rung)
                     assert horizon > t
-                    assert agent._horizon(v, rung.numerator, rung.denominator) == horizon
+                    assert agent._horizon(g._index.position[v], rung.numerator, rung.denominator) == horizon
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

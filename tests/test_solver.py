@@ -6,6 +6,7 @@ linear algebra (see corpus.PATH_EXACT).
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -18,6 +19,7 @@ from richman import (
     SafetyRatioAgent,
     SolverError,
     build_series_graph,
+    default_move_cap,
     parse_game_graph,
     random_turn_stats,
     satisfies_exact_identity,
@@ -25,8 +27,6 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.agents import _oriented
-from richman.solver import _descent_moves
 
 import richman.cli
 import richman.graphs
@@ -87,7 +87,7 @@ def test_star_iterates_stay_two_bits_wide_for_100000_rungs(star):
     # Without the common power of two divided out, rung t would carry
     # (t+1)-bit numerators and the optimal agent's 100 000-rung ladder
     # would take over a gigabyte.
-    nums, e = next(islice(richman.solver._iterates(star, star.blue, 1), 100_000, None))
+    nums, e = next(islice(corpus.iterates(star, 1), 100_000, None))
     assert nums == {"b": 0, "r": 2, "v": 1} and e == 1
     assert max(n.bit_length() for n in nums.values()) <= 2
 
@@ -139,6 +139,23 @@ def test_solve_iterative_without_budget_raises_at_once(path_graph, max_iters):
     assert err.gap == 1
     assert err.upper == {v: 0 if v == "b" else 1 for v in path_graph.vertices}
     assert err.lower == {v: 1 if v == "r" else 0 for v in path_graph.vertices}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_solve_iterative_stops_after_sweep_0_on_a_nan_or_infinite_tol(path_graph, tol):
+    # No gap is above them, so the first bracket already counts as closed.
+    approx = solve_iterative(path_graph, tol=tol)
+    assert (approx.iterations, approx.gap) == (0, 1)
+
+
+def test_solve_iterative_stop_test_is_exact_at_the_tolerance(path_graph):
+    # The gap after t sweeps is 2^-t: a tol of exactly 2^-30 closes at 30,
+    # the next float below it at 31, and -inf never closes.
+    assert solve_iterative(path_graph, tol=2.0**-30).iterations == 30
+    assert solve_iterative(path_graph, tol=math.nextafter(2.0**-30, 0)).iterations == 31
+    with pytest.raises(NotConvergedError) as info:
+        solve_iterative(path_graph, tol=-math.inf, max_iters=3)
+    assert (info.value.iterations, info.value.gap) == (3, F(1, 8))
 
 
 def test_solve_exact_fig1_is_all_halves(fig1, fig1_costs):
@@ -201,6 +218,9 @@ def test_exact_identity_checks(star, star_costs):
     assert not satisfies_exact_identity(
         dead_end, {"b": 0, "r": 1, "v": 0, "sink": 0}
     )
+    # A terminal outside the vertex set has no cost, whatever the table says.
+    no_red = richman.GameGraph(frozenset({"b", "v"}), frozenset({("v", "b")}), "b", "r")
+    assert not satisfies_exact_identity(no_red, {"b": 0, "r": 1, "v": 0})
 
 
 def test_enumeration_agrees_with_rationalized_iteration(fig1, path_graph, star):
@@ -269,9 +289,9 @@ def test_back_substitution_rescales_the_values_found_so_far():
         "v00": ("b", "v05"), "v01": ("v00", "v00"), "v02": ("b", "b"),
         "v03": ("v00", "v00"), "v04": ("v02", "v00"), "v05": ("v00", "r"),
     }  # fmt: skip
-    nums, den = richman.solver._solve_policy(g, policy)
+    nums, den = richman.solver._solve_policy(g, corpus.policy_by_position(g, policy))
     assert den == 6
-    assert nums == {"b": 0, "r": 6, "v00": 2, "v01": 2, "v02": 0, "v03": 2, "v04": 1, "v05": 4}
+    assert corpus.by_name(g, nums) == {"b": 0, "r": 6, "v00": 2, "v01": 2, "v02": 0, "v03": 2, "v04": 1, "v05": 4}
 
 
 def test_solve_exact_repicks_the_policy_from_exact_values():
@@ -342,7 +362,7 @@ def test_optimal_agent_critical_moves(fig1, fig1_costs, path_graph, path_costs):
 def descent_walk(g, costs, color, v):
     """The vertices ``color`` visits from v moving by its steepest-descent
     moves alone, until a terminal or a vertex it has visited."""
-    moves = _descent_moves(g, *_oriented(g, costs, color)[:2])
+    moves = corpus.descent_moves(g, costs, color)
     walk = [v]
     while walk[-1] in moves and moves[walk[-1]] not in walk:
         walk.append(moves[walk[-1]])
@@ -355,7 +375,7 @@ def test_descent_walks_fig1(fig1, fig1_costs):
     assert descent_walk(fig1, fig1_costs, "blue", "v") == ["v", "m", "b"]
     assert descent_walk(fig1, fig1_costs, "red", "v") == ["v", "m", "r"]
     assert descent_walk(fig1, fig1_costs, "blue", "r") == ["r"]
-    assert set(_descent_moves(fig1, *_oriented(fig1, fig1_costs, "blue")[:2])) == set(fig1.non_terminals)
+    assert set(corpus.descent_moves(fig1, fig1_costs, "blue")) == set(fig1.non_terminals)
 
 
 # The optimal agent (both colours), the safety agent and the coin-flip game
@@ -387,6 +407,23 @@ def test_descent_walk_lengths_fig1(fig1, fig1_costs):
         "a": 3,
         "c": 4,
     }
+
+
+def test_descent_ties_go_by_descent_distance_not_edge_distance():
+    """At v0 (cost 1/4) Red's dearest successors v2 and v6 both cost 1/2.
+    Along any edges both are two steps from r (v2 -> v1 -> r, v6 -> v4 ->
+    r), which would give the tie to the first name, v2.  But v1 (5/8) is
+    not v2's dearest successor: Red's steepest descent from v2 is v2 -> v5
+    (3/4) -> v4 (1) -> r, three steps, so Red moves to v6."""
+    edges = [
+        ("v0", "b"), ("v0", "v2"), ("v0", "v6"), ("v1", "r"), ("v1", "v0"), ("v2", "v0"), ("v2", "v1"),
+        ("v2", "v5"), ("v3", "v2"), ("v4", "r"), ("v5", "v3"), ("v5", "v4"), ("v6", "b"), ("v6", "v4"),
+    ]  # fmt: skip
+    g = richman.GameGraph.from_parts(["b", "r"], edges, "b", "r")
+    costs = solve_exact(g)
+    assert [costs[v] for v in ("v0", "v1", "v2", "v5", "v6")] == [F(1, 4), F(5, 8), F(1, 2), F(3, 4), F(1, 2)]
+    assert corpus.descent_moves(g, costs, "red")["v0"] == "v6"
+    assert descent_walk(g, costs, "red", "v2") == ["v2", "v5", "v4", "r"]
 
 
 def test_cost_table_helpers(star_costs):
@@ -448,20 +485,18 @@ def test_acyclic_arenas_are_solved_without_a_policy(monkeypatch):
 
 
 def test_an_acyclic_solve_walks_the_interior_once(monkeypatch):
-    calls = []
-    post_order = richman.graphs.post_order
-
-    def counted(successors):
-        calls.append(successors)
-        return post_order(successors)
-
-    # Patched wherever a module may have imported it.
-    monkeypatch.setattr(richman.graphs, "post_order", counted)
-    monkeypatch.setattr(richman.solver, "post_order", counted, raising=False)
+    """The interior's depths come from one walk of the arena's index,
+    shared by ``interior_order``, the acyclic solve and the move cap; the
+    only other walk is validation's reachability check."""
+    walks, heights = [], []
+    walk, height = richman.graphs._walk, richman.graphs._heights
+    monkeypatch.setattr(richman.graphs, "_walk", lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(richman.graphs, "_heights", lambda *args: heights.append(args) or height(*args))
     g = build_series_graph(12)
     assert g.interior_order is not None
     assert satisfies_exact_identity(g, solve_exact(g))
-    assert len(calls) == 1
+    assert default_move_cap(g) == 10 * len(g.vertices)
+    assert (len(heights), len(walks)) == (1, 2)
 
 
 def test_random_corpus_properties():
