@@ -95,9 +95,16 @@ MUTANTS = [
     Mutant(
         "the height walk takes a position at its first successor instead of its last",
         "src/richman/graphs.py",
-        "        return not left[x]\n",
-        "        return True\n",
+        "                    if keep[x]:\n                        continue\n",
+        "",
         ("tests/test_properties.py::test_interior_has_cycle_matches_peeling",),
+    ),
+    Mutant(
+        "the row formatter skips its gcd and prints N/D unreduced",
+        "src/richman/cli.py",
+        'return f"{num // common}" if common == den else f"{num // common}/{den // common}"',
+        'return f"{num}" if den == 1 else f"{num}/{den}"',
+        ("tests/test_properties.py::test_solve_rows_are_the_rows_of_the_fraction_table",),
     ),
 ]
 

@@ -27,7 +27,7 @@ from .agents import AGENT_NAMES, GameState, make_agent
 from .graphs import GameGraph, GraphFormatError, parse_game_graph
 from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
-from .solver import NotConvergedError, SolverError, _frac_json, solve_exact, solve_iterative
+from .solver import NotConvergedError, SolverError, _solve, solve_exact, solve_iterative
 
 __all__ = ["main", "run"]
 
@@ -156,48 +156,58 @@ def _load_graph(path: str) -> GameGraph:
     return g
 
 
-def _cost_json(q: Fraction) -> dict:
-    return {**_frac_json(q), "float": float(q)}
+def _fraction(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd."""
+    common = math.gcd(num, den)
+    return f"{num // common}" if common == den else f"{num // common}/{den // common}"
+
+
+def _cost_json(num: int, den: int) -> dict:
+    """num/den (den > 0) in lowest terms, and the float num / den."""
+    common = math.gcd(num, den)
+    return {"num": num // common, "den": den // common, "float": num / den}
 
 
 def _table_json(costs: dict[str, Fraction], kind: str) -> dict:
     """A cost table as JSON, labelled with how it was computed: "exact", or
     an iterate with its sweep count, as in "upper-iterate(7)"."""
-    return {"kind": kind, "costs": {v: _cost_json(q) for v, q in sorted(costs.items())}}
-
-
-def _print_cost_rows(costs: dict[str, Fraction]) -> None:
-    print("vertex cost float")
-    for v, q in sorted(costs.items()):
-        print(f"{v} {str(q)} {float(q)}")
+    return {"kind": kind, "costs": {v: _cost_json(*q.as_integer_ratio()) for v, q in sorted(costs.items())}}
 
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.file)
     if args.iterate:
         approx = solve_iterative(g, tol=args.tol, max_iters=args.max_iters)
+        upper, lower, t, gap = approx
         if args.output == "json":
             payload = {
                 "mode": "iterate",
-                "upper": _table_json(approx.upper, f"upper-iterate({approx.iterations})"),
-                "lower": _table_json(approx.lower, f"lower-iterate({approx.iterations})"),
-                "gap": _cost_json(approx.gap),
-                "iterations": approx.iterations,
+                "upper": _table_json(upper, f"upper-iterate({t})"),
+                "lower": _table_json(lower, f"lower-iterate({t})"),
+                "gap": _cost_json(*gap.as_integer_ratio()),
+                "iterations": t,
             }
             print(json.dumps(payload, sort_keys=True))
         else:
-            print("vertex upper lower")
-            for v in sorted(approx.upper):
-                print(f"{v} {approx.upper[v]} {approx.lower[v]}")
-            print(f"gap {str(approx.gap)} {float(approx.gap)}")
-            print(f"iterations {approx.iterations}")
+            rows = [
+                f"{v} {_fraction(*q.as_integer_ratio())} {_fraction(*lower[v].as_integer_ratio())}"
+                for v, q in sorted(upper.items())
+            ]
+            print("\n".join(["vertex upper lower", *rows, f"gap {gap} {float(gap)}", f"iterations {t}"]))
         return EXIT_OK
-    table = solve_exact(g)
+    nums, den = _solve(g)
+    table = sorted(zip(g._index.names, nums))
     if args.output == "json":
-        print(json.dumps({"mode": "exact", **_table_json(table, "exact")}, sort_keys=True))
+        costs = {v: _cost_json(n, den) for v, n in table}
+        print(json.dumps({"mode": "exact", "kind": "exact", "costs": costs}, sort_keys=True))
     else:
-        _print_cost_rows(table)
+        rows = [f"{v} {_fraction(n, den)} {n / den}" for v, n in table]
+        print("\n".join(["vertex cost float", *rows]))
     return EXIT_OK
+
+
+def _tallies(stats) -> list[str]:
+    return [f"{name} {getattr(stats, name)}" for name in ("runs", "blue_wins", "red_wins", "unresolved")]
 
 
 def _cmd_simulate(args) -> int:
@@ -224,17 +234,10 @@ def _cmd_simulate(args) -> int:
             payload["traces"] = [r.to_json_dict() for r in traces]
         print(json.dumps(payload, sort_keys=True))
     else:
-        if args.trace:
-            for i, record in enumerate(traces):
-                print(f"game {i} start {record.start}")
-                print(format_trace(record))
-        print(f"runs {stats.runs}")
-        print(f"blue_wins {stats.blue_wins}")
-        print(f"red_wins {stats.red_wins}")
-        print(f"unresolved {stats.unresolved}")
+        lines = [f"game {i} start {record.start}\n{format_trace(record)}" for i, record in enumerate(traces)]
         histogram = " ".join(f"{k}:{v}" for k, v in stats.histogram().items())
-        print(f"moves {histogram}".rstrip())
-        print(f"master_seed {stats.master_seed}")
+        lines += [*_tallies(stats), f"moves {histogram}".rstrip(), f"master_seed {stats.master_seed}"]
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -248,16 +251,11 @@ def _cmd_randomturn(args) -> int:
     stats = random_turn_stats(g, costs, args.start, args.runs, master_seed=args.seed)
     exact = costs[args.start]
     if args.output == "json":
-        payload = {**stats.to_json_dict(), "exact": _cost_json(exact)}
+        payload = {**stats.to_json_dict(), "exact": _cost_json(*exact.as_integer_ratio())}
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"runs {stats.runs}")
-        print(f"blue_wins {stats.blue_wins}")
-        print(f"red_wins {stats.red_wins}")
-        print(f"unresolved {stats.unresolved}")
-        print(f"frequency {stats.frequency}")
-        print(f"stderr {stats.stderr}")
-        print(f"exact {str(exact)} {float(exact)}")
+        lines = [f"frequency {stats.frequency}", f"stderr {stats.stderr}", f"exact {exact} {float(exact)}"]
+        print("\n".join(_tallies(stats) + lines))
     return EXIT_OK
 
 
@@ -271,11 +269,13 @@ def _cmd_series(args) -> int:
     if args.output == "json":
         print(json.dumps(plan.to_json_dict(), sort_keys=True))
     else:
-        print(f"wins_needed {plan.wins_needed}")
-        print(f"bankroll {str(plan.bankroll)}")
-        print("state holding stake")
-        for (i, j), holding in sorted(plan.holdings.items()):
-            print(f"{state_id(i, j)} {holding} {plan.stakes[i, j]}")
+        stakes = plan.stakes
+        rows = [
+            f"{state_id(*s)} {_fraction(*q.as_integer_ratio())} {_fraction(*stakes[s].as_integer_ratio())}"
+            for s, q in sorted(plan.holdings.items())
+        ]
+        head = [f"wins_needed {plan.wins_needed}", f"bankroll {plan.bankroll}", "state holding stake"]
+        print("\n".join(head + rows))
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
 __all__ = [
@@ -91,8 +91,7 @@ class GameGraph:
     def _index(self) -> _Index:
         """Non-terminals 0..n-1 in ``moves`` order, Blue n and Red n+1; an edge
         to an unknown vertex is left out, as ``validate`` reads it."""
-        moves = {v: [u for u in ts if u in self.vertices] for v, ts in self.moves.items()}
-        return _Index((*moves, self.blue, self.red), moves)
+        return _Index((*self.moves, self.blue, self.red), self.moves, self.vertices)
 
     @cached_property
     def _depth(self) -> list[int] | None:
@@ -128,38 +127,48 @@ class ValidationReport(NamedTuple):
 class _Index:
     """Vertices on integer positions: ``names`` in the order given, the
     name → position map, the successor positions of each key of
-    ``successors`` (the first positions, in order; other vertices are left
-    out) and each position's predecessors."""
+    ``successors`` (the first positions, in order; those not ``known`` are
+    left out) and each position's predecessors."""
 
     __slots__ = ("names", "position", "succ", "pred")
 
-    def __init__(self, names: Sequence[str], successors: Mapping[str, Iterable[str]]):
+    def __init__(self, names: Sequence[str], successors: Mapping[str, Iterable[str]], known: Container[str]):
         self.names = names
         self.position = position = {v: i for i, v in enumerate(names)}
-        self.succ = succ = [tuple([position[u] for u in ts if u in position]) for ts in successors.values()]
+        self.succ = succ = [tuple([position[u] for u in ts if u in known]) for ts in successors.values()]
         self.pred = pred = [[] for _ in names]
         for x, ts in enumerate(succ):
             for u in ts:
                 pred[u].append(x)
 
 
-def _walk(pred: list[list[int]], targets: Iterable[int], keep: Callable | None = None) -> list[int]:
+def _walk(pred: list[list[int]], targets: Iterable[int], keep: Callable | list[int] | None = None) -> list[int]:
     """The one walk: fewest edges from each position to one of ``targets``
     along the predecessor lists, taking an edge (x, u) only where
-    ``keep(x, u)`` (any without ``keep``); ``len(pred)`` if none is reached."""
+    ``keep(x, u)`` (any without ``keep``); ``len(pred)`` if none is reached.
+    A list ``keep`` counts successors, and is used up: only the edge to x's
+    last one is taken."""
     far = len(pred)
     dist = [far] * far
     frontier, steps = list(targets), 0
     for t in frontier:
         dist[t] = 0
+    count = isinstance(keep, list)
     while frontier:
         steps += 1
         reached = []
         for u in frontier:
             for x in pred[u]:
-                if dist[x] == far and (keep is None or keep(x, u)):
-                    dist[x] = steps
-                    reached.append(x)
+                if dist[x] < far:
+                    continue
+                if count:
+                    keep[x] -= 1
+                    if keep[x]:
+                        continue
+                elif keep and not keep(x, u):
+                    continue
+                dist[x] = steps
+                reached.append(x)
         frontier = reached
     return dist
 
@@ -168,12 +177,7 @@ def _heights(left: list[int], pred: list[list[int]]) -> list[int]:
     """The most edges on a path from each position to one without
     successors (``left`` counts them, and is used up), or ``len(pred)`` on
     or before a cycle: the walk takes the edge to the last successor."""
-
-    def last(x: int, _: int) -> bool:
-        left[x] -= 1
-        return not left[x]
-
-    return _walk(pred, [i for i, k in enumerate(left) if not k], last)
+    return _walk(pred, [i for i, k in enumerate(left) if not k], left)
 
 
 def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
@@ -184,7 +188,7 @@ def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> di
     for a, b in edges:
         out.setdefault(b, [])
         out.setdefault(a, []).append(b)
-    index = _Index(list(out), out)
+    index = _Index(list(out), out, out)
     dist = _walk(index.pred, range(n))
     return {v: d for v, d in zip(index.names, dist) if d < len(dist)}
 
@@ -194,7 +198,7 @@ def post_order(successors: Mapping[str, Iterable[str]]) -> list[str]:
     ties in the order given, those on or before a cycle last: there is a
     cycle exactly when some edge (v, u) between keys has u no earlier than
     v in this order."""
-    index = _Index(list(successors), successors)
+    index = _Index(list(successors), successors, successors)
     height = _heights([len(ts) for ts in index.succ], index.pred)
     return sorted(index.names, key=lambda v: height[index.position[v]])
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .graphs import GameGraph
-from .solver import _frac_json, _integer_table, _integers, solve_exact
+from .solver import _frac_json, _integers, _solve
 
 __all__ = [
     "BankrollMismatchError",
@@ -85,8 +85,7 @@ def _series_states(k: int) -> list[tuple[tuple[int, int], str, str, str]]:
 
 def _series_graph(states: list[tuple[tuple[int, int], str, str, str]]) -> GameGraph:
     edges = [(here, after) for _, here, *successors in states for after in successors]
-    vertices = {BLUE_TERMINAL, RED_TERMINAL} | {here for _, here, _, _ in states}
-    return GameGraph.from_parts(vertices, edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
+    return GameGraph.from_parts((), edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
 
 
 def build_series_graph(k: int) -> GameGraph:
@@ -106,13 +105,14 @@ def series_bet_plan(
     Rejects target_low > target_high before solving, and any bankroll
     other than the required initial holding — riding the ladder from the
     wrong starting amount is impossible, and the error carries the
-    required value.  Holdings and stakes are integers over one
-    denominator, each returned as one Fraction.
+    required value.  The ladder reads the solver's certified integers:
+    holdings and stakes are integers over one denominator, and a Fraction
+    is built only for each returned value.
 
     The stake is the same whichever team takes the next game, with no
-    second check: ``solve_exact`` certified 2 N(v) = N(blue_next) +
-    N(red_next) for its numerators N over den, and held(v) = low_num den +
-    N(v) spread_num is an affine image of N, so held(red_next) - held(v) =
+    second check: the solve certified 2 N(v) = N(blue_next) + N(red_next)
+    for its numerators N over den, and held(v) = low_num den + N(v)
+    spread_num is an affine image of N, so held(red_next) - held(v) =
     held(v) - held(blue_next).
     """
     states = _series_states(k)
@@ -120,7 +120,7 @@ def series_bet_plan(
     if low > high:
         raise ValueError(f"target_low {low} is above target_high {high}")
     graph = _series_graph(states)
-    nums, den = _integer_table(graph, solve_exact(graph))
+    nums, den = _solve(graph)
     (low_num, high_num), scale = _integers((low, high))
     spread_num = high_num - low_num
     # holding(v) = low + cost(v) (high - low) = held[v] / unit

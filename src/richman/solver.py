@@ -23,11 +23,12 @@ the all-zero table, where it is distance to the player's terminal), has
 its linear system solved exactly, with integer rows eliminated
 fraction-free in minimum-degree order and back-substituted over one
 common denominator, and is re-picked from the exact numerators until the
-table passes the averaging identity.  Every route returns a table only
-once it passes that identity, checked in integers as 2 N(v) = min + max,
-which by uniqueness certifies it; the returned Fractions are built once,
-from (N, D).  ``solve_iterative`` brackets the costs with monotone
-iterations from above and below in exact arithmetic.
+table passes the averaging identity.  ``_solve`` returns (N, D) only once
+it passes that identity, checked in integers as 2 N(v) = min + max, which
+by uniqueness certifies it; the CLI's ``solve`` and the series ladder read
+those integers, and Fractions are built only for the public returns.
+``solve_iterative`` brackets the costs with monotone iterations from above
+and below in exact arithmetic.
 
 Every iterate table is dyadic.  ``_iterates`` yields table t as (N, e):
 integer numerators N(v) over one shared 2^e, with the common power of two
@@ -366,10 +367,10 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
     return nums, den
 
 
-def solve_exact(g: GameGraph) -> dict[str, Fraction]:
-    """Exact cost table, one Fraction per vertex, certified by the averaging
-    identity before return (the routes are in the module docstring).  With
-    no interior cycle the numerators are found in order of depth.  Every
+def _solve(g: GameGraph) -> tuple[list[int], int]:
+    """The exact table as (nums, den) by position, certified by the
+    averaging identity (the routes are in the module docstring).  With no
+    interior cycle the numerators are found in order of depth.  Every
     picked policy reaches a terminal, so its system has one solution; the
     re-picking is not proved to end, and a policy seen before raises
     SolverError rather than looping.
@@ -385,7 +386,7 @@ def solve_exact(g: GameGraph) -> dict[str, Fraction]:
             nums[v] = (min(values) + max(values)) >> 1
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
-        return _table(g, nums, den)
+        return nums, den
     policy = first = _pick_policy(g, [0] * (len(succ) + 2), ())  # halts by itself
     tried: set[tuple[tuple[int, int], ...]] = set()
     while True:
@@ -395,5 +396,10 @@ def solve_exact(g: GameGraph) -> dict[str, Fraction]:
         tried.add(key)
         nums, den = _solve_policy(g, policy)
         if _identity_holds(g, nums, den):
-            return _table(g, nums, den)
+            return nums, den
         policy = _pick_policy(g, nums, first)
+
+
+def solve_exact(g: GameGraph) -> dict[str, Fraction]:
+    """Exact cost table, one Fraction per vertex (``_solve``)."""
+    return _table(g, *_solve(g))

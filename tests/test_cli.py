@@ -168,7 +168,7 @@ def test_solve_internal_solver_error_exits_1(cli, data_dir, monkeypatch):
     def fail(g):
         raise richman.SolverError("policy improvement revisited a policy")
 
-    monkeypatch.setattr(richman.cli, "solve_exact", fail)
+    monkeypatch.setattr(richman.cli, "_solve", fail)
     code, out, err = cli("solve", str(data_dir / "fig1.rg"))
     assert (code, out) == (1, "")
     assert err == "internal solver error: policy improvement revisited a policy\n"

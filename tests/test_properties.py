@@ -16,12 +16,17 @@ share playing the coin-flip game, and seeded batches of bidding games
 defines only ``decide``) against the same games played one at a time
 from scratch."""
 
+import contextlib
+import io
+import json
 import random
+import tempfile
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from richman import (
@@ -43,7 +48,8 @@ from richman import (
 )
 from richman.graphs import distances_to, post_order
 from richman.simulate import _coin_table
-from richman.solver import _integer_table, _pick_policy, _solve_policy
+from richman.cli import main
+from richman.solver import _integer_table, _pick_policy, _solve, _solve_policy
 
 import corpus
 
@@ -94,6 +100,43 @@ def test_solve_exact_lies_inside_the_iteration_bracket(g):
     approx = solve_iterative(g, tol=1e-9)
     for v in g.vertices:
         assert approx.lower[v] <= table[v] <= approx.upper[v]
+
+
+def solve_output(g: GameGraph, *flags: str) -> str:
+    """The stdout of ``richman solve`` on g."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arena.rg"
+        path.write_text(serialize_game_graph(g))
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", str(path), *flags]) == 0
+    return out.getvalue()
+
+
+# v1 costs 1/2 and v0 1/4, over the shared denominator 4: the rows of v1
+# and r are printed from unreduced numerators.
+UNREDUCED = GameGraph.from_parts((), [("v0", "b"), ("v0", "v1"), ("v1", "b"), ("v1", "r")], "b", "r")
+
+
+def test_the_unreduced_example_has_a_denominator_above_a_reduced_one():
+    nums, den = _solve(UNREDUCED)
+    assert (nums, den) == ([1, 2, 0, 4], 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True)))
+@example(UNREDUCED)
+def test_solve_rows_are_the_rows_of_the_fraction_table(g):
+    """Each row printed from the certified integers is the row of the
+    table's Fraction: ``0 0.0`` and ``1 1.0`` at the terminals, lowest
+    terms and the same float elsewhere, as a table and as JSON."""
+    table = sorted(solve_exact(g).items())
+    rows = [f"{v} {q} {float(q)}" for v, q in table]
+    assert solve_output(g).splitlines() == ["vertex cost float", *rows]
+    assert rows[:2] == ["b 0 0.0", "r 1 1.0"]
+    costs = {v: {"num": q.numerator, "den": q.denominator, "float": float(q)} for v, q in table}
+    want = json.dumps({"mode": "exact", "kind": "exact", "costs": costs}, sort_keys=True)
+    assert solve_output(g, "--output", "json") == want + "\n"
 
 
 @st.composite

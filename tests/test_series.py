@@ -17,6 +17,7 @@ from richman import (
 
 import richman.series
 import corpus
+from richman.solver import _integers
 
 F = Fraction
 
@@ -152,6 +153,32 @@ def test_fractional_payout_targets():
     assert info.value.required == required
 
 
+def plan_from_the_fraction_table(k, low, high):
+    """Holdings, stakes and the required bankroll as built from
+    ``solve_exact``'s Fractions, put back into integers over one
+    denominator by ``_integers``."""
+    g = build_series_graph(k)
+    costs = solve_exact(g)
+    nums, den = _integers([costs[v] for v in g.vertices])
+    (low_num, high_num), scale = _integers((low, high))
+    held = {v: F(low_num * den + n * (high_num - low_num), scale * den) for v, n in zip(g.vertices, nums)}
+    grid = [(i, j) for i in range(k) for j in range(k)]
+    holdings = {(i, j): held[state_id(i, j)] for i, j in grid}
+    stakes = {(i, j): held[state_id(i, j + 1) if j + 1 < k else "r"] - held[state_id(i, j)] for i, j in grid}
+    return holdings, stakes, held[state_id(0, 0)]
+
+
+@pytest.mark.parametrize("low, high", [(F(0), F(1)), (F(1, 3), F(5, 4))], ids=["default", "1/3-5/4"])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_plan_equals_the_plan_from_the_fraction_table(k, low, high):
+    holdings, stakes, required = plan_from_the_fraction_table(k, low, high)
+    plan = series_bet_plan(k, required, target_low=low, target_high=high)
+    assert plan == (k, required, low, high, holdings, stakes)
+    with pytest.raises(BankrollMismatchError) as info:
+        series_bet_plan(k, required + F(1, 7), target_low=low, target_high=high)
+    assert info.value.required == required
+
+
 def test_series_spec_validation():
     with pytest.raises(ValueError, match="at least 1"):
         series_bet_plan(0, F(1, 2))
@@ -164,7 +191,8 @@ def test_series_spec_validation():
 def test_reversed_payout_targets_are_rejected_before_solving(monkeypatch):
     """A bankroll between reversed targets is not the fault: the targets are."""
     solved = []
-    monkeypatch.setattr(richman.series, "solve_exact", lambda g: solved.append(g) or solve_exact(g))
+    solve = richman.series._solve
+    monkeypatch.setattr(richman.series, "_solve", lambda g: solved.append(g) or solve(g))
     with pytest.raises(ValueError, match="^target_low 1 is above target_high 0$"):
         series_bet_plan(2, F(1, 2), target_low=F(1), target_high=F(0))
     assert solved == []

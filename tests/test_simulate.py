@@ -516,7 +516,7 @@ def test_the_arena_is_indexed_once_per_graph(data_dir, monkeypatch):
     for blue, red in (agents[:2], agents[2:]):
         assert run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=50, master_seed=2).runs == 50
     assert random_turn_stats(g, costs, "m", 200, master_seed=2).runs == 200
-    assert [names for names, _ in calls] == [(*g.moves, g.blue, g.red)]
+    assert [names for names, *_ in calls] == [(*g.moves, g.blue, g.red)]
 
 
 @pytest.mark.parametrize(
