@@ -93,6 +93,13 @@ MUTANTS = [
         ("tests/test_graphs.py::test_validate_matches_the_name_based_reference",),
     ),
     Mutant(
+        "the index keeps an edge to a vertex outside the vertex set",
+        "src/richman/graphs.py",
+        "[position[u] for u in ts if u in g.vertices]",
+        "[position[u] for u in ts]",
+        ("tests/test_graphs.py::test_validate_matches_the_name_based_reference",),
+    ),
+    Mutant(
         "the height walk takes a position at its first successor instead of its last",
         "src/richman/graphs.py",
         "                    if keep[x]:\n                        continue\n",

@@ -60,7 +60,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _money(text: str) -> Fraction:
     """Exact nonnegative rational: an integer or 'p/q'."""
     num, slash, den = text.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
+    if not num.isdecimal() or (slash and not den.isdecimal()):
         raise argparse.ArgumentTypeError(f"money must be a nonnegative integer or p/q fraction, got {text!r}")
     if slash and int(den) == 0:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")

@@ -8,14 +8,16 @@ Text format (UTF-8, line oriented):
 
 A vertex id is any whitespace-free token other than ``#``.  The canonical
 serialization emits the blue line, the red line, then the edges sorted
-lexicographically by (from, to); parsing it back yields an equal graph.
+lexicographically by (from, to).  Parsing it back yields an equal graph
+when every vertex is a terminal or an edge endpoint, so for every valid
+arena: the format has no line for a vertex on no edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 
 __all__ = [
@@ -23,9 +25,7 @@ __all__ = [
     "GraphFormatError",
     "ValidationReport",
     "Violation",
-    "distances_to",
     "parse_game_graph",
-    "post_order",
     "serialize_game_graph",
     "validate",
 ]
@@ -89,15 +89,17 @@ class GameGraph:
 
     @cached_property
     def _index(self) -> _Index:
-        """Non-terminals 0..n-1 in ``moves`` order, Blue n and Red n+1; an edge
-        to an unknown vertex is left out, as ``validate`` reads it."""
-        return _Index((*self.moves, self.blue, self.red), self.moves, self.vertices)
+        """The arena on integer positions, built once per graph."""
+        return _Index(self)
 
     @cached_property
     def _depth(self) -> list[int] | None:
         """Per position, the most non-terminals on a path from it to a
-        terminal, or None when the non-terminals contain a directed cycle."""
-        depth = _heights([len(ts) for ts in self._index.succ] + [0, 0], self._index.pred)
+        terminal, or None when the non-terminals contain a directed cycle:
+        the walk counts down each position's successors and takes the edge
+        to its last one, so a position on or before a cycle is never reached."""
+        left = [len(ts) for ts in self._index.succ] + [0, 0]
+        depth = _walk(self._index.pred, [i for i, k in enumerate(left) if not k], left)
         return None if len(depth) in depth else depth
 
     @cached_property
@@ -125,17 +127,18 @@ class ValidationReport(NamedTuple):
 
 
 class _Index:
-    """Vertices on integer positions: ``names`` in the order given, the
-    name → position map, the successor positions of each key of
-    ``successors`` (the first positions, in order; those not ``known`` are
-    left out) and each position's predecessors."""
+    """A graph's vertices on integer positions: ``names`` holds the
+    non-terminals 0..n-1 in ``moves`` order, Blue n and Red n+1, with the
+    name → position map, each non-terminal's successor positions (an edge
+    to an unknown vertex is left out, as ``validate`` reads it) and each
+    position's predecessors."""
 
     __slots__ = ("names", "position", "succ", "pred")
 
-    def __init__(self, names: Sequence[str], successors: Mapping[str, Iterable[str]], known: Container[str]):
-        self.names = names
+    def __init__(self, g: GameGraph):
+        self.names = names = (*g.moves, g.blue, g.red)
         self.position = position = {v: i for i, v in enumerate(names)}
-        self.succ = succ = [tuple([position[u] for u in ts if u in known]) for ts in successors.values()]
+        self.succ = succ = [tuple([position[u] for u in ts if u in g.vertices]) for ts in g.moves.values()]
         self.pred = pred = [[] for _ in names]
         for x, ts in enumerate(succ):
             for u in ts:
@@ -171,36 +174,6 @@ def _walk(pred: list[list[int]], targets: Iterable[int], keep: Callable | list[i
                 reached.append(x)
         frontier = reached
     return dist
-
-
-def _heights(left: list[int], pred: list[list[int]]) -> list[int]:
-    """The most edges on a path from each position to one without
-    successors (``left`` counts them, and is used up), or ``len(pred)`` on
-    or before a cycle: the walk takes the edge to the last successor."""
-    return _walk(pred, [i for i, k in enumerate(left) if not k], left)
-
-
-def distances_to(targets: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Fewest edges from each vertex to one of ``targets`` along the (from,
-    to) edges; vertices that reach no target are left out."""
-    out: dict[str, list[str]] = {v: [] for v in targets}
-    n = len(out)
-    for a, b in edges:
-        out.setdefault(b, [])
-        out.setdefault(a, []).append(b)
-    index = _Index(list(out), out, out)
-    dist = _walk(index.pred, range(n))
-    return {v: d for v, d in zip(index.names, dist) if d < len(dist)}
-
-
-def post_order(successors: Mapping[str, Iterable[str]]) -> list[str]:
-    """The keys of ``successors`` by the most edges on a path between keys,
-    ties in the order given, those on or before a cycle last: there is a
-    cycle exactly when some edge (v, u) between keys has u no earlier than
-    v in this order."""
-    index = _Index(list(successors), successors, successors)
-    height = _heights([len(ts) for ts in index.succ], index.pred)
-    return sorted(index.names, key=lambda v: height[index.position[v]])
 
 
 def validate(g: GameGraph) -> ValidationReport:
@@ -242,8 +215,7 @@ def validate(g: GameGraph) -> ValidationReport:
 
 
 def parse_game_graph(text: str) -> GameGraph:
-    blue: str | None = None
-    red: str | None = None
+    terminals: dict[str, str] = {}
     edges: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -256,14 +228,9 @@ def parse_game_graph(text: str) -> GameGraph:
             if len(parts) != 2:
                 raise GraphFormatError(f"expected '{keyword} <id>'", lineno)
             vid = _check_vertex_id(parts[1], lineno)
-            if keyword == "blue":
-                if blue is not None:
-                    raise GraphFormatError("duplicate blue declaration", lineno)
-                blue = vid
-            else:
-                if red is not None:
-                    raise GraphFormatError("duplicate red declaration", lineno)
-                red = vid
+            if keyword in terminals:
+                raise GraphFormatError(f"duplicate {keyword} declaration", lineno)
+            terminals[keyword] = vid
         elif keyword == "edge":
             if len(parts) != 3:
                 raise GraphFormatError("expected 'edge <from> <to>'", lineno)
@@ -273,16 +240,19 @@ def parse_game_graph(text: str) -> GameGraph:
         else:
             raise GraphFormatError(f"unknown directive {keyword!r}", lineno)
 
-    if blue is None:
-        raise GraphFormatError("missing blue declaration")
-    if red is None:
-        raise GraphFormatError("missing red declaration")
+    for keyword in ("blue", "red"):
+        if keyword not in terminals:
+            raise GraphFormatError(f"missing {keyword} declaration")
+    blue, red = terminals["blue"], terminals["red"]
     if blue == red:
         raise GraphFormatError("blue and red must be distinct vertices")
     return GameGraph.from_parts((), edges, blue, red)
 
 
 def serialize_game_graph(g: GameGraph) -> str:
+    """The canonical text of ``g``.  Parsing it back gives ``g`` again when
+    every vertex is a terminal or an edge endpoint, as in every valid
+    arena; a non-terminal on no edge has no line, so it is lost."""
     lines = [f"blue {g.blue}", f"red {g.red}"]
     lines.extend(f"edge {a} {b}" for a, b in sorted(g.edges))
     return "\n".join(lines) + "\n"

@@ -133,18 +133,7 @@ class GameRecord(NamedTuple):
             "outcome": self.outcome,
             "move_cap": self.move_cap,
             "steps": [
-                {
-                    "index": s.index,
-                    "position": s.position,
-                    "blue_bid": _frac_json(s.blue_bid),
-                    "red_bid": _frac_json(s.red_bid),
-                    "tie": s.tie,
-                    "winner": s.winner,
-                    "transfer": _frac_json(s.transfer),
-                    "move_to": s.move_to,
-                    "blue_after": _frac_json(s.blue_after),
-                    "red_after": _frac_json(s.red_after),
-                }
+                {k: _frac_json(x) if type(x) is Fraction else x for k, x in s._asdict().items()}
                 for s in self.steps
             ],
         }

@@ -266,6 +266,11 @@ def test_simulate_usage_errors(cli, data_dir):
         code, _, err = cli(*argv)
         assert code == 6, argv
         assert "usage error" in err
+    # str.isdigit accepts these, int does not: the screen must reject them.
+    for money in ("²", "①", "1/²"):
+        code, _, err = cli("simulate", fig1, "--start", "v", "--blue-money", money, "--red-money", "1")
+        assert code == 6, money
+        assert f"money must be a nonnegative integer or p/q fraction, got {money!r}" in err
 
 
 def test_randomturn_table_from_terminal(cli, data_dir):

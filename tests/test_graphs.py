@@ -38,6 +38,15 @@ def test_round_trip_is_identity(fig1, path_graph, star):
         assert parse_game_graph(serialize_game_graph(g)) == g
 
 
+def test_round_trip_loses_a_vertex_on_no_edge():
+    """The text format has no line for a lone vertex, so only graphs whose
+    every vertex is a terminal or an edge endpoint come back equal."""
+    g = GameGraph.from_parts({"x"}, [("v", "b"), ("v", "r")], "b", "r")
+    back = parse_game_graph(serialize_game_graph(g))
+    assert g.vertices - back.vertices == {"x"}
+    assert back == GameGraph.from_parts((), g.edges, "b", "r")
+
+
 def test_serialization_is_canonical(star):
     text = serialize_game_graph(star)
     assert text == "blue b\nred r\nedge v b\nedge v r\n"
@@ -46,22 +55,24 @@ def test_serialization_is_canonical(star):
     assert serialize_game_graph(twin) == text
 
 
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("blue b\nred r\nedge v\n", 3),
-        ("blue\nred r\n", 1),
-        ("blue b\nred r\nteleport v b\n", 3),
-        ("blue b\nblue c\nred r\n", 2),
-        ("blue b\nred r\nred q\n", 3),
-        ("blue b\nred r\nedge # x\n", 3),
-    ],
-)
-def test_parse_errors_carry_line_numbers(text, line):
+PARSE_ERRORS = [
+    ("blue b\nred r\nedge v\n", 3, "expected 'edge <from> <to>'"),
+    ("blue\nred r\n", 1, "expected 'blue <id>'"),
+    ("blue b\nred r\nteleport v b\n", 3, "unknown directive 'teleport'"),
+    ("blue b\nblue c\nred r\n", 2, "duplicate blue declaration"),
+    ("blue b\nred r\nred q\n", 3, "duplicate red declaration"),
+    ("blue b\nred r\nedge # x\n", 3, "bad vertex id '#'"),
+    ("blue b\nred\n", 2, "expected 'red <id>'"),
+    ("blue b\nred r s\n", 2, "expected 'red <id>'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS, ids=[f"{t}-{n}" for t, n, _ in PARSE_ERRORS])
+def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(GraphFormatError) as info:
         parse_game_graph(text)
     assert info.value.line == line
-    assert f"line {line}:" in str(info.value)
+    assert str(info.value) == f"line {line}: {message}"
 
 
 def test_split_separates_exactly_at_isspace_code_points():
@@ -83,11 +94,11 @@ def test_parse_refuses_a_hash_vertex_id(text, line):
 
 
 def test_parse_requires_both_terminals():
-    with pytest.raises(GraphFormatError, match="missing red"):
+    with pytest.raises(GraphFormatError, match="^missing red declaration$"):
         parse_game_graph("blue b\nedge v b\n")
-    with pytest.raises(GraphFormatError, match="missing blue"):
+    with pytest.raises(GraphFormatError, match="^missing blue declaration$"):
         parse_game_graph("red r\nedge v r\n")
-    with pytest.raises(GraphFormatError, match="distinct"):
+    with pytest.raises(GraphFormatError, match="^blue and red must be distinct vertices$"):
         parse_game_graph("blue x\nred x\n")
 
 

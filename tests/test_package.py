@@ -41,12 +41,10 @@ PUBLIC = [
     "build_series_graph",
     "default_move_cap",
     "derived_seed",
-    "distances_to",
     "format_trace",
     "make_agent",
     "parse_game_graph",
     "play_richman_game",
-    "post_order",
     "random_turn_move_cap",
     "random_turn_stats",
     "run_batch",

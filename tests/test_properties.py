@@ -46,7 +46,6 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.graphs import distances_to, post_order
 from richman.simulate import _coin_table
 from richman.cli import main
 from richman.solver import _integer_table, _pick_policy, _solve, _solve_policy
@@ -170,8 +169,8 @@ def test_picked_policy_reaches_a_terminal_from_any_values(data):
     first, policy = corpus.named_moves(g, first), corpus.named_moves(g, policy)
     for pick in (first, policy):
         assert all({lo, hi} <= set(g.moves.get(v, ())) for v, (lo, hi) in pick.items())
-        halting = distances_to(["b", "r"], [(v, u) for v, pair in pick.items() for u in pair])
-        assert set(g.non_terminals) <= halting.keys()
+        halting = GameGraph.from_parts(g.vertices, [(v, u) for v, pair in pick.items() for u in pair], g.blue, g.red)
+        assert corpus.reference_validate(halting).ok
     assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == corpus.solve_policy_dense(g, policy)
 
 
@@ -247,8 +246,8 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     names, step = _coin_table(g, costs, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
     assert _pick_policy(g, _integer_table(g, costs)[0], ()) == step
-    halting = distances_to([g.blue, g.red], [(v, u) for v, pair in table.items() for u in pair])
-    assert set(halting) == set(g.vertices)
+    halting = GameGraph.from_parts(g.vertices, [(v, u) for v, pair in table.items() for u in pair], g.blue, g.red)
+    assert corpus.reference_validate(halting).ok
     nums, den = _solve_policy(g, step)
     assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == costs
     for column, color in enumerate(("blue", "red")):
@@ -301,16 +300,6 @@ def test_interior_has_cycle_matches_peeling(g):
         assert sorted(g.interior_order) == list(g.non_terminals)
         rank = {v: i for i, v in enumerate(g.interior_order)}
         assert all(rank[u] < rank[v] for v in g.interior_order for u in g.moves[v] if u in rank)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.one_of(arenas(1, 12), arenas(1, 12, acyclic=True), arenas_with_terminal_edges(12, acyclic=True)))
-def test_post_order_puts_successors_first_exactly_when_acyclic(g):
-    order = post_order(g.moves)
-    assert sorted(order) == list(g.non_terminals)
-    rank = {v: i for i, v in enumerate(order)}
-    back_edge = any(rank[u] >= rank[v] for v in order for u in g.moves[v] if u in rank)
-    assert back_edge == interior_has_cycle_by_peeling(g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -488,15 +488,15 @@ def test_an_acyclic_solve_walks_the_interior_once(monkeypatch):
     """The interior's depths come from one walk of the arena's index,
     shared by ``interior_order``, the acyclic solve and the move cap; the
     only other walk is validation's reachability check."""
-    walks, heights = [], []
-    walk, height = richman.graphs._walk, richman.graphs._heights
+    walks = []
+    walk = richman.graphs._walk
     monkeypatch.setattr(richman.graphs, "_walk", lambda *args: walks.append(args) or walk(*args))
-    monkeypatch.setattr(richman.graphs, "_heights", lambda *args: heights.append(args) or height(*args))
     g = build_series_graph(12)
     assert g.interior_order is not None
     assert satisfies_exact_identity(g, solve_exact(g))
     assert default_move_cap(g) == 10 * len(g.vertices)
-    assert (len(heights), len(walks)) == (1, 2)
+    counting = [args for args in walks if len(args) == 3 and isinstance(args[2], list)]
+    assert (len(counting), len(walks)) == (1, 2)
 
 
 def test_random_corpus_properties():
