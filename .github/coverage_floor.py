@@ -58,7 +58,7 @@ ALLOWED = [
     Allowed(
         "src/richman/solver.py",
         "_solve_policy",
-        ('raise SolverError(f"singular policy: {g._index.names[v]!r} never reaches a terminal")',),
+        ('raise SolverError(f"singular policy: {g._names[v]!r} never reaches a terminal")',),
         SAFETY_CHECK,
     ),
     Allowed(

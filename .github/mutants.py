@@ -67,8 +67,8 @@ MUTANTS = [
     Mutant(
         "the ladder's plan drops the half-slack term (half the next rung's value)",
         "src/richman/agents.py",
-        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._index.names[move]\n",
-        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, g._index.names[move]\n",
+        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._names[move]\n",
+        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, g._names[move]\n",
         ("tests/test_agents.py::test_full_knowledge_winning_branch_star",),
     ),
     Mutant(
@@ -86,18 +86,25 @@ MUTANTS = [
         ("tests/test_solver.py::test_descent_ties_go_by_descent_distance_not_edge_distance",),
     ),
     Mutant(
-        "the arena index builds its predecessor lists from the wrong end of each edge",
+        "the constructor builds the predecessor lists from the wrong end of each edge",
         "src/richman/graphs.py",
         "                pred[u].append(x)\n",
         "                pred[x].append(u)\n",
         ("tests/test_graphs.py::test_validate_matches_the_name_based_reference",),
     ),
     Mutant(
-        "the index keeps an edge to a vertex outside the vertex set",
+        "the constructor keeps a successor position for an edge to an unknown vertex",
         "src/richman/graphs.py",
-        "[position[u] for u in ts if u in g.vertices]",
+        "[position[u] for u in ts if u in vertices]",
         "[position[u] for u in ts]",
         ("tests/test_graphs.py::test_validate_matches_the_name_based_reference",),
+    ),
+    Mutant(
+        "GameGraph equality ignores the edge set",
+        "src/richman/graphs.py",
+        "(self.vertices, self.edges, self.blue, self.red) == (other.vertices, other.edges, other.blue, other.red)",
+        "(self.vertices, self.blue, self.red) == (other.vertices, other.blue, other.red)",
+        ("tests/test_graphs.py::test_game_graph_is_a_frozen_value_of_its_four_fields",),
     ),
     Mutant(
         "the height walk takes a position at its first successor instead of its last",

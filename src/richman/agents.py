@@ -31,7 +31,7 @@ Agents included:
 
 These strategies are functions of the vertex, so each agent plans every
 vertex once, when it is built, on the arena's integer positions
-(``GameGraph._index``), and keys its plans by name for the engine: the
+(``GameGraph._names``), and keys its plans by name for the engine: the
 optimal agent its losing play (its ``solver._descent_moves`` move and cost
 drop), the safety agent its bid rate and move; the random agent reads
 the move table.  The optimal agent's ladder is integer: rung t is the
@@ -180,10 +180,10 @@ def _oriented(g: GameGraph, costs: Mapping[str, Fraction], color: str) -> tuple[
     """``color``'s goal terminal on g and its costs as integer numerators N
     over one denominator den, 0 at the goal and den at the other terminal:
     the table's own numerators for Blue, den - N for Red, all by position
-    (``g._index``).  Checks the arena (the graph keeps the verdict)."""
+    (``g._names``).  Checks the arena (the graph keeps the verdict)."""
     _require_valid(g)
     nums, den = _integer_table(g, costs)
-    blue = len(g._index.succ)
+    blue = len(g._succ)
     if _plays_red(color):
         return blue + 1, [den - n for n in nums], den
     return blue, nums, den
@@ -206,9 +206,9 @@ def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, 
     With m and M the cheapest and dearest successor numerators, the next
     rung's value is (m + M) / 2^(e+1), so kappa = (M - 3m) / 2^(e+2).
     """
-    (nums, e), succ = rung, g._index.succ[v]
+    (nums, e), succ = rung, g._succ[v]
     move = min(succ, key=nums.__getitem__)
-    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._index.names[move]
+    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._names[move]
 
 
 class FullKnowledgeAgent(Agent):
@@ -222,7 +222,7 @@ class FullKnowledgeAgent(Agent):
         goal, nums, den = _oriented(graph, costs, color)
         self._graph = graph
         self._den = den
-        names = graph._index.names
+        names = graph._names
         # Losing or critical play per non-terminal: the numerators over den
         # of its cost and of the drop to its move, the move and the vertex's
         # position; the bid is drop * total.
@@ -250,7 +250,7 @@ class FullKnowledgeAgent(Agent):
         t = bisect_left(ladder, True, key=below)
         while t == len(ladder):
             if t > 100_000:
-                raise SolverError(f"no iterate at {self._graph._index.names[v]!r} ever drops below {Fraction(p, q)}")
+                raise SolverError(f"no iterate at {self._graph._names[v]!r} ever drops below {Fraction(p, q)}")
             ladder.append(next(self._upper))
             if not below(ladder[t]):
                 t += 1
@@ -299,7 +299,7 @@ class SafetyRatioAgent(Agent):
     def __init__(self, graph: GameGraph, costs: Mapping[str, Fraction], color: str):
         goal, nums, _ = _oriented(graph, costs, color)
         self._graph = graph
-        names = graph._index.names
+        names = graph._names
         # (rate numerator, rate denominator, move) per non-terminal; the
         # bid is own_money * rate, and the rate is 0 at cost 0.
         self._plan: dict[str, tuple[int, int, str]] = {

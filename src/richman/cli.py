@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
             print("\n".join(["vertex upper lower", *rows, f"gap {gap} {float(gap)}", f"iterations {t}"]))
         return EXIT_OK
     nums, den = _solve(g)
-    table = sorted(zip(g._index.names, nums))
+    table = sorted(zip(g._names, nums))
     if args.output == "json":
         costs = {v: _cost_json(n, den) for v, n in table}
         print(json.dumps({"mode": "exact", "kind": "exact", "costs": costs}, sort_keys=True))
@@ -294,6 +294,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    # From Python 3.10.7 on, str(int) refuses more digits than an exact cost
+    # may have; lift that limit (0 where there is none) for the command.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except _Failure as failure:
@@ -305,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as err:
         print(f"internal solver error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

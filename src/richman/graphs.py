@@ -15,7 +15,6 @@ arena: the format has no line for a vertex on no edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
@@ -47,18 +46,55 @@ def _check_vertex_id(token: str, line: int | None = None) -> str:
     return token
 
 
-@dataclass(frozen=True)
 class GameGraph:
-    """Immutable arena.  ``blue`` and ``red`` are the terminal vertices.
+    """Immutable arena, equal, hashed and shown as the value of its four
+    fields.  ``blue`` and ``red`` are the terminal vertices.  The move table
+    ``moves`` maps each non-terminal, in name order, to its successors
+    sorted by name; edges out of a terminal may exist in the edge set (the
+    parser keeps them), but the terminals have no entry: play stops there.
 
-    Edges out of a terminal may exist in the edge set (the parser keeps
-    them) but the move table ``moves`` leaves them out: play stops there.
+    The constructor also puts the arena on the integer positions that every
+    walk, solve and game reads: ``_names`` holds the non-terminals 0..n-1
+    in ``moves`` order, Blue n and Red n+1, with the name → position map
+    ``_position``, each non-terminal's successor positions ``_succ`` (an
+    edge to an unknown vertex is left out, as ``validate`` reads it) and
+    each position's predecessors ``_pred``.
     """
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    blue: str
-    red: str
+    def __init__(self, vertices: frozenset[str], edges: frozenset[tuple[str, str]], blue: str, red: str):
+        non_terminals = tuple(sorted(vertices - {blue, red}))
+        out: dict[str, list[str]] = {v: [] for v in non_terminals}
+        for a, b in edges:
+            if a in out:
+                out[a].append(b)
+        moves = {v: tuple(sorted(ts)) for v, ts in out.items()}
+        names = (*non_terminals, blue, red)
+        position = {v: i for i, v in enumerate(names)}
+        succ = [tuple([position[u] for u in ts if u in vertices]) for ts in moves.values()]
+        pred: list[list[int]] = [[] for _ in names]
+        for x, ts in enumerate(succ):
+            for u in ts:
+                pred[u].append(x)
+        vars(self).update(vertices=vertices, edges=edges, blue=blue, red=red, non_terminals=non_terminals)
+        vars(self).update(moves=moves, _names=names, _position=position, _succ=succ, _pred=pred)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.blue, self.red) == (other.vertices, other.edges, other.blue, other.red)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges, self.blue, self.red))
+
+    def __repr__(self) -> str:
+        fields = f"vertices={self.vertices!r}, edges={self.edges!r}, blue={self.blue!r}, red={self.red!r}"
+        return f"{self.__class__.__qualname__}({fields})"
 
     @classmethod
     def from_parts(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]], blue: str, red: str) -> GameGraph:
@@ -68,29 +104,9 @@ class GameGraph:
         return cls(vertices=vs, edges=es, blue=blue, red=red)
 
     @cached_property
-    def non_terminals(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices - {self.blue, self.red}))
-
-    @cached_property
-    def moves(self) -> dict[str, tuple[str, ...]]:
-        """The move table: each non-terminal, in name order, to its
-        successors sorted by name.  The terminals have no entry, since play
-        stops there."""
-        out: dict[str, list[str]] = {v: [] for v in self.non_terminals}
-        for a, b in self.edges:
-            if a in out:
-                out[a].append(b)
-        return {v: tuple(sorted(ts)) for v, ts in out.items()}
-
-    @cached_property
     def validation(self) -> ValidationReport:
         """``validate(self)``, run once per graph: the graph is frozen."""
         return validate(self)
-
-    @cached_property
-    def _index(self) -> _Index:
-        """The arena on integer positions, built once per graph."""
-        return _Index(self)
 
     @cached_property
     def _depth(self) -> list[int] | None:
@@ -98,8 +114,8 @@ class GameGraph:
         terminal, or None when the non-terminals contain a directed cycle:
         the walk counts down each position's successors and takes the edge
         to its last one, so a position on or before a cycle is never reached."""
-        left = [len(ts) for ts in self._index.succ] + [0, 0]
-        depth = _walk(self._index.pred, [i for i, k in enumerate(left) if not k], left)
+        left = [len(ts) for ts in self._succ] + [0, 0]
+        depth = _walk(self._pred, [i for i, k in enumerate(left) if not k], left)
         return None if len(depth) in depth else depth
 
     @cached_property
@@ -124,25 +140,6 @@ class Violation(NamedTuple):
 class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
-
-
-class _Index:
-    """A graph's vertices on integer positions: ``names`` holds the
-    non-terminals 0..n-1 in ``moves`` order, Blue n and Red n+1, with the
-    name → position map, each non-terminal's successor positions (an edge
-    to an unknown vertex is left out, as ``validate`` reads it) and each
-    position's predecessors."""
-
-    __slots__ = ("names", "position", "succ", "pred")
-
-    def __init__(self, g: GameGraph):
-        self.names = names = (*g.moves, g.blue, g.red)
-        self.position = position = {v: i for i, v in enumerate(names)}
-        self.succ = succ = [tuple([position[u] for u in ts if u in g.vertices]) for ts in g.moves.values()]
-        self.pred = pred = [[] for _ in names]
-        for x, ts in enumerate(succ):
-            for u in ts:
-                pred[u].append(x)
 
 
 def _walk(pred: list[list[int]], targets: Iterable[int], keep: Callable | list[int] | None = None) -> list[int]:
@@ -199,15 +196,14 @@ def validate(g: GameGraph) -> ValidationReport:
         if (t, t) in g.edges:
             found.append(Violation("TERMINAL_SELF_LOOP", t, f"terminal {t!r} has a self-loop"))
 
-    index = g._index
-    for v, succ in zip(index.names, index.succ):
+    for v, succ in zip(g._names, g._succ):
         if not succ:
             found.append(Violation("DEAD_END", v, f"non-terminal {v!r} has no outgoing edges"))
 
     # Every vertex must reach one of the terminals; edges out of a terminal
     # cannot change which do.
-    reached = _walk(index.pred, [index.position[t] for t in (g.blue, g.red) if t in vs])
-    for v in sorted(v for v in vs if reached[index.position[v]] == len(reached)):
+    reached = _walk(g._pred, [g._position[t] for t in (g.blue, g.red) if t in vs])
+    for v in sorted(v for v in vs if reached[g._position[v]] == len(reached)):
         found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))
 
     found.sort(key=lambda w: (w.code, w.subject))

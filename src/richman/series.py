@@ -124,7 +124,7 @@ def series_bet_plan(
     (low_num, high_num), scale = _integers((low, high))
     spread_num = high_num - low_num
     # holding(v) = low + cost(v) (high - low) = held[v] / unit
-    held = {v: low_num * den + n * spread_num for v, n in zip(graph._index.names, nums)}
+    held = {v: low_num * den + n * spread_num for v, n in zip(graph._names, nums)}
     unit = scale * den
     start, given = held[states[0][1]], Fraction(bankroll)
     if given.numerator * unit != start * given.denominator:

@@ -41,7 +41,7 @@ The coin-flip variant has no money: each move's coin is the draw of
 and its winner moves by ``solver._descent_moves`` on its own costs, so
 every game ends with probability 1 and Red wins with probability
 cost(start).  ``random_turn_stats`` reads the coins in bulk and walks a
-move table on the arena's integer positions (``GameGraph._index``),
+move table on the arena's integer positions (``GameGraph._names``),
 built once per call; a game keeps only where it stopped.
 """
 
@@ -122,10 +122,6 @@ class GameRecord(NamedTuple):
     steps: tuple[Step, ...]
     outcome: str
     move_cap: int
-
-    @property
-    def final_position(self) -> str:
-        return self.steps[-1].move_to if self.steps else self.start
 
     def to_json_dict(self) -> dict:
         return {
@@ -412,12 +408,12 @@ def run_batch(
 
 def _coin_table(g: GameGraph, costs: Mapping[str, Fraction], start: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Check a coin-flip game's arguments and return its move table, the
-    same in every game: the vertex of each position of ``g._index`` and,
+    same in every game: the vertex of each position (``g._names``) and,
     per non-terminal, its (Blue, Red) ``_descent_moves`` positions."""
     blue, red = (_descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red"))
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    return list(g._index.names), list(zip(blue, red))
+    return list(g._names), list(zip(blue, red))
 
 
 # A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),
@@ -480,7 +476,7 @@ def random_turn_stats(
         raise ValueError("max_moves must be nonnegative")
     names, step = _coin_table(g, costs, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
-    first = g._index.position[start]
+    first = g._position[start]
     ends = [0] * len(names)
     rng = random.Random()
     for i in range(runs):

@@ -6,9 +6,9 @@ at every other vertex the average of the cheapest and the dearest successor
 cost.  On a finite arena that averaging identity has a unique solution with
 the terminal boundary values, and it is always rational.
 
-Every table, move list and policy inside is a list by position of the
-arena's index (``GameGraph._index``: non-terminals 0..n-1, Blue n, Red
-n+1); names come back only in the returned Fractions.
+Every table, move list and policy inside is a list by the arena's
+integer positions (``GameGraph._names``: non-terminals 0..n-1, Blue n,
+Red n+1); names come back only in the returned Fractions.
 
 ``solve_exact`` uses no floats, and no Fractions until it returns.  Its
 tables are integer numerators N(v) over one shared denominator D.  When
@@ -113,7 +113,7 @@ def _iterates(g: GameGraph, goal: int, fill: int) -> Iterator[tuple[list[int], i
     numerator is 2^(e+1).  Without that reduction a table that stops moving
     would still grow by one bit per sweep.
     """
-    succ = g._index.succ
+    succ = g._succ
     ends = [0, 1] if goal == len(succ) else [1, 0]
     nums, e = [fill] * len(succ) + ends, 0
     while True:
@@ -130,7 +130,7 @@ def _iterates(g: GameGraph, goal: int, fill: int) -> Iterator[tuple[list[int], i
 
 def _table(g: GameGraph, nums: Sequence[int], den: int) -> dict[str, Fraction]:
     """The table N(v) / den, one Fraction per vertex."""
-    return {v: Fraction(n, den) for v, n in zip(g._index.names, nums)}
+    return {v: Fraction(n, den) for v, n in zip(g._names, nums)}
 
 
 def solve_iterative(g: GameGraph, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> ApproxSolve:
@@ -147,7 +147,7 @@ def solve_iterative(g: GameGraph, tol: float = DEFAULT_TOL, max_iters: int = DEF
         p, q = tol.as_integer_ratio()
     except (OverflowError, ValueError):  # an infinity or NaN
         p, q = -1 if tol < 0 else 1, 0
-    blue = len(g._index.succ)
+    blue = len(g._succ)
     for t, ((upper, e_up), (lower, e_low)) in enumerate(zip(_iterates(g, blue, 1), _iterates(g, blue, 0))):
         e = max(e_up, e_low)
         up, low = e - e_up, e - e_low
@@ -168,7 +168,7 @@ def _identity_holds(g: GameGraph, nums: Sequence[int], den: int) -> bool:
     identity 2 N(v) = min + max over successors, all in integers.  A dead
     end has no successors to average, so it fails.
     """
-    succ = g._index.succ
+    succ = g._succ
     if nums[len(succ)] != 0 or nums[len(succ) + 1] != den or min(nums) < 0 or max(nums) > den:
         return False
     for n, ts in zip(nums, succ):
@@ -193,7 +193,7 @@ def _integer_table(g: GameGraph, table: Mapping[str, Fraction]) -> tuple[list[in
     """The table as integer numerators over one denominator (``_integers``):
     KeyError for a vertex of g it lacks, ValueError for a cost that is not
     an int or a Fraction."""
-    return _integers([table[v] for v in g._index.names])
+    return _integers([table[v] for v in g._names])
 
 
 def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> bool:
@@ -238,15 +238,14 @@ def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
     moves by this rule, so Blue's share stays at the cost: with fair ties
     that bidding game is the coin-flip game, and it too ends.
     """
-    index = g._index
     floors, cheapest = [], []
-    for succ in index.succ:
+    for succ in g._succ:
         floor = min([nums[u] for u in succ])
         floors.append(floor)
         cheapest.append([u for u in succ if nums[u] == floor])
     # The walk keeps the edges to a cheapest successor.  Successors are in
     # name order and min keeps the first of equals.
-    dist = _walk(index.pred, (goal,), lambda x, u: nums[u] == floors[x])
+    dist = _walk(g._pred, (goal,), lambda x, u: nums[u] == floors[x])
     return [ts[0] if len(ts) == 1 else min(ts, key=dist.__getitem__) for ts in cheapest]
 
 
@@ -268,10 +267,9 @@ def _pick_policy(g: GameGraph, x: Sequence[int], first: Sequence[tuple[int, int]
     a valid arena reaches a terminal, and one of its two choices is a step
     nearer the nearer one, so every vertex reaches a terminal.
     """
-    index = g._index
-    blue = len(index.succ)
+    blue = len(g._succ)
     policy = list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, [-n for n in x])))
-    halting = _walk(index.pred, (blue, blue + 1), lambda v, u: u in policy[v])
+    halting = _walk(g._pred, (blue, blue + 1), lambda v, u: u in policy[v])
     far = len(halting)
     return [pair if halting[v] < far else first[v] for v, pair in enumerate(policy)]
 
@@ -331,7 +329,7 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
         rows[v] = None
         pivot = row.pop(v, 0)
         if pivot == 0:
-            raise SolverError(f"singular policy: {g._index.names[v]!r} never reaches a terminal")
+            raise SolverError(f"singular policy: {g._names[v]!r} never reaches a terminal")
         b = rhs[v]
         naming[v].discard(v)
         for w in row:
@@ -376,7 +374,7 @@ def _solve(g: GameGraph) -> tuple[list[int], int]:
     SolverError rather than looping.
     """
     _require_valid(g)
-    succ, depth = g._index.succ, g._depth  # most non-terminals on a path to a terminal
+    succ, depth = g._succ, g._depth  # most non-terminals on a path to a terminal
     if depth is not None:
         den = 1 << max(depth)
         nums = [0] * len(depth)

@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import pytest
 
@@ -42,7 +42,7 @@ from richman import (
 )
 from richman.agents import _oriented
 from richman.simulate import _coin_game, _coin_table
-from richman.solver import _descent_moves, _iterates
+from richman.solver import _descent_moves, _iterates, _pick_policy, _solve
 
 FIG1_TEXT = """\
 blue b
@@ -264,32 +264,66 @@ def corpus200() -> tuple[GameGraph, ...]:
     return tuple(graphs)
 
 
+def small_arenas(n: int, max_out: int | None = None) -> Iterator[GameGraph]:
+    """Every arena on the non-terminals x0..x(n-1) and the terminals b and
+    r in which each non-terminal has a nonempty set of at most ``max_out``
+    successors (any number without it) among the non-terminals, itself
+    included, and both terminals.  Relabelled copies are kept: names fix
+    the tie-breaks, so they are different tests."""
+    names = [f"x{i}" for i in range(n)]
+    targets = names + ["b", "r"]
+    top = len(targets) if max_out is None else max_out
+    choices = [c for k in range(1, top + 1) for c in itertools.combinations(targets, k)]
+    for picks in itertools.product(choices, repeat=n):
+        yield GameGraph.from_parts(names, [(v, u) for v, us in zip(names, picks) for u in us], "b", "r")
+
+
+def check_small_arena(g: GameGraph) -> bool:
+    """Whether ``g`` is valid, after checking that ``validate`` agrees with
+    ``reference_validate`` and, on a valid arena, that the certified exact
+    table passes the averaging identity and the terminal values, checked
+    in Fractions by vertex name along the edge set, and that the coin-flip
+    policy on it reaches a terminal with no fallback pick."""
+    report = g.validation  # validate(g), kept for the solve
+    assert report == reference_validate(g), g
+    if not report.ok:
+        return False
+    nums, den = _solve(g)
+    cost = {v: Fraction(n, den) for v, n in by_name(g, nums).items()}
+    assert cost.keys() == g.vertices and (cost[g.blue], cost[g.red]) == (0, 1), g
+    for v in g.non_terminals:
+        values = [cost[u] for a, u in g.edges if a == v]
+        assert 2 * cost[v] == min(values) + max(values), (g, v)
+    _pick_policy(g, nums, None)  # a fallback would read None[v]
+    return True
+
+
 @lru_cache(maxsize=512)
 def exact_table(g: GameGraph) -> dict[str, Fraction]:
     return solve_exact(g)
 
 
 def by_name(g: GameGraph, values) -> dict:
-    """Values listed by position of the package's arena index
-    (``GameGraph._index``) as a dict keyed by vertex name."""
-    return dict(zip(g._index.names, values))
+    """Values listed by the package's arena positions
+    (``GameGraph._names``) as a dict keyed by vertex name."""
+    return dict(zip(g._names, values))
 
 
 def named_moves(g: GameGraph, moves) -> dict:
     """Moves listed by non-terminal position, each a position or a tuple of
     positions, as a dict of vertex names."""
-    names = g._index.names
+    names = g._names
     return {names[v]: names[m] if isinstance(m, int) else tuple(names[u] for u in m) for v, m in enumerate(moves)}
 
 
 def by_position(g: GameGraph, table: Mapping) -> list:
     """A table keyed by vertex name as a list by position."""
-    return [table[v] for v in g._index.names]
+    return [table[v] for v in g._names]
 
 
 def policy_by_position(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> list[tuple[int, int]]:
     """A (lo, hi) successor policy keyed by vertex name as position pairs."""
-    position = g._index.position
+    position = g._position
     return [tuple(position[u] for u in policy[v]) for v in g.moves]
 
 
@@ -302,7 +336,7 @@ def descent_moves(g: GameGraph, costs, color: str) -> dict[str, str]:
 def iterates(g: GameGraph, fill: int):
     """The package's iterates towards the blue terminal
     (``solver._iterates``), each (N, e) with N keyed by vertex name."""
-    for nums, e in _iterates(g, g._index.position[g.blue], fill):
+    for nums, e in _iterates(g, g._position[g.blue], fill):
         yield by_name(g, nums), e
 
 
@@ -640,7 +674,7 @@ def safety_ratios(record: GameRecord, costs: Mapping[str, Fraction], color: str)
         last = record.steps[-1]
         total = last.blue_after + last.red_after
         own = last.blue_after if color == "blue" else last.red_after
-        out.append(safety_ratio(costs, record.final_position, own / total, color=color))
+        out.append(safety_ratio(costs, last.move_to, own / total, color=color))
     return out
 
 

@@ -133,7 +133,7 @@ def test_full_knowledge_winning_branch_star(star, star_costs):
 def test_full_knowledge_horizon_gives_up_after_100000_rungs(star, star_costs):
     # Star's upper iterate at v is 1/2 from rung 1 on, never below 1/2.
     agent = FullKnowledgeAgent(star, star_costs, "blue")
-    v = star._index.position["v"]
+    v = star._position["v"]
     assert agent._horizon(v, 10**9 + 2, 2 * 10**9) == 1
     with pytest.raises(SolverError, match="ever drops below 1/2"):
         agent._horizon(v, 1, 2)
@@ -330,7 +330,7 @@ def test_oriented_reads_the_table_as_numerators(build, start):
     for color, goal, other in (("blue", g.blue, g.red), ("red", g.red, g.blue)):
         got_goal, nums, den = _oriented(g, costs, color)
         nums = corpus.by_name(g, nums)
-        assert got_goal == g._index.position[goal]
+        assert got_goal == g._position[goal]
         assert nums[goal] == 0 and nums[other] == den
         assert all(F(nums[v], den) == (costs[v] if color == "blue" else 1 - costs[v]) for v in g.vertices)
 

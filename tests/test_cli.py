@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import richman
-from richman import serialize_game_graph
+from richman import GameGraph, serialize_game_graph
 from richman.cli import _build_parser, main
 
 import corpus
@@ -162,6 +162,32 @@ def test_solve_ring21_exact_table(cli, tmp_path):
     den = 2**21 - 1
     rows = [f"v{i:02d} {2**i}/{den} {2**i / den}" for i in range(21)]
     assert out.splitlines() == ["vertex cost float", "b 0 0.0", "r 1 1.0"] + rows
+
+
+def test_costs_with_more_digits_than_str_int_allows_are_printed(cli, tmp_path):
+    """A line of 2 200 non-terminals, each also stepping to b, the last to
+    r: its head costs 1/2^2200, 663 digits, while str(int) here takes at
+    most 640 (the least Python allows).  Every command that prints the cost
+    prints it, and the limit is back after each."""
+    names = [f"v{i:04d}" for i in range(2200)]
+    edges = [(v, "b") for v in names] + list(zip(names, names[1:])) + [(names[-1], "r")]
+    line = tmp_path / "line.rg"
+    line.write_text(serialize_game_graph(GameGraph.from_parts((), edges, "b", "r")))
+    den = str(2**2200)
+    commands = (("solve",), ("solve", "--output", "json"), ("randomturn", "--start", "v0000"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        runs = []
+        for command, *flags in commands:
+            runs.append(cli(command, str(line), *flags))
+            assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+    assert f"v0000 1/{den} 0.0" in runs[0][1].splitlines()
+    assert json.loads(runs[1][1])["costs"]["v0000"] == {"num": 1, "den": int(den), "float": 0.0}
+    assert f"exact 1/{den} 0.0" in runs[2][1].splitlines()
 
 
 def test_solve_internal_solver_error_exits_1(cli, data_dir, monkeypatch):

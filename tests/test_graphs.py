@@ -107,6 +107,25 @@ def test_from_parts_unions_edge_endpoints():
     assert g.vertices == frozenset({"b", "r", "v", "w"})
 
 
+def test_game_graph_is_a_frozen_value_of_its_four_fields():
+    fields = {"vertices": frozenset("brv"), "edges": frozenset({("v", "b"), ("v", "r")}), "blue": "b", "red": "r"}
+    g = GameGraph(**fields)
+    twin = GameGraph(*fields.values())
+    assert twin is not g and twin == g and hash(twin) == hash(g) == hash(tuple(fields.values()))
+    assert g != tuple(fields.values())
+    others = {"vertices": frozenset({"b", "r", "v", "w"}), "edges": frozenset({("v", "b")}), "blue": "v", "red": "v"}
+    for name, other in others.items():
+        assert GameGraph(**{**fields, name: other}) != g
+    assert repr(g) == f"GameGraph(vertices={fields['vertices']!r}, edges={fields['edges']!r}, blue='b', red='r')"
+    assert g.validation is g.validation  # cached: cached_property writes the instance __dict__ itself
+    for name in (*fields, "moves", "validation", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == twin
+
+
 def test_successors_empty_at_terminals_even_with_outgoing_edges():
     g = GameGraph.from_parts(["b", "r", "v"], [("v", "b"), ("v", "r"), ("b", "v")], "b", "r")
     assert "b" not in g.moves

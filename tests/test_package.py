@@ -3,7 +3,9 @@ its value records are named tuples."""
 
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -86,10 +88,20 @@ def test_public_surface_is_pinned():
     assert richman.__all__ == PUBLIC
 
 
-def test_only_game_graph_is_a_dataclass():
-    """GameGraph caches on its instance ``__dict__``; every other record is
-    a tuple, and a cost table is a plain dict."""
-    assert [n for n in richman.__all__ if dataclasses.is_dataclass(getattr(richman, n))] == ["GameGraph"]
+def test_no_public_name_is_a_dataclass():
+    """GameGraph is a plain class that caches on its instance ``__dict__``;
+    every other record is a tuple, and a cost table is a plain dict."""
+    assert [n for n in richman.__all__ if dataclasses.is_dataclass(getattr(richman, n))] == []
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    """No ``richman`` process imports ``dataclasses`` (and ``inspect`` with
+    it); a fresh interpreter shows it, as this one has it loaded."""
+    src = pathlib.Path(richman.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, richman.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
 _TABLE = {"b": F(0), "r": F(1)}

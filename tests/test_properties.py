@@ -21,6 +21,7 @@ import io
 import json
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -188,6 +189,13 @@ def raw_graphs(draw) -> GameGraph:
 @given(st.one_of(raw_graphs(), arenas(1, 12)))
 def test_validate_matches_the_name_based_reference_on_any_graph(g):
     assert validate(g) == corpus.reference_validate(g)
+
+
+def test_every_arena_with_at_most_three_non_terminals():
+    """``corpus.check_small_arena`` on each of the 30 023 arenas of
+    ``corpus.small_arenas`` with one to three non-terminals."""
+    valid = Counter(corpus.check_small_arena(g) for n in (1, 2, 3) for g in corpus.small_arenas(n))
+    assert valid == {True: 26_694, False: 3_329}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -438,7 +446,7 @@ def test_optimal_agent_at_and_beside_each_rung(g):
                 if rung > cost:
                     horizon = next(u for u, later in enumerate(corpus._upper_iterates(mirror)) if later[v] < rung)
                     assert horizon > t
-                    assert agent._horizon(g._index.position[v], rung.numerator, rung.denominator) == horizon
+                    assert agent._horizon(g._position[v], rung.numerator, rung.denominator) == horizon
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -84,7 +84,7 @@ def test_single_step_game_record(star, star_costs):
     )
     assert record.outcome == "BlueWins"
     assert record.move_cap == 30
-    assert record.final_position == "b"
+    assert record.steps[-1].move_to == "b"
     (step,) = record.steps
     assert step.index == 0
     assert step.position == "v"
@@ -506,17 +506,20 @@ def test_validate_runs_once_per_graph(data_dir, monkeypatch):
     assert calls == [g]
 
 
-def test_the_arena_is_indexed_once_per_graph(data_dir, monkeypatch):
-    calls = []
-    real = richman.graphs._Index
-    monkeypatch.setattr(richman.graphs, "_Index", lambda graph: calls.append(graph) or real(graph))
+def test_no_game_graph_is_built_after_parsing(data_dir, monkeypatch):
+    """The parsed graph holds the arena on integer positions, so solving,
+    building both players' agents and playing build no second arena."""
+    built = []
+    real = GameGraph.__init__
+    monkeypatch.setattr(GameGraph, "__init__", lambda self, *args, **kw: built.append(self) or real(self, *args, **kw))
     g = parse_game_graph((data_dir / "fig1.rg").read_text())
+    assert len(built) == 1 and built[0] is g
     costs = solve_exact(g)
     agents = [make_agent(name, g, costs, color) for name in ("optimal", "safety") for color in ("blue", "red")]
     for blue, red in (agents[:2], agents[2:]):
         assert run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=50, master_seed=2).runs == 50
     assert random_turn_stats(g, costs, "m", 200, master_seed=2).runs == 200
-    assert len(calls) == 1 and calls[0] is g
+    assert len(built) == 1 and built[0] is g
 
 
 @pytest.mark.parametrize(
