@@ -79,6 +79,13 @@ MUTANTS = [
         ("tests/test_agents.py::test_full_knowledge_bid_is_capped_by_bankroll",),
     ),
     Mutant(
+        "Red's orientation hands it the table without flipping it to 1 - cost",
+        "src/richman/agents.py",
+        "        return blue + 1, [den - n for n in nums], den\n",
+        "        return blue + 1, nums, den\n",
+        ("tests/test_agents.py::test_oriented_reads_the_table_as_numerators",),
+    ),
+    Mutant(
         "the descent walk drops its floor test and steps along every edge",
         "src/richman/solver.py",
         "lambda x, u: nums[u] == floors[x]",

@@ -1,13 +1,14 @@
 """Bidding strategies.
 
-Every strategy is written from the point of view of the player trying to
-reach *their* terminal, its goal, on the arena as given (``_oriented``):
-Blue's goal is the blue terminal and its costs are the table's, read as
-integer numerators N over one denominator den; Red's goal is the red
-terminal and its costs are den - N, that is 1 - cost.  Each player's cost
-is then 0 at its goal and 1 at the other terminal, which turns Red's
-steepest ascent into steepest descent and lets one implementation serve
-both colors.
+Both strategies are functions of the arena's cost table, so an agent is
+fixed by its arena and colour: it reads the certified numerators N over
+one denominator den that ``solver._solve`` keeps on the graph.  Each is
+written for the player trying to reach *their* terminal, its goal
+(``_oriented``): Blue's goal is the blue terminal and its costs are N;
+Red's goal is the red terminal and its costs are den - N, that is
+1 - cost.  Each player's cost is then 0 at its goal and 1 at the other
+terminal, which turns Red's steepest ascent into steepest descent and
+lets one implementation serve both colors.
 
 Agents included:
 
@@ -48,8 +49,8 @@ builds no ``Fraction``.  The game engine asks ``_bid``; each built-in
 ``decide`` puts the view's bankrolls over one denominator, asks ``_bid``
 and builds one ``Fraction``.  The base class's ``_bid`` asks ``decide``,
 so an agent that defines only ``decide`` plays too, and so does a
-subclass of a built-in agent that overrides ``decide``.  Bankrolls, cost
-tables and such bids enter the integers through ``solver._integers``.
+subclass of a built-in agent that overrides ``decide``.  Bankrolls and
+such bids enter the integers through ``solver._integers``.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .graphs import GameGraph
-from .solver import SolverError, _descent_moves, _integer_table, _integers, _iterates, _require_valid
+from .solver import SolverError, _descent_moves, _integers, _iterates, _require_valid, _solve
 
 __all__ = [
     "AGENT_NAMES",
@@ -176,13 +177,12 @@ def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random 
     return BidDecision(Fraction(num, den * scale), move)
 
 
-def _oriented(g: GameGraph, costs: Mapping[str, Fraction], color: str) -> tuple[int, list[int], int]:
+def _oriented(g: GameGraph, color: str) -> tuple[int, Sequence[int], int]:
     """``color``'s goal terminal on g and its costs as integer numerators N
     over one denominator den, 0 at the goal and den at the other terminal:
-    the table's own numerators for Blue, den - N for Red, all by position
-    (``g._names``).  Checks the arena (the graph keeps the verdict)."""
-    _require_valid(g)
-    nums, den = _integer_table(g, costs)
+    the certified table's own numerators (``solver._solve``, which checks
+    the arena) for Blue, den - N for Red, all by position (``g._names``)."""
+    nums, den = _solve(g)
     blue = len(g._succ)
     if _plays_red(color):
         return blue + 1, [den - n for n in nums], den
@@ -218,8 +218,8 @@ class FullKnowledgeAgent(Agent):
     name = "optimal"
     deterministic = True
 
-    def __init__(self, graph: GameGraph, costs: Mapping[str, Fraction], color: str):
-        goal, nums, den = _oriented(graph, costs, color)
+    def __init__(self, graph: GameGraph, color: str):
+        goal, nums, den = _oriented(graph, color)
         self._graph = graph
         self._den = den
         names = graph._names
@@ -296,8 +296,8 @@ class SafetyRatioAgent(Agent):
     name = "safety"
     deterministic = True
 
-    def __init__(self, graph: GameGraph, costs: Mapping[str, Fraction], color: str):
-        goal, nums, _ = _oriented(graph, costs, color)
+    def __init__(self, graph: GameGraph, color: str):
+        goal, nums, _ = _oriented(graph, color)
         self._graph = graph
         names = graph._names
         # (rate numerator, rate denominator, move) per non-terminal; the
@@ -347,12 +347,12 @@ class UniformRandomBidAgent(Agent):
 AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")
 
 
-def make_agent(name: str, graph: GameGraph, costs: Mapping[str, Fraction], color: str) -> Agent:
+def make_agent(name: str, graph: GameGraph, color: str) -> Agent:
     """Agent registry used by the CLI; ``name`` is one of AGENT_NAMES."""
     if name == "optimal":
-        return FullKnowledgeAgent(graph, costs, color)
+        return FullKnowledgeAgent(graph, color)
     if name == "safety":
-        return SafetyRatioAgent(graph, costs, color)
+        return SafetyRatioAgent(graph, color)
     if name == "uniform-random-bid":
         return UniformRandomBidAgent(graph, color)
     raise ValueError(f"unknown agent {name!r} (choose from {', '.join(AGENT_NAMES)})")

@@ -27,7 +27,7 @@ from .agents import AGENT_NAMES, GameState, make_agent
 from .graphs import GameGraph, GraphFormatError, parse_game_graph
 from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
-from .solver import NotConvergedError, SolverError, _solve, solve_exact, solve_iterative
+from .solver import NotConvergedError, SolverError, _solve, solve_iterative
 
 __all__ = ["main", "run"]
 
@@ -220,9 +220,8 @@ def _cmd_simulate(args) -> int:
         raise _Failure(EXIT_VALIDATION, "--runs must be nonnegative")
     if args.max_moves is not None and args.max_moves < 1:
         raise _Failure(EXIT_VALIDATION, "--max-moves must be positive")
-    costs = solve_exact(g)
-    blue = make_agent(args.blue, g, costs, "blue")
-    red = make_agent(args.red, g, costs, "red")
+    blue = make_agent(args.blue, g, "blue")
+    red = make_agent(args.red, g, "red")
     start = GameState(args.start, args.blue_money, args.red_money)
 
     traces: list = []
@@ -247,14 +246,14 @@ def _cmd_randomturn(args) -> int:
         raise _Failure(EXIT_VALIDATION, f"start vertex {args.start!r} is not in the graph")
     if args.runs < 1:
         raise _Failure(EXIT_VALIDATION, "--runs must be at least 1")
-    costs = solve_exact(g)
-    stats = random_turn_stats(g, costs, args.start, args.runs, master_seed=args.seed)
-    exact = costs[args.start]
+    stats = random_turn_stats(g, args.start, args.runs, master_seed=args.seed)
+    nums, den = _solve(g)
+    n = nums[g._position[args.start]]
     if args.output == "json":
-        payload = {**stats.to_json_dict(), "exact": _cost_json(*exact.as_integer_ratio())}
+        payload = {**stats.to_json_dict(), "exact": _cost_json(n, den)}
         print(json.dumps(payload, sort_keys=True))
     else:
-        lines = [f"frequency {stats.frequency}", f"stderr {stats.stderr}", f"exact {exact} {float(exact)}"]
+        lines = [f"frequency {stats.frequency}", f"stderr {stats.stderr}", f"exact {_fraction(n, den)} {n / den}"]
         print("\n".join(_tallies(stats) + lines))
     return EXIT_OK
 

@@ -36,13 +36,13 @@ the distinct steps the batch played: the games' records share the Step
 objects of their common prefix.  Any other pairing plays each game on a
 tree of its own, with the agents' generators reseeded per game.
 
-The coin-flip variant has no money: each move's coin is the draw of
-``Random.choice(("blue", "red"))`` on the game's own derived generator,
-and its winner moves by ``solver._descent_moves`` on its own costs, so
-every game ends with probability 1 and Red wins with probability
-cost(start).  ``random_turn_stats`` reads the coins in bulk and walks a
-move table on the arena's integer positions (``GameGraph._names``),
-built once per call; a game keeps only where it stopped.
+The coin-flip variant has no money and no agents: each move's coin is
+the draw of ``Random.choice(("blue", "red"))`` on the game's own derived
+generator, and its winner moves by ``solver._descent_moves`` on the
+arena's certified table, so every game ends with probability 1 and Red
+wins with probability cost(start).  ``random_turn_stats`` reads the coins
+in bulk and walks a move table on the integer positions, built once per
+call; a game keeps only where it stopped.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .agents import Agent, GameState, _InexactBid, _oriented
 from .graphs import GameGraph
@@ -406,11 +406,12 @@ def run_batch(
     return BatchStats(runs, *outcomes, tuple(move_counts), master_seed)
 
 
-def _coin_table(g: GameGraph, costs: Mapping[str, Fraction], start: str) -> tuple[list[str], list[tuple[int, int]]]:
+def _coin_table(g: GameGraph, start: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Check a coin-flip game's arguments and return its move table, the
     same in every game: the vertex of each position (``g._names``) and,
-    per non-terminal, its (Blue, Red) ``_descent_moves`` positions."""
-    blue, red = (_descent_moves(g, *_oriented(g, costs, color)[:2]) for color in ("blue", "red"))
+    per non-terminal, its (Blue, Red) ``_descent_moves`` positions on
+    the arena's certified table."""
+    blue, red = (_descent_moves(g, *_oriented(g, color)[:2]) for color in ("blue", "red"))
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
     return list(g._names), list(zip(blue, red))
@@ -463,7 +464,6 @@ class RandomTurnStats(NamedTuple):
 
 def random_turn_stats(
     g: GameGraph,
-    costs: Mapping[str, Fraction],
     start: str,
     runs: int,
     master_seed: int = 0,
@@ -474,7 +474,7 @@ def random_turn_stats(
         raise ValueError("runs must be at least 1")
     if max_moves is not None and max_moves < 0:
         raise ValueError("max_moves must be nonnegative")
-    names, step = _coin_table(g, costs, start)
+    names, step = _coin_table(g, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
     first = g._position[start]
     ends = [0] * len(names)

@@ -25,8 +25,10 @@ fraction-free in minimum-degree order and back-substituted over one
 common denominator, and is re-picked from the exact numerators until the
 table passes the averaging identity.  ``_solve`` returns (N, D) only once
 it passes that identity, checked in integers as 2 N(v) = min + max, which
-by uniqueness certifies it; the CLI's ``solve`` and the series ladder read
-those integers, and Fractions are built only for the public returns.
+by uniqueness certifies it, and keeps it on the graph.  Both agents
+(``agents._oriented``), the coin-flip game, the CLI's ``solve`` and the
+series ladder read those integers; Fractions are built only for the
+public returns.
 ``solve_iterative`` brackets the costs with monotone iterations from above
 and below in exact arithmetic.
 
@@ -189,13 +191,6 @@ def _integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
-def _integer_table(g: GameGraph, table: Mapping[str, Fraction]) -> tuple[list[int], int]:
-    """The table as integer numerators over one denominator (``_integers``):
-    KeyError for a vertex of g it lacks, ValueError for a cost that is not
-    an int or a Fraction."""
-    return _integers([table[v] for v in g._names])
-
-
 def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> bool:
     """True when the table is a genuine cost table for g.
 
@@ -205,7 +200,7 @@ def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> boo
     fails.
     """
     try:
-        nums, den = _integer_table(g, table)
+        nums, den = _integers([table[v] for v in g._names])
     except (KeyError, ValueError):
         return False
     return {g.blue, g.red} <= g.vertices and _identity_holds(g, nums, den)
@@ -365,14 +360,17 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
     return nums, den
 
 
-def _solve(g: GameGraph) -> tuple[list[int], int]:
+def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
     """The exact table as (nums, den) by position, certified by the
-    averaging identity (the routes are in the module docstring).  With no
-    interior cycle the numerators are found in order of depth.  Every
-    picked policy reaches a terminal, so its system has one solution; the
-    re-picking is not proved to end, and a policy seen before raises
-    SolverError rather than looping.
+    averaging identity (the routes are in the module docstring) and kept
+    on the graph, which is frozen, so each graph object is solved once.
+    With no interior cycle the numerators are found in order of depth.
+    Every picked policy reaches a terminal, so its system has one
+    solution; the re-picking is not proved to end, and a policy seen
+    before raises SolverError (and keeps nothing) rather than looping.
     """
+    if "_exact" in vars(g):
+        return vars(g)["_exact"]
     _require_valid(g)
     succ, depth = g._succ, g._depth  # most non-terminals on a path to a terminal
     if depth is not None:
@@ -384,18 +382,20 @@ def _solve(g: GameGraph) -> tuple[list[int], int]:
             nums[v] = (min(values) + max(values)) >> 1
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
-        return nums, den
-    policy = first = _pick_policy(g, [0] * (len(succ) + 2), ())  # halts by itself
-    tried: set[tuple[tuple[int, int], ...]] = set()
-    while True:
-        key = tuple(policy)
-        if key in tried:
-            raise SolverError("policy improvement revisited a policy")
-        tried.add(key)
-        nums, den = _solve_policy(g, policy)
-        if _identity_holds(g, nums, den):
-            return nums, den
-        policy = _pick_policy(g, nums, first)
+    else:
+        policy = first = _pick_policy(g, [0] * (len(succ) + 2), ())  # halts by itself
+        tried: set[tuple[tuple[int, int], ...]] = set()
+        while True:
+            key = tuple(policy)
+            if key in tried:
+                raise SolverError("policy improvement revisited a policy")
+            tried.add(key)
+            nums, den = _solve_policy(g, policy)
+            if _identity_holds(g, nums, den):
+                break
+            policy = _pick_policy(g, nums, first)
+    exact = vars(g)["_exact"] = tuple(nums), den
+    return exact
 
 
 def solve_exact(g: GameGraph) -> dict[str, Fraction]:

@@ -327,10 +327,10 @@ def policy_by_position(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> l
     return [tuple(position[u] for u in policy[v]) for v in g.moves]
 
 
-def descent_moves(g: GameGraph, costs, color: str) -> dict[str, str]:
+def descent_moves(g: GameGraph, color: str) -> dict[str, str]:
     """The package's steepest-descent move of ``color`` at every non-terminal
     (``solver._descent_moves``), by vertex name."""
-    return named_moves(g, _descent_moves(g, *_oriented(g, costs, color)[:2]))
+    return named_moves(g, _descent_moves(g, *_oriented(g, color)[:2]))
 
 
 def iterates(g: GameGraph, fill: int):
@@ -552,11 +552,11 @@ def reference_coin_game(
     return path
 
 
-def coin_game_end(g: GameGraph, costs: Mapping[str, Fraction], start: str, cap: int, seed: int, game_index: int) -> str:
+def coin_game_end(g: GameGraph, start: str, cap: int, seed: int, game_index: int) -> str:
     """Where game ``game_index`` of a coin-flip batch seeded ``seed`` ends,
     played alone by the package's coin walk (``_coin_game`` on
     ``_coin_table``) on a generator of its own."""
-    names, step = _coin_table(g, costs, start)
+    names, step = _coin_table(g, start)
     rng = random.Random(derived_seed(seed, "randomturn", game_index))
     return names[_coin_game(step, names.index(start), cap, rng)]
 
@@ -567,21 +567,21 @@ def end_tallies(g: GameGraph, ends: list[str]) -> tuple[int, int, int]:
 
 
 def check_coin_games_equal_the_reference(
-    g: GameGraph, costs: Mapping[str, Fraction], start: str, runs: int, seed: int, max_moves: int | None
+    g: GameGraph, start: str, runs: int, seed: int, max_moves: int | None
 ) -> list[list[str]]:
     """At the batch's cap, games 0..runs-1 of the coin walk end where
     ``reference_coin_game`` ends, and the tallies of ``random_turn_stats``
     count those ends (a negative ``max_moves`` is a ValueError there).
     Returns the reference paths of the batch."""
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
-    paths = [reference_coin_game(g, costs, start, cap, seed, i) for i in range(runs)]
+    paths = [reference_coin_game(g, exact_table(g), start, cap, seed, i) for i in range(runs)]
     ends = [path[-1] for path in paths]
-    assert [coin_game_end(g, costs, start, cap, seed, i) for i in range(runs)] == ends
+    assert [coin_game_end(g, start, cap, seed, i) for i in range(runs)] == ends
     if cap < 0:
         with pytest.raises(ValueError, match="max_moves must be nonnegative"):
-            random_turn_stats(g, costs, start, runs, master_seed=seed, max_moves=max_moves)
+            random_turn_stats(g, start, runs, master_seed=seed, max_moves=max_moves)
         return paths
-    stats = random_turn_stats(g, costs, start, runs, master_seed=seed, max_moves=max_moves)
+    stats = random_turn_stats(g, start, runs, master_seed=seed, max_moves=max_moves)
     assert (stats.blue_wins, stats.red_wins, stats.unresolved) == end_tallies(g, ends)
     return paths
 
@@ -688,18 +688,16 @@ def check_safety_ratio_monotone(record: GameRecord, costs: Mapping[str, Fraction
             assert later >= earlier, f"{color} ratio fell: {earlier} -> {later}"
 
 
-def check_stats_match_recorded_games(
-    g: GameGraph, costs: Mapping[str, Fraction], start: str, runs: int, seed: int
-) -> None:
+def check_stats_match_recorded_games(g: GameGraph, start: str, runs: int, seed: int) -> None:
     """``random_turn_stats`` agrees game by game with the same games played
     one by one (``coin_game_end``): the tallies of every prefix of the
     batch (at the batch's cap) count the ends of that prefix."""
     cap = random_turn_move_cap(g, runs)
-    ends = [coin_game_end(g, costs, start, cap, seed, i) for i in range(runs)]
+    ends = [coin_game_end(g, start, cap, seed, i) for i in range(runs)]
     for n in range(1, runs + 1):
-        stats = random_turn_stats(g, costs, start, n, master_seed=seed, max_moves=cap)
+        stats = random_turn_stats(g, start, n, master_seed=seed, max_moves=cap)
         assert (stats.blue_wins, stats.red_wins, stats.unresolved) == end_tallies(g, ends[:n])
-    assert stats == random_turn_stats(g, costs, start, runs, master_seed=seed)
+    assert stats == random_turn_stats(g, start, runs, master_seed=seed)
 
 
 def min_cost_successors(g: GameGraph, costs) -> dict[str, set[str]]:

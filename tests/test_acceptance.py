@@ -67,8 +67,8 @@ def bound_runs(acyclic_graphs):
         costs = corpus.exact_table(g)
         record = play_richman_game(
             g,
-            FullKnowledgeAgent(g, costs, "blue"),
-            FullKnowledgeAgent(g, costs, "red"),
+            FullKnowledgeAgent(g, "blue"),
+            FullKnowledgeAgent(g, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-red",
         )
@@ -86,8 +86,8 @@ def red_region_runs(acyclic_graphs):
         share = costs[v] - F(1, 100)
         record = play_richman_game(
             g,
-            FullKnowledgeAgent(g, costs, "blue"),
-            FullKnowledgeAgent(g, costs, "red"),
+            FullKnowledgeAgent(g, "blue"),
+            FullKnowledgeAgent(g, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-blue",
         )
@@ -105,8 +105,8 @@ def safety_corpus_runs(acyclic_graphs):
         share = (costs[v] + 1) / 2
         record = play_richman_game(
             g,
-            SafetyRatioAgent(g, costs, "blue"),
-            FullKnowledgeAgent(g, costs, "red"),
+            SafetyRatioAgent(g, "blue"),
+            FullKnowledgeAgent(g, "red"),
             GameState(v, share, 1 - share),
             tiebreak="always-red",
         )
@@ -115,12 +115,12 @@ def safety_corpus_runs(acyclic_graphs):
 
 
 @pytest.fixture(scope="module")
-def fig1_safety_batches(fig1, fig1_costs):
+def fig1_safety_batches(fig1):
     """Criterion 7c/7d batches: Figure-1 arena, Blue safety at share 7/10,
     against optimal Red with fair and with hostile ties, and against a Red
     that bids 0 and circles v -> c -> a with hostile ties."""
-    blue = SafetyRatioAgent(fig1, fig1_costs, "blue")
-    optimal = FullKnowledgeAgent(fig1, fig1_costs, "red")
+    blue = SafetyRatioAgent(fig1, "blue")
+    optimal = FullKnowledgeAgent(fig1, "red")
     stalling = corpus.StallingAgent(corpus.FIG1_CYCLE)
     start = GameState("v", F(7, 10), F(3, 10))
     out = {}
@@ -160,7 +160,7 @@ def random_turn_results(fig1, path_graph, star):
     results = []
     for name, g, start, expected, oracle in cases:
         costs = corpus.exact_table(g)
-        stats = random_turn_stats(g, costs, start, RT_RUNS, master_seed=RT_SEED)
+        stats = random_turn_stats(g, start, RT_RUNS, master_seed=RT_SEED)
         results.append((name, costs[start], expected, oracle, stats))
     return results
 
@@ -343,7 +343,7 @@ def test_criterion_10_knowledge_hygiene(
     for g, costs, record in traces:
         key = id(g)
         if key not in agents:
-            agents[key] = SafetyRatioAgent(g, costs, "blue")
+            agents[key] = SafetyRatioAgent(g, "blue")
         agent = agents[key]
         seen = set()
         for step in record.steps:

@@ -43,7 +43,7 @@ def zchain():
         "b",
         "r",
     )
-    return g, solve_exact(g)
+    return g
 
 
 def test_game_state_accessors():
@@ -59,8 +59,8 @@ def critical_bids(g, costs, v, total):
     """Both optimal agents' bids at v when Blue holds exactly cost(v) of
     ``total``: each is critical, so each bids the half-gap."""
     blue_money = costs[v] * total
-    blue = FullKnowledgeAgent(g, costs, "blue").decide(view("blue", v, blue_money, total - blue_money), None)
-    red = FullKnowledgeAgent(g, costs, "red").decide(view("red", v, total - blue_money, blue_money), None)
+    blue = FullKnowledgeAgent(g, "blue").decide(view("blue", v, blue_money, total - blue_money), None)
+    red = FullKnowledgeAgent(g, "red").decide(view("red", v, total - blue_money, blue_money), None)
     return blue.bid, red.bid
 
 
@@ -83,21 +83,21 @@ def test_safety_ratio_examples(fig1_costs):
     assert corpus.safety_ratio(fig1_costs, "m", F(1, 4), color="red") == F(1, 2)
 
 
-def test_descent_moves_examples(fig1, fig1_costs, path_graph, path_costs):
-    assert corpus.descent_moves(fig1, fig1_costs, "blue")["m"] == "b"
-    assert corpus.descent_moves(fig1, fig1_costs, "red")["m"] == "r"
-    assert corpus.descent_moves(path_graph, path_costs, "blue")["v2"] == "v1"
-    assert corpus.descent_moves(path_graph, path_costs, "red")["v2"] == "r"
+def test_descent_moves_examples(fig1, path_graph):
+    assert corpus.descent_moves(fig1, "blue")["m"] == "b"
+    assert corpus.descent_moves(fig1, "red")["m"] == "r"
+    assert corpus.descent_moves(path_graph, "blue")["v2"] == "v1"
+    assert corpus.descent_moves(path_graph, "red")["v2"] == "r"
     # At v both successors cost 1/2; m is one step from either goal, and
     # c only leads back to v (c -> a -> v), so both players move to m.
-    assert corpus.descent_moves(fig1, fig1_costs, "blue")["v"] == "m"
-    assert corpus.descent_moves(fig1, fig1_costs, "red")["v"] == "m"
+    assert corpus.descent_moves(fig1, "blue")["v"] == "m"
+    assert corpus.descent_moves(fig1, "red")["v"] == "m"
 
 
-def test_full_knowledge_critical_bids(fig1, fig1_costs):
+def test_full_knowledge_critical_bids(fig1):
     rng = random.Random(0)
-    blue = FullKnowledgeAgent(fig1, fig1_costs, "blue")
-    red = FullKnowledgeAgent(fig1, fig1_costs, "red")
+    blue = FullKnowledgeAgent(fig1, "blue")
+    red = FullKnowledgeAgent(fig1, "red")
     # At m with a split pot both sides bid the half-gap 1/2 and aim home.
     assert blue.decide(view("blue", "m", F(1, 2), F(1, 2)), rng) == BidDecision(F(1, 2), "b")
     assert red.decide(view("red", "m", F(1, 2), F(1, 2)), rng) == BidDecision(F(1, 2), "r")
@@ -107,32 +107,32 @@ def test_full_knowledge_critical_bids(fig1, fig1_costs):
     assert red.decide(view("red", "v", F(1, 2), F(1, 2)), rng) == BidDecision(F(0), "m")
 
 
-def test_full_knowledge_bid_is_capped_by_bankroll(fig1, fig1_costs):
+def test_full_knowledge_bid_is_capped_by_bankroll(fig1):
     rng = random.Random(0)
-    red = FullKnowledgeAgent(fig1, fig1_costs, "red")
+    red = FullKnowledgeAgent(fig1, "red")
     # Red holds 1/4 of a unit pot at m; the uncapped bid would be 1/2.
     decision = red.decide(view("red", "m", F(1, 4), F(3, 4)), rng)
     assert decision == BidDecision(F(1, 4), "r")
 
 
-def test_full_knowledge_path_bids(path_graph, path_costs):
+def test_full_knowledge_path_bids(path_graph):
     rng = random.Random(0)
-    blue = FullKnowledgeAgent(path_graph, path_costs, "blue")
-    red = FullKnowledgeAgent(path_graph, path_costs, "red")
+    blue = FullKnowledgeAgent(path_graph, "blue")
+    red = FullKnowledgeAgent(path_graph, "red")
     assert blue.decide(view("blue", "v2", F(2, 3), F(1, 3)), rng) == BidDecision(F(1, 3), "v1")
     assert red.decide(view("red", "v2", F(1, 3), F(2, 3)), rng) == BidDecision(F(1, 3), "r")
 
 
-def test_full_knowledge_winning_branch_star(star, star_costs):
+def test_full_knowledge_winning_branch_star(star):
     rng = random.Random(0)
-    agent = FullKnowledgeAgent(star, star_costs, "blue")
+    agent = FullKnowledgeAgent(star, "blue")
     # Horizon 1; gap bid 1/2, slack 2/5, so the raise adds 1/5.
     assert agent.decide(view("blue", "v", F(9, 10), F(1, 10)), rng) == BidDecision(F(7, 10), "b")
 
 
-def test_full_knowledge_horizon_gives_up_after_100000_rungs(star, star_costs):
+def test_full_knowledge_horizon_gives_up_after_100000_rungs(star):
     # Star's upper iterate at v is 1/2 from rung 1 on, never below 1/2.
-    agent = FullKnowledgeAgent(star, star_costs, "blue")
+    agent = FullKnowledgeAgent(star, "blue")
     v = star._position["v"]
     assert agent._horizon(v, 10**9 + 2, 2 * 10**9) == 1
     with pytest.raises(SolverError, match="ever drops below 1/2"):
@@ -142,9 +142,9 @@ def test_full_knowledge_horizon_gives_up_after_100000_rungs(star, star_costs):
 def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
     """The exact-cheapest successor (a long free chain) is a trap; the
     horizon table sends the token down the two-move branch instead."""
-    g, costs = zchain
+    g = zchain
     rng = random.Random(0)
-    blue = FullKnowledgeAgent(g, costs, "blue")
+    blue = FullKnowledgeAgent(g, "blue")
     decision = blue.decide(view("blue", "v", F(7, 8), F(1, 8)), rng)
     # Horizon 2: gap bid (1 - 1/2)/2 = 1/4, raise (7/8 - 3/4)/2 = 1/16.
     assert decision == BidDecision(F(5, 16), "m")
@@ -152,7 +152,7 @@ def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
     record = play_richman_game(
         g,
         blue,
-        FullKnowledgeAgent(g, costs, "red"),
+        FullKnowledgeAgent(g, "red"),
         GameState("v", F(7, 8), F(1, 8)),
         tiebreak="always-red",
     )
@@ -161,15 +161,15 @@ def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
     assert [s.move_to for s in record.steps] == ["m", "b"]
 
 
-def test_full_knowledge_win_within_horizon_despite_hostile_ties(fig1, fig1_costs):
+def test_full_knowledge_win_within_horizon_despite_hostile_ties(fig1):
     share = F(7, 10)
     tables = corpus.iterate_tables(fig1, 1, 10)
     horizon = next(t for t in range(11) if tables[t]["v"] < share)
     assert horizon == 5
     record = play_richman_game(
         fig1,
-        FullKnowledgeAgent(fig1, fig1_costs, "blue"),
-        FullKnowledgeAgent(fig1, fig1_costs, "red"),
+        FullKnowledgeAgent(fig1, "blue"),
+        FullKnowledgeAgent(fig1, "red"),
         GameState("v", share, 1 - share),
         tiebreak="always-red",
     )
@@ -177,35 +177,35 @@ def test_full_knowledge_win_within_horizon_despite_hostile_ties(fig1, fig1_costs
     assert len(record.steps) <= horizon
 
 
-def test_full_knowledge_demands_the_opponent_bankroll(fig1, fig1_costs):
-    agent = FullKnowledgeAgent(fig1, fig1_costs, "blue")
+def test_full_knowledge_demands_the_opponent_bankroll(fig1):
+    agent = FullKnowledgeAgent(fig1, "blue")
     with pytest.raises(ValueError, match="opponent"):
         agent.decide(view("blue", "m", F(1, 2), None), random.Random(0))
 
 
-def test_full_knowledge_rejects_terminal_positions(fig1, fig1_costs):
-    agent = FullKnowledgeAgent(fig1, fig1_costs, "blue")
+def test_full_knowledge_rejects_terminal_positions(fig1):
+    agent = FullKnowledgeAgent(fig1, "blue")
     with pytest.raises(ValueError, match="terminal"):
         agent.decide(view("blue", "b", F(1, 2), F(1, 2)), random.Random(0))
 
 
-def test_safety_agent_bids(fig1, fig1_costs, path_graph, path_costs):
+def test_safety_agent_bids(fig1, path_graph):
     rng = random.Random(0)
-    agent = SafetyRatioAgent(fig1, fig1_costs, "blue")
+    agent = SafetyRatioAgent(fig1, "blue")
     # At v the floor equals cost(v): bid nothing, walk the short descent (m,
     # one hop from home) rather than the lexicographic plateau choice.
     assert agent.decide(view("blue", "v", F(3, 10), None), rng) == BidDecision(F(0), "m")
     # At m the cheapest successor is the goal itself: all-in.
     assert agent.decide(view("blue", "m", F(3, 10), None), rng) == BidDecision(F(3, 10), "b")
-    walker = SafetyRatioAgent(path_graph, path_costs, "blue")
+    walker = SafetyRatioAgent(path_graph, "blue")
     assert walker.decide(view("blue", "v1", F(1, 2), None), rng) == BidDecision(F(1, 2), "b")
     # Red mirror on the path: from v2 its goal r is adjacent, cost 1/3 away.
-    guard = SafetyRatioAgent(path_graph, path_costs, "red")
+    guard = SafetyRatioAgent(path_graph, "red")
     assert guard.decide(view("red", "v2", F(1, 2), None), rng) == BidDecision(F(1, 2), "r")
 
 
-def test_safety_agent_never_reads_the_opponent(fig1, fig1_costs):
-    agent = SafetyRatioAgent(fig1, fig1_costs, "blue")
+def test_safety_agent_never_reads_the_opponent(fig1):
+    agent = SafetyRatioAgent(fig1, "blue")
     baseline = agent.decide(view("blue", "v", F(3, 10), F(7, 10)), random.Random(0))
     for opp in (None, F(0), F(1, 7), F(999)):
         assert agent.decide(view("blue", "v", F(3, 10), opp), random.Random(0)) == baseline
@@ -215,7 +215,7 @@ def test_safety_ratio_never_decreases_against_chaos(fig1, fig1_costs):
     for seed in range(10):
         record = play_richman_game(
             fig1,
-            SafetyRatioAgent(fig1, fig1_costs, "blue"),
+            SafetyRatioAgent(fig1, "blue"),
             UniformRandomBidAgent(fig1, "red"),
             GameState("v", F(7, 10), F(3, 10)),
             seed=seed,
@@ -235,34 +235,34 @@ def test_uniform_random_agent_is_seeded_and_legal(fig1):
         assert d.move_to in {"m", "c"}
 
 
-def test_agent_registry(fig1, fig1_costs):
+def test_agent_registry(fig1):
     assert AGENT_NAMES == ("optimal", "safety", "uniform-random-bid")
     for name in AGENT_NAMES:
-        agent = make_agent(name, fig1, fig1_costs, "blue")
+        agent = make_agent(name, fig1, "blue")
         assert isinstance(agent, Agent)
         assert agent.name == name
     with pytest.raises(ValueError, match="unknown agent"):
-        make_agent("greedy", fig1, fig1_costs, "blue")
+        make_agent("greedy", fig1, "blue")
     with pytest.raises(TypeError):
         Agent()
 
 
-def test_oriented_mirror_rejects_unknown_color(fig1, fig1_costs):
+def test_oriented_mirror_rejects_unknown_color(fig1):
     for name in AGENT_NAMES:
         with pytest.raises(ValueError, match="unknown color 'green'"):
-            make_agent(name, fig1, fig1_costs, "green")
+            make_agent(name, fig1, "green")
     with pytest.raises(ValueError, match="unknown color 'green'"):
-        _oriented(fig1, fig1_costs, "green")
+        _oriented(fig1, "green")
 
 
-def test_red_agents_build_no_second_arena(fig1, fig1_costs, monkeypatch):
+def test_red_agents_build_no_second_arena(fig1, monkeypatch):
     built = []
     real = GameGraph.from_parts.__func__
     monkeypatch.setattr(
         GameGraph, "from_parts", classmethod(lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
     )
-    FullKnowledgeAgent(fig1, fig1_costs, "red")
-    SafetyRatioAgent(fig1, fig1_costs, "red")
+    FullKnowledgeAgent(fig1, "red")
+    SafetyRatioAgent(fig1, "red")
     assert built == []
 
 
@@ -271,19 +271,12 @@ def test_agents_reject_an_invalid_arena(data_dir):
     for name in AGENT_NAMES:
         for color in ("blue", "red"):
             with pytest.raises(ValueError, match="^invalid graph: DEAD_END at 'sink'"):
-                make_agent(name, bad, {}, color)
+                make_agent(name, bad, color)
 
 
-@pytest.mark.parametrize("name", ["optimal", "safety"])
-@pytest.mark.parametrize("color", ["blue", "red"])
-def test_agents_reject_a_float_cost_table(fig1, name, color):
-    with pytest.raises(ValueError, match="ints or Fractions"):
-        make_agent(name, fig1, {v: 0.5 for v in fig1.vertices}, color)
-
-
-def test_decide_rejects_a_float_bankroll(fig1, fig1_costs):
+def test_decide_rejects_a_float_bankroll(fig1):
     views = [view("blue", "v", 0.5, 0.5), view("blue", "v", F(1, 2), 0.5), view("blue", "v", 0.5, None)]
-    for agent in (FullKnowledgeAgent(fig1, fig1_costs, "blue"), SafetyRatioAgent(fig1, fig1_costs, "blue")):
+    for agent in (FullKnowledgeAgent(fig1, "blue"), SafetyRatioAgent(fig1, "blue")):
         for v in views:
             with pytest.raises(ValueError, match="ints or Fractions"):
                 agent.decide(v, None)
@@ -292,13 +285,13 @@ def test_decide_rejects_a_float_bankroll(fig1, fig1_costs):
 def test_winning_branch_share_keeps_clearing_the_next_rung(zchain):
     """After each exchange the winner-to-be's share still beats the next
     iterate table: the invariant behind the win-within-horizon bound."""
-    g, costs = zchain
+    g = zchain
     share = F(7, 8)
     tables = corpus.iterate_tables(g, 1, 10)
     record = play_richman_game(
         g,
-        FullKnowledgeAgent(g, costs, "blue"),
-        FullKnowledgeAgent(g, costs, "red"),
+        FullKnowledgeAgent(g, "blue"),
+        FullKnowledgeAgent(g, "red"),
         GameState("v", share, 1 - share),
         tiebreak="always-red",
     )
@@ -328,7 +321,7 @@ def test_oriented_reads_the_table_as_numerators(build, start):
     g = build()
     costs = solve_exact(g)
     for color, goal, other in (("blue", g.blue, g.red), ("red", g.red, g.blue)):
-        got_goal, nums, den = _oriented(g, costs, color)
+        got_goal, nums, den = _oriented(g, color)
         nums = corpus.by_name(g, nums)
         assert got_goal == g._position[goal]
         assert nums[goal] == 0 and nums[other] == den
@@ -338,7 +331,6 @@ def test_oriented_reads_the_table_as_numerators(build, start):
 @planned_arenas
 def test_agents_and_coin_game_plan_without_fraction_arithmetic(build, start, monkeypatch):
     g = build()
-    costs = solve_exact(g)
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic while planning")
@@ -346,9 +338,9 @@ def test_agents_and_coin_game_plan_without_fraction_arithmetic(build, start, mon
     for op in ("__sub__", "__rsub__", "__truediv__", "__lt__", "__gt__"):
         monkeypatch.setattr(Fraction, op, refuse)
     for color in ("blue", "red"):
-        FullKnowledgeAgent(g, costs, color)
-        SafetyRatioAgent(g, costs, color)
-    stats = random_turn_stats(g, costs, start, 20, master_seed=3)
+        FullKnowledgeAgent(g, color)
+        SafetyRatioAgent(g, color)
+    stats = random_turn_stats(g, start, 20, master_seed=3)
     monkeypatch.undo()
     assert stats.blue_wins + stats.red_wins + stats.unresolved == 20
 
@@ -358,5 +350,5 @@ def test_safety_agent_bids_nothing_at_cost_zero():
     costs = solve_exact(g)
     assert costs["v"] == 0
     for color in ("blue", "red"):
-        decision = SafetyRatioAgent(g, costs, color).decide(view(color, "v", F(1, 2), None), None)
+        decision = SafetyRatioAgent(g, color).decide(view(color, "v", F(1, 2), None), None)
         assert decision == BidDecision(F(0), "b")

@@ -340,6 +340,28 @@ def test_randomturn_validation(cli, data_dir):
     assert cli("randomturn", path, "--start", "v1", "--runs", "0")[0] == 3
 
 
+def test_every_two_vertex_arena_plays_from_every_start(cli, tmp_path):
+    """On every valid arena with two non-terminals (``corpus.small_arenas``)
+    ``simulate`` and ``randomturn`` exit 0 from each non-terminal start, and
+    ``randomturn``'s ``exact`` line is that start's row of ``solve``."""
+    path, valid = tmp_path / "arena.rg", 0
+    for g in corpus.small_arenas(2):
+        if not g.validation.ok:
+            continue
+        valid += 1
+        path.write_text(serialize_game_graph(g))
+        code, out, err = cli("solve", str(path))
+        assert (code, err) == (0, ""), g
+        rows = {row.split(" ", 1)[0]: row.split(" ", 1)[1] for row in out.splitlines()[1:]}
+        for start in g.non_terminals:
+            simulate = ("--blue-money", "1", "--red-money", "1", "--runs", "5")
+            assert cli("simulate", str(path), "--start", start, *simulate)[0::2] == (0, ""), (g, start)
+            code, out, err = cli("randomturn", str(path), "--start", start, "--runs", "20")
+            assert (code, err) == (0, ""), (g, start)
+            assert out.splitlines()[-1] == f"exact {rows[start]}", (g, start)
+    assert valid > 100
+
+
 def test_series_table(cli):
     code, out, err = cli("series", "--wins", "4", "--bankroll", "1/2")
     assert (code, err) == (0, "")

@@ -1,10 +1,12 @@
-"""The README's command-line examples, run in process on its example arena.
+"""The README's examples, run in process on its example arena.
 
 The arena block (the one with ``edge`` lines) is written to ``arena.rg``
 in a temporary directory, and each block that starts with ``$ richman``
 is run there through ``richman.cli.main``: a trailing ``\\`` continues the
 command on the next line, and the rest of the block is the expected
-stdout, where a line ``...`` stands for any run of lines."""
+stdout, where a line ``...`` stands for any run of lines.  The
+``python`` block (the library example) is run there too, and its
+``assert`` lines are its expected results."""
 
 import pathlib
 import re
@@ -15,8 +17,10 @@ import pytest
 from richman.cli import main
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-BLOCKS = re.findall(r"^```[^\n]*\n(.*?)^```", README, re.M | re.S)
+FENCED = re.findall(r"^```([^\n]*)\n(.*?)^```", README, re.M | re.S)
+BLOCKS = [block for _, block in FENCED]
 ARENA = next(block for block in BLOCKS if re.search(r"^edge ", block, re.M))
+(LIBRARY,) = [block for language, block in FENCED if language == "python"]
 
 
 def examples() -> list[tuple[list[str], list[str]]]:
@@ -56,3 +60,9 @@ def test_readme_example(argv, expected, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert matches(expected, out.splitlines()), out
+
+
+def test_readme_library_example(tmp_path, monkeypatch):
+    (tmp_path / "arena.rg").write_text(ARENA)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(LIBRARY, "README.md", "exec"), {})

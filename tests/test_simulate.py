@@ -10,6 +10,7 @@ import pytest
 import richman.agents
 import richman.graphs
 import richman.simulate
+import richman.solver
 from richman import (
     Agent,
     BidDecision,
@@ -49,10 +50,10 @@ class FixedAgent(Agent):
 
 
 @pytest.fixture()
-def optimal_pair(fig1, fig1_costs):
+def optimal_pair(fig1):
     return (
-        make_agent("optimal", fig1, fig1_costs, "blue"),
-        make_agent("optimal", fig1, fig1_costs, "red"),
+        make_agent("optimal", fig1, "blue"),
+        make_agent("optimal", fig1, "red"),
     )
 
 
@@ -64,7 +65,7 @@ def chain_standoff():
     moves."""
     g = corpus.two_way_chain(64)
     costs = solve_exact(g)
-    agents = (make_agent("optimal", g, costs, "blue"), make_agent("optimal", g, costs, "red"))
+    agents = (make_agent("optimal", g, "blue"), make_agent("optimal", g, "red"))
     return g, *agents, GameState("v32", costs["v32"], 1 - costs["v32"])
 
 
@@ -75,11 +76,11 @@ def test_derived_seed_is_stable_and_sensitive():
     assert random.Random(derived_seed(7, "x")).random() == random.Random(derived_seed(7, "x")).random()
 
 
-def test_single_step_game_record(star, star_costs):
+def test_single_step_game_record(star):
     record = play_richman_game(
         star,
-        make_agent("optimal", star, star_costs, "blue"),
-        make_agent("optimal", star, star_costs, "red"),
+        make_agent("optimal", star, "blue"),
+        make_agent("optimal", star, "red"),
         GameState("v", F(9, 10), F(1, 10)),
     )
     assert record.outcome == "BlueWins"
@@ -98,11 +99,11 @@ def test_single_step_game_record(star, star_costs):
     assert step.red_after == F(4, 5)
 
 
-def test_format_trace_bytes(star, star_costs):
+def test_format_trace_bytes(star):
     record = play_richman_game(
         star,
-        make_agent("optimal", star, star_costs, "blue"),
-        make_agent("optimal", star, star_costs, "red"),
+        make_agent("optimal", star, "blue"),
+        make_agent("optimal", star, "red"),
         GameState("v", F(9, 10), F(1, 10)),
     )
     assert format_trace(record) == (
@@ -111,9 +112,9 @@ def test_format_trace_bytes(star, star_costs):
     )
 
 
-def test_start_validation(fig1, fig1_costs, data_dir):
-    blue = make_agent("optimal", fig1, fig1_costs, "blue")
-    red = make_agent("optimal", fig1, fig1_costs, "red")
+def test_start_validation(fig1, data_dir):
+    blue = make_agent("optimal", fig1, "blue")
+    red = make_agent("optimal", fig1, "red")
     with pytest.raises(ValueError, match="terminal"):
         play_richman_game(fig1, blue, red, GameState("b", F(1), F(1)))
     with pytest.raises(ValueError, match="unknown start"):
@@ -165,8 +166,8 @@ def test_a_bankroll_that_is_neither_int_nor_fraction_is_rejected_up_front(fig1, 
     assert play_richman_game(fig1, blue, red, GameState("v", 1, F(1, 3))).outcome == "BlueWins"
 
 
-def test_protocol_violations_are_attributed(fig1, fig1_costs):
-    honest = make_agent("optimal", fig1, fig1_costs, "blue")
+def test_protocol_violations_are_attributed(fig1):
+    honest = make_agent("optimal", fig1, "blue")
     state = GameState("v", F(1, 2), F(1, 2))
     with pytest.raises(ProtocolViolationError) as info:
         play_richman_game(fig1, honest, FixedAgent(F(3, 4), "m"), state, game_index=7)
@@ -179,12 +180,12 @@ def test_protocol_violations_are_attributed(fig1, fig1_costs):
         play_richman_game(fig1, FixedAgent(F(0), "r"), honest, state)
 
 
-def test_zero_money_game_is_legal(fig1, fig1_costs):
+def test_zero_money_game_is_legal(fig1):
     # Both broke: every bid is 0; the tiebreak decides everything.
     record = play_richman_game(
         fig1,
-        make_agent("safety", fig1, fig1_costs, "blue"),
-        make_agent("safety", fig1, fig1_costs, "red"),
+        make_agent("safety", fig1, "blue"),
+        make_agent("safety", fig1, "red"),
         GameState("m", F(0), F(0)),
         tiebreak="always-blue",
     )
@@ -240,9 +241,9 @@ def test_default_move_caps(fig1, path_graph, star):
     assert random_turn_move_cap(star, 2) == 30
 
 
-def test_batch_is_reproducible_and_additive(fig1, fig1_costs):
-    blue = make_agent("safety", fig1, fig1_costs, "blue")
-    red = make_agent("uniform-random-bid", fig1, fig1_costs, "red")
+def test_batch_is_reproducible_and_additive(fig1):
+    blue = make_agent("safety", fig1, "blue")
+    red = make_agent("uniform-random-bid", fig1, "red")
     state = GameState("v", F(7, 10), F(3, 10))
     first: list = []
     stats = run_batch(
@@ -305,7 +306,6 @@ def test_a_batch_builds_steps_only_for_the_records_it_passes_on(monkeypatch):
     batch builds no Step and no PlayerView, and a traced one builds one
     Step per move and still no PlayerView."""
     g = build_series_graph(12)
-    costs = solve_exact(g)
     built = []
 
     def counted(cls):
@@ -319,8 +319,8 @@ def test_a_batch_builds_steps_only_for_the_records_it_passes_on(monkeypatch):
 
     for cls in (Step, PlayerView):
         monkeypatch.setattr(cls, "__new__", counted(cls))
-    blue = make_agent("uniform-random-bid", g, costs, "blue")
-    red = make_agent("optimal", g, costs, "red")
+    blue = make_agent("uniform-random-bid", g, "blue")
+    red = make_agent("optimal", g, "red")
     args = (g, blue, red, GameState("s0_0", F(2, 5), F(3, 5)))
     stats = run_batch(*args, runs=200, master_seed=6)
     assert built == []
@@ -342,7 +342,7 @@ class CountingOptimal(FullKnowledgeAgent):
 def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
     g = corpus.ring_graph(12)
     costs = solve_exact(g)
-    blue, red = CountingOptimal(g, costs, "blue"), CountingOptimal(g, costs, "red")
+    blue, red = CountingOptimal(g, "blue"), CountingOptimal(g, "red")
     seeds = []
     real = richman.simulate.derived_seed
     monkeypatch.setattr(richman.simulate, "derived_seed", lambda *parts: seeds.append(parts) or real(*parts))
@@ -385,11 +385,11 @@ def test_a_violation_on_a_shared_branch_names_the_game_that_reached_it(fig1):
     assert str(info.value) == f"red agent violated protocol in game {k}: bid 2 exceeds bankroll 1"
 
 
-def test_game_record_json_shape(star, star_costs):
+def test_game_record_json_shape(star):
     record = play_richman_game(
         star,
-        make_agent("optimal", star, star_costs, "blue"),
-        make_agent("optimal", star, star_costs, "red"),
+        make_agent("optimal", star, "blue"),
+        make_agent("optimal", star, "red"),
         GameState("v", F(9, 10), F(1, 10)),
     )
     payload = record.to_json_dict()
@@ -407,34 +407,34 @@ def first_coin(seed, game_index):
     return random.Random(derived_seed(seed, "randomturn", game_index)).choice(("blue", "red"))
 
 
-def test_random_turn_game_basics(fig1, fig1_costs):
+def test_random_turn_game_basics(fig1):
     # A terminal start is legal, and its game ends there before any coin.
-    assert random_turn_stats(fig1, fig1_costs, "b", 3).blue_wins == 3
-    assert random_turn_stats(fig1, fig1_costs, "r", 3).red_wins == 3
-    names, step = _coin_table(fig1, fig1_costs, "b")
+    assert random_turn_stats(fig1, "b", 3).blue_wins == 3
+    assert random_turn_stats(fig1, "r", 3).red_wins == 3
+    names, step = _coin_table(fig1, "b")
     rng = random.Random(0)
     state = rng.getstate()
     assert _coin_game(step, names.index("b"), 384, rng) == names.index("b")
     assert rng.getstate() == state
     with pytest.raises(ValueError, match="unknown start"):
-        random_turn_stats(fig1, fig1_costs, "zz", 1)
+        random_turn_stats(fig1, "zz", 1)
     with pytest.raises(ValueError, match="unknown start"):
-        _coin_table(fig1, fig1_costs, "zz")
+        _coin_table(fig1, "zz")
 
     # Game 9 of seed 4 from m: Red wins the first coin and moves home, and
     # the same seed and index replay the same game.
     assert first_coin(4, 9) == "red"
     for _ in range(2):
-        assert corpus.coin_game_end(fig1, fig1_costs, "m", 384, 4, 9) == "r"
-    batch = random_turn_stats(fig1, fig1_costs, "m", 10, master_seed=4)
-    assert batch == random_turn_stats(fig1, fig1_costs, "m", 10, master_seed=4)
+        assert corpus.coin_game_end(fig1, "m", 384, 4, 9) == "r"
+    batch = random_turn_stats(fig1, "m", 10, master_seed=4)
+    assert batch == random_turn_stats(fig1, "m", 10, master_seed=4)
     assert batch.red_wins == [first_coin(4, i) for i in range(10)].count("red")
 
 
-def test_random_turn_moves_follow_the_coin(fig1, fig1_costs):
+def test_random_turn_moves_follow_the_coin(fig1):
     ends = set()
     for i in range(50):
-        end = corpus.coin_game_end(fig1, fig1_costs, "m", 384, 1, i)
+        end = corpus.coin_game_end(fig1, "m", 384, 1, i)
         assert end == {"blue": "b", "red": "r"}[first_coin(1, i)]
         ends.add(end)
     assert ends == {"b", "r"}
@@ -448,7 +448,7 @@ def test_coins_equal_choice_across_chunk_refills():
     end where one ``choice`` per move on its generator takes it: Blue
     steps towards b, Red towards r."""
     g = corpus.two_way_chain(64)
-    names, step = _coin_table(g, solve_exact(g), "v32")
+    names, step = _coin_table(g, "v32")
     full = {260: 0, 1000: 0}
     for i in range(1000):
         cap = 1000 if i % 20 == 0 else 260
@@ -469,22 +469,22 @@ def test_coin_games_end_mid_chunk_after_refills():
     moves on average, so many games end at a terminal inside a later
     chunk."""
     g = corpus.two_way_chain(16)
-    paths = corpus.check_coin_games_equal_the_reference(g, solve_exact(g), "v08", 200, 2, 500)
+    paths = corpus.check_coin_games_equal_the_reference(g, "v08", 200, 2, 500)
     assert sum(len(path) > 129 and path[-1] in ("b", "r") for path in paths) > 20
 
 
-def test_random_turn_stats_frozen(path_graph, path_costs):
-    stats = random_turn_stats(path_graph, path_costs, "v1", 200, master_seed=3)
+def test_random_turn_stats_frozen(path_graph):
+    stats = random_turn_stats(path_graph, "v1", 200, master_seed=3)
     assert (stats.blue_wins, stats.red_wins, stats.unresolved) == (147, 53, 0)
     assert stats.frequency == 53 / 200
     assert stats.stderr == pytest.approx(math.sqrt(0.265 * 0.735 / 200))
     assert json.dumps(stats.to_json_dict())
     with pytest.raises(ValueError, match="runs"):
-        random_turn_stats(path_graph, path_costs, "v1", 0)
+        random_turn_stats(path_graph, "v1", 0)
 
 
-def test_estimate_from_a_terminal_is_exact(path_graph, path_costs):
-    stats = random_turn_stats(path_graph, path_costs, "r", 50)
+def test_estimate_from_a_terminal_is_exact(path_graph):
+    stats = random_turn_stats(path_graph, "r", 50)
     assert stats.frequency == 1.0
     assert stats.stderr == 0.0
 
@@ -495,15 +495,36 @@ def test_validate_runs_once_per_graph(data_dir, monkeypatch):
     monkeypatch.setattr(richman.graphs, "validate", lambda g: calls.append(g) or real(g))
     # A graph object of its own: the session fixtures may be validated already.
     g = parse_game_graph((data_dir / "fig1.rg").read_text())
-    costs = solve_exact(g)
-    blue = make_agent("optimal", g, costs, "blue")
-    red = make_agent("optimal", g, costs, "red")
+    blue = make_agent("optimal", g, "blue")
+    red = make_agent("optimal", g, "red")
     stats = run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=200, master_seed=2)
     assert stats.runs == 200
-    assert random_turn_stats(g, costs, "m", 2000, master_seed=2).runs == 2000
+    assert random_turn_stats(g, "m", 2000, master_seed=2).runs == 2000
     for name, cap in (("fig1", 384), ("path", 256), ("star", 30)):
         assert default_move_cap(parse_game_graph((data_dir / f"{name}.rg").read_text())) == cap
     assert calls == [g]
+
+
+def test_each_graph_object_is_solved_once(data_dir, monkeypatch):
+    """The certified table is kept on the graph object: solving it twice,
+    all four agents, two bidding batches and a coin-flip batch run the
+    identity checks of one solve between them."""
+    checked = []
+    real = richman.solver._identity_holds
+    monkeypatch.setattr(richman.solver, "_identity_holds", lambda g, *table: checked.append(g) or real(g, *table))
+    # Graph objects of their own: the session fixtures may be solved already.
+    fresh = parse_game_graph((data_dir / "fig1.rg").read_text())
+    solve_exact(fresh)
+    one_solve = len(checked)  # one per policy round
+    checked.clear()
+    g = parse_game_graph((data_dir / "fig1.rg").read_text())
+    costs = solve_exact(g)
+    agents = [make_agent(name, g, color) for name in ("optimal", "safety") for color in ("blue", "red")]
+    for blue, red in (agents[:2], agents[2:]):
+        assert run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=50, master_seed=2).runs == 50
+    assert random_turn_stats(g, "m", 200, master_seed=2).runs == 200
+    assert solve_exact(g) == costs
+    assert len(checked) == one_solve and all(h is g for h in checked)
 
 
 def test_no_game_graph_is_built_after_parsing(data_dir, monkeypatch):
@@ -514,11 +535,10 @@ def test_no_game_graph_is_built_after_parsing(data_dir, monkeypatch):
     monkeypatch.setattr(GameGraph, "__init__", lambda self, *args, **kw: built.append(self) or real(self, *args, **kw))
     g = parse_game_graph((data_dir / "fig1.rg").read_text())
     assert len(built) == 1 and built[0] is g
-    costs = solve_exact(g)
-    agents = [make_agent(name, g, costs, color) for name in ("optimal", "safety") for color in ("blue", "red")]
+    agents = [make_agent(name, g, color) for name in ("optimal", "safety") for color in ("blue", "red")]
     for blue, red in (agents[:2], agents[2:]):
         assert run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=50, master_seed=2).runs == 50
-    assert random_turn_stats(g, costs, "m", 200, master_seed=2).runs == 200
+    assert random_turn_stats(g, "m", 200, master_seed=2).runs == 200
     assert len(built) == 1 and built[0] is g
 
 
@@ -535,8 +555,8 @@ def test_agents_plan_each_vertex_once(g, start, monkeypatch):
     real = richman.agents._rung_plan
     monkeypatch.setattr(richman.agents, "_rung_plan", lambda *args: calls.append(args) or real(*args))
     costs = solve_exact(g)
-    blue = make_agent("optimal", g, costs, "blue")
-    red = make_agent("optimal", g, costs, "red")
+    blue = make_agent("optimal", g, "blue")
+    red = make_agent("optimal", g, "red")
     assert calls == []
     # Blue is ahead of its cost, so both the ladder and the half-gap play run.
     share = (costs[start] + 1) / 2
@@ -560,19 +580,24 @@ def test_agents_plan_each_vertex_once(g, start, monkeypatch):
     ],
 )
 def test_random_turn_stats_match_the_recorded_games(request, graph, costs, start):
-    g, table = request.getfixturevalue(graph), request.getfixturevalue(costs)
-    corpus.check_stats_match_recorded_games(g, table, start, 100, seed=5)
+    """The batch counts the games played one by one, and Red wins within
+    three standard errors of the exact cost of the start: the coin-flip
+    game's Red-win chance is the cost."""
+    g, cost = request.getfixturevalue(graph), request.getfixturevalue(costs)[start]
+    corpus.check_stats_match_recorded_games(g, start, 100, seed=5)
+    stats = random_turn_stats(g, start, 100, master_seed=5)
+    assert abs(stats.frequency - cost) <= 3 * math.sqrt(cost * (1 - cost) / 100)
 
 
-def test_random_turn_stats_rejects_bad_arguments(fig1, fig1_costs):
+def test_random_turn_stats_rejects_bad_arguments(fig1):
     with pytest.raises(ValueError, match="unknown start"):
-        random_turn_stats(fig1, fig1_costs, "zz", 10)
+        random_turn_stats(fig1, "zz", 10)
     dead_end = GameGraph.from_parts(["b", "r", "v", "w"], [("v", "b"), ("v", "w")], "b", "r")
     with pytest.raises(ValueError, match="invalid graph: DEAD_END"):
-        random_turn_stats(dead_end, fig1_costs, "v", 10)
+        random_turn_stats(dead_end, "v", 10)
 
 
-def test_negative_counts_are_value_errors(fig1, fig1_costs, optimal_pair):
+def test_negative_counts_are_value_errors(fig1, optimal_pair):
     blue, red = optimal_pair
     start = GameState("v", F(1, 2), F(1, 2))
     with pytest.raises(ValueError, match="runs must be nonnegative"):
@@ -582,7 +607,7 @@ def test_negative_counts_are_value_errors(fig1, fig1_costs, optimal_pair):
     with pytest.raises(ValueError, match="max_moves must be nonnegative"):
         run_batch(fig1, blue, red, start, max_moves=-1, runs=2)
     with pytest.raises(ValueError, match="max_moves must be nonnegative"):
-        random_turn_stats(fig1, fig1_costs, "v", 10, max_moves=-1)
+        random_turn_stats(fig1, "v", 10, max_moves=-1)
     # No moves at all is a legal cap.
     assert play_richman_game(fig1, blue, red, start, max_moves=0).outcome == "Unresolved"
-    assert random_turn_stats(fig1, fig1_costs, "v", 10, max_moves=0).unresolved == 10
+    assert random_turn_stats(fig1, "v", 10, max_moves=0).unresolved == 10

@@ -110,7 +110,7 @@ def test_iterate_argument_validation(fig1, data_dir):
     with pytest.raises(ValueError, match="DEAD_END"):
         solve_iterative(bad)
     with pytest.raises(ValueError, match="DEAD_END"):
-        FullKnowledgeAgent(bad, {}, "blue")
+        FullKnowledgeAgent(bad, "blue")
 
 
 def test_solve_iterative_path_converges_in_thirty_sweeps(path_graph):
@@ -346,7 +346,7 @@ def critical_move(g, costs, color, v):
     successor for Blue and a dearest for Red."""
     share = costs[v] if color == "blue" else 1 - costs[v]
     view = PlayerView(color, v, share, 1 - share)
-    return FullKnowledgeAgent(g, costs, color).decide(view, None).move_to
+    return FullKnowledgeAgent(g, color).decide(view, None).move_to
 
 
 def test_optimal_agent_critical_moves(fig1, fig1_costs, path_graph, path_costs):
@@ -359,23 +359,23 @@ def test_optimal_agent_critical_moves(fig1, fig1_costs, path_graph, path_costs):
         critical_move(fig1, fig1_costs, "blue", "b")
 
 
-def descent_walk(g, costs, color, v):
+def descent_walk(g, color, v):
     """The vertices ``color`` visits from v moving by its steepest-descent
     moves alone, until a terminal or a vertex it has visited."""
-    moves = corpus.descent_moves(g, costs, color)
+    moves = corpus.descent_moves(g, color)
     walk = [v]
     while walk[-1] in moves and moves[walk[-1]] not in walk:
         walk.append(moves[walk[-1]])
     return walk
 
 
-def test_descent_walks_fig1(fig1, fig1_costs):
+def test_descent_walks_fig1(fig1):
     # v's cheapest successors are c and m; Blue takes m, nearer its goal.
-    assert descent_walk(fig1, fig1_costs, "blue", "m") == ["m", "b"]
-    assert descent_walk(fig1, fig1_costs, "blue", "v") == ["v", "m", "b"]
-    assert descent_walk(fig1, fig1_costs, "red", "v") == ["v", "m", "r"]
-    assert descent_walk(fig1, fig1_costs, "blue", "r") == ["r"]
-    assert set(corpus.descent_moves(fig1, fig1_costs, "blue")) == set(fig1.non_terminals)
+    assert descent_walk(fig1, "blue", "m") == ["m", "b"]
+    assert descent_walk(fig1, "blue", "v") == ["v", "m", "b"]
+    assert descent_walk(fig1, "red", "v") == ["v", "m", "r"]
+    assert descent_walk(fig1, "blue", "r") == ["r"]
+    assert set(corpus.descent_moves(fig1, "blue")) == set(fig1.non_terminals)
 
 
 # The optimal agent (both colours), the safety agent and the coin-flip game
@@ -383,24 +383,23 @@ def test_descent_walks_fig1(fig1, fig1_costs):
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda g, costs: FullKnowledgeAgent(g, costs, "blue"),
-        lambda g, costs: FullKnowledgeAgent(g, costs, "red"),
-        lambda g, costs: SafetyRatioAgent(g, costs, "blue"),
-        lambda g, costs: random_turn_stats(g, costs, "v", 1),
+        lambda g: FullKnowledgeAgent(g, "blue"),
+        lambda g: FullKnowledgeAgent(g, "red"),
+        lambda g: SafetyRatioAgent(g, "blue"),
+        lambda g: random_turn_stats(g, "v", 1),
     ],
     ids=["optimal-blue", "optimal-red", "safety-blue", "coin-game"],
 )
 def test_descent_walks_reject_an_invalid_arena(data_dir, walk):
     bad = parse_game_graph((data_dir / "bad.rg").read_text())
-    costs = {"b": F(0), "r": F(1), "v": F(1, 2), "sink": F(1, 2)}
     with pytest.raises(ValueError, match="invalid graph: DEAD_END at 'sink'"):
-        walk(bad, costs)
+        walk(bad)
 
 
-def test_descent_walk_lengths_fig1(fig1, fig1_costs):
+def test_descent_walk_lengths_fig1(fig1):
     # Blue's descent moves take each vertex to b in its steepest-descent
     # distance: m 1, v 2, a 3, c 4.
-    assert {v: len(descent_walk(fig1, fig1_costs, "blue", v)) - 1 for v in fig1.vertices - {"r"}} == {
+    assert {v: len(descent_walk(fig1, "blue", v)) - 1 for v in fig1.vertices - {"r"}} == {
         "b": 0,
         "m": 1,
         "v": 2,
@@ -422,8 +421,8 @@ def test_descent_ties_go_by_descent_distance_not_edge_distance():
     g = richman.GameGraph.from_parts(["b", "r"], edges, "b", "r")
     costs = solve_exact(g)
     assert [costs[v] for v in ("v0", "v1", "v2", "v5", "v6")] == [F(1, 4), F(5, 8), F(1, 2), F(3, 4), F(1, 2)]
-    assert corpus.descent_moves(g, costs, "red")["v0"] == "v6"
-    assert descent_walk(g, costs, "red", "v2") == ["v2", "v5", "v4", "r"]
+    assert corpus.descent_moves(g, "red")["v0"] == "v6"
+    assert descent_walk(g, "red", "v2") == ["v2", "v5", "v4", "r"]
 
 
 def test_cost_table_helpers(star_costs):
