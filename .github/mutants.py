@@ -30,11 +30,11 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "the policy pick returns its pair without the fallback to the first round",
+        "the descent tie-break takes the first cheapest successor by name",
         "src/richman/solver.py",
-        "    return [pair if halting[v] < far else first[v] for v, pair in enumerate(policy)]\n",
-        "    return policy\n",
-        ("tests/test_properties.py::test_picked_policy_reaches_a_terminal_from_any_values",),
+        "min(ts, key=dist.__getitem__)",
+        "ts[0]",
+        ("tests/test_properties.py::test_the_pick_on_the_values_of_every_halting_policy_halts",),
     ),
     Mutant(
         "Red picks its choice on the values instead of their negation",

@@ -6,10 +6,11 @@ Builds every arena of ``small_arenas(N, MAX_OUT)`` from tests/corpus.py
 (N non-terminals, each with at most MAX_OUT successors) and runs
 ``check_small_arena`` on it: validation against the name-based
 reference, the certified exact table against a name-based Fraction check,
-and the coin-flip policy on it without a fallback.  Prints the number of
-arenas, of valid ones, and how many valid arenas needed each number of
-policy rounds (0 for the acyclic solve).  Fails on the first check that
-does not hold.
+and the halting of the policy pick on it (the coin-flip game's moves).
+It also checks that every policy the solve's rounds pick halts, as
+``solver._pick_policy``'s theorem says.  Prints the number of arenas, of
+valid ones, and how many valid arenas needed each number of policy rounds
+(0 for the acyclic solve).  Fails on the first check that does not hold.
 """
 
 import sys
@@ -28,9 +29,10 @@ def main(argv: list[str]) -> int:
     rounds = [0]
     real = solver._solve_policy
 
-    def counted(*args):
+    def counted(g, policy):
         rounds[0] += 1
-        return real(*args)
+        assert corpus.policy_halts(g, policy), (g, policy)
+        return real(g, policy)
 
     solver._solve_policy = counted
     arenas, histogram = 0, Counter()

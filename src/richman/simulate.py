@@ -38,11 +38,12 @@ tree of its own, with the agents' generators reseeded per game.
 
 The coin-flip variant has no money and no agents: each move's coin is
 the draw of ``Random.choice(("blue", "red"))`` on the game's own derived
-generator, and its winner moves by ``solver._descent_moves`` on the
-arena's certified table, so every game ends with probability 1 and Red
-wins with probability cost(start).  ``random_turn_stats`` reads the coins
-in bulk and walks a move table on the integer positions, built once per
-call; a game keeps only where it stopped.
+generator, and its winner moves by ``solver._pick_policy`` on the
+arena's certified numerators, which halts, so every game ends with
+probability 1 and Red wins with probability cost(start).
+``random_turn_stats`` reads the coins in bulk and walks that move table
+on the integer positions, built once per call; a game keeps only where
+it stopped.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .agents import Agent, GameState, _InexactBid, _oriented
+from .agents import Agent, GameState, _InexactBid
 from .graphs import GameGraph
-from .solver import _descent_moves, _frac_json, _integers, _require_valid
+from .solver import _frac_json, _integers, _pick_policy, _require_valid, _solve
 
 __all__ = [
     "BatchStats",
@@ -409,12 +410,11 @@ def run_batch(
 def _coin_table(g: GameGraph, start: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Check a coin-flip game's arguments and return its move table, the
     same in every game: the vertex of each position (``g._names``) and,
-    per non-terminal, its (Blue, Red) ``_descent_moves`` positions on
-    the arena's certified table."""
-    blue, red = (_descent_moves(g, *_oriented(g, color)[:2]) for color in ("blue", "red"))
+    per non-terminal, its (Blue, Red) moves: ``_pick_policy`` on the
+    arena's certified numerators, which halts by its theorem."""
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    return list(g._names), list(zip(blue, red))
+    return list(g._names), _pick_policy(g, _solve(g)[0])
 
 
 # A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),

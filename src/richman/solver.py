@@ -19,11 +19,11 @@ because a vertex with at most d non-terminals on any path from it (itself
 included) has a cost that is a multiple of 2^-d.  Otherwise it runs policy
 rounds: a (cheapest, dearest) successor policy, each player's choice
 picked by the one steepest-descent move rule ``_descent_moves`` (first on
-the all-zero table, where it is distance to the player's terminal), has
-its linear system solved exactly, with integer rows eliminated
-fraction-free in minimum-degree order and back-substituted over one
-common denominator, and is re-picked from the exact numerators until the
-table passes the averaging identity.  ``_solve`` returns (N, D) only once
+the all-zero table, where it is distance to the player's terminal),
+reaches a terminal from every vertex (``_pick_policy``'s theorem); its
+integer rows are eliminated fraction-free in minimum-degree order and
+back-substituted over one common denominator, and it is re-picked from
+the exact numerators until the table passes the averaging identity.  ``_solve`` returns (N, D) only once
 it passes that identity, checked in integers as 2 N(v) = min + max, which
 by uniqueness certifies it, and keeps it on the graph.  Both agents
 (``agents._oriented``), the coin-flip game, the CLI's ``solve`` and the
@@ -213,20 +213,10 @@ def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
     name.  The optimal agent (losing or critical), the safety agent, the
     coin-flip game and the exact solver's policy rounds move by it.
 
-    When a fair coin picks who moves and both players move by it on the
-    true costs (Blue on the costs, Red on 1 - cost), every game ends with
-    probability 1.  If not, the chain has a closed class C of
-    non-terminals.  Blue's move is a cheapest successor and Red's a
-    dearest, so each cost is the average of the costs of the two moves:
-    the cost is harmonic on C, and by the maximum principle it is one
-    constant c there.  So every successor of every vertex of C costs c.
-    If c < 1, every vertex of C has a finite steepest-descent distance to
-    the blue terminal (a vertex of cost below 1 reaches it along cheapest
-    successors), every successor is a descent step, and Blue's move goes
-    to a vertex of C one step nearer; but a vertex of C nearest the blue
-    terminal has no such move.  If c = 1, the same holds for Red on
-    1 - cost.  The chance that Red wins is then harmonic with the terminal
-    values 0 and 1, so it is the cost: the paper's random-turn theorem.
+    On the true costs, Blue's move by it and Red's on 1 - cost are
+    ``_pick_policy``'s pick, which halts (its theorem): a fair coin game
+    ends, and as the two moves' costs average to the cost, Red wins it
+    with probability cost(v), the paper's random-turn theorem.
 
     Two optimal agents with Blue's share at cost(v) both bid the drop
     cost(v) - cheapest = dearest - cost(v); the tie winner pays it and
@@ -244,29 +234,37 @@ def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
     return [ts[0] if len(ts) == 1 else min(ts, key=dist.__getitem__) for ts in cheapest]
 
 
-def _pick_policy(g: GameGraph, x: Sequence[int], first: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """(cheapest, dearest) successor per non-terminal, always reaching a terminal.
+def _pick_policy(g: GameGraph, x: Sequence[int]) -> list[tuple[int, int]]:
+    """(cheapest, dearest) successor per non-terminal: Blue's
+    ``_descent_moves`` on the numerators ``x`` and Red's on ``-x``.
 
-    ``x`` holds the integer numerators of a table over one denominator;
-    only their order matters.  Blue's choice is its ``_descent_moves`` on
-    ``x`` and Red's its ``_descent_moves`` on ``-x``, so on the true costs
-    the policy is the coin-flip game's and reaches a terminal from every
-    vertex.  Other values can still close a cycle off from the terminals;
-    each vertex so cut off takes both choices of ``first``, a policy that
-    reaches a terminal from every vertex, so the picked one does too and
-    its system is never singular.
+    Theorem: if x is the exact value table of a policy that halts (reaches
+    a terminal from every vertex), the pick on x halts.  Lemma: if
+    x(v) < 1, v reaches the blue terminal along edges to a cheapest
+    successor.  If not, the least x on the set A those edges reach from v,
+    mu < 1, is taken at a non-terminal u (the blue terminal is not in A,
+    the red one is worth 1).  u's successors are worth at least mu, as its
+    cheapest lie in A, and its two policy successors average to mu, so
+    both are cheapest, worth mu and in A: the level mu of A is closed
+    under the halting policy, which is absurd.  Likewise x(v) > 0 gives a
+    path to the red terminal along edges to a dearest successor.  Proof:
+    the non-terminals C from which the pick reaches no terminal are closed
+    under both picked moves.  If some vertex of C has x < 1, take one with
+    the fewest steepest-descent steps to the blue terminal (finite by the
+    lemma): Blue's move from it is a vertex of C one step nearer, and a
+    cheapest successor, worth at most the average x, which is absurd.  So
+    x = 1 on C, and Red's moves make C empty the same way.
 
-    ``first`` is the pick on the all-zero table, which needs no ``first``:
-    there every successor ties, so Blue's choice is a successor nearest the
-    blue terminal and Red's one nearest the red terminal.  Every vertex of
-    a valid arena reaches a terminal, and one of its two choices is a step
-    nearer the nearer one, so every vertex reaches a terminal.
+    On the all-zero table every successor ties, so Blue picks a successor
+    nearest the blue terminal and Red one nearest the red terminal.  Every
+    vertex of a valid arena reaches a terminal, and one of the two is a
+    step nearer the nearer one, so that pick halts.  By induction every
+    round of ``_solve`` picks a halting policy.  The certified table is the
+    exact value of a halting policy (the last round's, or any on an acyclic
+    interior), so the coin-flip game's pick on it halts.
     """
     blue = len(g._succ)
-    policy = list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, [-n for n in x])))
-    halting = _walk(g._pred, (blue, blue + 1), lambda v, u: u in policy[v])
-    far = len(halting)
-    return [pair if halting[v] < far else first[v] for v, pair in enumerate(policy)]
+    return list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, [-n for n in x])))
 
 
 def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -289,16 +287,15 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
     so far are multiplied by pivot / gcd(t, pivot), and nums[v] =
     t / gcd(t, pivot).
 
-    A policy that reaches a terminal from every vertex (``_pick_policy``
-    sees to it) has a nonsingular M-matrix: its off-diagonal entries are
-    <= 0, and so is every Schur complement, so every pivot of every
-    symmetric elimination order is positive.  Each row here is a Schur
+    A policy that reaches a terminal from every vertex (by its theorem,
+    each of ``_solve``'s picks) has a nonsingular M-matrix: its
+    off-diagonal entries are <= 0, and so is every Schur complement, so
+    every pivot of every symmetric elimination order is positive.  Each row here is a Schur
     complement row times a positive number, so the signs carry over, and
     fill never cancels to 0: off the diagonal, pivot * r[w] <= 0 and
     r[v] * row(v)[w] is a product of two negative entries, so the new
     entry is < 0; on the diagonal it is a pivot to come, > 0.  A zero
-    pivot would mean a closed cycle that never reaches a terminal, and
-    raises SolverError.
+    pivot, which the theorem rules out, raises SolverError as a guard.
     """
     n = len(policy)
     rows: list[dict[int, int] | None] = []
@@ -365,9 +362,9 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
     averaging identity (the routes are in the module docstring) and kept
     on the graph, which is frozen, so each graph object is solved once.
     With no interior cycle the numerators are found in order of depth.
-    Every picked policy reaches a terminal, so its system has one
-    solution; the re-picking is not proved to end, and a policy seen
-    before raises SolverError (and keeps nothing) rather than looping.
+    Every picked policy halts (``_pick_policy``'s theorem), so its system
+    has one solution; the re-picking is not proved to end, and a policy
+    seen before raises SolverError (and keeps nothing) rather than looping.
     """
     if "_exact" in vars(g):
         return vars(g)["_exact"]
@@ -383,7 +380,7 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
         if not _identity_holds(g, nums, den):
             raise SolverError("back-substitution broke the averaging identity")
     else:
-        policy = first = _pick_policy(g, [0] * (len(succ) + 2), ())  # halts by itself
+        policy = _pick_policy(g, [0] * (len(succ) + 2))
         tried: set[tuple[tuple[int, int], ...]] = set()
         while True:
             key = tuple(policy)
@@ -393,7 +390,7 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
             nums, den = _solve_policy(g, policy)
             if _identity_holds(g, nums, den):
                 break
-            policy = _pick_policy(g, nums, first)
+            policy = _pick_policy(g, nums)
     exact = vars(g)["_exact"] = tuple(nums), den
     return exact
 

@@ -282,8 +282,8 @@ def check_small_arena(g: GameGraph) -> bool:
     """Whether ``g`` is valid, after checking that ``validate`` agrees with
     ``reference_validate`` and, on a valid arena, that the certified exact
     table passes the averaging identity and the terminal values, checked
-    in Fractions by vertex name along the edge set, and that the coin-flip
-    policy on it reaches a terminal with no fallback pick."""
+    in Fractions by vertex name along the edge set, and that the solver's
+    policy pick on it (the coin-flip game's moves) halts."""
     report = g.validation  # validate(g), kept for the solve
     assert report == reference_validate(g), g
     if not report.ok:
@@ -294,8 +294,28 @@ def check_small_arena(g: GameGraph) -> bool:
     for v in g.non_terminals:
         values = [cost[u] for a, u in g.edges if a == v]
         assert 2 * cost[v] == min(values) + max(values), (g, v)
-    _pick_policy(g, nums, None)  # a fallback would read None[v]
+    assert policy_halts(g, _pick_policy(g, nums)), g
     return True
+
+
+def policy_halts(g: GameGraph, policy) -> bool:
+    """Whether a (lo, hi) successor policy by position halts: both moves of
+    each non-terminal are its successors, and ``reference_validate`` finds
+    that every vertex reaches a terminal along the moves alone."""
+    pick = named_moves(g, policy)
+    if not all({lo, hi} <= set(g.moves[v]) for v, (lo, hi) in pick.items()):
+        return False
+    moves = GameGraph.from_parts(g.vertices, [(v, u) for v, pair in pick.items() for u in pair], g.blue, g.red)
+    return reference_validate(moves).ok
+
+
+def halting_policies(g: GameGraph) -> Iterator[list[tuple[int, int]]]:
+    """Every halting (lo, hi) successor policy of ``g`` by position, each
+    an ordered pair of successors, repeats allowed."""
+    pairs = [list(itertools.product(ts, repeat=2)) for ts in g._succ]
+    for policy in itertools.product(*pairs):
+        if policy_halts(g, policy):
+            yield list(policy)
 
 
 @lru_cache(maxsize=512)

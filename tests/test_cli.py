@@ -495,6 +495,14 @@ def test_python_dash_m_matches_in_process(data_dir):
     assert script.stderr == ""
 
 
+def test_python_dash_m_exits_6_on_a_usage_error_without_a_traceback(data_dir):
+    fig1 = str(data_dir / "fig1.rg")
+    script = run_fresh_interpreter("-m", "richman", "simulate", fig1, "--start", "v", "--blue-money", "1/0")
+    assert (script.returncode, script.stdout) == (6, "")
+    assert script.stderr.startswith("usage error: ")
+    assert "Traceback" not in script.stderr
+
+
 def test_a_reader_that_stops_early_gets_exit_141_and_no_traceback(data_dir):
     """About 3 MB of traces, far more than a pipe holds, so the writer is
     still writing when the reader closes its end after the first line."""

@@ -1,9 +1,10 @@
 """Property tests on generated arenas: the exact solver against independent
 checks (the enumeration oracle on small arenas, the exact iteration
-bracket on larger ones), the policy it solves reaching a terminal
-whatever values it is read from and its integer elimination agreeing
-with dense elimination, the text format's round trip, monotone
-iterates, coin-flip tallies equal to the same games played one by one
+bracket on larger ones), the policy picked on the exact values of any
+halting policy halting too (every such policy of the smallest arenas,
+and drawn ones) and its integer elimination agreeing with dense
+elimination, the command line ending any file and any flags in a
+documented exit code, the text format's round trip, monotone iterates, coin-flip tallies equal to the same games played one by one
 and their ends equal to the coin games played from scratch, the coin
 game's move table ending every game with Red's chance of winning equal
 to the cost table and equal to the safety agent's moves, the arena
@@ -151,6 +152,86 @@ def test_solve_on_any_file_exits_0_2_or_3_without_a_traceback(content):
     assert (out.getvalue() == "") == (code != 0)
 
 
+# Every valid arena with one or two non-terminals.
+SMALL_VALID = [g for n in (1, 2) for g in corpus.small_arenas(n) if g.validation.ok]
+# Flag values that are not what a flag wants: empty, words, floats for
+# integers, a zero denominator, dashes, hex and non-ASCII digits.
+_JUNK = st.sampled_from(
+    ["", "x", "nan", "inf", "-inf", "1/2", "-1/2", "3/0", "0.5", "1e3", "-", "--", "0x10", "\u0663"]
+)
+# --runs, --wins, --max-iters and --max-moves set how much work a command
+# does, and large values still run unbounded, so they stay small here.
+_WORK = st.integers(-2, 6)
+_MONEY = st.one_of(st.integers(-1, 9), st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map("{0[0]}/{0[1]}".format))
+_START = st.sampled_from(["x0", "x1", "b", "r"])
+_OUTPUT = ("--output", st.sampled_from(["table", "json"]), False)
+# Each subcommand's flags: (flag, its values or None for a switch, required).
+_FLAGS = {
+    "solve": [
+        ("--exact", None, False),
+        ("--iterate", None, False),
+        ("--tol", st.one_of(st.floats(), st.integers()), False),
+        ("--max-iters", _WORK, False),
+        _OUTPUT,
+    ],
+    "simulate": [
+        ("--start", _START, True),
+        ("--blue-money", _MONEY, True),
+        ("--red-money", _MONEY, True),
+        ("--blue", st.sampled_from(AGENT_NAMES), False),
+        ("--red", st.sampled_from(AGENT_NAMES), False),
+        ("--tiebreak", st.sampled_from(TIEBREAKS), False),
+        ("--runs", _WORK, False),
+        ("--seed", st.integers(), False),
+        ("--max-moves", _WORK, False),
+        ("--trace", None, False),
+        _OUTPUT,
+    ],
+    "randomturn": [("--start", _START, True), ("--runs", _WORK, False), ("--seed", st.integers(), False), _OUTPUT],
+    "series": [("--wins", _WORK, True), ("--bankroll", _MONEY, True), _OUTPUT],
+}
+
+
+@st.composite
+def command_lines(draw, path: str) -> list[str]:
+    """argv for one subcommand: its file and a subset of its flags, in any
+    order, each with a drawn value.  Half the command lines are well
+    typed: the file exists, every required flag is there and every value
+    has its flag's type, though it may be negative, zero or out of range.
+    The other half may miss the file or any flag and mix in junk values."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    typed = draw(st.booleans())
+    files = [] if command == "series" else [path if typed else draw(st.sampled_from([path, path + ".missing"]))]
+    parts = []
+    for flag, values, required in _FLAGS[command]:
+        if (typed and required) or draw(st.booleans()):
+            if values is None:
+                parts.append([flag])
+            else:
+                parts.append([flag, str(draw(values if typed else st.one_of(values, _JUNK)))])
+    return [command, *files, *(word for part in draw(st.permutations(parts)) for word in part)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(SMALL_VALID), st.data())
+def test_any_flags_exit_with_a_documented_code_without_a_traceback(g, data):
+    """Every subcommand, on a valid arena with one or two non-terminals,
+    with its flags present or missing and their values drawn from numbers,
+    negatives, fractions, nan and junk text, exits 0, 2, 3, 4 or 6, or 1
+    from a solver error, writes no traceback, and prints only on success."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arena.rg"
+        path.write_text(serialize_game_graph(g))
+        argv = data.draw(command_lines(str(path)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4, 6), (argv, err.getvalue())
+    assert code != 1 or err.getvalue().startswith("internal solver error: "), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (out.getvalue() == "") == (code != 0), argv
+
+
 # v1 costs 1/2 and v0 1/4, over the shared denominator 4: the rows of v1
 # and r are printed from unreduced numerators.
 UNREDUCED = GameGraph.from_parts((), [("v0", "b"), ("v0", "v1"), ("v1", "b"), ("v1", "r")], "b", "r")
@@ -196,21 +277,56 @@ def arenas_with_one_exit(draw, max_size: int) -> GameGraph:
     return GameGraph.from_parts(TERMINALS + names, edges, "b", "r")
 
 
+def test_the_pick_on_the_values_of_every_halting_policy_halts():
+    """``_pick_policy``'s theorem on every (ordered) halting policy of
+    every valid arena with one or two non-terminals: the pick on the
+    policy's exact values reaches a terminal from every vertex."""
+    picks = 0
+    for g in SMALL_VALID:
+        for policy in corpus.halting_policies(g):
+            nums, _ = _solve_policy(g, policy)
+            assert corpus.policy_halts(g, _pick_policy(g, nums)), (g, policy)
+            picks += 1
+    assert picks == 4_948
+
+
+@st.composite
+def halting_policies(draw, g: GameGraph) -> list[tuple[int, int]]:
+    """A halting (lo, hi) policy of ``g`` by position: each non-terminal,
+    in a drawn order, takes a successor that already reaches a terminal,
+    so those moves grow a forest into the terminals, and any successor as
+    its other move, in a drawn order.  Every halting policy can be drawn."""
+    blue = len(g._succ)
+    reached, forest = {blue, blue + 1}, {}
+    while len(forest) < blue:
+        ready = sorted(v for v, ts in enumerate(g._succ) if v not in forest and reached.intersection(ts))
+        v = draw(st.sampled_from(ready))
+        forest[v] = draw(st.sampled_from([u for u in g._succ[v] if u in reached]))
+        reached.add(v)
+    policy = []
+    for v, ts in enumerate(g._succ):
+        pair = (forest[v], draw(st.sampled_from(ts)))
+        policy.append(pair[::-1] if draw(st.booleans()) else pair)
+    return policy
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
-def test_picked_policy_reaches_a_terminal_from_any_values(data):
+def test_the_pick_on_the_values_of_a_halting_policy_halts(data):
+    """``_pick_policy``'s theorem on drawn arenas whose only terminal edges
+    leave one vertex, where a pick on other values can close a cycle off
+    from the terminals; and the all-zero pick, the solve's first round,
+    halts by itself.  Each system's integer elimination agrees with dense
+    elimination over Fractions."""
     g = data.draw(arenas_with_one_exit(12))
-    x = {v: data.draw(st.floats(0, 1)) for v in g.non_terminals}
-    x.update(b=0.0, r=1.0)
-    first = _pick_policy(g, [0] * len(g.vertices), ())  # halts by itself, so needs no first
-    policy = _pick_policy(g, corpus.by_position(g, x), first)
-    nums, den = _solve_policy(g, policy)
-    first, policy = corpus.named_moves(g, first), corpus.named_moves(g, policy)
-    for pick in (first, policy):
-        assert all({lo, hi} <= set(g.moves.get(v, ())) for v, (lo, hi) in pick.items())
-        halting = GameGraph.from_parts(g.vertices, [(v, u) for v, pair in pick.items() for u in pair], g.blue, g.red)
-        assert corpus.reference_validate(halting).ok
-    assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == corpus.solve_policy_dense(g, policy)
+    policy = data.draw(halting_policies(g))
+    assert corpus.policy_halts(g, policy)
+    values, _ = _solve_policy(g, policy)
+    for pick in (_pick_policy(g, values), _pick_policy(g, [0] * len(g.vertices))):
+        assert corpus.policy_halts(g, pick)
+        nums, den = _solve_policy(g, pick)
+        dense = corpus.solve_policy_dense(g, corpus.named_moves(g, pick))
+        assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == dense
 
 
 @st.composite
@@ -283,15 +399,13 @@ def test_coin_games_equal_the_reference_games(g, seed):
 def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     """The paper's random-turn theorem as an exact check: on the coin
     game's move table every vertex reaches a terminal, so every game ends,
-    and Red's chance to win is the cost table.  Each player's coin move is
-    the safety agent's move and the exact solver's pick on the costs, which
-    needs no fallback there: one move rule."""
+    and Red's chance to win is the cost table.  Each player's coin move,
+    the exact solver's pick on the certified table, is the safety agent's
+    move on its own orientation of that table: one move rule."""
     costs = solve_exact(g)
     names, step = _coin_table(g, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
-    assert _pick_policy(g, _solve(g)[0], ()) == step
-    halting = GameGraph.from_parts(g.vertices, [(v, u) for v, pair in table.items() for u in pair], g.blue, g.red)
-    assert corpus.reference_validate(halting).ok
+    assert corpus.policy_halts(g, step)
     nums, den = _solve_policy(g, step)
     assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == costs
     for column, color in enumerate(("blue", "red")):
