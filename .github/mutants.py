@@ -121,6 +121,27 @@ MUTANTS = [
         ("tests/test_properties.py::test_interior_has_cycle_matches_peeling",),
     ),
     Mutant(
+        "the engine asks _bid of every agent that has one, not only of those that keep the built-in decide",
+        "src/richman/agents.py",
+        "    if type(agent).decide is _IntegerAgent.decide:\n",
+        '    if hasattr(agent, "_bid"):\n',
+        ("tests/test_simulate.py::test_deterministic_agents_play_a_tie_free_batch_once",),
+    ),
+    Mutant(
+        "the engine asks every agent through decide",
+        "src/richman/agents.py",
+        "    if type(agent).decide is _IntegerAgent.decide:\n",
+        "    if False:\n",
+        ("tests/test_simulate.py::test_a_batch_builds_steps_only_for_the_records_it_passes_on",),
+    ),
+    Mutant(
+        "the winner's bid is paid to Blue when Blue wins",
+        "src/richman/simulate.py",
+        "move, scale, to_blue = blue_move, blue_scale, -blue_num",
+        "move, scale, to_blue = blue_move, blue_scale, blue_num",
+        ("tests/test_simulate.py::test_single_step_game_record",),
+    ),
+    Mutant(
         "the row formatter skips its gcd and prints N/D unreduced",
         "src/richman/cli.py",
         'return f"{num // common}" if common == den else f"{num // common}/{den // common}"',

@@ -40,17 +40,17 @@ upper iterate as numerators over one power of two (``solver._iterates``),
 grown on demand, and the play of each (horizon, vertex) is planned on
 first use.
 
-Both strategies bid a share that scales with the money, so an agent bids
-in numerators: ``Agent._bid`` takes both bankrolls as integers over one
-denominator and returns the bid as a numerator and a scale (the bid is
-num / (den * scale)) with its move.  The winning test, the horizon search
-and the bid are integer cross-products, and the built-in agents' ``_bid``
-builds no ``Fraction``.  The game engine asks ``_bid``; each built-in
-``decide`` puts the view's bankrolls over one denominator, asks ``_bid``
-and builds one ``Fraction``.  The base class's ``_bid`` asks ``decide``,
-so an agent that defines only ``decide`` plays too, and so does a
-subclass of a built-in agent that overrides ``decide``.  Bankrolls and
-such bids enter the integers through ``solver._integers``.
+Both strategies bid a share that scales with the money, so a built-in
+agent bids in numerators: its ``_bid`` takes both bankrolls as integers
+over one denominator and returns the bid as a numerator and a scale (the
+bid is num / (den * scale)) with its move.  The winning test, the horizon
+search and the bid are integer cross-products, and ``_bid`` builds no
+``Fraction``.  Their one ``decide`` (``_IntegerAgent``) puts the view's
+bankrolls over one denominator, asks ``_bid`` and builds one ``Fraction``.
+The engine asks each seat one way (``_asker``): a built-in agent through
+``_bid``, and any class that defines its own ``decide`` through
+``decide``.  Bankrolls and such bids enter the integers through
+``solver._integers``.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ class BidDecision(NamedTuple):
     move_to: str
 
 
+# A decision in integers: the bid num / (den * scale) and its move.
+_Decision = tuple[int, int, str]
+
+
 class _InexactBid(Exception):
     """args (color, bid): a ``decide`` bid that is not an int or a Fraction."""
 
@@ -133,48 +137,53 @@ class Agent(ABC):
     view alone and never reads ``rng``.  The engine then seeds no generator
     for it (``rng`` is None), and when both agents of a batch declare it,
     its games share every step they play from the same state, so each
-    distinct step is decided once per batch.
+    distinct step is decided once per batch.  The engine asks a built-in
+    agent through its integer ``_bid``, and any class that defines its own
+    ``decide`` through ``decide``.
     """
 
     name = "agent"
     deterministic = False
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # A class that overrides decide and not _bid is asked through its decide.
-        if "decide" in vars(cls) and "_bid" not in vars(cls):
-            cls._bid = Agent._bid
-
     @abstractmethod
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         raise NotImplementedError
 
-    def _bid(
-        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
-    ) -> tuple[int, int, str]:
-        """The decision of ``color`` at ``position`` with the bankrolls
-        own / den and opp / den (opp None when withheld), in numerators:
-        (num, scale, move) for the bid num / (den * scale).  This one asks
-        ``decide`` (``_InexactBid`` unless its bid is an int or a
-        Fraction); the built-in agents bid in integers."""
+
+class _IntegerAgent(Agent):
+    """A built-in agent: ``_bid(position, own, opp, den, rng)`` is its
+    decision at ``position`` with the bankrolls own / den and opp / den (opp
+    None when withheld), in numerators: (num, scale, move) for the bid
+    num / (den * scale)."""
+
+    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
+        """The view's bankrolls over one denominator (``solver._integers``,
+        so ValueError unless each is an int or a Fraction), then ``_bid``,
+        then one ``Fraction``."""
+        own, opp = view.own_money, view.opponent_money
+        nums, den = _integers([own] if opp is None else [own, opp])
+        num, scale, move = self._bid(view.position, nums[0], None if opp is None else nums[1], den, rng)
+        return BidDecision(Fraction(num, den * scale), move)
+
+
+def _asker(agent: Agent, color: str) -> Callable[[str, int, int | None, int, random.Random | None], _Decision]:
+    """How the engine asks ``agent`` in ``color``'s seat, with ``_bid``'s
+    arguments and result: ``_bid`` itself when the agent's class keeps the
+    built-in ``decide``, else a call of its ``decide`` on a ``PlayerView``
+    (``_InexactBid`` unless its bid is an int or a Fraction)."""
+    if type(agent).decide is _IntegerAgent.decide:
+        return agent._bid
+
+    def ask(position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
         view = PlayerView(color, position, Fraction(own, den), None if opp is None else Fraction(opp, den))
-        decision = self.decide(view, rng)
+        decision = agent.decide(view, rng)
         try:
             (num,), scale = _integers((decision.bid,))
         except ValueError:
             raise _InexactBid(color, decision.bid) from None
         return num * den, scale, decision.move_to
 
-
-def _decision(bid: Callable, agent: Agent, view: PlayerView, rng: random.Random | None) -> BidDecision:
-    """A built-in agent's ``decide``: the view's bankrolls over one
-    denominator (``solver._integers``, so ValueError unless each is an int
-    or a Fraction), then its class's ``_bid``, then one ``Fraction``."""
-    own, opp = view.own_money, view.opponent_money
-    nums, den = _integers([own] if opp is None else [own, opp])
-    opp_num = None if opp is None else nums[1]
-    num, scale, move = bid(agent, view.color, view.position, nums[0], opp_num, den, rng)
-    return BidDecision(Fraction(num, den * scale), move)
+    return ask
 
 
 def _oriented(g: GameGraph, color: str) -> tuple[int, Sequence[int], int]:
@@ -211,7 +220,7 @@ def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, 
     return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._names[move]
 
 
-class FullKnowledgeAgent(Agent):
+class FullKnowledgeAgent(_IntegerAgent):
     """Sees both bankrolls; plays the half-gap bid, or the finite-horizon
     ladder when strictly ahead (see the module docstring)."""
 
@@ -256,12 +265,7 @@ class FullKnowledgeAgent(Agent):
                 t += 1
         return t
 
-    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
-        return _decision(FullKnowledgeAgent._bid, self, view, rng)
-
-    def _bid(
-        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
-    ) -> tuple[int, int, str]:
+    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
         if opp is None:
             raise ValueError("full-knowledge agent requires the opponent's bankroll")
         critical = self._critical.get(position)
@@ -289,7 +293,7 @@ class FullKnowledgeAgent(Agent):
         return min(drop * total, own * self._den), self._den, lo
 
 
-class SafetyRatioAgent(Agent):
+class SafetyRatioAgent(_IntegerAgent):
     """Bids own_money * (cost(v) - cheapest)/cost(v); blind to the opponent.
     Moves by ``_descent_moves``, so won ties make progress."""
 
@@ -307,12 +311,7 @@ class SafetyRatioAgent(Agent):
             for v, m in enumerate(_descent_moves(graph, goal, nums))
         }
 
-    def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
-        return _decision(SafetyRatioAgent._bid, self, view, rng)
-
-    def _bid(
-        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random | None
-    ) -> tuple[int, int, str]:
+    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
         plan = self._plan.get(position)
         if plan is None:
             _no_play(self._graph, position)
@@ -320,7 +319,7 @@ class SafetyRatioAgent(Agent):
         return own * rate_num, rate_den, move
 
 
-class UniformRandomBidAgent(Agent):
+class UniformRandomBidAgent(_IntegerAgent):
     """Bids a uniform fraction of its bankroll and moves uniformly at random."""
 
     name = "uniform-random-bid"
@@ -332,27 +331,19 @@ class UniformRandomBidAgent(Agent):
         _plays_red(color)  # rejects an unknown colour
         self._graph = graph
 
-    def decide(self, view: PlayerView, rng: random.Random) -> BidDecision:
-        return _decision(UniformRandomBidAgent._bid, self, view, rng)
-
-    def _bid(
-        self, color: str, position: str, own: int, opp: int | None, den: int, rng: random.Random
-    ) -> tuple[int, int, str]:
+    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random) -> _Decision:
         succ = self._graph.moves.get(position)
         if succ is None:
             _no_play(self._graph, position)
         return own * rng.getrandbits(self.BITS), 1 << self.BITS, rng.choice(succ)
 
 
-AGENT_NAMES = ("optimal", "safety", "uniform-random-bid")
+_AGENTS = {cls.name: cls for cls in (FullKnowledgeAgent, SafetyRatioAgent, UniformRandomBidAgent)}
+AGENT_NAMES = tuple(_AGENTS)
 
 
 def make_agent(name: str, graph: GameGraph, color: str) -> Agent:
     """Agent registry used by the CLI; ``name`` is one of AGENT_NAMES."""
-    if name == "optimal":
-        return FullKnowledgeAgent(graph, color)
-    if name == "safety":
-        return SafetyRatioAgent(graph, color)
-    if name == "uniform-random-bid":
-        return UniformRandomBidAgent(graph, color)
-    raise ValueError(f"unknown agent {name!r} (choose from {', '.join(AGENT_NAMES)})")
+    if name not in _AGENTS:
+        raise ValueError(f"unknown agent {name!r} (choose from {', '.join(AGENT_NAMES)})")
+    return _AGENTS[name](graph, color)

@@ -12,11 +12,14 @@ the token.  Exactly equal bids go to the tiebreak policy ("fair" draws a
 derived coin; "always-blue" / "always-red" are adversarial fixtures).
 
 A game keeps its money as integers: both bankrolls are numerators over
-one denominator.  The engine asks each agent's ``Agent._bid`` for its bid
-as a numerator and a scale over that denominator, checks it against the
-bankroll and compares the two bids as integer cross-products.  The winner's
-payment multiplies the denominator by its scale, and one gcd of both
-numerators and the denominator keeps long games small.  A segment of play
+one denominator.  A batch picks once how to ask each seat
+(``agents._asker``): a built-in agent through its integer ``_bid``, and
+any class that defines its own ``decide`` through ``decide``.  Either way
+the engine gets the bid as a numerator and a scale over that denominator,
+checks it against the bankroll and compares the two bids as integer
+cross-products.  The winner's payment multiplies the denominator by its
+scale, and one gcd of both numerators and the denominator keeps long
+games small.  A segment of play
 keeps its exchanges as integer tuples and builds their ``Step``s, the
 ``Fraction``-valued public record, once, when a record is first asked
 for: ``run_batch`` tallies outcomes and move counts without them and
@@ -54,7 +57,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .agents import Agent, GameState, _InexactBid
+from .agents import Agent, GameState, _asker, _Decision, _InexactBid
 from .graphs import GameGraph
 from .solver import _frac_json, _integers, _pick_policy, _require_valid, _solve
 
@@ -182,10 +185,6 @@ def _outcome(g: GameGraph, position: str) -> str:
     return UNRESOLVED
 
 
-# An agent's decision in integers: the bid num / (den * scale) and its move.
-_Decision = tuple[int, int, str]
-
-
 def _violation(
     color: str, decision: _Decision, own: int, den: int, succ: tuple[str, ...], position: str, game_index: int
 ) -> None:
@@ -260,10 +259,11 @@ class _Segment:
 
 class _Batch:
     """A bidding batch's set-up, done once: the checked arguments and move
-    cap, the start bankrolls as integers over one denominator (by
-    ``solver._integers``), one generator per random role (each agent's,
-    None for a ``deterministic`` agent, and the tie coin's), reseeded for
-    each game and each tie, and the play tree, its root the entry None.
+    cap, how to ask each seat (``agents._asker``), the start bankrolls as
+    integers over one denominator (by ``solver._integers``), one generator
+    per random role (each agent's, None for a ``deterministic`` agent, and
+    the tie coin's), reseeded for each game and each tie, and the play
+    tree, its root the entry None.
     Games of two deterministic agents share the tree; any other pair plays
     each game on a tree of its own."""
 
@@ -282,7 +282,8 @@ class _Batch:
             raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
         if max_moves is not None and max_moves < 0:
             raise ValueError("max_moves must be nonnegative")
-        self.g, self.blue, self.red, self.start, self.seed = g, blue, red, start, seed
+        self.g, self.start, self.seed = g, start, seed
+        self.asks = _asker(blue, "blue"), _asker(red, "red")
         self.cap = default_move_cap(g) if max_moves is None else max_moves
         self.root = (0, start.position, blue_money, red_money, den)
         self.rngs = tuple(None if agent.deterministic else random.Random() for agent in (blue, red))
@@ -306,11 +307,11 @@ class _Batch:
         terminal, the cap or a bid tie; ``exchanges`` are the segment's
         exchanges so far."""
         blue_rng, red_rng = self.rngs
-        blue_bid, red_bid = self.blue._bid, self.red._bid
+        blue_ask, red_ask = self.asks
         moves, cap = self.g.moves, self.cap
         while index < cap and (succ := moves.get(position)) is not None:
-            blue_decision = blue_bid("blue", position, blue_money, red_money, den, blue_rng)
-            red_decision = red_bid("red", position, red_money, blue_money, den, red_rng)
+            blue_decision = blue_ask(position, blue_money, red_money, den, blue_rng)
+            red_decision = red_ask(position, red_money, blue_money, den, red_rng)
             (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
             if not (0 <= blue_num <= blue_money * blue_scale and blue_move in succ):
                 _violation("blue", blue_decision, blue_money, den, succ, position, game_index)

@@ -608,7 +608,7 @@ def check_coin_games_equal_the_reference(
 
 class SeventhsAgent(Agent):
     """A third-party agent: it defines only ``decide``, so the engine asks
-    it through the base class.  It bids k/7 of its money, k uniform in
+    it through ``decide``.  It bids k/7 of its money, k uniform in
     0..7, and moves to a uniform successor, drawing from ``rng``."""
 
     name = "sevenths"

@@ -662,8 +662,8 @@ def test_long_random_bid_games_equal_the_reference_games(tiebreak):
 def test_third_party_agents_equal_the_reference_games(g, data, runs, money, max_moves, seed):
     """An agent that defines only ``decide`` and bids sevenths of its
     money, declared deterministic or not, against every built-in agent on
-    either side and under every tiebreak: the engine asks it through the
-    base class, and its games equal the reference games."""
+    either side and under every tiebreak: the engine asks it through its
+    ``decide``, and its games equal the reference games."""
     position = data.draw(st.sampled_from(g.non_terminals))
     start = GameState(position, Fraction(money[0], 3), Fraction(money[1], 3))
     for third_party in (corpus.SeventhsAgent(g), corpus.DeterministicSeventhsAgent(g)):

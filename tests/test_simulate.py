@@ -19,7 +19,9 @@ from richman import (
     GameState,
     PlayerView,
     ProtocolViolationError,
+    SafetyRatioAgent,
     Step,
+    UniformRandomBidAgent,
     default_move_cap,
     derived_seed,
     format_trace,
@@ -330,13 +332,22 @@ def test_a_batch_builds_steps_only_for_the_records_it_passes_on(monkeypatch):
     assert built == [Step] * sum(stats.move_counts) and sum(stats.move_counts) > 200
 
 
-class CountingOptimal(FullKnowledgeAgent):
-    calls = 0
+def counting(base):
+    """A subclass of ``base`` that overrides ``decide`` to count its calls;
+    a deterministic agent must get no generator, any other one its own."""
 
-    def decide(self, view, rng):
-        assert rng is None
-        self.calls += 1
-        return super().decide(view, rng)
+    class Counting(base):
+        calls = 0
+
+        def decide(self, view, rng):
+            assert (rng is None) == self.deterministic
+            self.calls += 1
+            return super().decide(view, rng)
+
+    return Counting
+
+
+CountingOptimal = counting(FullKnowledgeAgent)
 
 
 def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
@@ -354,6 +365,23 @@ def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
     assert all(r.steps[i] is game.steps[i] for r in records for i in range(12))
     assert blue.calls == red.calls == 12
     assert seeds == []  # no "agent" seed, and no tie to draw a coin for
+
+
+@pytest.mark.parametrize("base", [FullKnowledgeAgent, SafetyRatioAgent, UniformRandomBidAgent])
+def test_a_subclass_that_overrides_decide_is_asked_through_it_once_per_step(base):
+    """The engine asks a subclass of a built-in agent through the ``decide``
+    it defines, once per step it plays (a step that deterministic games
+    share counts once), and its games are those of the built-in agent."""
+    g = corpus.ring_graph(12)
+    share = solve_exact(g)["v00"] / 2
+    start = GameState("v00", share, 1 - share)
+    blue, red = counting(base)(g, "blue"), counting(base)(g, "red")
+    records = []
+    stats = run_batch(g, blue, red, start, runs=50, master_seed=3, on_record=records.append)
+    assert stats == run_batch(g, base(g, "blue"), base(g, "red"), start, runs=50, master_seed=3)
+    steps = {id(s): s for r in records for s in r.steps}
+    assert all(s.tie is None for s in steps.values())  # so each step is one decision per seat
+    assert blue.calls == red.calls == len(steps) >= 12
 
 
 class ScriptedAgent(Agent):
