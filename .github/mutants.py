@@ -60,22 +60,22 @@ MUTANTS = [
     Mutant(
         "the safety agent bids half its rate",
         "src/richman/agents.py",
-        "        return own * rate_num, rate_den, move\n",
-        "        return own * rate_num, 2 * rate_den, move\n",
+        "        return own * (cost - self._nums[move]), cost or 1, move\n",
+        "        return own * (cost - self._nums[move]), 2 * (cost or 1), move\n",
         ("tests/test_agents.py::test_safety_agent_bids",),
     ),
     Mutant(
         "the ladder's plan drops the half-slack term (half the next rung's value)",
         "src/richman/agents.py",
-        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._names[move]\n",
-        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, g._names[move]\n",
+        "    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move\n",
+        "    return 2 * (max(nums[u] for u in succ) - nums[move]), e + 2, move\n",
         ("tests/test_agents.py::test_full_knowledge_winning_branch_star",),
     ),
     Mutant(
         "the losing bid is not capped at the bankroll",
         "src/richman/agents.py",
-        "        return min(drop * total, own * self._den), self._den, lo\n",
-        "        return drop * total, self._den, lo\n",
+        "        return min((nums[v] - nums[lo]) * total, own * self._den), self._den, lo\n",
+        "        return (nums[v] - nums[lo]) * total, self._den, lo\n",
         ("tests/test_agents.py::test_full_knowledge_bid_is_capped_by_bankroll",),
     ),
     Mutant(
@@ -139,6 +139,13 @@ MUTANTS = [
         "src/richman/simulate.py",
         "move, scale, to_blue = blue_move, blue_scale, -blue_num",
         "move, scale, to_blue = blue_move, blue_scale, blue_num",
+        ("tests/test_simulate.py::test_single_step_game_record",),
+    ),
+    Mutant(
+        "a step records its own position as its move",
+        "src/richman/simulate.py",
+        "names[move_to], *after)",
+        "names[v], *after)",
         ("tests/test_simulate.py::test_single_step_game_record",),
     ),
     Mutant(

@@ -30,27 +30,27 @@ Agents included:
 * ``UniformRandomBidAgent`` ("uniform-random-bid") is a seeded chaos monkey
   for tests.
 
-These strategies are functions of the vertex, so each agent plans every
-vertex once, when it is built, on the arena's integer positions
-(``GameGraph._names``), and keys its plans by name for the engine: the
-optimal agent its losing play (its ``solver._descent_moves`` move and cost
-drop), the safety agent its bid rate and move; the random agent reads
-the move table.  The optimal agent's ladder is integer: rung t is the
-upper iterate as numerators over one power of two (``solver._iterates``),
-grown on demand, and the play of each (horizon, vertex) is planned on
-first use.
+These strategies are functions of the vertex, so the agents play on the
+arena's integer positions (``GameGraph._names``): the optimal and the
+safety agent keep the oriented numerators and their
+``solver._descent_moves`` as lists by position, and the random agent
+reads the successor positions ``GameGraph._succ``.  The optimal agent's
+ladder is integer: rung t is the upper iterate as numerators over one
+power of two (``solver._iterates``), grown on demand, and the play of
+each (horizon, vertex) is planned on first use.
 
 Both strategies bid a share that scales with the money, so a built-in
-agent bids in numerators: its ``_bid`` takes both bankrolls as integers
-over one denominator and returns the bid as a numerator and a scale (the
-bid is num / (den * scale)) with its move.  The winning test, the horizon
-search and the bid are integer cross-products, and ``_bid`` builds no
-``Fraction``.  Their one ``decide`` (``_IntegerAgent``) puts the view's
-bankrolls over one denominator, asks ``_bid`` and builds one ``Fraction``.
-The engine asks each seat one way (``_asker``): a built-in agent through
-``_bid``, and any class that defines its own ``decide`` through
-``decide``.  Bankrolls and such bids enter the integers through
-``solver._integers``.
+agent bids in integers: its ``_bid`` takes a non-terminal position and
+both bankrolls as numerators over one denominator, and returns the bid as
+a numerator and a scale (the bid is num / (den * scale)) with the
+position of its move.  The winning test, the horizon search and the bid
+are integer cross-products, and ``_bid`` builds no ``Fraction``.  Their
+one ``decide`` (``_IntegerAgent``) finds the view's vertex, puts the
+view's bankrolls over one denominator, asks ``_bid``, builds one
+``Fraction`` and names the move.  The engine asks each seat one way
+(``_asker``): a built-in agent through ``_bid``, and any class that
+defines its own ``decide`` through ``decide``.  Bankrolls and such bids
+enter the integers through ``solver._integers``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import GameGraph
 from .solver import SolverError, _descent_moves, _integers, _iterates, _require_valid, _solve
@@ -122,12 +122,13 @@ class BidDecision(NamedTuple):
     move_to: str
 
 
-# A decision in integers: the bid num / (den * scale) and its move.
-_Decision = tuple[int, int, str]
+# A decision in integers: the bid num / (den * scale) and its move's position.
+_Decision = tuple[int, int, int]
 
 
-class _InexactBid(Exception):
-    """args (color, bid): a ``decide`` bid that is not an int or a Fraction."""
+class _Refused(Exception):
+    """args (color, reason): a ``decide`` decision the engine cannot read, a
+    bid that is not an int or a Fraction or a move that names no vertex."""
 
 
 class Agent(ABC):
@@ -138,8 +139,8 @@ class Agent(ABC):
     for it (``rng`` is None), and when both agents of a batch declare it,
     its games share every step they play from the same state, so each
     distinct step is decided once per batch.  The engine asks a built-in
-    agent through its integer ``_bid``, and any class that defines its own
-    ``decide`` through ``decide``.
+    agent through its integer ``_bid`` on positions, and any class that
+    defines its own ``decide`` through ``decide`` on vertex names.
     """
 
     name = "agent"
@@ -151,37 +152,53 @@ class Agent(ABC):
 
 
 class _IntegerAgent(Agent):
-    """A built-in agent: ``_bid(position, own, opp, den, rng)`` is its
-    decision at ``position`` with the bankrolls own / den and opp / den (opp
-    None when withheld), in numerators: (num, scale, move) for the bid
-    num / (den * scale)."""
+    """A built-in agent on the arena ``_graph``: ``_bid(v, own, opp, den,
+    rng)`` is its decision at the non-terminal position v with the
+    bankrolls own / den and opp / den (opp None when withheld), in
+    integers: (num, scale, move) for the bid num / (den * scale) and the
+    move's position.  ``_withheld``, when set, is the ValueError for a
+    view without the opponent's bankroll."""
+
+    _withheld: str | None = None
 
     def decide(self, view: PlayerView, rng: random.Random | None) -> BidDecision:
         """The view's bankrolls over one denominator (``solver._integers``,
-        so ValueError unless each is an int or a Fraction), then ``_bid``,
-        then one ``Fraction``."""
+        so ValueError unless each is an int or a Fraction) and its vertex's
+        position (KeyError off the graph, ValueError at a terminal), then
+        ``_bid``, one ``Fraction`` and the name of the move."""
         own, opp = view.own_money, view.opponent_money
         nums, den = _integers([own] if opp is None else [own, opp])
-        num, scale, move = self._bid(view.position, nums[0], None if opp is None else nums[1], den, rng)
-        return BidDecision(Fraction(num, den * scale), move)
+        if opp is None and self._withheld:
+            raise ValueError(self._withheld)
+        g = self._graph
+        v = g._position[view.position]
+        if v >= len(g._succ):
+            raise ValueError(f"cannot bid at terminal vertex {view.position!r}")
+        num, scale, move = self._bid(v, nums[0], None if opp is None else nums[1], den, rng)
+        return BidDecision(Fraction(num, den * scale), g._names[move])
 
 
-def _asker(agent: Agent, color: str) -> Callable[[str, int, int | None, int, random.Random | None], _Decision]:
-    """How the engine asks ``agent`` in ``color``'s seat, with ``_bid``'s
-    arguments and result: ``_bid`` itself when the agent's class keeps the
-    built-in ``decide``, else a call of its ``decide`` on a ``PlayerView``
-    (``_InexactBid`` unless its bid is an int or a Fraction)."""
+def _asker(g: GameGraph, agent: Agent, color: str) -> Callable[[int, int, int, int, random.Random | None], _Decision]:
+    """How the engine asks ``agent`` in ``color``'s seat on g, with
+    ``_bid``'s arguments and result: ``_bid`` itself when the agent's class
+    keeps the built-in ``decide``, else its ``decide`` on a ``PlayerView``
+    (``_Refused`` unless the bid is an int or a Fraction and the move
+    names a vertex)."""
     if type(agent).decide is _IntegerAgent.decide:
         return agent._bid
+    names, position = g._names, g._position
 
-    def ask(position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
-        view = PlayerView(color, position, Fraction(own, den), None if opp is None else Fraction(opp, den))
-        decision = agent.decide(view, rng)
+    def ask(v: int, own: int, opp: int, den: int, rng: random.Random | None) -> _Decision:
+        decision = agent.decide(PlayerView(color, names[v], Fraction(own, den), Fraction(opp, den)), rng)
+        bid, move = decision.bid, decision.move_to
         try:
-            (num,), scale = _integers((decision.bid,))
+            (num,), scale = _integers((bid,))
         except ValueError:
-            raise _InexactBid(color, decision.bid) from None
-        return num * den, scale, decision.move_to
+            raise _Refused(color, f"bid {bid!r} is not an int or a Fraction") from None
+        try:
+            return num * den, scale, position[move]
+        except (KeyError, TypeError):
+            raise _Refused(color, f"move to {move!r} is not an edge out of {names[v]!r}") from None
 
     return ask
 
@@ -198,26 +215,18 @@ def _oriented(g: GameGraph, color: str) -> tuple[int, Sequence[int], int]:
     return blue, nums, den
 
 
-def _no_play(g: GameGraph, v: str) -> NoReturn:
-    """Raise for a position an agent has no play at: KeyError off the graph,
-    ValueError at a terminal."""
-    if v not in g.vertices:
-        raise KeyError(v)
-    raise ValueError(f"cannot bid at terminal vertex {v!r}")
-
-
-def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, int, str]:
+def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, int, int]:
     """Winning play at position v whose horizon is the rung after ``rung``,
     the table N / 2^e: the constant kappa = half the successor gap of this
     table minus half the next rung's value at v, as K / 2^s, and the
-    cheapest successor in this table (ties by name).
+    cheapest successor in this table (ties by name), as a position.
 
     With m and M the cheapest and dearest successor numerators, the next
     rung's value is (m + M) / 2^(e+1), so kappa = (M - 3m) / 2^(e+2).
     """
     (nums, e), succ = rung, g._succ[v]
     move = min(succ, key=nums.__getitem__)
-    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, g._names[move]
+    return max(nums[u] for u in succ) - 3 * nums[move], e + 2, move
 
 
 class FullKnowledgeAgent(_IntegerAgent):
@@ -226,25 +235,19 @@ class FullKnowledgeAgent(_IntegerAgent):
 
     name = "optimal"
     deterministic = True
+    _withheld = "full-knowledge agent requires the opponent's bankroll"
 
     def __init__(self, graph: GameGraph, color: str):
         goal, nums, den = _oriented(graph, color)
-        self._graph = graph
-        self._den = den
-        names = graph._names
-        # Losing or critical play per non-terminal: the numerators over den
-        # of its cost and of the drop to its move, the move and the vertex's
-        # position; the bid is drop * total.
-        self._critical: dict[str, tuple[int, int, str, int]] = {
-            names[v]: (nums[v], nums[v] - nums[lo], names[lo], v)
-            for v, lo in enumerate(_descent_moves(graph, goal, nums))
-        }
+        self._graph, self._nums, self._den = graph, nums, den
+        # The losing or critical move of each non-terminal.
+        self._moves = _descent_moves(graph, goal, nums)
         # Integer upper-iterate ladder towards the goal, grown on demand:
         # rung t is (N, e), the table N / 2^e.  The winning play of each
         # (horizon, vertex) (_rung_plan) is filled on first use.
         self._upper = _iterates(graph, goal, 1)
         self._ladder: list[tuple[list[int], int]] = [next(self._upper)]
-        self._plans: dict[tuple[int, int], tuple[int, int, str]] = {}
+        self._plans: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def _horizon(self, v: int, p: int, q: int) -> int:
         """Smallest t with upper-iterate(v, t) < p / q at position v, that
@@ -265,17 +268,12 @@ class FullKnowledgeAgent(_IntegerAgent):
                 t += 1
         return t
 
-    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
-        if opp is None:
-            raise ValueError("full-knowledge agent requires the opponent's bankroll")
-        critical = self._critical.get(position)
-        if critical is None:
-            _no_play(self._graph, position)
-        cost, drop, lo, v = critical
+    def _bid(self, v: int, own: int, opp: int, den: int, rng: random.Random | None) -> _Decision:
+        nums, lo = self._nums, self._moves[v]
         # share = own / total, total = (own + opp) / den
         total = own + opp
 
-        if total > 0 and own * self._den > cost * total:
+        if total > 0 and own * self._den > nums[v] * total:
             t = self._horizon(v, own, total)
             plan = self._plans.get((t, v))
             if plan is None:
@@ -290,7 +288,8 @@ class FullKnowledgeAgent(_IntegerAgent):
             # |kappa| total < own / 2.
             return (own << (s - 1)) + kappa * total, 1 << s, move
 
-        return min(drop * total, own * self._den), self._den, lo
+        # The cost drop to the move, in total units, capped at the bankroll.
+        return min((nums[v] - nums[lo]) * total, own * self._den), self._den, lo
 
 
 class SafetyRatioAgent(_IntegerAgent):
@@ -302,21 +301,13 @@ class SafetyRatioAgent(_IntegerAgent):
 
     def __init__(self, graph: GameGraph, color: str):
         goal, nums, _ = _oriented(graph, color)
-        self._graph = graph
-        names = graph._names
-        # (rate numerator, rate denominator, move) per non-terminal; the
-        # bid is own_money * rate, and the rate is 0 at cost 0.
-        self._plan: dict[str, tuple[int, int, str]] = {
-            names[v]: (nums[v] - nums[m], nums[v], names[m]) if nums[v] else (0, 1, names[m])
-            for v, m in enumerate(_descent_moves(graph, goal, nums))
-        }
+        self._graph, self._nums = graph, nums
+        self._moves = _descent_moves(graph, goal, nums)
 
-    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
-        plan = self._plan.get(position)
-        if plan is None:
-            _no_play(self._graph, position)
-        rate_num, rate_den, move = plan
-        return own * rate_num, rate_den, move
+    def _bid(self, v: int, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
+        # own * (cost - cheapest) / cost; at cost 0 the cheapest costs 0 too.
+        cost, move = self._nums[v], self._moves[v]
+        return own * (cost - self._nums[move]), cost or 1, move
 
 
 class UniformRandomBidAgent(_IntegerAgent):
@@ -331,11 +322,8 @@ class UniformRandomBidAgent(_IntegerAgent):
         _plays_red(color)  # rejects an unknown colour
         self._graph = graph
 
-    def _bid(self, position: str, own: int, opp: int | None, den: int, rng: random.Random) -> _Decision:
-        succ = self._graph.moves.get(position)
-        if succ is None:
-            _no_play(self._graph, position)
-        return own * rng.getrandbits(self.BITS), 1 << self.BITS, rng.choice(succ)
+    def _bid(self, v: int, own: int, opp: int | None, den: int, rng: random.Random) -> _Decision:
+        return own * rng.getrandbits(self.BITS), 1 << self.BITS, rng.choice(self._graph._succ[v])
 
 
 _AGENTS = {cls.name: cls for cls in (FullKnowledgeAgent, SafetyRatioAgent, UniformRandomBidAgent)}

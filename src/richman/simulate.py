@@ -11,19 +11,20 @@ the higher bid wins, the winner pays its own bid to the loser and moves
 the token.  Exactly equal bids go to the tiebreak policy ("fair" draws a
 derived coin; "always-blue" / "always-red" are adversarial fixtures).
 
-A game keeps its money as integers: both bankrolls are numerators over
-one denominator.  A batch picks once how to ask each seat
+A game plays on the arena's integer positions (``GameGraph._succ``) and
+keeps its money as integers: both bankrolls are numerators over one
+denominator.  A batch picks once how to ask each seat
 (``agents._asker``): a built-in agent through its integer ``_bid``, and
 any class that defines its own ``decide`` through ``decide``.  Either way
-the engine gets the bid as a numerator and a scale over that denominator,
-checks it against the bankroll and compares the two bids as integer
-cross-products.  The winner's payment multiplies the denominator by its
-scale, and one gcd of both numerators and the denominator keeps long
-games small.  A segment of play
-keeps its exchanges as integer tuples and builds their ``Step``s, the
-``Fraction``-valued public record, once, when a record is first asked
-for: ``run_batch`` tallies outcomes and move counts without them and
-builds a ``GameRecord`` only for ``on_record``.
+the engine gets the bid as a numerator and a scale over that denominator
+and the move as a position, checks them, and compares the two bids as
+integer cross-products.  The winner's payment multiplies the denominator
+by its scale, and one gcd of both numerators and the denominator keeps
+long games small.  A segment of play keeps its exchanges as integer
+tuples and builds their ``Step``s, the ``Fraction``-valued public record
+with vertex names, once, when a record is first asked for: ``run_batch``
+tallies outcomes and move counts without them and builds a
+``GameRecord`` only for ``on_record``.
 
 One engine plays every bidding game, and a batch sets it up once: the
 checked arguments and move cap, the start bankrolls in integers, the
@@ -57,7 +58,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .agents import Agent, GameState, _asker, _Decision, _InexactBid
+from .agents import Agent, GameState, _asker, _Decision, _Refused
 from .graphs import GameGraph
 from .solver import _frac_json, _integers, _pick_policy, _require_valid, _solve
 
@@ -177,36 +178,34 @@ def random_turn_move_cap(g: GameGraph, runs: int) -> int:
     return 10 * len(g.vertices) * max(1, math.ceil(math.log2(max(2, runs))))
 
 
-def _outcome(g: GameGraph, position: str) -> str:
-    if position == g.blue:
-        return BLUE_WINS
-    if position == g.red:
-        return RED_WINS
-    return UNRESOLVED
+def _outcome(g: GameGraph, end: int) -> str:
+    """The outcome of a game that stopped at position ``end``."""
+    blue = len(g._succ)
+    return BLUE_WINS if end == blue else RED_WINS if end == blue + 1 else UNRESOLVED
 
 
-def _violation(
-    color: str, decision: _Decision, own: int, den: int, succ: tuple[str, ...], position: str, game_index: int
-) -> None:
-    """Raise for the first protocol rule ``color``'s decision breaks with
-    the bankroll own / den, if any."""
+def _violation(color: str, decision: _Decision, own: int, den: int, g: GameGraph, v: int, game_index: int) -> None:
+    """Raise for the first protocol rule ``color``'s decision at position v
+    breaks with the bankroll own / den, if any."""
     num, scale, move = decision
     if num < 0:
         raise ProtocolViolationError(color, f"negative bid {Fraction(num, den * scale)}", game_index)
     if num > own * scale:
         bid, bankroll = Fraction(num, den * scale), Fraction(own, den)
         raise ProtocolViolationError(color, f"bid {bid} exceeds bankroll {bankroll}", game_index)
-    if move not in succ:
-        raise ProtocolViolationError(color, f"move to {move!r} is not an edge out of {position!r}", game_index)
+    if move not in g._succ[v]:
+        reason = f"move to {g._names[move]!r} is not an edge out of {g._names[v]!r}"
+        raise ProtocolViolationError(color, reason, game_index)
 
 
 # A bid tie waiting for its coin: step index, position, both decisions,
 # and both bankroll numerators and their denominator before the exchange.
-_Tie = tuple[int, str, _Decision, _Decision, int, int, int]
+_Tie = tuple[int, int, _Decision, _Decision, int, int, int]
 
 # One exchange: the tie it settled, the Step's ``tie`` field, the winner,
-# its move, and both bankroll numerators and their denominator after it.
-_Exchange = tuple[_Tie, bool | None, str, str, int, int, int]
+# its move's position, and both bankroll numerators and their denominator
+# after it.
+_Exchange = tuple[_Tie, bool | None, str, int, int, int, int]
 
 
 def _exchange(tie: _Tie, winner: str, coin: bool | None) -> _Exchange:
@@ -224,46 +223,46 @@ def _exchange(tie: _Tie, winner: str, coin: bool | None) -> _Exchange:
     return tie, coin, winner, move, blue // common, red // common, den // common
 
 
-def _step(exchange: _Exchange) -> Step:
+def _step(exchange: _Exchange, names: tuple[str, ...]) -> Step:
+    """The public record of ``exchange``, its positions named by ``names``."""
     tie, coin, winner, move_to, blue_after, red_after, den_after = exchange
-    index, position, (blue_num, blue_scale, _), (red_num, red_scale, _), _, _, den = tie
+    index, v, (blue_num, blue_scale, _), (red_num, red_scale, _), _, _, den = tie
     blue_bid, red_bid = Fraction(blue_num, den * blue_scale), Fraction(red_num, den * red_scale)
     transfer = blue_bid if winner == "blue" else red_bid
     after = Fraction(blue_after, den_after), Fraction(red_after, den_after)
-    return Step(index, position, blue_bid, red_bid, coin, winner, transfer, move_to, *after)
+    return Step(index, names[v], blue_bid, red_bid, coin, winner, transfer, names[move_to], *after)
 
 
 class _Segment:
     """A node of a batch's play tree: ``exchanges`` run from a state until
-    the game ends at ``end`` (``tie`` None) or a bid tie needs a coin
-    (``tie`` the tied exchange); ``after`` maps each coin's winner to the
-    next segment, which starts with that exchange.  The segment's Steps
+    the game ends at position ``end`` (``tie`` None) or a bid tie needs a
+    coin (``tie`` the tied exchange); ``after`` maps each coin's winner to
+    the next segment, which starts with that exchange.  The segment's Steps
     are built on first request and then shared by every record that
     passes through it."""
 
     __slots__ = ("exchanges", "tie", "end", "after", "_steps")
 
-    def __init__(self, exchanges: list[_Exchange], tie: _Tie | None, end: str):
+    def __init__(self, exchanges: list[_Exchange], tie: _Tie | None, end: int):
         self.exchanges = exchanges
         self.tie = tie
         self.end = end
         self.after: dict[str, _Segment] = {}
         self._steps: tuple[Step, ...] | None = None
 
-    @property
-    def steps(self) -> tuple[Step, ...]:
+    def steps(self, names: tuple[str, ...]) -> tuple[Step, ...]:
         if self._steps is None:
-            self._steps = tuple(map(_step, self.exchanges))
+            self._steps = tuple(_step(exchange, names) for exchange in self.exchanges)
         return self._steps
 
 
 class _Batch:
     """A bidding batch's set-up, done once: the checked arguments and move
-    cap, how to ask each seat (``agents._asker``), the start bankrolls as
-    integers over one denominator (by ``solver._integers``), one generator
-    per random role (each agent's, None for a ``deterministic`` agent, and
-    the tie coin's), reseeded for each game and each tie, and the play
-    tree, its root the entry None.
+    cap, how to ask each seat (``agents._asker``), the start position and
+    bankrolls as integers over one denominator (by ``solver._integers``),
+    one generator per random role (each agent's, None for a
+    ``deterministic`` agent, and the tie coin's), reseeded for each game
+    and each tie, and the play tree, its root the entry None.
     Games of two deterministic agents share the tree; any other pair plays
     each game on a tree of its own."""
 
@@ -283,9 +282,9 @@ class _Batch:
         if max_moves is not None and max_moves < 0:
             raise ValueError("max_moves must be nonnegative")
         self.g, self.start, self.seed = g, start, seed
-        self.asks = _asker(blue, "blue"), _asker(red, "red")
+        self.asks = _asker(g, blue, "blue"), _asker(g, red, "red")
         self.cap = default_move_cap(g) if max_moves is None else max_moves
-        self.root = (0, start.position, blue_money, red_money, den)
+        self.root = (0, g._position[start.position], blue_money, red_money, den)
         self.rngs = tuple(None if agent.deterministic else random.Random() for agent in (blue, red))
         # The tie winner, or None when a fair coin decides.
         self.tie_winner = {"always-blue": "blue", "always-red": "red"}.get(tiebreak)
@@ -297,35 +296,36 @@ class _Batch:
         game_index: int,
         exchanges: list[_Exchange],
         index: int,
-        position: str,
+        v: int,
         blue_money: int,
         red_money: int,
         den: int,
     ) -> _Segment:
-        """Play game ``game_index`` on from step ``index`` at ``position``,
+        """Play game ``game_index`` on from step ``index`` at position v,
         with the bankrolls blue_money / den and red_money / den, to a
         terminal, the cap or a bid tie; ``exchanges`` are the segment's
         exchanges so far."""
         blue_rng, red_rng = self.rngs
         blue_ask, red_ask = self.asks
-        moves, cap = self.g.moves, self.cap
-        while index < cap and (succ := moves.get(position)) is not None:
-            blue_decision = blue_ask(position, blue_money, red_money, den, blue_rng)
-            red_decision = red_ask(position, red_money, blue_money, den, red_rng)
+        g, succ, cap = self.g, self.g._succ, self.cap
+        while index < cap and v < len(succ):
+            out = succ[v]
+            blue_decision = blue_ask(v, blue_money, red_money, den, blue_rng)
+            red_decision = red_ask(v, red_money, blue_money, den, red_rng)
             (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
-            if not (0 <= blue_num <= blue_money * blue_scale and blue_move in succ):
-                _violation("blue", blue_decision, blue_money, den, succ, position, game_index)
-            if not (0 <= red_num <= red_money * red_scale and red_move in succ):
-                _violation("red", red_decision, red_money, den, succ, position, game_index)
+            if not (0 <= blue_num <= blue_money * blue_scale and blue_move in out):
+                _violation("blue", blue_decision, blue_money, den, g, v, game_index)
+            if not (0 <= red_num <= red_money * red_scale and red_move in out):
+                _violation("red", red_decision, red_money, den, g, v, game_index)
             lead = blue_num * red_scale - red_num * blue_scale
-            tie = (index, position, blue_decision, red_decision, blue_money, red_money, den)
+            tie = (index, v, blue_decision, red_decision, blue_money, red_money, den)
             if lead == 0:
-                return _Segment(exchanges, tie, position)
+                return _Segment(exchanges, tie, v)
             exchange = _exchange(tie, "blue" if lead > 0 else "red", None)
             exchanges.append(exchange)
-            _, _, _, position, blue_money, red_money, den = exchange
+            _, _, _, v, blue_money, red_money, den = exchange
             index += 1
-        return _Segment(exchanges, None, position)
+        return _Segment(exchanges, None, v)
 
     def path(self, game_index: int) -> list[_Segment]:
         """The segments game ``game_index`` plays along the play tree,
@@ -346,10 +346,8 @@ class _Batch:
                     first, state = [exchange], (tie[0] + 1, *exchange[3:])
                 try:
                     node = after[winner] = self.segment(game_index, first, *state)
-                except _InexactBid as err:
-                    color, bid = err.args
-                    reason = f"bid {bid!r} is not an int or a Fraction"
-                    raise ProtocolViolationError(color, reason, game_index) from None
+                except _Refused as err:
+                    raise ProtocolViolationError(*err.args, game_index) from None
             path.append(node)
             tie, after = node.tie, node.after
             if tie is None:
@@ -360,7 +358,8 @@ class _Batch:
                 winner = self.coin.choice(("blue", "red"))
 
     def record(self, path: list[_Segment]) -> GameRecord:
-        steps = tuple(step for node in path for step in node.steps)
+        names = self.g._names
+        steps = tuple(step for node in path for step in node.steps(names))
         return GameRecord(self.start.position, steps, _outcome(self.g, path[-1].end), self.cap)
 
 
@@ -408,14 +407,14 @@ def run_batch(
     return BatchStats(runs, *outcomes, tuple(move_counts), master_seed)
 
 
-def _coin_table(g: GameGraph, start: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Check a coin-flip game's arguments and return its move table, the
-    same in every game: the vertex of each position (``g._names``) and,
-    per non-terminal, its (Blue, Red) moves: ``_pick_policy`` on the
-    arena's certified numerators, which halts by its theorem."""
+def _coin_table(g: GameGraph, start: str) -> list[tuple[int, int]]:
+    """Check a coin-flip game's arguments and return its move table on the
+    positions (``g._names``), the same in every game: per non-terminal,
+    its (Blue, Red) moves, ``_pick_policy`` on the arena's certified
+    numerators, which halts by its theorem."""
     if start not in g.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    return list(g._names), _pick_policy(g, _solve(g)[0])
+    return _pick_policy(g, _solve(g)[0])
 
 
 # A coin is the top byte of a 32-bit word: below 64 Blue (0), 64-127 Red (1),
@@ -475,10 +474,10 @@ def random_turn_stats(
         raise ValueError("runs must be at least 1")
     if max_moves is not None and max_moves < 0:
         raise ValueError("max_moves must be nonnegative")
-    names, step = _coin_table(g, start)
+    step = _coin_table(g, start)
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
     first = g._position[start]
-    ends = [0] * len(names)
+    ends = [0] * len(g._names)
     rng = random.Random()
     for i in range(runs):
         rng.seed(derived_seed(master_seed, "randomturn", i))

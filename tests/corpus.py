@@ -447,11 +447,15 @@ def reference_game(
             "blue": blue.decide(PlayerView("blue", position, money["blue"], money["red"]), rngs["blue"]),
             "red": red.decide(PlayerView("red", position, money["red"], money["blue"]), rngs["red"]),
         }
-        # The engine asks each agent for its bid in integers, Blue first, so
-        # an inexact bid is found before any other rule is checked.
+        # The engine asks each agent for its bid in integers and its move as
+        # a vertex, Blue first, so an inexact bid or a move that names no
+        # vertex is found before any other rule is checked.
         for color, decision in decisions.items():
             if not isinstance(decision.bid, (int, Fraction)):
                 reason = f"bid {decision.bid!r} is not an int or a Fraction"
+                raise ProtocolViolationError(color, reason, game_index)
+            if decision.move_to not in tuple(g.vertices):  # a move may be unhashable
+                reason = f"move to {decision.move_to!r} is not an edge out of {position!r}"
                 raise ProtocolViolationError(color, reason, game_index)
         for color, decision in decisions.items():
             if decision.bid < 0:
@@ -576,9 +580,9 @@ def coin_game_end(g: GameGraph, start: str, cap: int, seed: int, game_index: int
     """Where game ``game_index`` of a coin-flip batch seeded ``seed`` ends,
     played alone by the package's coin walk (``_coin_game`` on
     ``_coin_table``) on a generator of its own."""
-    names, step = _coin_table(g, start)
+    step = _coin_table(g, start)
     rng = random.Random(derived_seed(seed, "randomturn", game_index))
-    return names[_coin_game(step, names.index(start), cap, rng)]
+    return g._names[_coin_game(step, g._position[start], cap, rng)]
 
 
 def end_tallies(g: GameGraph, ends: list[str]) -> tuple[int, int, int]:

@@ -403,7 +403,7 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     the exact solver's pick on the certified table, is the safety agent's
     move on its own orientation of that table: one move rule."""
     costs = solve_exact(g)
-    names, step = _coin_table(g, g.blue)
+    names, step = g._names, _coin_table(g, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
     assert corpus.policy_halts(g, step)
     nums, den = _solve_policy(g, step)

@@ -157,6 +157,41 @@ def test_an_inexact_bid_is_a_protocol_violation(fig1, optimal_pair, color):
         run_batch(fig1, blue, red, start, runs=3)
 
 
+@pytest.mark.parametrize("move", ["zz", None, ["m"]], ids=["zz", "None", "list"])
+@pytest.mark.parametrize("color", ["blue", "red"])
+def test_a_move_that_names_no_vertex_is_a_protocol_violation(fig1, optimal_pair, color, move):
+    blue, red = optimal_pair
+    if color == "blue":
+        blue = FixedAgent(0, move)
+    else:
+        red = FixedAgent(0, move)
+    start = GameState("v", F(1, 2), F(1, 2))
+    reason = f"move to {move!r} is not an edge out of 'v'"
+    for play in (play_richman_game, corpus.reference_game):
+        with pytest.raises(ProtocolViolationError) as info:
+            play(fig1, blue, red, start, game_index=5)
+        assert (info.value.color, info.value.reason, info.value.game_index) == (color, reason, 5)
+    with pytest.raises(ProtocolViolationError) as info:
+        run_batch(fig1, blue, red, start, runs=3)
+    assert (info.value.color, info.value.reason, info.value.game_index) == (color, reason, 0)
+
+
+def test_a_move_that_names_no_vertex_is_found_before_an_overbid(fig1):
+    """Each agent's decision is read into integers and positions when it
+    is asked, Blue first, and only then are the bids checked against the
+    bankrolls: Red's move to no vertex is reported before Blue's overbid,
+    while Red's move to a vertex off the edges is not."""
+    start = GameState("v", F(1, 2), F(1, 2))
+    overbid = FixedAgent(1, "m")
+    for play in (play_richman_game, corpus.reference_game):
+        with pytest.raises(ProtocolViolationError) as info:
+            play(fig1, overbid, FixedAgent(0, "zz"), start)
+        assert (info.value.color, info.value.reason) == ("red", "move to 'zz' is not an edge out of 'v'")
+        with pytest.raises(ProtocolViolationError) as info:
+            play(fig1, overbid, FixedAgent(0, "r"), start)
+        assert (info.value.color, info.value.reason) == ("blue", "bid 1 exceeds bankroll 1/2")
+
+
 def test_a_bankroll_that_is_neither_int_nor_fraction_is_rejected_up_front(fig1, optimal_pair):
     blue, red = optimal_pair
     for start in (GameState("v", 0.5, 0.5), GameState("v", F(1, 2), 0.5), GameState("v", 1.0, F(0))):
@@ -439,7 +474,7 @@ def test_random_turn_game_basics(fig1):
     # A terminal start is legal, and its game ends there before any coin.
     assert random_turn_stats(fig1, "b", 3).blue_wins == 3
     assert random_turn_stats(fig1, "r", 3).red_wins == 3
-    names, step = _coin_table(fig1, "b")
+    names, step = fig1._names, _coin_table(fig1, "b")
     rng = random.Random(0)
     state = rng.getstate()
     assert _coin_game(step, names.index("b"), 384, rng) == names.index("b")
@@ -476,7 +511,7 @@ def test_coins_equal_choice_across_chunk_refills():
     end where one ``choice`` per move on its generator takes it: Blue
     steps towards b, Red towards r."""
     g = corpus.two_way_chain(64)
-    names, step = _coin_table(g, "v32")
+    names, step = g._names, _coin_table(g, "v32")
     full = {260: 0, 1000: 0}
     for i in range(1000):
         cap = 1000 if i % 20 == 0 else 260
@@ -576,9 +611,9 @@ def test_no_game_graph_is_built_after_parsing(data_dir, monkeypatch):
     ids=["series12", "ring12"],
 )
 def test_agents_plan_each_vertex_once(g, start, monkeypatch):
-    """The losing play of each vertex is planned when the agent is built,
-    and the winning play of each (horizon, vertex) on first use: a second
-    batch, on a play tree of its own, plans nothing."""
+    """The agents keep their losing moves by position from when they are
+    built, and plan the winning play of each (horizon, vertex) on first
+    use: a second batch, on a play tree of its own, plans nothing."""
     calls = []
     real = richman.agents._rung_plan
     monkeypatch.setattr(richman.agents, "_rung_plan", lambda *args: calls.append(args) or real(*args))
