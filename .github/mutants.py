@@ -149,6 +149,13 @@ MUTANTS = [
         ("tests/test_simulate.py::test_single_step_game_record",),
     ),
     Mutant(
+        "the series grid lists each state's red-next successor before its blue-next one",
+        "src/richman/series.py",
+        "(blue if i + 1 == k else v + k, blue + 1 if j + 1 == k else v + 1)",
+        "(blue + 1 if j + 1 == k else v + 1, blue if i + 1 == k else v + k)",
+        ("tests/test_series.py::test_the_positional_grid_names_into_the_series_graph",),
+    ),
+    Mutant(
         "the row formatter skips its gcd and prints N/D unreduced",
         "src/richman/cli.py",
         'return f"{num // common}" if common == den else f"{num // common}/{den // common}"',

@@ -27,7 +27,7 @@ from .agents import AGENT_NAMES, GameState, make_agent
 from .graphs import GameGraph, GraphFormatError, parse_game_graph
 from .series import BankrollMismatchError, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
-from .solver import NotConvergedError, SolverError, _solve, solve_iterative
+from .solver import DEFAULT_MAX_ITERS, DEFAULT_TOL, NotConvergedError, SolverError, _solve, solve_iterative
 
 __all__ = ["main", "run"]
 
@@ -102,8 +102,8 @@ def _build_parser() -> _ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact rational costs (default)")
     mode.add_argument("--iterate", action="store_true", help="bracketing iteration instead")
-    solve.add_argument("--tol", type=_tolerance, default=1e-9, help="gap tolerance for --iterate")
-    solve.add_argument("--max-iters", type=_iteration_limit, default=100_000)
+    solve.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="gap tolerance for --iterate")
+    solve.add_argument("--max-iters", type=_iteration_limit, default=DEFAULT_MAX_ITERS)
     _add_output_flag(solve)
 
     sim = sub.add_parser("simulate", help="run seeded bidding games")
@@ -189,10 +189,7 @@ def _cmd_solve(args) -> int:
             }
             print(json.dumps(payload, sort_keys=True))
         else:
-            rows = [
-                f"{v} {_fraction(*q.as_integer_ratio())} {_fraction(*lower[v].as_integer_ratio())}"
-                for v, q in sorted(upper.items())
-            ]
+            rows = [f"{v} {q} {lower[v]}" for v, q in sorted(upper.items())]
             print("\n".join(["vertex upper lower", *rows, f"gap {gap} {float(gap)}", f"iterations {t}"]))
         return EXIT_OK
     nums, den = _solve(g)
@@ -268,11 +265,7 @@ def _cmd_series(args) -> int:
     if args.output == "json":
         print(json.dumps(plan.to_json_dict(), sort_keys=True))
     else:
-        stakes = plan.stakes
-        rows = [
-            f"{state_id(*s)} {_fraction(*q.as_integer_ratio())} {_fraction(*stakes[s].as_integer_ratio())}"
-            for s, q in sorted(plan.holdings.items())
-        ]
+        rows = [f"{state_id(*s)} {q} {plan.stakes[s]}" for s, q in sorted(plan.holdings.items())]
         head = [f"wins_needed {plan.wins_needed}", f"bankroll {plan.bankroll}", "state holding stake"]
         print("\n".join(head + rows))
     return EXIT_OK

@@ -7,6 +7,10 @@ averaging identity degenerates to the fair-coin recursion, and the exact
 cost table *is* the hedging ladder: hold cost(state) at every state (in
 units where you finish with target_low if blue takes the series and
 target_high if red does) and stake the successor gap on each game.
+
+The ladder solves its grid on positions (``_grid``) by the solver's
+back-substitution and certificate, with no ``GameGraph``; a test proves
+that the grid names into ``build_series_graph``, so it is not validated.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .graphs import GameGraph
-from .solver import _frac_json, _integers, _solve
+from .solver import _back_substitute, _frac_json, _integers
 
 __all__ = [
     "BankrollMismatchError",
@@ -59,12 +63,8 @@ class BetPlan(NamedTuple):
             "bankroll": _frac_json(self.bankroll),
             "target_low": _frac_json(self.target_low),
             "target_high": _frac_json(self.target_high),
-            "holdings": {
-                state_id(i, j): _frac_json(q) for (i, j), q in sorted(self.holdings.items())
-            },
-            "stakes": {
-                state_id(i, j): _frac_json(q) for (i, j), q in sorted(self.stakes.items())
-            },
+            "holdings": {state_id(*s): _frac_json(q) for s, q in sorted(self.holdings.items())},
+            "stakes": {state_id(*s): _frac_json(q) for s, q in sorted(self.stakes.items())},
         }
 
 
@@ -72,26 +72,25 @@ def state_id(i: int, j: int) -> str:
     return f"s{i}_{j}"
 
 
-def _series_states(k: int) -> list[tuple[tuple[int, int], str, str, str]]:
-    """Each interior state (i, j) of a first-to-k series with its id and
-    the ids of its two successors (blue team wins the game, red team wins
-    the game); every id is built once."""
+def _grid(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int]]:
+    """The first-to-k grid on positions: state (i, j) is i k + j, Blue
+    k^2, Red k^2 + 1.  Returns the states, their (blue wins next, red wins
+    next) successors, and the depth, 2k - 1 - i - j (0 at a terminal)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    # ids[i][j] for i, j <= k: a k-th win is the winner's terminal.
-    ids = [[state_id(i, j) for j in range(k)] + [RED_TERMINAL] for i in range(k)] + [[BLUE_TERMINAL] * k]
-    return [((i, j), ids[i][j], ids[i + 1][j], ids[i][j + 1]) for i in range(k) for j in range(k)]
-
-
-def _series_graph(states: list[tuple[tuple[int, int], str, str, str]]) -> GameGraph:
-    edges = [(here, after) for _, here, *successors in states for after in successors]
-    return GameGraph.from_parts((), edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
+    blue = k * k
+    states = [(i, j) for i in range(k) for j in range(k)]
+    succ = [(blue if i + 1 == k else v + k, blue + 1 if j + 1 == k else v + 1) for v, (i, j) in enumerate(states)]
+    return states, succ, [2 * k - 1 - i - j for i, j in states] + [0, 0]
 
 
 def build_series_graph(k: int) -> GameGraph:
-    """Score grid for a first-to-k series; all decided states collapse to
-    the two terminals."""
-    return _series_graph(_series_states(k))
+    """Score grid for a first-to-k series, ``_grid`` named by ``state_id``;
+    all decided states collapse to the two terminals."""
+    states, succ, _ = _grid(k)
+    names = [state_id(*s) for s in states] + [BLUE_TERMINAL, RED_TERMINAL]
+    edges = [(names[v], names[u]) for v, ts in enumerate(succ) for u in ts]
+    return GameGraph.from_parts((), edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
 
 
 def series_bet_plan(
@@ -105,9 +104,8 @@ def series_bet_plan(
     Rejects target_low > target_high before solving, and any bankroll
     other than the required initial holding — riding the ladder from the
     wrong starting amount is impossible, and the error carries the
-    required value.  The ladder reads the solver's certified integers:
-    holdings and stakes are integers over one denominator, and a Fraction
-    is built only for each returned value.
+    required value.  Holdings and stakes are integers over one
+    denominator up to the returned Fractions.
 
     The stake is the same whichever team takes the next game, with no
     second check: the solve certified 2 N(v) = N(blue_next) + N(red_next)
@@ -115,20 +113,19 @@ def series_bet_plan(
     spread_num is an affine image of N, so held(red_next) - held(v) =
     held(v) - held(blue_next).
     """
-    states = _series_states(k)
+    states, succ, depth = _grid(k)
     low, high = Fraction(target_low), Fraction(target_high)
     if low > high:
         raise ValueError(f"target_low {low} is above target_high {high}")
-    graph = _series_graph(states)
-    nums, den = _solve(graph)
+    nums, den = _back_substitute(succ, depth)
     (low_num, high_num), scale = _integers((low, high))
     spread_num = high_num - low_num
     # holding(v) = low + cost(v) (high - low) = held[v] / unit
-    held = {v: low_num * den + n * spread_num for v, n in zip(graph._names, nums)}
+    held = [low_num * den + n * spread_num for n in nums]
     unit = scale * den
-    start, given = held[states[0][1]], Fraction(bankroll)
+    start, given = held[0], Fraction(bankroll)
     if given.numerator * unit != start * given.denominator:
         raise BankrollMismatchError(given, Fraction(start, unit))
-    holdings = {state: Fraction(held[here], unit) for state, here, _, _ in states}
-    stakes = {state: Fraction(held[red_next] - held[here], unit) for state, here, _, red_next in states}
+    holdings = {state: Fraction(n, unit) for state, n in zip(states, held)}
+    stakes = {state: Fraction(held[red_next] - n, unit) for state, n, (_, red_next) in zip(states, held, succ)}
     return BetPlan(k, given, low, high, holdings, stakes)

@@ -88,7 +88,7 @@ UNRESOLVED = "Unresolved"
 class ProtocolViolationError(Exception):
     """An agent bid more than it had, less than zero or inexactly, or moved off-graph."""
 
-    def __init__(self, color: str, reason: str, game_index: int = 0):
+    def __init__(self, color: str, reason: str, game_index: int):
         self.color = color
         self.reason = reason
         self.game_index = game_index

@@ -25,19 +25,15 @@ integer rows are eliminated fraction-free in minimum-degree order and
 back-substituted over one common denominator, and it is re-picked from
 the exact numerators until the table passes the averaging identity.  ``_solve`` returns (N, D) only once
 it passes that identity, checked in integers as 2 N(v) = min + max, which
-by uniqueness certifies it, and keeps it on the graph.  Both agents
-(``agents._oriented``), the coin-flip game, the CLI's ``solve`` and the
-series ladder read those integers; Fractions are built only for the
+by uniqueness certifies it, and keeps it on the graph.  Both agents,
+the coin-flip game and the CLI read those integers, and the series
+ladder solves its grid's lists by the same back-substitution and
+certificate (``_back_substitute``); Fractions are built only for the
 public returns.
 ``solve_iterative`` brackets the costs with monotone iterations from above
-and below in exact arithmetic.
-
-Every iterate table is dyadic.  ``_iterates`` yields table t as (N, e):
-integer numerators N(v) over one shared 2^e, with the common power of two
-divided out, so e = 0 or some numerator is odd.  ``solve_iterative``
-compares its gap, an integer over the larger 2^e, with tol in integers and
-builds Fractions only for the two tables it returns; the optimal agent's
-ladder keeps the integers.
+and below, each table integer numerators over a power of two
+(``_iterates``, which the optimal agent's ladder reads too), and builds
+Fractions only for the two tables it returns.
 """
 
 from __future__ import annotations
@@ -163,14 +159,14 @@ def solve_iterative(g: GameGraph, tol: float = DEFAULT_TOL, max_iters: int = DEF
     return result
 
 
-def _identity_holds(g: GameGraph, nums: Sequence[int], den: int) -> bool:
-    """True when N(v) / den is a genuine cost table for g.
+def _identity_holds(succ: Sequence[Sequence[int]], nums: Sequence[int], den: int) -> bool:
+    """True when N(v) / den is a genuine cost table for the successor
+    lists ``succ``.
 
     Checks the terminal boundary, the [0, 1] range, and the averaging
     identity 2 N(v) = min + max over successors, all in integers.  A dead
     end has no successors to average, so it fails.
     """
-    succ = g._succ
     if nums[len(succ)] != 0 or nums[len(succ) + 1] != den or min(nums) < 0 or max(nums) > den:
         return False
     for n, ts in zip(nums, succ):
@@ -203,7 +199,7 @@ def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> boo
         nums, den = _integers([table[v] for v in g._names])
     except (KeyError, ValueError):
         return False
-    return {g.blue, g.red} <= g.vertices and _identity_holds(g, nums, den)
+    return {g.blue, g.red} <= g.vertices and _identity_holds(g._succ, nums, den)
 
 
 def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
@@ -357,11 +353,25 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
     return nums, den
 
 
+def _back_substitute(succ: Sequence[Sequence[int]], depth: Sequence[int]) -> tuple[list[int], int]:
+    """The certified (nums, den) of an acyclic interior by position:
+    ``succ`` as ``GameGraph._succ`` and ``depth`` as ``GameGraph._depth``.
+    A depth that is wrong for ``succ`` fails the certificate: SolverError."""
+    den = 1 << max(depth)
+    nums = [0] * len(depth)
+    nums[-1] = den
+    for v in sorted(range(len(succ)), key=depth.__getitem__):
+        values = [nums[u] for u in succ[v]]
+        nums[v] = (min(values) + max(values)) >> 1
+    if not _identity_holds(succ, nums, den):
+        raise SolverError("back-substitution broke the averaging identity")
+    return nums, den
+
+
 def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
     """The exact table as (nums, den) by position, certified by the
     averaging identity (the routes are in the module docstring) and kept
     on the graph, which is frozen, so each graph object is solved once.
-    With no interior cycle the numerators are found in order of depth.
     Every picked policy halts (``_pick_policy``'s theorem), so its system
     has one solution; the re-picking is not proved to end, and a policy
     seen before raises SolverError (and keeps nothing) rather than looping.
@@ -369,16 +379,9 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
     if "_exact" in vars(g):
         return vars(g)["_exact"]
     _require_valid(g)
-    succ, depth = g._succ, g._depth  # most non-terminals on a path to a terminal
+    succ, depth = g._succ, g._depth
     if depth is not None:
-        den = 1 << max(depth)
-        nums = [0] * len(depth)
-        nums[-1] = den
-        for v in sorted(range(len(succ)), key=depth.__getitem__):
-            values = [nums[u] for u in succ[v]]
-            nums[v] = (min(values) + max(values)) >> 1
-        if not _identity_holds(g, nums, den):
-            raise SolverError("back-substitution broke the averaging identity")
+        nums, den = _back_substitute(succ, depth)
     else:
         policy = _pick_policy(g, [0] * (len(succ) + 2))
         tried: set[tuple[tuple[int, int], ...]] = set()
@@ -388,7 +391,7 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
                 raise SolverError("policy improvement revisited a policy")
             tried.add(key)
             nums, den = _solve_policy(g, policy)
-            if _identity_holds(g, nums, den):
+            if _identity_holds(succ, nums, den):
                 break
             policy = _pick_policy(g, nums)
     exact = vars(g)["_exact"] = tuple(nums), den

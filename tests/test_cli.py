@@ -279,6 +279,13 @@ def test_simulate_scenario_validation(cli, data_dir):
     assert cli("simulate", fig1, "--start", "v", *base, "--max-moves", "0")[0] == 3
 
 
+def test_simulate_zero_runs_prints_zero_tallies(cli, data_dir):
+    money = ("--blue-money", "1", "--red-money", "1")
+    code, out, err = cli("simulate", str(data_dir / "fig1.rg"), "--start", "v", *money, "--runs", "0")
+    assert (code, err) == (0, "")
+    assert out == "runs 0\nblue_wins 0\nred_wins 0\nunresolved 0\nmoves\nmaster_seed 0\n"
+
+
 def test_simulate_usage_errors(cli, data_dir):
     fig1 = str(data_dir / "fig1.rg")
     cases = [
@@ -382,9 +389,8 @@ def test_series_wrong_bankroll(cli):
 
 
 def test_series_bad_wins(cli):
-    code, _, err = cli("series", "--wins", "0", "--bankroll", "1/2")
-    assert code == 3
-    assert "at least 1" in err
+    for wins in ("0", "-1"):
+        assert cli("series", "--wins", wins, "--bankroll", "1/2") == (3, "", "k must be at least 1\n")
 
 
 def test_series_json(cli):

@@ -14,7 +14,8 @@ import shlex
 
 import pytest
 
-from richman.cli import main
+from richman.cli import _build_parser, main
+from richman.solver import DEFAULT_MAX_ITERS, DEFAULT_TOL
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
 FENCED = re.findall(r"^```([^\n]*)\n(.*?)^```", README, re.M | re.S)
@@ -60,6 +61,13 @@ def test_readme_example(argv, expected, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert matches(expected, out.splitlines()), out
+
+
+def test_the_solve_defaults_are_the_solver_s_and_the_readme_s():
+    args = _build_parser().parse_args(["solve", "arena.rg"])
+    assert (args.tol, args.max_iters) == (DEFAULT_TOL, DEFAULT_MAX_ITERS) == (1e-9, 100_000)
+    assert "`--tol` (default `1e-9`)" in README
+    assert "`--max-iters` sweeps (default `100000`)" in README
 
 
 def test_readme_library_example(tmp_path, monkeypatch):

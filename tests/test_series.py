@@ -17,7 +17,7 @@ from richman import (
 
 import richman.series
 import corpus
-from richman.solver import _integers
+from richman.solver import SolverError, _integers
 
 F = Fraction
 
@@ -168,8 +168,49 @@ def plan_from_the_fraction_table(k, low, high):
     return holdings, stakes, held[state_id(0, 0)]
 
 
+# Every k that the benchmark's series commands run, and two larger grids.
+GRID_SIZES = [*range(1, 21), 32, 64]
+
+
+def grid_name(k, i, j):
+    """The vertex of score (i, j) in a first-to-k series, i or j = k a win."""
+    return "b" if i == k else "r" if j == k else state_id(i, j)
+
+
+@pytest.mark.parametrize("k", GRID_SIZES)
+def test_the_positional_grid_names_into_the_series_graph(k):
+    """The ladder solves ``_grid`` without building or validating a graph:
+    named, it is ``build_series_graph(k)``, a valid arena, with each
+    state's successors in (blue wins next, red wins next) order and the
+    graph's own depths."""
+    states, succ, depth = richman.series._grid(k)
+    assert states == [(i, j) for i in range(k) for j in range(k)]
+    names = [state_id(i, j) for i, j in states] + ["b", "r"]
+    after = [(grid_name(k, i + 1, j), grid_name(k, i, j + 1)) for i, j in states]
+    assert [(names[b], names[r]) for b, r in succ] == after
+    g = build_series_graph(k)
+    assert {names[v]: tuple(sorted(names[u] for u in ts)) for v, ts in enumerate(succ)} == g.moves
+    assert g.validation.ok
+    assert depth == [2 * k - 1 - i - j for i, j in states] + [0, 0]
+    assert [g._depth[g._position[v]] for v in names] == depth
+
+
+def test_a_wrong_depth_fails_the_plan_s_certificate(monkeypatch):
+    """The back-substitution trusts the grid's depths for its order, and the
+    certificate catches a depth that is wrong for the successor lists."""
+    grid = richman.series._grid
+
+    def shallow(k):
+        states, succ, depth = grid(k)
+        return states, succ, [0, *depth[1:]]  # (0, 0) solved first, on zeros
+
+    monkeypatch.setattr(richman.series, "_grid", shallow)
+    with pytest.raises(SolverError, match="back-substitution broke the averaging identity"):
+        series_bet_plan(3, F(1, 2))
+
+
 @pytest.mark.parametrize("low, high", [(F(0), F(1)), (F(1, 3), F(5, 4))], ids=["default", "1/3-5/4"])
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", GRID_SIZES)
 def test_the_plan_equals_the_plan_from_the_fraction_table(k, low, high):
     holdings, stakes, required = plan_from_the_fraction_table(k, low, high)
     plan = series_bet_plan(k, required, target_low=low, target_high=high)
@@ -191,8 +232,8 @@ def test_series_spec_validation():
 def test_reversed_payout_targets_are_rejected_before_solving(monkeypatch):
     """A bankroll between reversed targets is not the fault: the targets are."""
     solved = []
-    solve = richman.series._solve
-    monkeypatch.setattr(richman.series, "_solve", lambda g: solved.append(g) or solve(g))
+    solve = richman.series._back_substitute
+    monkeypatch.setattr(richman.series, "_back_substitute", lambda *grid: solved.append(grid) or solve(*grid))
     with pytest.raises(ValueError, match="^target_low 1 is above target_high 0$"):
         series_bet_plan(2, F(1, 2), target_low=F(1), target_high=F(0))
     assert solved == []

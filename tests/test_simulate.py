@@ -574,7 +574,7 @@ def test_each_graph_object_is_solved_once(data_dir, monkeypatch):
     identity checks of one solve between them."""
     checked = []
     real = richman.solver._identity_holds
-    monkeypatch.setattr(richman.solver, "_identity_holds", lambda g, *table: checked.append(g) or real(g, *table))
+    monkeypatch.setattr(richman.solver, "_identity_holds", lambda succ, *table: checked.append(succ) or real(succ, *table))
     # Graph objects of their own: the session fixtures may be solved already.
     fresh = parse_game_graph((data_dir / "fig1.rg").read_text())
     solve_exact(fresh)
@@ -587,7 +587,7 @@ def test_each_graph_object_is_solved_once(data_dir, monkeypatch):
         assert run_batch(g, blue, red, GameState("v", F(3, 5), F(2, 5)), runs=50, master_seed=2).runs == 50
     assert random_turn_stats(g, "m", 200, master_seed=2).runs == 200
     assert solve_exact(g) == costs
-    assert len(checked) == one_solve and all(h is g for h in checked)
+    assert len(checked) == one_solve and all(succ is g._succ for succ in checked)
 
 
 def test_no_game_graph_is_built_after_parsing(data_dir, monkeypatch):
