@@ -58,7 +58,7 @@ ALLOWED = [
     Allowed(
         "src/richman/solver.py",
         "_solve_policy",
-        ('raise SolverError(f"singular policy: {g._names[v]!r} never reaches a terminal")',),
+        ('raise SolverError(f"singular policy: position {v} never reaches a terminal")',),
         "proved unreachable by `_pick_policy`'s theorem (every policy the solve picks halts), kept as a guard",
     ),
     Allowed(

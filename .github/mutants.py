@@ -37,10 +37,10 @@ MUTANTS = [
         ("tests/test_properties.py::test_the_pick_on_the_values_of_every_halting_policy_halts",),
     ),
     Mutant(
-        "Red picks its choice on the values instead of their negation",
+        "Red's descent takes a cheapest successor instead of a dearest one",
         "src/richman/solver.py",
-        "_descent_moves(g, blue + 1, [-n for n in x])",
-        "_descent_moves(g, blue + 1, x)",
+        "pick = min if goal == len(g._succ) else max",
+        "pick = min",
         ("tests/test_solver.py",),
     ),
     Mutant(
@@ -60,8 +60,8 @@ MUTANTS = [
     Mutant(
         "the safety agent bids half its rate",
         "src/richman/agents.py",
-        "        return own * (cost - self._nums[move]), cost or 1, move\n",
-        "        return own * (cost - self._nums[move]), 2 * (cost or 1), move\n",
+        "        return own * abs(nums[v] - nums[move]), cost or 1, move\n",
+        "        return own * abs(nums[v] - nums[move]), 2 * (cost or 1), move\n",
         ("tests/test_agents.py::test_safety_agent_bids",),
     ),
     Mutant(
@@ -74,16 +74,16 @@ MUTANTS = [
     Mutant(
         "the losing bid is not capped at the bankroll",
         "src/richman/agents.py",
-        "        return min((nums[v] - nums[lo]) * total, own * self._den), self._den, lo\n",
-        "        return (nums[v] - nums[lo]) * total, self._den, lo\n",
+        "        return min(abs(nums[v] - nums[lo]) * total, own * self._den), self._den, lo\n",
+        "        return abs(nums[v] - nums[lo]) * total, self._den, lo\n",
         ("tests/test_agents.py::test_full_knowledge_bid_is_capped_by_bankroll",),
     ),
     Mutant(
-        "Red's orientation hands it the table without flipping it to 1 - cost",
+        "Red's cost reads Blue's numerator instead of den - N",
         "src/richman/agents.py",
-        "        return blue + 1, [den - n for n in nums], den\n",
-        "        return blue + 1, nums, den\n",
-        ("tests/test_agents.py::test_oriented_reads_the_table_as_numerators",),
+        "self._flip = graph, nums, den if red else 0\n",
+        "self._flip = graph, nums, 0\n",
+        ("tests/test_agents.py::test_safety_agent_bids",),
     ),
     Mutant(
         "the descent walk drops its floor test and steps along every edge",

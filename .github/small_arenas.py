@@ -6,7 +6,8 @@ Builds every arena of ``small_arenas(N, MAX_OUT)`` from tests/corpus.py
 (N non-terminals, each with at most MAX_OUT successors) and runs
 ``check_small_arena`` on it: validation against the name-based
 reference, the certified exact table against a name-based Fraction check,
-and the halting of the policy pick on it (the coin-flip game's moves).
+and the halting of the policy pick on it (the coin-flip game's moves),
+whose columns are each colour's descent moves on that one table.
 It also checks that every policy the solve's rounds pick halts, as
 ``solver._pick_policy``'s theorem says.  Prints the number of arenas, of
 valid ones, and how many valid arenas needed each number of policy rounds
@@ -29,10 +30,10 @@ def main(argv: list[str]) -> int:
     rounds = [0]
     real = solver._solve_policy
 
-    def counted(g, policy):
+    def counted(policy):  # g is the arena the loop below is checking
         rounds[0] += 1
         assert corpus.policy_halts(g, policy), (g, policy)
-        return real(g, policy)
+        return real(policy)
 
     solver._solve_policy = counted
     arenas, histogram = 0, Counter()

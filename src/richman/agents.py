@@ -1,14 +1,16 @@
 """Bidding strategies.
 
 Both strategies are functions of the arena's cost table, so an agent is
-fixed by its arena and colour: it reads the certified numerators N over
-one denominator den that ``solver._solve`` keeps on the graph.  Each is
-written for the player trying to reach *their* terminal, its goal
-(``_oriented``): Blue's goal is the blue terminal and its costs are N;
-Red's goal is the red terminal and its costs are den - N, that is
-1 - cost.  Each player's cost is then 0 at its goal and 1 at the other
-terminal, which turns Red's steepest ascent into steepest descent and
-lets one implementation serve both colors.
+fixed by its arena and colour: it keeps the certified numerators N over
+one denominator den that ``solver._solve`` keeps on the graph, that very
+tuple.  Each is written for the player trying to reach *their* terminal,
+its goal: Blue's goal is the blue terminal and its cost at v is N(v);
+Red's goal is the red terminal and its cost is den - N(v), that is
+1 - cost.  With flip 0 for Blue and den for Red, a player's cost is
+|flip - N(v)|, 0 at its goal and 1 at the other terminal, and the drop to
+a move is |N(v) - N(move)|.  Its moves are ``solver._descent_moves``
+towards its goal on the same N, a dearest successor for Red, so one
+implementation serves both colours and neither keeps a second table.
 
 Agents included:
 
@@ -32,8 +34,8 @@ Agents included:
 
 These strategies are functions of the vertex, so the agents play on the
 arena's integer positions (``GameGraph._names``): the optimal and the
-safety agent keep the oriented numerators and their
-``solver._descent_moves`` as lists by position, and the random agent
+safety agent keep the certified numerators and their
+``solver._descent_moves`` by position, and the random agent
 reads the successor positions ``GameGraph._succ``.  The optimal agent's
 ladder is integer: rung t is the upper iterate as numerators over one
 power of two (``solver._iterates``), grown on demand, and the play of
@@ -59,7 +61,7 @@ import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .graphs import GameGraph
 from .solver import SolverError, _descent_moves, _integers, _iterates, _require_valid, _solve
@@ -93,13 +95,6 @@ class GameState(NamedTuple):
     position: str
     blue_money: Fraction
     red_money: Fraction
-
-    @property
-    def total(self) -> Fraction:
-        return self.blue_money + self.red_money
-
-    def money(self, color: str) -> Fraction:
-        return self.red_money if _plays_red(color) else self.blue_money
 
 
 class PlayerView(NamedTuple):
@@ -203,18 +198,6 @@ def _asker(g: GameGraph, agent: Agent, color: str) -> Callable[[int, int, int, i
     return ask
 
 
-def _oriented(g: GameGraph, color: str) -> tuple[int, Sequence[int], int]:
-    """``color``'s goal terminal on g and its costs as integer numerators N
-    over one denominator den, 0 at the goal and den at the other terminal:
-    the certified table's own numerators (``solver._solve``, which checks
-    the arena) for Blue, den - N for Red, all by position (``g._names``)."""
-    nums, den = _solve(g)
-    blue = len(g._succ)
-    if _plays_red(color):
-        return blue + 1, [den - n for n in nums], den
-    return blue, nums, den
-
-
 def _rung_plan(rung: tuple[list[int], int], g: GameGraph, v: int) -> tuple[int, int, int]:
     """Winning play at position v whose horizon is the rung after ``rung``,
     the table N / 2^e: the constant kappa = half the successor gap of this
@@ -238,8 +221,10 @@ class FullKnowledgeAgent(_IntegerAgent):
     _withheld = "full-knowledge agent requires the opponent's bankroll"
 
     def __init__(self, graph: GameGraph, color: str):
-        goal, nums, den = _oriented(graph, color)
-        self._graph, self._nums, self._den = graph, nums, den
+        nums, den = _solve(graph)
+        red = _plays_red(color)
+        goal = len(graph._succ) + red
+        self._graph, self._nums, self._den, self._flip = graph, nums, den, den if red else 0
         # The losing or critical move of each non-terminal.
         self._moves = _descent_moves(graph, goal, nums)
         # Integer upper-iterate ladder towards the goal, grown on demand:
@@ -273,7 +258,7 @@ class FullKnowledgeAgent(_IntegerAgent):
         # share = own / total, total = (own + opp) / den
         total = own + opp
 
-        if total > 0 and own * self._den > nums[v] * total:
+        if total > 0 and own * self._den > abs(self._flip - nums[v]) * total:
             t = self._horizon(v, own, total)
             plan = self._plans.get((t, v))
             if plan is None:
@@ -289,7 +274,7 @@ class FullKnowledgeAgent(_IntegerAgent):
             return (own << (s - 1)) + kappa * total, 1 << s, move
 
         # The cost drop to the move, in total units, capped at the bankroll.
-        return min((nums[v] - nums[lo]) * total, own * self._den), self._den, lo
+        return min(abs(nums[v] - nums[lo]) * total, own * self._den), self._den, lo
 
 
 class SafetyRatioAgent(_IntegerAgent):
@@ -300,14 +285,16 @@ class SafetyRatioAgent(_IntegerAgent):
     deterministic = True
 
     def __init__(self, graph: GameGraph, color: str):
-        goal, nums, _ = _oriented(graph, color)
-        self._graph, self._nums = graph, nums
-        self._moves = _descent_moves(graph, goal, nums)
+        nums, den = _solve(graph)
+        red = _plays_red(color)
+        self._graph, self._nums, self._flip = graph, nums, den if red else 0
+        self._moves = _descent_moves(graph, len(graph._succ) + red, nums)
 
     def _bid(self, v: int, own: int, opp: int | None, den: int, rng: random.Random | None) -> _Decision:
         # own * (cost - cheapest) / cost; at cost 0 the cheapest costs 0 too.
-        cost, move = self._nums[v], self._moves[v]
-        return own * (cost - self._nums[move]), cost or 1, move
+        nums, move = self._nums, self._moves[v]
+        cost = abs(self._flip - nums[v])
+        return own * abs(nums[v] - nums[move]), cost or 1, move
 
 
 class UniformRandomBidAgent(_IntegerAgent):

@@ -168,10 +168,15 @@ def _cost_json(num: int, den: int) -> dict:
     return {"num": num // common, "den": den // common, "float": num / den}
 
 
+def _fraction_json(q: Fraction) -> dict:
+    """``_cost_json`` of a Fraction, which is in lowest terms already."""
+    return {"num": q.numerator, "den": q.denominator, "float": float(q)}
+
+
 def _table_json(costs: dict[str, Fraction], kind: str) -> dict:
     """A cost table as JSON, labelled with how it was computed: "exact", or
     an iterate with its sweep count, as in "upper-iterate(7)"."""
-    return {"kind": kind, "costs": {v: _cost_json(*q.as_integer_ratio()) for v, q in sorted(costs.items())}}
+    return {"kind": kind, "costs": {v: _fraction_json(q) for v, q in sorted(costs.items())}}
 
 
 def _cmd_solve(args) -> int:
@@ -184,7 +189,7 @@ def _cmd_solve(args) -> int:
                 "mode": "iterate",
                 "upper": _table_json(upper, f"upper-iterate({t})"),
                 "lower": _table_json(lower, f"lower-iterate({t})"),
-                "gap": _cost_json(*gap.as_integer_ratio()),
+                "gap": _fraction_json(gap),
                 "iterations": t,
             }
             print(json.dumps(payload, sort_keys=True))

@@ -118,13 +118,6 @@ class GameGraph:
         depth = _walk(self._pred, [i for i, k in enumerate(left) if not k], left)
         return None if len(depth) in depth else depth
 
-    @cached_property
-    def interior_order(self) -> tuple[str, ...] | None:
-        """The non-terminals, each after its non-terminal successors, or
-        None when the non-terminals alone contain a directed cycle."""
-        depth = self._depth
-        return None if depth is None else tuple(v for _, v in sorted(zip(depth, self.moves)))
-
     def is_terminal(self, v: str) -> bool:
         if v not in self.vertices:
             raise KeyError(v)

@@ -203,36 +203,38 @@ def satisfies_exact_identity(g: GameGraph, table: Mapping[str, Fraction]) -> boo
 
 
 def _descent_moves(g: GameGraph, goal: int, nums: Sequence[int]) -> list[int]:
-    """Every non-terminal's move towards ``goal`` on the numerators ``nums``,
-    lowest the best (only their order matters): a cheapest successor, ties
-    to the fewest steepest-descent steps to the goal, then to the first
-    name.  The optimal agent (losing or critical), the safety agent, the
-    coin-flip game and the exact solver's policy rounds move by it.
+    """Every non-terminal's move towards ``goal`` on Blue's numerators
+    ``nums`` (only their order matters): a cheapest successor towards the
+    blue terminal and a dearest one towards the red terminal, ties to the
+    fewest steepest steps to the goal, then to the first name.  The
+    optimal agent (losing or critical), the safety agent, the coin-flip
+    game and the exact solver's policy rounds move by it.
 
-    On the true costs, Blue's move by it and Red's on 1 - cost are
-    ``_pick_policy``'s pick, which halts (its theorem): a fair coin game
-    ends, and as the two moves' costs average to the cost, Red wins it
-    with probability cost(v), the paper's random-turn theorem.
+    On the true costs, Blue's and Red's moves by it are ``_pick_policy``'s
+    pick, which halts (its theorem): a fair coin game ends, and as the two
+    moves' costs average to the cost, Red wins it with probability
+    cost(v), the paper's random-turn theorem.
 
     Two optimal agents with Blue's share at cost(v) both bid the drop
     cost(v) - cheapest = dearest - cost(v); the tie winner pays it and
     moves by this rule, so Blue's share stays at the cost: with fair ties
     that bidding game is the coin-flip game, and it too ends.
     """
-    floors, cheapest = [], []
+    pick = min if goal == len(g._succ) else max
+    floors, best = [], []
     for succ in g._succ:
-        floor = min([nums[u] for u in succ])
+        floor = pick([nums[u] for u in succ])
         floors.append(floor)
-        cheapest.append([u for u in succ if nums[u] == floor])
-    # The walk keeps the edges to a cheapest successor.  Successors are in
-    # name order and min keeps the first of equals.
+        best.append([u for u in succ if nums[u] == floor])
+    # The walk keeps the edges to a successor at the floor.  Successors are
+    # in name order and min keeps the first of equals.
     dist = _walk(g._pred, (goal,), lambda x, u: nums[u] == floors[x])
-    return [ts[0] if len(ts) == 1 else min(ts, key=dist.__getitem__) for ts in cheapest]
+    return [ts[0] if len(ts) == 1 else min(ts, key=dist.__getitem__) for ts in best]
 
 
 def _pick_policy(g: GameGraph, x: Sequence[int]) -> list[tuple[int, int]]:
-    """(cheapest, dearest) successor per non-terminal: Blue's
-    ``_descent_moves`` on the numerators ``x`` and Red's on ``-x``.
+    """(cheapest, dearest) successor per non-terminal: Blue's and Red's
+    ``_descent_moves`` on the numerators ``x``.
 
     Theorem: if x is the exact value table of a policy that halts (reaches
     a terminal from every vertex), the pick on x halts.  Lemma: if
@@ -260,11 +262,13 @@ def _pick_policy(g: GameGraph, x: Sequence[int]) -> list[tuple[int, int]]:
     interior), so the coin-flip game's pick on it halts.
     """
     blue = len(g._succ)
-    return list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, [-n for n in x])))
+    return list(zip(_descent_moves(g, blue, x), _descent_moves(g, blue + 1, x)))
 
 
-def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed.
+def _solve_policy(policy: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Exact solution of 2 x(v) = x(lo(v)) + x(hi(v)) with the terminals fixed:
+    the policy's (lo, hi) pairs by position, with n = len(policy) and the
+    terminals Blue n and Red n + 1.
 
     Each non-terminal v has the integer row 2 x(v) - x(lo) - x(hi) =
     [lo = red] + [hi = red], and rows stay integral under fraction-free
@@ -317,7 +321,7 @@ def _solve_policy(g: GameGraph, policy: Sequence[tuple[int, int]]) -> tuple[list
         rows[v] = None
         pivot = row.pop(v, 0)
         if pivot == 0:
-            raise SolverError(f"singular policy: {g._names[v]!r} never reaches a terminal")
+            raise SolverError(f"singular policy: position {v} never reaches a terminal")
         b = rhs[v]
         naming[v].discard(v)
         for w in row:
@@ -390,7 +394,7 @@ def _solve(g: GameGraph) -> tuple[tuple[int, ...], int]:
             if key in tried:
                 raise SolverError("policy improvement revisited a policy")
             tried.add(key)
-            nums, den = _solve_policy(g, policy)
+            nums, den = _solve_policy(policy)
             if _identity_holds(succ, nums, den):
                 break
             policy = _pick_policy(g, nums)

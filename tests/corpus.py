@@ -40,7 +40,6 @@ from richman import (
     solve_exact,
     validate,
 )
-from richman.agents import _oriented
 from richman.simulate import _coin_game, _coin_table
 from richman.solver import _descent_moves, _iterates, _pick_policy, _solve
 
@@ -283,7 +282,8 @@ def check_small_arena(g: GameGraph) -> bool:
     ``reference_validate`` and, on a valid arena, that the certified exact
     table passes the averaging identity and the terminal values, checked
     in Fractions by vertex name along the edge set, and that the solver's
-    policy pick on it (the coin-flip game's moves) halts."""
+    policy pick on it (the coin-flip game's moves) halts, its columns each
+    colour's ``_descent_moves`` on those same (Blue's) numerators."""
     report = g.validation  # validate(g), kept for the solve
     assert report == reference_validate(g), g
     if not report.ok:
@@ -294,7 +294,10 @@ def check_small_arena(g: GameGraph) -> bool:
     for v in g.non_terminals:
         values = [cost[u] for a, u in g.edges if a == v]
         assert 2 * cost[v] == min(values) + max(values), (g, v)
-    assert policy_halts(g, _pick_policy(g, nums)), g
+    policy = _pick_policy(g, nums)
+    assert policy_halts(g, policy), g
+    for column, goal in enumerate((g.blue, g.red)):
+        assert _descent_moves(g, g._position[goal], nums) == [pair[column] for pair in policy], g
     return True
 
 
@@ -350,7 +353,8 @@ def policy_by_position(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> l
 def descent_moves(g: GameGraph, color: str) -> dict[str, str]:
     """The package's steepest-descent move of ``color`` at every non-terminal
     (``solver._descent_moves``), by vertex name."""
-    return named_moves(g, _descent_moves(g, *_oriented(g, color)[:2]))
+    goal = g.red if color == "red" else g.blue
+    return named_moves(g, _descent_moves(g, g._position[goal], _solve(g)[0]))
 
 
 def iterates(g: GameGraph, fill: int):

@@ -23,8 +23,8 @@ from richman import (
     solve_exact,
 )
 
-from richman.agents import _oriented
 from richman.series import build_series_graph
+from richman.solver import _solve
 
 import corpus
 
@@ -48,11 +48,9 @@ def zchain():
 
 def test_game_state_accessors():
     s = GameState("v", F(3, 5), F(2, 5))
-    assert s.total == 1
-    assert s.money("blue") == F(3, 5)
-    assert s.money("red") == F(2, 5)
-    with pytest.raises(ValueError):
-        s.money("green")
+    assert (s.position, s.blue_money, s.red_money) == ("v", F(3, 5), F(2, 5))
+    assert s == ("v", F(3, 5), F(2, 5))
+    assert not hasattr(s, "total") and not hasattr(s, "money")
 
 
 def critical_bids(g, costs, v, total):
@@ -251,8 +249,6 @@ def test_oriented_mirror_rejects_unknown_color(fig1):
     for name in AGENT_NAMES:
         with pytest.raises(ValueError, match="unknown color 'green'"):
             make_agent(name, fig1, "green")
-    with pytest.raises(ValueError, match="unknown color 'green'"):
-        _oriented(fig1, "green")
 
 
 def test_red_agents_build_no_second_arena(fig1, monkeypatch):
@@ -318,14 +314,27 @@ planned_arenas = pytest.mark.parametrize(
 
 @planned_arenas
 def test_oriented_reads_the_table_as_numerators(build, start):
+    """Each agent reads its colour's cost off Blue's numerators N over den
+    as |flip - N(v)|: cost(v) for Blue, 1 - cost(v) for Red, so 0 at its
+    goal and 1 at the other terminal."""
     g = build()
     costs = solve_exact(g)
+    den = _solve(g)[1]
     for color, goal, other in (("blue", g.blue, g.red), ("red", g.red, g.blue)):
-        got_goal, nums, den = _oriented(g, color)
-        nums = corpus.by_name(g, nums)
-        assert got_goal == g._position[goal]
-        assert nums[goal] == 0 and nums[other] == den
-        assert all(F(nums[v], den) == (costs[v] if color == "blue" else 1 - costs[v]) for v in g.vertices)
+        for agent in (FullKnowledgeAgent(g, color), SafetyRatioAgent(g, color)):
+            cost = {v: F(abs(agent._flip - n), den) for v, n in corpus.by_name(g, agent._nums).items()}
+            assert cost[goal] == 0 and cost[other] == 1
+            assert all(cost[v] == (costs[v] if color == "blue" else 1 - costs[v]) for v in g.vertices)
+
+
+@planned_arenas
+def test_agents_keep_the_certified_table_itself(build, start):
+    """Neither player keeps a second table: both agents of both colours
+    hold the very tuple ``_solve`` keeps on the graph."""
+    g = build()
+    for color in ("blue", "red"):
+        for agent in (FullKnowledgeAgent(g, color), SafetyRatioAgent(g, color)):
+            assert agent._nums is _solve(g)[0]
 
 
 @planned_arenas

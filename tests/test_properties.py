@@ -284,7 +284,7 @@ def test_the_pick_on_the_values_of_every_halting_policy_halts():
     picks = 0
     for g in SMALL_VALID:
         for policy in corpus.halting_policies(g):
-            nums, _ = _solve_policy(g, policy)
+            nums, _ = _solve_policy(policy)
             assert corpus.policy_halts(g, _pick_policy(g, nums)), (g, policy)
             picks += 1
     assert picks == 4_948
@@ -321,10 +321,10 @@ def test_the_pick_on_the_values_of_a_halting_policy_halts(data):
     g = data.draw(arenas_with_one_exit(12))
     policy = data.draw(halting_policies(g))
     assert corpus.policy_halts(g, policy)
-    values, _ = _solve_policy(g, policy)
+    values, _ = _solve_policy(policy)
     for pick in (_pick_policy(g, values), _pick_policy(g, [0] * len(g.vertices))):
         assert corpus.policy_halts(g, pick)
-        nums, den = _solve_policy(g, pick)
+        nums, den = _solve_policy(pick)
         dense = corpus.solve_policy_dense(g, corpus.named_moves(g, pick))
         assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == dense
 
@@ -406,7 +406,7 @@ def test_coin_moves_end_every_game_and_are_the_safety_moves(g):
     names, step = g._names, _coin_table(g, g.blue)
     table = {names[i]: (names[blue], names[red]) for i, (blue, red) in enumerate(step)}
     assert corpus.policy_halts(g, step)
-    nums, den = _solve_policy(g, step)
+    nums, den = _solve_policy(step)
     assert {v: Fraction(n, den) for v, n in corpus.by_name(g, nums).items()} == costs
     for column, color in enumerate(("blue", "red")):
         agent = SafetyRatioAgent(g, color)
@@ -453,11 +453,12 @@ def test_move_table_lists_the_sorted_successors_of_each_non_terminal(g):
     )
 )
 def test_interior_has_cycle_matches_peeling(g):
-    assert (g.interior_order is None) == interior_has_cycle_by_peeling(g)
-    if g.interior_order is not None:
-        assert sorted(g.interior_order) == list(g.non_terminals)
-        rank = {v: i for i, v in enumerate(g.interior_order)}
-        assert all(rank[u] < rank[v] for v in g.interior_order for u in g.moves[v] if u in rank)
+    assert (g._depth is None) == interior_has_cycle_by_peeling(g)
+    if g._depth is not None:
+        # The most non-terminals on a path to a terminal, itself included.
+        depth = corpus.by_name(g, g._depth)
+        assert depth[g.blue] == depth[g.red] == 0
+        assert all(depth[v] == 1 + max(depth[u] for u in g.moves[v]) for v in g.non_terminals)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

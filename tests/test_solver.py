@@ -289,7 +289,7 @@ def test_back_substitution_rescales_the_values_found_so_far():
         "v00": ("b", "v05"), "v01": ("v00", "v00"), "v02": ("b", "b"),
         "v03": ("v00", "v00"), "v04": ("v02", "v00"), "v05": ("v00", "r"),
     }  # fmt: skip
-    nums, den = richman.solver._solve_policy(g, corpus.policy_by_position(g, policy))
+    nums, den = richman.solver._solve_policy(corpus.policy_by_position(g, policy))
     assert den == 6
     assert corpus.by_name(g, nums) == {"b": 0, "r": 6, "v00": 2, "v01": 2, "v02": 0, "v03": 2, "v04": 1, "v05": 4}
 
@@ -474,7 +474,7 @@ def test_acyclic_arenas_are_solved_without_a_policy(monkeypatch):
     calls = []
     solve_policy = richman.solver._solve_policy
     monkeypatch.setattr(
-        richman.solver, "_solve_policy", lambda g, policy: calls.append(g) or solve_policy(g, policy)
+        richman.solver, "_solve_policy", lambda policy: calls.append(policy) or solve_policy(policy)
     )
     for g in (build_series_graph(12), *corpus.acyclic50()):
         assert satisfies_exact_identity(g, solve_exact(g))
@@ -485,13 +485,13 @@ def test_acyclic_arenas_are_solved_without_a_policy(monkeypatch):
 
 def test_an_acyclic_solve_walks_the_interior_once(monkeypatch):
     """The interior's depths come from one walk of the arena's index,
-    shared by ``interior_order``, the acyclic solve and the move cap; the
+    shared by the acyclic solve and the move cap; the
     only other walk is validation's reachability check."""
     walks = []
     walk = richman.graphs._walk
     monkeypatch.setattr(richman.graphs, "_walk", lambda *args: walks.append(args) or walk(*args))
     g = build_series_graph(12)
-    assert g.interior_order is not None
+    assert g._depth is not None
     assert satisfies_exact_identity(g, solve_exact(g))
     assert default_move_cap(g) == 10 * len(g.vertices)
     counting = [args for args in walks if len(args) == 3 and isinstance(args[2], list)]
