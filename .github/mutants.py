@@ -135,6 +135,27 @@ MUTANTS = [
         ("tests/test_simulate.py::test_a_batch_builds_steps_only_for_the_records_it_passes_on",),
     ),
     Mutant(
+        "the parser leaves the edge endpoints out of the vertex set",
+        "src/richman/graphs.py",
+        "GameGraph(frozenset((blue, red)).union(*edges),",
+        "GameGraph(frozenset((blue, red)),",
+        ("tests/test_properties.py::test_the_parser_equals_the_token_by_token_reference",),
+    ),
+    Mutant(
+        "the parser drops its test for a lone '#' token",
+        "src/richman/graphs.py",
+        '        if "#" in parts:\n            raise GraphFormatError("bad vertex id \'#\'", lineno)\n',
+        "",
+        ("tests/test_properties.py::test_the_parser_equals_the_token_by_token_reference",),
+    ),
+    Mutant(
+        "the engine reports every protocol fault as game 0",
+        "src/richman/simulate.py",
+        "raise ProtocolViolationError(*err.args, game_index) from None",
+        "raise ProtocolViolationError(*err.args, 0) from None",
+        ("tests/test_simulate.py::test_protocol_violations_are_attributed",),
+    ),
+    Mutant(
         "the winner's bid is paid to Blue when Blue wins",
         "src/richman/simulate.py",
         "move, scale, to_blue = blue_move, blue_scale, -blue_num",

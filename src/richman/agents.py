@@ -123,7 +123,8 @@ _Decision = tuple[int, int, int]
 
 class _Refused(Exception):
     """args (color, reason): a ``decide`` decision the engine cannot read, a
-    bid that is not an int or a Fraction or a move that names no vertex."""
+    bid that is not an int or a Fraction or a move that names no vertex, or
+    one that breaks a protocol rule (``simulate._violation``)."""
 
 
 class Agent(ABC):

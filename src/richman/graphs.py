@@ -2,11 +2,13 @@
 
 Text format (UTF-8, line oriented):
 
-* blank lines and lines starting with ``#`` are ignored,
+* blank lines, and lines whose first token starts with ``#``, are
+  ignored; there are no trailing comments,
 * exactly one ``blue <id>`` line and exactly one ``red <id>`` line,
 * zero or more ``edge <from> <to>`` lines.
 
-A vertex id is any whitespace-free token other than ``#``.  The canonical
+A vertex id is any whitespace-free token other than ``#``, and the
+vertices are the terminals and the edge endpoints.  The canonical
 serialization emits the blue line, the red line, then the edges sorted
 lexicographically by (from, to).  Parsing it back yields an equal graph
 when every vertex is a terminal or an edge endpoint, so for every valid
@@ -38,12 +40,6 @@ class GraphFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _check_vertex_id(token: str, line: int | None = None) -> str:
-    if token == "#":  # a str.split() field is never empty and holds no whitespace
-        raise GraphFormatError(f"bad vertex id {token!r}", line)
-    return token
 
 
 class GameGraph:
@@ -98,10 +94,10 @@ class GameGraph:
 
     @classmethod
     def from_parts(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]], blue: str, red: str) -> GameGraph:
-        vs = frozenset(vertices) | {blue, red}
+        """The arena on ``vertices``, the two terminals and every edge
+        endpoint: a vertex exists once an edge or a terminal names it."""
         es = frozenset((a, b) for a, b in edges)
-        vs = vs | {a for a, _ in es} | {b for _, b in es}
-        return cls(vertices=vs, edges=es, blue=blue, red=red)
+        return cls(frozenset(vertices).union((blue, red), *es), es, blue, red)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -208,26 +204,26 @@ def parse_game_graph(text: str) -> GameGraph:
     edges: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         keyword = parts[0]
-        if keyword in ("blue", "red"):
-            if len(parts) != 2:
-                raise GraphFormatError(f"expected '{keyword} <id>'", lineno)
-            vid = _check_vertex_id(parts[1], lineno)
-            if keyword in terminals:
-                raise GraphFormatError(f"duplicate {keyword} declaration", lineno)
-            terminals[keyword] = vid
-        elif keyword == "edge":
+        if keyword == "edge":
             if len(parts) != 3:
                 raise GraphFormatError("expected 'edge <from> <to>'", lineno)
-            a = _check_vertex_id(parts[1], lineno)
-            b = _check_vertex_id(parts[2], lineno)
-            edges.add((a, b))
+        elif keyword in ("blue", "red"):
+            if len(parts) != 2:
+                raise GraphFormatError(f"expected '{keyword} <id>'", lineno)
         else:
             raise GraphFormatError(f"unknown directive {keyword!r}", lineno)
+        if "#" in parts:
+            raise GraphFormatError("bad vertex id '#'", lineno)
+        if keyword == "edge":
+            edges.add((parts[1], parts[2]))
+        elif keyword in terminals:
+            raise GraphFormatError(f"duplicate {keyword} declaration", lineno)
+        else:
+            terminals[keyword] = parts[1]
 
     for keyword in ("blue", "red"):
         if keyword not in terminals:
@@ -235,7 +231,7 @@ def parse_game_graph(text: str) -> GameGraph:
     blue, red = terminals["blue"], terminals["red"]
     if blue == red:
         raise GraphFormatError("blue and red must be distinct vertices")
-    return GameGraph.from_parts((), edges, blue, red)
+    return GameGraph(frozenset((blue, red)).union(*edges), frozenset(edges), blue, red)
 
 
 def serialize_game_graph(g: GameGraph) -> str:

@@ -184,18 +184,18 @@ def _outcome(g: GameGraph, end: int) -> str:
     return BLUE_WINS if end == blue else RED_WINS if end == blue + 1 else UNRESOLVED
 
 
-def _violation(color: str, decision: _Decision, own: int, den: int, g: GameGraph, v: int, game_index: int) -> None:
-    """Raise for the first protocol rule ``color``'s decision at position v
-    breaks with the bankroll own / den, if any."""
+def _violation(color: str, decision: _Decision, own: int, den: int, g: GameGraph, v: int) -> None:
+    """Raise ``_Refused`` for the first protocol rule ``color``'s decision
+    at position v breaks with the bankroll own / den, if any."""
     num, scale, move = decision
     if num < 0:
-        raise ProtocolViolationError(color, f"negative bid {Fraction(num, den * scale)}", game_index)
+        raise _Refused(color, f"negative bid {Fraction(num, den * scale)}")
     if num > own * scale:
         bid, bankroll = Fraction(num, den * scale), Fraction(own, den)
-        raise ProtocolViolationError(color, f"bid {bid} exceeds bankroll {bankroll}", game_index)
+        raise _Refused(color, f"bid {bid} exceeds bankroll {bankroll}")
     if move not in g._succ[v]:
         reason = f"move to {g._names[move]!r} is not an edge out of {g._names[v]!r}"
-        raise ProtocolViolationError(color, reason, game_index)
+        raise _Refused(color, reason)
 
 
 # A bid tie waiting for its coin: step index, position, both decisions,
@@ -292,19 +292,12 @@ class _Batch:
         self.tree: dict[str | None, _Segment] | None = {} if blue.deterministic and red.deterministic else None
 
     def segment(
-        self,
-        game_index: int,
-        exchanges: list[_Exchange],
-        index: int,
-        v: int,
-        blue_money: int,
-        red_money: int,
-        den: int,
+        self, exchanges: list[_Exchange], index: int, v: int, blue_money: int, red_money: int, den: int
     ) -> _Segment:
-        """Play game ``game_index`` on from step ``index`` at position v,
-        with the bankrolls blue_money / den and red_money / den, to a
-        terminal, the cap or a bid tie; ``exchanges`` are the segment's
-        exchanges so far."""
+        """Play on from step ``index`` at position v, with the bankrolls
+        blue_money / den and red_money / den, to a terminal, the cap or a
+        bid tie; ``exchanges`` are the segment's exchanges so far.  A
+        decision that breaks the protocol raises ``_Refused``."""
         blue_rng, red_rng = self.rngs
         blue_ask, red_ask = self.asks
         g, succ, cap = self.g, self.g._succ, self.cap
@@ -314,9 +307,9 @@ class _Batch:
             red_decision = red_ask(v, red_money, blue_money, den, red_rng)
             (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
             if not (0 <= blue_num <= blue_money * blue_scale and blue_move in out):
-                _violation("blue", blue_decision, blue_money, den, g, v, game_index)
+                _violation("blue", blue_decision, blue_money, den, g, v)
             if not (0 <= red_num <= red_money * red_scale and red_move in out):
-                _violation("red", red_decision, red_money, den, g, v, game_index)
+                _violation("red", red_decision, red_money, den, g, v)
             lead = blue_num * red_scale - red_num * blue_scale
             tie = (index, v, blue_decision, red_decision, blue_money, red_money, den)
             if lead == 0:
@@ -345,7 +338,7 @@ class _Batch:
                     exchange = _exchange(tie, winner, winner == "blue")
                     first, state = [exchange], (tie[0] + 1, *exchange[3:])
                 try:
-                    node = after[winner] = self.segment(game_index, first, *state)
+                    node = after[winner] = self.segment(first, *state)
                 except _Refused as err:
                     raise ProtocolViolationError(*err.args, game_index) from None
             path.append(node)

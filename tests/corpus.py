@@ -4,9 +4,10 @@ The oracles here are deliberately written against *different* math than the
 package: closed-form binomial sums for the series grid, the classic ruin
 quotient for birth-death walks, a by-hand 2x2 elimination for the
 two-vertex path, and exhaustive enumeration of successor policies with
-dense elimination for small arenas, and the bidding protocol and the
-coin-flip game played one game at a time from scratch.  Tests freeze
-their outputs and compare the package against them.
+dense elimination for small arenas, the bidding protocol and the
+coin-flip game played one game at a time from scratch, and the text
+format read token by token.  Tests freeze their outputs and compare the
+package against them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from richman import (
     GameGraph,
     GameRecord,
     GameState,
+    GraphFormatError,
     PlayerView,
     ProtocolViolationError,
     SolverError,
@@ -339,11 +341,6 @@ def named_moves(g: GameGraph, moves) -> dict:
     return {names[v]: names[m] if isinstance(m, int) else tuple(names[u] for u in m) for v, m in enumerate(moves)}
 
 
-def by_position(g: GameGraph, table: Mapping) -> list:
-    """A table keyed by vertex name as a list by position."""
-    return [table[v] for v in g._names]
-
-
 def policy_by_position(g: GameGraph, policy: Mapping[str, tuple[str, str]]) -> list[tuple[int, int]]:
     """A (lo, hi) successor policy keyed by vertex name as position pairs."""
     position = g._position
@@ -534,6 +531,57 @@ def reference_validate(g: GameGraph) -> ValidationReport:
         found.append(Violation("UNREACHABLE_TERMINALS", v, f"no path from {v!r} to a terminal"))
     found.sort(key=lambda w: (w.code, w.subject))
     return ValidationReport(not found, tuple(found))
+
+
+def _check_vertex_id(token: str, line: int | None = None) -> str:
+    if token == "#":  # a str.split() field is never empty and holds no whitespace
+        raise GraphFormatError(f"bad vertex id {token!r}", line)
+    return token
+
+
+def _from_parts(vertices, edges, blue: str, red: str) -> GameGraph:
+    vs = frozenset(vertices) | {blue, red}
+    es = frozenset((a, b) for a, b in edges)
+    vs = vs | {a for a, _ in es} | {b for _, b in es}
+    return GameGraph(vertices=vs, edges=es, blue=blue, red=red)
+
+
+def reference_parse(text: str) -> GameGraph:
+    """The text format read token by token: each line stripped, then split,
+    each vertex id checked on its own, and the arena built by unioning the
+    terminals and the edge endpoints into the vertex set afterwards."""
+    terminals: dict[str, str] = {}
+    edges: set[tuple[str, str]] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        keyword = parts[0]
+        if keyword in ("blue", "red"):
+            if len(parts) != 2:
+                raise GraphFormatError(f"expected '{keyword} <id>'", lineno)
+            vid = _check_vertex_id(parts[1], lineno)
+            if keyword in terminals:
+                raise GraphFormatError(f"duplicate {keyword} declaration", lineno)
+            terminals[keyword] = vid
+        elif keyword == "edge":
+            if len(parts) != 3:
+                raise GraphFormatError("expected 'edge <from> <to>'", lineno)
+            a = _check_vertex_id(parts[1], lineno)
+            b = _check_vertex_id(parts[2], lineno)
+            edges.add((a, b))
+        else:
+            raise GraphFormatError(f"unknown directive {keyword!r}", lineno)
+
+    for keyword in ("blue", "red"):
+        if keyword not in terminals:
+            raise GraphFormatError(f"missing {keyword} declaration")
+    blue, red = terminals["blue"], terminals["red"]
+    if blue == red:
+        raise GraphFormatError("blue and red must be distinct vertices")
+    return _from_parts((), edges, blue, red)
 
 
 def side(g: GameGraph, costs, color: str) -> tuple[GameGraph, dict[str, Fraction]]:

@@ -4,7 +4,8 @@ bracket on larger ones), the policy picked on the exact values of any
 halting policy halting too (every such policy of the smallest arenas,
 and drawn ones) and its integer elimination agreeing with dense
 elimination, the command line ending any file and any flags in a
-documented exit code, the text format's round trip, monotone iterates, coin-flip tallies equal to the same games played one by one
+documented exit code, the text format's round trip and its parser
+against a token-by-token reference, monotone iterates, coin-flip tallies equal to the same games played one by one
 and their ends equal to the coin games played from scratch, the coin
 game's move table ending every game with Red's chance of winning equal
 to the cost table and equal to the safety agent's moves, the arena
@@ -36,6 +37,7 @@ from richman import (
     TIEBREAKS,
     GameGraph,
     GameState,
+    GraphFormatError,
     PlayerView,
     SafetyRatioAgent,
     make_agent,
@@ -356,6 +358,61 @@ def test_every_arena_with_at_most_three_non_terminals():
 @given(arenas(1, 20))
 def test_serialization_round_trips(g):
     assert parse_game_graph(serialize_game_graph(g)) == g
+
+
+# Every line break str.splitlines knows: each one ends a line of the format.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_FIELD = st.sampled_from(["b", "r", "v", "w", "#", "#x", "x#"])
+_ARITY = {"blue": 1, "red": 1, "edge": 2}
+
+
+@st.composite
+def format_lines(draw) -> str:
+    """A directive (every keyword, unknown ones and ``#``-words too, with
+    its own arity or 0-4 fields), a comment or a blank line, each after
+    some leading whitespace."""
+    lead = draw(st.sampled_from(["", " ", "\t", " \t "]))
+    kind = draw(st.sampled_from(["directive"] * 4 + ["comment", "blank"]))
+    if kind == "blank":
+        return lead
+    if kind == "comment":
+        return lead + draw(st.sampled_from(["#", "# note", "#blue b", "##"]))
+    keyword = draw(st.sampled_from([*_ARITY] * 3 + ["frob", "Edge", "x#", "#x"]))
+    arity = _ARITY.get(keyword, 1)
+    fields = draw(st.one_of(st.lists(_FIELD, min_size=arity, max_size=arity), st.lists(_FIELD, max_size=4)))
+    return lead + draw(st.sampled_from([" ", "\t", "  "])).join([keyword, *fields])
+
+
+@st.composite
+def format_texts(draw) -> str:
+    """Up to ten lines, each ended by any line break, often after a blue
+    and a red declaration: valid arenas, duplicate and missing
+    declarations, ``blue == red`` and every error a line can hold."""
+    lines = draw(st.lists(format_lines(), max_size=8))
+    if draw(st.booleans()):
+        lines[:0] = [f"blue {draw(_FIELD)}", f"red {draw(_FIELD)}"]
+    lines = draw(st.permutations(lines))
+    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+def parsed(parse, text: str):
+    """The graph ``parse`` reads from text, or its error's message and line."""
+    try:
+        return parse(text)
+    except GraphFormatError as err:
+        return str(err), err.line
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(format_texts())
+@example("blue #\n")
+@example("blue b\nblue #\n")
+@example("edge # a b\n")
+@example("frob #\n")
+@example("blue b\r\nred r\r\nedge v b\r\nedge v r\r\n")
+@example("blue b\nred r\nedge v b # to blue\nedge v #x\n")
+def test_the_parser_equals_the_token_by_token_reference(text):
+    assert parsed(parse_game_graph, text) == parsed(corpus.reference_parse, text)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
