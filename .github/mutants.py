@@ -158,9 +158,33 @@ MUTANTS = [
     Mutant(
         "the winner's bid is paid to Blue when Blue wins",
         "src/richman/simulate.py",
-        "move, scale, to_blue = blue_move, blue_scale, -blue_num",
-        "move, scale, to_blue = blue_move, blue_scale, blue_num",
+        'winner, v, scale, to_blue = "blue", blue_move, blue_scale, -blue_num',
+        'winner, v, scale, to_blue = "blue", blue_move, blue_scale, blue_num',
         ("tests/test_simulate.py::test_single_step_game_record",),
+    ),
+    Mutant(
+        "the reduction after an exchange shifts one bit too far",
+        "src/richman/simulate.py",
+        "shift = (low & -low).bit_length() - 1",
+        "shift = (low & -low).bit_length()",
+        (
+            "tests/test_simulate.py::"
+            "test_each_exchange_leaves_the_bankrolls_exact_and_their_integers_without_a_common_two",
+        ),
+    ),
+    Mutant(
+        "the tie coin reads one bit instead of Random.choice's two",
+        "src/richman/simulate.py",
+        "coin.getrandbits(2)",
+        "coin.getrandbits(1)",
+        ("tests/test_simulate.py::test_fair_tie_winners_are_the_choice_of_the_derived_coin",),
+    ),
+    Mutant(
+        "the horizon search takes the float candidate alone",
+        "src/richman/agents.py",
+        "t = bisect_left(ladder, True, bisect_left(keys, share), bisect_right(keys, share), key=below)",
+        "t = bisect_right(keys, share)",
+        ("tests/test_agents.py::test_the_horizon_of_a_share_a_hair_from_a_rung_is_the_exact_one",),
     ),
     Mutant(
         "a step records its own position as its move",

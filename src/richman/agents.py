@@ -39,7 +39,13 @@ safety agent keep the certified numerators and their
 reads the successor positions ``GameGraph._succ``.  The optimal agent's
 ladder is integer: rung t is the upper iterate as numerators over one
 power of two (``solver._iterates``), grown on demand, and the play of
-each (horizon, vertex) is planned on first use.
+each (horizon, vertex) is planned on first use.  Its horizon search is
+found by floats and certified exactly: for each position it visits it
+keeps each rung's value there as a negated float, filled on first use,
+32 bytes per visited (position, rung) (the float and its list slot).
+The share's float brackets the horizon in that list, and the exact test
+is bisected only inside the bracket, which is usually empty
+(``FullKnowledgeAgent._horizon`` proves the bracket).
 
 Both strategies bid a share that scales with the money, so a built-in
 agent bids in integers: its ``_bid`` takes a non-terminal position and
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -233,19 +239,37 @@ class FullKnowledgeAgent(_IntegerAgent):
         # (horizon, vertex) (_rung_plan) is filled on first use.
         self._upper = _iterates(graph, goal, 1)
         self._ladder: list[tuple[list[int], int]] = [next(self._upper)]
+        # Per non-terminal position, the float search keys of the rungs
+        # (_horizon), filled on first use.
+        self._keys: list[list[float] | None] = [None] * len(graph._succ)
         self._plans: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def _horizon(self, v: int, p: int, q: int) -> int:
         """Smallest t with upper-iterate(v, t) < p / q at position v, that
         is N_t(v) q < p 2^e_t.  Exists whenever p / q exceeds the exact cost
-        of v.  The rungs built so far are bisected; the ladder grows only
-        when all of them are >= p / q."""
+        of v.  The rungs built so far are searched; the ladder grows only
+        when all of them are >= p / q.
+
+        The search is bracketed by floats and certified exactly.  ``keys``
+        holds -float(rung value at v) for the rungs built so far, which do
+        not decrease, as the values do not increase.  Rounding to nearest
+        is monotone, so with K = -float(p / q), key_t < K forces value_t >
+        p / q and key_t > K forces value_t < p / q: every rung before
+        ``bisect_left(keys, K)`` is above the share, and rung
+        ``bisect_right(keys, K)`` (if built) is below it, so the answer
+        lies between the two, and the exact test ``below`` is bisected only
+        over the rungs whose key equals K, usually none."""
 
         def below(rung: tuple[list[int], int]) -> bool:
             return rung[0][v] * q < p << rung[1]
 
-        ladder = self._ladder
-        t = bisect_left(ladder, True, key=below)
+        ladder, keys = self._ladder, self._keys[v]
+        if keys is None:
+            keys = self._keys[v] = []
+        for nums, e in ladder[len(keys) :]:
+            keys.append(-(nums[v] / (1 << e)))
+        share = -(p / q)
+        t = bisect_left(ladder, True, bisect_left(keys, share), bisect_right(keys, share), key=below)
         while t == len(ladder):
             if t > 100_000:
                 raise SolverError(f"no iterate at {self._graph._names[v]!r} ever drops below {Fraction(p, q)}")

@@ -1,10 +1,14 @@
 """Game execution: the bidding protocol and the coin-flip variant.
 
 All randomness is derived, never ambient: every random draw comes from a
-``random.Random`` seeded by a SHA-256 hash of (master seed, purpose, game
+Mersenne Twister seeded by a SHA-256 hash of (master seed, purpose, game
 index, ...), so a game is a pure function of its arguments and batches can
 run in any order without changing results.  A batch builds its generators
-once and reseeds them for each game and each tie.
+once and reseeds them for each game and each tie, and hashes each
+purpose's (master seed, purpose) prefix once (``_seeder``).  An agent's
+generator is a ``random.Random``; the tie coin and the coin-flip games,
+which read only ``getrandbits``, draw from ``_random.Random``, the C
+generator that ``random.Random`` extends, with the same draws.
 
 Bids are sealed: both agents are queried before either bid is revealed,
 the higher bid wins, the winner pays its own bid to the loser and moves
@@ -19,8 +23,11 @@ any class that defines its own ``decide`` through ``decide``.  Either way
 the engine gets the bid as a numerator and a scale over that denominator
 and the move as a position, checks them, and compares the two bids as
 integer cross-products.  The winner's payment multiplies the denominator
-by its scale, and one gcd of both numerators and the denominator keeps
-long games small.  A segment of play keeps its exchanges as integer
+by its scale, and the exchange then divides out a common factor of both
+numerators and the denominator: their common power of two, shifted out,
+when the scale is a power of two (the optimal agent's winning bids and
+every random bid), else their gcd.  Either way blue | red | den is odd
+after it.  A segment of play keeps its exchanges as integer
 tuples and builds their ``Step``s, the ``Fraction``-valued public record
 with vertex names, once, when a record is first asked for: ``run_batch``
 tallies outcomes and move counts without them and builds a
@@ -52,6 +59,7 @@ it stopped.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -95,10 +103,24 @@ class ProtocolViolationError(Exception):
         super().__init__(f"{color} agent violated protocol in game {game_index}: {reason}")
 
 
+def _seeder(*head: object) -> Callable[..., int]:
+    """``derived_seed(*head, *rest)`` as a function of one or more parts
+    ``rest``: the head's text, each part followed by ":", is hashed once,
+    and each call hashes only the rest on a copy of that SHA-256."""
+    prefix = hashlib.sha256("".join(f"{part}:" for part in head).encode())
+
+    def seed(*rest: object) -> int:
+        sha = prefix.copy()
+        sha.update(":".join(map(str, rest)).encode())
+        return int.from_bytes(sha.digest()[:8], "big")
+
+    return seed
+
+
 def derived_seed(*parts: object) -> int:
-    """A 64-bit seed that is a pure function of the given parts."""
-    text = ":".join(map(str, parts))
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    """A 64-bit seed that is a pure function of the given parts: the first
+    8 bytes of the SHA-256 of their texts joined by ":"."""
+    return _seeder()(*parts)
 
 
 class Step(NamedTuple):
@@ -208,21 +230,6 @@ _Tie = tuple[int, int, _Decision, _Decision, int, int, int]
 _Exchange = tuple[_Tie, bool | None, str, int, int, int, int]
 
 
-def _exchange(tie: _Tie, winner: str, coin: bool | None) -> _Exchange:
-    """Exchange ``tie`` won by ``winner``: it pays its bid to the other
-    player and moves.  ``coin`` is the Step's ``tie`` field."""
-    _, _, (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move), blue, red, den = tie
-    # to_blue is what Blue receives over den * scale: the winner's bid, paid
-    # by Blue (negative) or to it.
-    if winner == "blue":
-        move, scale, to_blue = blue_move, blue_scale, -blue_num
-    else:
-        move, scale, to_blue = red_move, red_scale, red_num
-    blue, red, den = blue * scale + to_blue, red * scale - to_blue, den * scale
-    common = math.gcd(blue, red, den)  # keeps the integers of long games small
-    return tie, coin, winner, move, blue // common, red // common, den // common
-
-
 def _step(exchange: _Exchange, names: tuple[str, ...]) -> Step:
     """The public record of ``exchange``, its positions named by ``names``."""
     tie, coin, winner, move_to, blue_after, red_after, den_after = exchange
@@ -262,9 +269,9 @@ class _Batch:
     bankrolls as integers over one denominator (by ``solver._integers``),
     one generator per random role (each agent's, None for a
     ``deterministic`` agent, and the tie coin's), reseeded for each game
-    and each tie, and the play tree, its root the entry None.
-    Games of two deterministic agents share the tree; any other pair plays
-    each game on a tree of its own."""
+    and each tie from the batch's two ``_seeder``s, and the play tree, its
+    root the entry None.  Games of two deterministic agents share the tree;
+    any other pair plays each game on a tree of its own."""
 
     def __init__(
         self, g: GameGraph, blue: Agent, red: Agent, start: GameState, tiebreak: str, max_moves: int | None, seed: int
@@ -281,64 +288,93 @@ class _Batch:
             raise ValueError(f"unknown tiebreak policy {tiebreak!r} (choose from {TIEBREAKS})")
         if max_moves is not None and max_moves < 0:
             raise ValueError("max_moves must be nonnegative")
-        self.g, self.start, self.seed = g, start, seed
+        self.g, self.start = g, start
         self.asks = _asker(g, blue, "blue"), _asker(g, red, "red")
         self.cap = default_move_cap(g) if max_moves is None else max_moves
         self.root = (0, g._position[start.position], blue_money, red_money, den)
         self.rngs = tuple(None if agent.deterministic else random.Random() for agent in (blue, red))
+        self.agent_seed, self.tie_seed = _seeder(seed, "agent"), _seeder(seed, "tie")
         # The tie winner, or None when a fair coin decides.
         self.tie_winner = {"always-blue": "blue", "always-red": "red"}.get(tiebreak)
-        self.coin = random.Random()
+        self.coin = _random.Random()
         self.tree: dict[str | None, _Segment] | None = {} if blue.deterministic and red.deterministic else None
 
-    def segment(
-        self, exchanges: list[_Exchange], index: int, v: int, blue_money: int, red_money: int, den: int
-    ) -> _Segment:
-        """Play on from step ``index`` at position v, with the bankrolls
-        blue_money / den and red_money / den, to a terminal, the cap or a
-        bid tie; ``exchanges`` are the segment's exchanges so far.  A
-        decision that breaks the protocol raises ``_Refused``."""
+    def segment(self, tie: _Tie | None, winner: str | None) -> _Segment:
+        """Play on from the root (``tie`` None) or from the bid tie ``tie``
+        won by ``winner``, to a terminal, the cap or the next bid tie.  A
+        decision that breaks the protocol raises ``_Refused``.
+
+        Each exchange ends with blue | red | den odd (the module docstring
+        gives the rule).  The shift suffices after a power-of-two scale: it
+        leaves the denominator's odd part as it was, so what it leaves of
+        their gcd is odd and divides that odd part at the start or at the
+        last gcd, and cannot grow over a game.  Any other scale (the
+        certified denominator, a cost numerator, a custom bid's denominator)
+        can bring an odd factor, which only the gcd removes.  Bids and the tie test are homogeneous in the bankrolls and
+        their denominator, and Steps are reduced Fractions, so either factor
+        gives the same games."""
         blue_rng, red_rng = self.rngs
         blue_ask, red_ask = self.asks
         g, succ, cap = self.g, self.g._succ, self.cap
-        while index < cap and v < len(succ):
-            out = succ[v]
-            blue_decision = blue_ask(v, blue_money, red_money, den, blue_rng)
-            red_decision = red_ask(v, red_money, blue_money, den, red_rng)
-            (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
-            if not (0 <= blue_num <= blue_money * blue_scale and blue_move in out):
-                _violation("blue", blue_decision, blue_money, den, g, v)
-            if not (0 <= red_num <= red_money * red_scale and red_move in out):
-                _violation("red", red_decision, red_money, den, g, v)
-            lead = blue_num * red_scale - red_num * blue_scale
-            tie = (index, v, blue_decision, red_decision, blue_money, red_money, den)
-            if lead == 0:
-                return _Segment(exchanges, tie, v)
-            exchange = _exchange(tie, "blue" if lead > 0 else "red", None)
-            exchanges.append(exchange)
-            _, _, _, v, blue_money, red_money, den = exchange
+        terminal = len(succ)  # positions from here on are terminals
+        exchanges: list[_Exchange] = []
+        if tie is None:
+            index, v, blue_money, red_money, den = self.root
+            coin = None
+        else:
+            index, v, (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move), blue_money, red_money, den = tie
+            coin = blue_wins = winner == "blue"
+        while True:
+            if coin is None:
+                if index >= cap or v >= terminal:
+                    return _Segment(exchanges, None, v)
+                out = succ[v]
+                blue_decision = blue_ask(v, blue_money, red_money, den, blue_rng)
+                red_decision = red_ask(v, red_money, blue_money, den, red_rng)
+                (blue_num, blue_scale, blue_move), (red_num, red_scale, red_move) = blue_decision, red_decision
+                if not (0 <= blue_num <= blue_money * blue_scale and blue_move in out):
+                    _violation("blue", blue_decision, blue_money, den, g, v)
+                if not (0 <= red_num <= red_money * red_scale and red_move in out):
+                    _violation("red", red_decision, red_money, den, g, v)
+                lead = blue_num * red_scale - red_num * blue_scale
+                tie = (index, v, blue_decision, red_decision, blue_money, red_money, den)
+                if lead == 0:
+                    return _Segment(exchanges, tie, v)
+                blue_wins = lead > 0
+            # The winner pays its bid to the other player and moves; to_blue
+            # is what Blue receives over den * scale, negative when Blue pays.
+            if blue_wins:
+                winner, v, scale, to_blue = "blue", blue_move, blue_scale, -blue_num
+            else:
+                winner, v, scale, to_blue = "red", red_move, red_scale, red_num
+            blue_money, red_money, den = blue_money * scale + to_blue, red_money * scale - to_blue, den * scale
+            if scale & (scale - 1):
+                common = math.gcd(blue_money, red_money, den)
+                blue_money, red_money, den = blue_money // common, red_money // common, den // common
+            else:
+                low = blue_money | red_money | den
+                shift = (low & -low).bit_length() - 1
+                blue_money, red_money, den = blue_money >> shift, red_money >> shift, den >> shift
+            exchanges.append((tie, coin, winner, v, blue_money, red_money, den))
+            coin = None
             index += 1
-        return _Segment(exchanges, None, v)
 
     def path(self, game_index: int) -> list[_Segment]:
         """The segments game ``game_index`` plays along the play tree,
         growing the tree where the game leaves it.  Its draws depend only
-        on (seed, game_index)."""
+        on (seed, game_index).  A fair tie's coin is the draw of
+        ``Random.choice(("blue", "red"))``: two bits until they are 0
+        (Blue) or 1 (Red)."""
         for rng, color in zip(self.rngs, ("blue", "red")):
             if rng is not None:
-                rng.seed(derived_seed(self.seed, "agent", game_index, color))
+                rng.seed(self.agent_seed(game_index, color))
         path = []
         after, winner, tie = {} if self.tree is None else self.tree, None, None
         while True:
             node = after.get(winner)
             if node is None:
-                if tie is None:
-                    first, state = [], self.root
-                else:
-                    exchange = _exchange(tie, winner, winner == "blue")
-                    first, state = [exchange], (tie[0] + 1, *exchange[3:])
                 try:
-                    node = after[winner] = self.segment(first, *state)
+                    node = after[winner] = self.segment(tie, winner)
                 except _Refused as err:
                     raise ProtocolViolationError(*err.args, game_index) from None
             path.append(node)
@@ -347,8 +383,11 @@ class _Batch:
                 return path
             winner = self.tie_winner
             if winner is None:
-                self.coin.seed(derived_seed(self.seed, "tie", game_index, tie[0]))
-                winner = self.coin.choice(("blue", "red"))
+                coin = self.coin
+                coin.seed(self.tie_seed(game_index, tie[0]))
+                while (bit := coin.getrandbits(2)) > 1:
+                    pass
+                winner = "red" if bit else "blue"
 
     def record(self, path: list[_Segment]) -> GameRecord:
         names = self.g._names
@@ -417,7 +456,7 @@ _REDRAWN = bytes(range(128, 256))
 _CHUNK_WORDS = 64
 
 
-def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: random.Random) -> int:
+def _coin_game(step: list[tuple[int, int]], pos: int, cap: int, rng: _random.Random) -> int:
     """One coin-flip game on the integer move table ``step`` from index
     ``pos``, to a terminal (an index of at least ``len(step)``) or ``cap``
     moves (none when ``cap`` is 0 or less).  Returns the index where it
@@ -471,9 +510,9 @@ def random_turn_stats(
     cap = random_turn_move_cap(g, runs) if max_moves is None else max_moves
     first = g._position[start]
     ends = [0] * len(g._names)
-    rng = random.Random()
+    rng, seed = _random.Random(), _seeder(master_seed, "randomturn")
     for i in range(runs):
-        rng.seed(derived_seed(master_seed, "randomturn", i))
+        rng.seed(seed(i))
         ends[_coin_game(step, first, cap, rng)] += 1
     blue_wins, red_wins = ends[-2:]
     frequency = red_wins / runs

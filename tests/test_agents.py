@@ -137,6 +137,31 @@ def test_full_knowledge_horizon_gives_up_after_100000_rungs(star):
         agent._horizon(v, 1, 2)
 
 
+@pytest.mark.parametrize("arena", ["fig1", "chain6"])
+@pytest.mark.parametrize("color", ["blue", "red"])
+def test_the_horizon_of_a_share_a_hair_from_a_rung_is_the_exact_one(arena, color, fig1):
+    """Shares 2^-200 above and below a rung's value at v round to that
+    rung's float, so the float bracket holds that rung and its neighbours
+    of the same float, and only the exact test inside it can tell them
+    apart: the horizon must be the first rung of the ladder whose value is
+    below the share."""
+    g = fig1 if arena == "fig1" else corpus.two_way_chain(6)
+    agent = FullKnowledgeAgent(g, color)
+    float_ties = 0
+    for v in range(len(g._succ)):
+        cost, den = abs(agent._flip - agent._nums[v]), agent._den
+        agent._horizon(v, cost * 2**20 + den, den * 2**20)  # grows the ladder to cost + 2^-20
+        for nums, e in list(agent._ladder):
+            if nums[v] * den <= cost << e:
+                continue  # the rung is at the cost, so no share below it has a horizon
+            for sign in (1, -1):
+                p, q = (nums[v] << 200) + (sign << e), 1 << (e + 200)
+                float_ties += p / q == nums[v] / (1 << e)
+                t = agent._horizon(v, p, q)
+                assert t == next(t for t, (ns, f) in enumerate(agent._ladder) if ns[v] * q < p << f)
+    assert float_ties > 20
+
+
 def test_full_knowledge_winning_branch_picks_short_circuit(zchain):
     """The exact-cheapest successor (a long free chain) is a trap; the
     horizon table sends the token down the two-move branch instead."""
@@ -252,14 +277,17 @@ def test_oriented_mirror_rejects_unknown_color(fig1):
 
 
 def test_red_agents_build_no_second_arena(fig1, monkeypatch):
+    """Counts every ``GameGraph`` built, through ``from_parts`` or the
+    constructor itself, as the parser builds one."""
     built = []
-    real = GameGraph.from_parts.__func__
-    monkeypatch.setattr(
-        GameGraph, "from_parts", classmethod(lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
-    )
+    real = GameGraph.__init__
+    monkeypatch.setattr(GameGraph, "__init__", lambda self, *args: built.append(args) or real(self, *args))
     FullKnowledgeAgent(fig1, "red")
     SafetyRatioAgent(fig1, "red")
     assert built == []
+    GameGraph.from_parts(["b", "r", "v"], [("v", "b"), ("v", "r")], "b", "r")
+    parse_game_graph("blue b\nred r\nedge v b\nedge v r\n")
+    assert len(built) == 2
 
 
 def test_agents_reject_an_invalid_arena(data_dir):

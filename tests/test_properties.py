@@ -40,6 +40,7 @@ from richman import (
     GraphFormatError,
     PlayerView,
     SafetyRatioAgent,
+    derived_seed,
     make_agent,
     parse_game_graph,
     play_richman_game,
@@ -50,7 +51,7 @@ from richman import (
     solve_iterative,
     validate,
 )
-from richman.simulate import _coin_table
+from richman.simulate import _coin_table, _seeder
 from richman.cli import main
 from richman.solver import _pick_policy, _solve, _solve_policy
 
@@ -80,6 +81,15 @@ def arenas(draw, min_size: int, max_size: int, acyclic: bool = False) -> GameGra
     g = GameGraph.from_parts(TERMINALS + names, edges, "b", "r")
     assert validate(g).ok
     return g
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",)))), min_size=1, max_size=6))
+def test_a_seeder_of_any_head_gives_the_derived_seed_of_head_and_rest(parts):
+    """The prefix hashed once and the rest hashed on its copy give the seed
+    of all the parts, for every split into a head and a nonempty rest."""
+    for i in range(len(parts)):
+        assert _seeder(*parts[:i])(*parts[i:]) == derived_seed(*parts)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -262,6 +262,44 @@ def test_fair_ties_use_the_derived_coin(chain_standoff):
     assert {s.tie for s in record.steps} == {True, False}
 
 
+def test_fair_tie_winners_are_the_choice_of_the_derived_coin(chain_standoff):
+    """Every step of the standoff is a tie, and tie j of game i goes to
+    ``Random(derived_seed(seed, "tie", i, j)).choice(("blue", "red"))``."""
+    g, blue, red, state = chain_standoff
+    records = corpus.kept_records(g, blue, red, state, runs=3, master_seed=11, max_moves=200)
+    for i, record in enumerate(records):
+        assert len(record.steps) > 50
+        for step in record.steps:
+            coin = random.Random(derived_seed(11, "tie", i, step.index)).choice(("blue", "red"))
+            assert step.tie == (coin == "blue") and step.winner == coin
+
+
+@pytest.mark.parametrize("blue_name", ["uniform-random-bid", "safety"])
+def test_each_exchange_leaves_the_bankrolls_exact_and_their_integers_without_a_common_two(blue_name):
+    """Long games against random bids, whose scale is a power of two (the
+    shift), and with the safety agent as Blue, whose scale is a cost
+    numerator (the gcd): after every exchange blue | red | den is odd, and
+    the bankrolls are the exact ones, each step's money before it being the
+    previous step's money after it, totalling the start's 1."""
+    g = corpus.two_way_chain(20)
+    blue, red = make_agent(blue_name, g, "blue"), make_agent("uniform-random-bid", g, "red")
+    start = GameState("v10", F(1, 3), F(2, 3))
+    batch = richman.simulate._Batch(g, blue, red, start, "fair", None, 3)
+    moves = 0
+    for i in range(20):
+        path = batch.path(i)
+        exchanges = [exchange for node in path for exchange in node.exchanges]
+        for *_, blue_money, red_money, den in exchanges:
+            assert (blue_money | red_money | den) & 1
+            assert blue_money + red_money == den
+        money = (start.blue_money, start.red_money)
+        for step in batch.record(path).steps:
+            assert corpus.money_before(step) == money
+            money = (step.blue_after, step.red_after)
+        moves += len(exchanges)
+    assert moves > 300
+
+
 def test_max_moves_override(chain_standoff):
     g, blue, red, state = chain_standoff
     record = play_richman_game(g, blue, red, state, max_moves=5)
@@ -390,16 +428,25 @@ def test_deterministic_agents_play_a_tie_free_batch_once(monkeypatch):
     costs = solve_exact(g)
     blue, red = CountingOptimal(g, "blue"), CountingOptimal(g, "red")
     seeds = []
-    real = richman.simulate.derived_seed
-    monkeypatch.setattr(richman.simulate, "derived_seed", lambda *parts: seeds.append(parts) or real(*parts))
+    real = richman.simulate._seeder
+
+    def seeder(*head):
+        seed = real(*head)
+        return lambda *rest: seeds.append(head + rest) or seed(*rest)
+
+    # The engine draws every seed from the functions that _seeder returns.
+    monkeypatch.setattr(richman.simulate, "_seeder", seeder)
     share = costs["v00"] / 2
-    records = corpus.kept_records(g, blue, red, GameState("v00", share, 1 - share), runs=200, master_seed=3)
+    start = GameState("v00", share, 1 - share)
+    records = corpus.kept_records(g, blue, red, start, runs=200, master_seed=3)
     (game,) = set(records)
     assert len(game.steps) == 12 and game.outcome == "RedWins"
     assert all(s.tie is None for s in game.steps)
     assert all(r.steps[i] is game.steps[i] for r in records for i in range(12))
     assert blue.calls == red.calls == 12
     assert seeds == []  # no "agent" seed, and no tie to draw a coin for
+    run_batch(g, make_agent("uniform-random-bid", g, "blue"), red, start, runs=2, master_seed=3)
+    assert seeds == [(3, "agent", 0, "blue"), (3, "agent", 1, "blue")]
 
 
 @pytest.mark.parametrize("base", [FullKnowledgeAgent, SafetyRatioAgent, UniformRandomBidAgent])
