@@ -207,6 +207,23 @@ MUTANTS = [
         'return f"{num}" if den == 1 else f"{num}/{den}"',
         ("tests/test_properties.py::test_solve_rows_are_the_rows_of_the_fraction_table",),
     ),
+    Mutant(
+        "the series table prints its integers over the unit without reducing",
+        "src/richman/cli.py",
+        "{_fraction(h, unit)}",
+        "{h}/{unit}",
+        (
+            "tests/test_cli.py::test_series_prints_the_public_plan_for_every_k_up_to_20",
+            "tests/test_cli.py::test_series_table",
+        ),
+    ),
+    Mutant(
+        "the iterates shift one bit too few",
+        "src/richman/solver.py",
+        "shift = (low & -low).bit_length() - 1",
+        "shift = (low & -low).bit_length() - 2",
+        ("tests/test_properties.py::test_integer_iterates_equal_the_fraction_sweeps",),
+    ),
 ]
 
 

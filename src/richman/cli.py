@@ -21,11 +21,10 @@ import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .agents import AGENT_NAMES, GameState, make_agent
 from .graphs import GameGraph, GraphFormatError, parse_game_graph
-from .series import BankrollMismatchError, series_bet_plan, state_id
+from .series import BankrollMismatchError, _ladder, series_bet_plan, state_id
 from .simulate import TIEBREAKS, format_trace, random_turn_stats, run_batch
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_TOL, NotConvergedError, SolverError, _solve, solve_iterative
 
@@ -141,7 +140,8 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
 
 def _load_graph(path: str) -> GameGraph:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not part of the text
+        with open(path, encoding="utf-8-sig") as file:  # a leading BOM is not part of the text
+            text = file.read()
     except (OSError, UnicodeDecodeError) as err:
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {err}")
     try:
@@ -168,28 +168,22 @@ def _cost_json(num: int, den: int) -> dict:
     return {"num": num // common, "den": den // common, "float": num / den}
 
 
-def _fraction_json(q: Fraction) -> dict:
-    """``_cost_json`` of a Fraction, which is in lowest terms already."""
-    return {"num": q.numerator, "den": q.denominator, "float": float(q)}
-
-
 def _table_json(costs: dict[str, Fraction], kind: str) -> dict:
     """A cost table as JSON, labelled with how it was computed: "exact", or
     an iterate with its sweep count, as in "upper-iterate(7)"."""
-    return {"kind": kind, "costs": {v: _fraction_json(q) for v, q in sorted(costs.items())}}
+    return {"kind": kind, "costs": {v: _cost_json(q.numerator, q.denominator) for v, q in sorted(costs.items())}}
 
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.file)
     if args.iterate:
-        approx = solve_iterative(g, tol=args.tol, max_iters=args.max_iters)
-        upper, lower, t, gap = approx
+        upper, lower, t, gap = solve_iterative(g, tol=args.tol, max_iters=args.max_iters)
         if args.output == "json":
             payload = {
                 "mode": "iterate",
                 "upper": _table_json(upper, f"upper-iterate({t})"),
                 "lower": _table_json(lower, f"lower-iterate({t})"),
-                "gap": _fraction_json(gap),
+                "gap": _cost_json(gap.numerator, gap.denominator),
                 "iterations": t,
             }
             print(json.dumps(payload, sort_keys=True))
@@ -262,17 +256,19 @@ def _cmd_randomturn(args) -> int:
 
 def _cmd_series(args) -> int:
     try:
-        plan = series_bet_plan(args.wins, args.bankroll)
+        if args.output == "json":
+            payload = series_bet_plan(args.wins, args.bankroll).to_json_dict()
+        else:
+            states, held, stakes, unit, bankroll, _, _ = _ladder(args.wins, args.bankroll, Fraction(0), Fraction(1))
     except BankrollMismatchError as err:
         raise _Failure(EXIT_VALIDATION, f"bankroll {err.given} does not match the ladder; required: {err.required}")
     except ValueError as err:
         raise _Failure(EXIT_VALIDATION, str(err))
     if args.output == "json":
-        print(json.dumps(plan.to_json_dict(), sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
-        rows = [f"{state_id(*s)} {q} {plan.stakes[s]}" for s, q in sorted(plan.holdings.items())]
-        head = [f"wins_needed {plan.wins_needed}", f"bankroll {plan.bankroll}", "state holding stake"]
-        print("\n".join(head + rows))
+        rows = [f"{state_id(*s)} {_fraction(h, unit)} {_fraction(d, unit)}" for s, h, d in zip(states, held, stakes)]
+        print("\n".join([f"wins_needed {args.wins}", f"bankroll {bankroll}", "state holding stake", *rows]))
     return EXIT_OK
 
 

@@ -8,9 +8,10 @@ cost table *is* the hedging ladder: hold cost(state) at every state (in
 units where you finish with target_low if blue takes the series and
 target_high if red does) and stake the successor gap on each game.
 
-The ladder solves its grid on positions (``_grid``) by the solver's
-back-substitution and certificate, with no ``GameGraph``; a test proves
-that the grid names into ``build_series_graph``, so it is not validated.
+``_ladder`` solves the grid on positions, with no ``GameGraph``, by the
+solver's back-substitution and certificate into integers that ``richman
+series`` prints and ``series_bet_plan`` returns as Fractions.  A test
+proves ``_grid`` names into ``build_series_graph``, so it is not validated.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class BetPlan(NamedTuple):
     """First to ``wins_needed`` takes the series, paying ``target_low`` (in
     grand units) if blue takes it and ``target_high`` if red does; the plan
     is the holding to maintain and the stake to place at every interior
-    state, starting from ``bankroll``."""
+    state, starting from ``bankroll``: Fractions of ``_ladder``'s integers."""
 
     wins_needed: int
     bankroll: Fraction
@@ -93,19 +94,13 @@ def build_series_graph(k: int) -> GameGraph:
     return GameGraph.from_parts((), edges, blue=BLUE_TERMINAL, red=RED_TERMINAL)
 
 
-def series_bet_plan(
-    k: int,
-    bankroll: Fraction,
-    target_low: Fraction = Fraction(0),
-    target_high: Fraction = Fraction(1),
-) -> BetPlan:
-    """Exact ladder for a first-to-k series.
-
-    Rejects target_low > target_high before solving, and any bankroll
-    other than the required initial holding — riding the ladder from the
-    wrong starting amount is impossible, and the error carries the
-    required value.  Holdings and stakes are integers over one
-    denominator up to the returned Fractions.
+def _ladder(k: int, bankroll: Fraction, target_low: Fraction, target_high: Fraction) -> tuple:
+    """The plan in integers: the states in ``_grid``'s order, which is
+    sorted, their holding and stake numerators over one ``unit``, and the
+    bankroll and targets as Fractions.  Rejects target_low > target_high
+    before solving, and any bankroll other than the required initial
+    holding — riding the ladder from the wrong starting amount is
+    impossible, and the error carries the required value.
 
     The stake is the same whichever team takes the next game, with no
     second check: the solve certified 2 N(v) = N(blue_next) + N(red_next)
@@ -126,6 +121,14 @@ def series_bet_plan(
     start, given = held[0], Fraction(bankroll)
     if given.numerator * unit != start * given.denominator:
         raise BankrollMismatchError(given, Fraction(start, unit))
+    stakes = [held[red_next] - n for n, (_, red_next) in zip(held, succ)]
+    return states, held, stakes, unit, given, low, high
+
+
+def series_bet_plan(
+    k: int, bankroll: Fraction, target_low: Fraction = Fraction(0), target_high: Fraction = Fraction(1)
+) -> BetPlan:
+    """Exact ladder for a first-to-k series: ``_ladder`` as Fractions."""
+    states, held, stakes, unit, given, low, high = _ladder(k, bankroll, target_low, target_high)
     holdings = {state: Fraction(n, unit) for state, n in zip(states, held)}
-    stakes = {state: Fraction(held[red_next] - n, unit) for state, n, (_, red_next) in zip(states, held, succ)}
-    return BetPlan(k, given, low, high, holdings, stakes)
+    return BetPlan(k, given, low, high, holdings, {state: Fraction(n, unit) for state, n in zip(states, stakes)})

@@ -41,6 +41,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import GameGraph, _walk
@@ -106,10 +108,10 @@ def _iterates(g: GameGraph, goal: int, fill: int) -> Iterator[tuple[list[int], i
     ``fill`` (0 or 1) elsewhere, with e = 0: Blue's iterates for the blue
     goal, Red's for the red one.  A sweep sets N'(v) = min + max of the
     successors' numerators and the other terminal to 2^(e+1): over 2^(e+1)
-    that is the averaging step (min + max) / 2.  It then divides out the
-    gcd of all numerators, a power of two because the other terminal's
-    numerator is 2^(e+1).  Without that reduction a table that stops moving
-    would still grow by one bit per sweep.
+    that is the averaging step (min + max) / 2.  It then shifts out the
+    numerators' gcd: a power of two, as the other terminal's is 2^(e+1), so
+    the lowest set bit of their OR.  Without that reduction a table that
+    stops moving would still grow by one bit per sweep.
     """
     succ = g._succ
     ends = [0, 1] if goal == len(succ) else [1, 0]
@@ -119,11 +121,10 @@ def _iterates(g: GameGraph, goal: int, fill: int) -> Iterator[tuple[list[int], i
         e += 1
         new = [min(values) + max(values) for values in [[nums[u] for u in ts] for ts in succ]]
         new += [n << e for n in ends]
-        shift = math.gcd(*new).bit_length() - 1
-        if shift:
-            new = [n >> shift for n in new]
-            e -= shift
-        nums = new
+        low = reduce(or_, new)
+        shift = (low & -low).bit_length() - 1
+        nums = [n >> shift for n in new] if shift else new
+        e -= shift
 
 
 def _table(g: GameGraph, nums: Sequence[int], den: int) -> dict[str, Fraction]:

@@ -8,12 +8,14 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import richman
 from richman import GameGraph, serialize_game_graph
 from richman.cli import _build_parser, main
+from richman.series import series_bet_plan, state_id
 
 import corpus
 
@@ -399,6 +401,23 @@ def test_series_json(cli):
     payload = json.loads(first[1])
     assert payload["holdings"]["s0_0"] == {"num": 1, "den": 2}
     assert payload["stakes"]["s1_1"] == {"num": 1, "den": 2}
+
+
+def test_series_prints_the_public_plan_for_every_k_up_to_20(cli):
+    """The table is printed from the ladder's integers: it must be the
+    plan's Fractions in sorted state order, and the JSON the plan's."""
+    for k in range(1, 21):
+        plan = series_bet_plan(k, Fraction(1, 2))
+        rows = [f"{state_id(*s)} {h} {plan.stakes[s]}" for s, h in sorted(plan.holdings.items())]
+        table = "\n".join([f"wins_needed {k}", "bankroll 1/2", "state holding stake", *rows]) + "\n"
+        assert cli("series", "--wins", str(k), "--bankroll", "1/2") == (0, table, "")
+        payload = json.dumps(plan.to_json_dict(), sort_keys=True) + "\n"
+        assert cli("series", "--wins", str(k), "--bankroll", "1/2", "--output", "json") == (0, payload, "")
+        wrong = "bankroll 1/3 does not match the ladder; required: 1/2\n"
+        for output in ("table", "json"):
+            assert cli("series", "--wins", str(k), "--bankroll", "1/3", "--output", output) == (3, "", wrong)
+    for output in ("table", "json"):
+        assert cli("series", "--wins", "0", "--bankroll", "1/2", "--output", output) == (3, "", "k must be at least 1\n")
 
 
 def test_top_level_usage(cli):

@@ -52,7 +52,7 @@ from richman import (
     validate,
 )
 from richman.simulate import _coin_table, _seeder
-from richman.cli import main
+from richman.cli import _fraction, main
 from richman.solver import _pick_policy, _solve, _solve_policy
 
 import corpus
@@ -268,6 +268,17 @@ def test_solve_rows_are_the_rows_of_the_fraction_table(g):
     costs = {v: {"num": q.numerator, "den": q.denominator, "float": float(q)} for v, q in table}
     want = json.dumps({"mode": "exact", "kind": "exact", "costs": costs}, sort_keys=True)
     assert solve_output(g, "--output", "json") == want + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 2**70)
+@example(-(3**50) * 2**64, 3**45 * 2**66)
+@example(2**64 + 1, 2**64 - 1)
+def test_the_row_formatter_prints_the_fraction(num, den):
+    """``solve``'s and ``series``'s rows print N/D through ``_fraction``."""
+    assert _fraction(num, den) == str(Fraction(num, den))
 
 
 @st.composite
